@@ -232,6 +232,13 @@ def _dof_gather_1d(state: State1D) -> np.ndarray:
     )
 
 
+def _eval_at_nodes(dofs, basis_vals):
+    """Reconstruction at quadrature nodes from gathered 1-d cell dofs."""
+    if dofs.ndim == 2:
+        return np.einsum("ns,sg->ng", dofs, basis_vals)
+    return np.einsum("nsm,sg->ngm", dofs, basis_vals)
+
+
 def error_norms(state, grid, element, exact):
     """Cellwise (L1, L2, Linf) norms of the reconstruction error.
 
@@ -245,11 +252,7 @@ def error_norms(state, grid, element, exact):
         basis_vals = np.array(
             [np.polynomial.polynomial.polyval(xi, b.float_coeffs) for b in element.basis()]
         )  # (k+1, g)
-        dofs = _dof_gather_1d(state)
-        if dofs.ndim == 2:
-            qg = np.einsum("ns,sg->ng", dofs, basis_vals)
-        else:
-            qg = np.einsum("nsm,sg->ngm", dofs, basis_vals)
+        qg = _eval_at_nodes(_dof_gather_1d(state), basis_vals)
         xg = grid.centers()[:, None] + xi[None, :] * grid.dx
         abs_err = np.abs(qg - np.asarray(exact(xg), dtype=float))
         l1 = float(np.sum(np.tensordot(abs_err, w, axes=([1], [0])))) * grid.dx

@@ -84,7 +84,10 @@ class Burgers1D:
         """Characteristic-traced solution, valid before shock formation.
 
         Requires ic.derivative for the Newton iteration on the foot
-        point x0 of the characteristic through (x, t).
+        point x0 of the characteristic through (x, t).  Before the
+        shock 1 + t ic'(y) > 0 for every y, so a non-positive value at
+        any Newton iterate means the characteristics have crossed;
+        that, and a loop that does not converge, raise ValueError.
         """
 
         def exact(x, t=0.0):
@@ -93,13 +96,14 @@ class Burgers1D:
                 return ic(x)
             x0 = x - t * ic(x)
             for _ in range(100):
-                f = x0 + t * ic(x0) - x
                 df = 1.0 + t * ic.derivative(x0)
-                step = f / df
+                if np.any(df <= 0.0):
+                    raise ValueError(f"t = {t} is past the shock: characteristics have crossed")
+                step = (x0 + t * ic(x0) - x) / df
                 x0 = x0 - step
                 if np.max(np.abs(step)) < 1e-14:
-                    break
-            return ic(x0)
+                    return ic(x0)
+            raise ValueError(f"characteristic foot points did not converge at t = {t}")
 
         return exact
 

@@ -18,30 +18,35 @@ of the quadratic flux in closed form.
 In 2-d the edge and node stencils come from the pairing tables of the
 constructed test functions (see element2d): the same weights consume
 x-derivatives for the x-flux part and y-derivatives for the y-flux
-part.  Assembly is vectorized: per call, the nine rolled dof arrays
-are stacked once and every needed one-sided derivative field is one
-tensor contraction.
+part.  These stencils and the Simpson flux differences of the averages
+are compiled once per grid spacing, velocity and upwind setting, in
+exact arithmetic, into a flat tap list (input field, cell offset,
+weight) per output field.  A call sums weighted slice views of one
+wrap-padded copy of each stored field.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from afpg.element1d import Element1D, build_element
 from afpg.element2d import (
-    DOF_IDS,
+    DerivStencil2D,
     Element2D,
+    _stencil_terms,
     _transpose_table,
     build_element_2d,
-    dof_point,
     edge_pairing_table,
+    flatten_stencil,
     node_pairing_table,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_gather_2d
-from afpg.poly import diff2, gauss_rule
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _eval_at_nodes
+from afpg.poly import gauss_rule
 
 __all__ = [
     "Upwind1D",
@@ -94,6 +99,8 @@ class Upwind2D:
             raise ValueError("beta must lie in [-1/2, 1/2]")
         if len(self.node_alphas) != 8:
             raise ValueError("node_alphas must hold 8 values")
+        # a tuple keeps the policy hashable, as the rhs_2d tap cache needs
+        object.__setattr__(self, "node_alphas", tuple(self.node_alphas))
 
 
 def choose_alpha(model, q):
@@ -127,12 +134,6 @@ class _Tables1D:
 @lru_cache(maxsize=None)
 def _tables_1d(k: int) -> _Tables1D:
     return _Tables1D(k)
-
-
-def _eval_at_nodes(dofs, basis_vals):
-    if dofs.ndim == 2:
-        return np.einsum("ns,sg->ng", dofs, basis_vals)
-    return np.einsum("nsm,sg->ngm", dofs, basis_vals)
 
 
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
@@ -239,36 +240,68 @@ def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndar
     return -(0.5 * (1.0 + alpha) * left_part + 0.5 * (1.0 - alpha) * right_part)
 
 
-@lru_cache(maxsize=1)
-def _deriv_coeff_tables():
-    """Per-axis derivative of each basis function at the 8 boundary dofs."""
+def _tap_target(key):
+    """(input field, cell offset) of a flatten_stencil global key.
+
+    Point keys count half cells from the center of the output cell:
+    x odd is an x-edge, y odd a y-edge, both odd a node.
+    """
+    kind, x, y = key
+    if kind == "avg":
+        return 0, (x, y)
+    return x % 2 + 2 * (y % 2), (x // 2, y // 2)
+
+
+@lru_cache(maxsize=64)
+def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
+    """Exact taps of rhs_2d: per output field, (input field, cell offset, weight).
+
+    Fields are ordered averages, edge_x, edge_y, nodes.  Offsets are
+    relative to the cell storing the output dof and reach one cell at
+    most.  The x and y parts are merged exactly and rounded once.
+    """
+    if upwind.mode == "adaptive":
+        a3x, a3y = np.sign(ax), np.sign(ay)
+        beta_x, beta_y = Fraction(a3x) / 2, Fraction(a3y) / 2
+    else:
+        a3x = a3y = upwind.alpha3
+        beta_x = beta_y = Fraction(upwind.beta)
+    edge = (upwind.edge_alpha1, upwind.edge_alpha2)
+    tables = (
+        edge_pairing_table((*edge, a3x)),
+        _transpose_table(edge_pairing_table((*edge, a3y))),
+        node_pairing_table((*upwind.node_alphas, 2 * beta_y, beta_x / 2, beta_x / 2)),
+    )
+    fax, fay = Fraction(ax), Fraction(ay)
+    cx, cy = fax / Fraction(dx), fay / Fraction(dy)
+    # averages: flux differences of the Simpson means of the edge traces
+    avg = defaultdict(Fraction)
+    for s, w in ((-1, Fraction(1, 6)), (0, Fraction(4, 6)), (1, Fraction(1, 6))):
+        for key, c in ((("pt", 1, s), -cx), (("pt", -1, s), cx),
+                       (("pt", s, 1), -cy), (("pt", s, -1), cy)):
+            avg[key] += c * w
+    merged = [avg]
     element = build_element_2d()
-    out = {}
-    for axis in ("x", "y"):
-        derivs = [diff2(element.basis[dof], axis) for dof in DOF_IDS]
-        for pt in DOF_IDS:
-            if pt == (0, 0):
-                continue
-            xi, eta = dof_point(pt)
-            out[(axis, pt)] = np.array([float(d(xi, eta)) for d in derivs])
-    return out
-
-
-def _float_terms(table):
+    for table in tables:
+        taps = defaultdict(Fraction)
+        terms = _stencil_terms(table)
+        for axis, speed in (("x", fax), ("y", fay)):
+            for key, w in flatten_stencil(DerivStencil2D(axis, terms), element, dx, dy).items():
+                taps[key] -= speed * w
+        merged.append(taps)
     return tuple(
-        (off, dof, float(w))
-        for off, row in table.items()
-        for dof, w in row.items()
-        if dof != (0, 0) and w != 0
+        tuple((*_tap_target(key), float(w)) for key, w in taps.items() if w != 0)
+        for taps in merged
     )
 
 
-@lru_cache(maxsize=128)
-def _stencil_terms_2d(a3x, a3y, beta_x, beta_y, edge_a1, edge_a2, node_extra):
-    edge_x = edge_pairing_table((edge_a1, edge_a2, a3x))
-    edge_y = _transpose_table(edge_pairing_table((edge_a1, edge_a2, a3y)))
-    node = node_pairing_table((*node_extra, 2.0 * beta_y, 0.5 * beta_x, 0.5 * beta_x))
-    return _float_terms(edge_x), _float_terms(edge_y), _float_terms(node)
+def _wrap_pad(a):
+    """Copy of a 2-d field with one periodic ghost layer on each side."""
+    p = np.empty((a.shape[0] + 2, a.shape[1] + 2))
+    p[1:-1, 1:-1] = a
+    p[0, 1:-1], p[-1, 1:-1] = a[-1], a[0]
+    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    return p
 
 
 def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwind2D) -> State2D:
@@ -282,61 +315,24 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
     if not model.is_linear:
         raise ValueError("nonlinear 2-d models are not supported")
-    if state.averages.shape != (grid.nx, grid.ny):
+    fields = (state.averages, state.edge_x, state.edge_y, state.nodes)
+    nx, ny = grid.nx, grid.ny
+    if any(np.shape(f) != (nx, ny) for f in fields):
         raise ValueError("state size does not match grid")
     if not state.all_finite():
         raise ValueError("state contains non-finite values")
 
-    ax, ay = model.ax, model.ay
-    if upwind.mode == "adaptive":
-        a3x, a3y = float(np.sign(ax)), float(np.sign(ay))
-        beta_x, beta_y = 0.5 * np.sign(ax), 0.5 * np.sign(ay)
-    else:
-        a3x = a3y = upwind.alpha3
-        beta_x = beta_y = upwind.beta
-    terms_edge_x, terms_edge_y, terms_node = _stencil_terms_2d(
-        a3x, a3y, beta_x, beta_y,
-        upwind.edge_alpha1, upwind.edge_alpha2, tuple(upwind.node_alphas),
-    )
-
-    dx, dy = grid.dx, grid.dy
-    stack = _dof_gather_2d(state)
-    coeff = _deriv_coeff_tables()
-    cache = {}
-
-    def deriv_field(axis, pt):
-        key = (axis, pt)
-        if key not in cache:
-            scale = dx if axis == "x" else dy
-            cache[key] = np.tensordot(coeff[key], stack, axes=([0], [0])) / scale
-        return cache[key]
-
-    def stencil_field(terms, axis):
-        total = None
-        for off, pt, w in terms:
-            arr = deriv_field(axis, pt)
-            if off != (0, 0):
-                arr = np.roll(arr, (-off[0], -off[1]), axis=(0, 1))
-            total = w * arr if total is None else total + w * arr
-        return total
-
-    nd, ex, ey = state.nodes, state.edge_x, state.edge_y
-    f_mean_x = (
-        model.flux_x(np.roll(nd, 1, axis=1)) + 4.0 * model.flux_x(ex) + model.flux_x(nd)
-    ) / 6.0
-    g_mean_y = (
-        model.flux_y(np.roll(nd, 1, axis=0)) + 4.0 * model.flux_y(ey) + model.flux_y(nd)
-    ) / 6.0
-    d_avg = -(
-        (f_mean_x - np.roll(f_mean_x, 1, axis=0)) / dx
-        + (g_mean_y - np.roll(g_mean_y, 1, axis=1)) / dy
-    )
-
-    d_edge_x = -(ax * stencil_field(terms_edge_x, "x") + ay * stencil_field(terms_edge_x, "y"))
-    d_edge_y = -(ax * stencil_field(terms_edge_y, "x") + ay * stencil_field(terms_edge_y, "y"))
-    d_nodes = -(ax * stencil_field(terms_node, "x") + ay * stencil_field(terms_node, "y"))
-
-    return State2D(d_avg, d_edge_x, d_edge_y, d_nodes)
+    taps = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
+    padded = [_wrap_pad(f) for f in fields]
+    scratch = np.empty((nx, ny))
+    out = []
+    for field_taps in taps:
+        total = np.zeros((nx, ny))
+        for field, (ox, oy), w in field_taps:
+            view = padded[field][1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
+            total += np.multiply(view, w, out=scratch)
+        out.append(total)
+    return State2D(*out)
 
 
 def edge_trace_mean_flux(lower, mid, upper, flux, exact_quadratic=True):

@@ -61,6 +61,26 @@ class TestBurgers:
         q = exact(x, t)
         assert np.allclose(q, ic(x - t * q), atol=1e-12)
 
+    def test_reference_refuses_after_shock(self):
+        # breaking time t* = 1/max(-ic') = 1/(2 pi amplitude)
+        g = Grid1D(8)
+        ic = SineIC(mean=0.5, amplitude=0.25)
+        exact = burgers1d().exact_solution(ic, g)
+        t_star = 1.0 / (2.0 * np.pi * ic.amplitude)
+        with pytest.raises(ValueError, match="past the shock"):
+            exact(np.linspace(0.0, 1.0, 33), 1.1 * t_star)
+
+    def test_reference_refuses_unconverged_foot_points(self):
+        # an overstated derivative shrinks every Newton step, so the loop
+        # runs out of iterations instead of returning its last iterate
+        class SlowIC(SineIC):
+            def derivative(self, x):
+                return np.full_like(np.asarray(x, dtype=float), 1e4)
+
+        exact = burgers1d().exact_solution(SlowIC(mean=0.5, amplitude=0.25), Grid1D(8))
+        with pytest.raises(ValueError, match="did not converge"):
+            exact(np.linspace(0.0, 1.0, 33), 0.3)
+
     def test_reference_at_time_zero(self):
         g = Grid1D(8)
         ic = GaussianIC(base=0.2, amplitude=0.5, center=0.5, width=0.15)

@@ -301,6 +301,16 @@ def cell_poly_2d(state, el, i, j):
     return reconstruct2d(el, dofs)
 
 
+STABILIZED_2D = Upwind2D(
+    "fixed",
+    alpha3=0.5,
+    beta=-0.25,
+    edge_alpha1=0.2,
+    edge_alpha2=-0.3,
+    node_alphas=(0.1, -0.2, 0.05, 0.15, -0.1, 0.2, -0.05, 0.1),
+)
+
+
 class TestRhs2D:
     def test_constant_state_zero(self):
         g = Grid2D(5, 4)
@@ -348,23 +358,42 @@ class TestRhs2D:
         assert np.allclose(r_adaptive.nodes, r_fixed.nodes, atol=1e-13)
         assert np.allclose(r_adaptive.edge_x, r_fixed.edge_x, atol=1e-13)
 
-    def test_oracle_equivalence_random_alphas(self):
+    @pytest.mark.parametrize("field", ["averages", "edge_x", "edge_y", "nodes"])
+    def test_field_shape_mismatch_rejected(self, field):
+        g = Grid2D(5, 4)
+        el = build_element_2d()
+        for shape in ((4,), (6, 4), (5, 3)):
+            st = random_state_2d(np.random.default_rng(15), 5, 4)
+            setattr(st, field, np.zeros(shape))
+            with pytest.raises(ValueError):
+                rhs_2d(st, g, el, advection2d(1.0, 1.0), Upwind2D())
+
+    @pytest.mark.parametrize(
+        "nx, ny, ax, ay, upwind",
+        [
+            (4, 4, 0.8, -0.6, STABILIZED_2D),
+            (5, 4, 0.8, -0.6, STABILIZED_2D),
+            (5, 4, 0.8, -0.6, Upwind2D("adaptive")),
+            (5, 4, -0.7, 1.1, Upwind2D("adaptive")),
+            (5, 4, 1.0, 0.0, Upwind2D("adaptive")),
+            (5, 4, 0.0, -1.3, Upwind2D("adaptive")),
+        ],
+        ids=[
+            "fixed-4x4",
+            "fixed-5x4",
+            "adaptive-5x4-a(0.8,-0.6)",
+            "adaptive-5x4-a(-0.7,1.1)",
+            "adaptive-5x4-a(1,0)",
+            "adaptive-5x4-a(0,-1.3)",
+        ],
+    )
+    def test_oracle_equivalence_random_alphas(self, nx, ny, ax, ay, upwind):
         # every rhs entry equals the direct pairing of the assembled test
         # function with -(ax dq/dx + ay dq/dy), integrated exactly
         rng = np.random.default_rng(14)
-        nx = ny = 4
         g = Grid2D(nx, ny)
         el = build_element_2d()
         st = random_state_2d(rng, nx, ny)
-        ax, ay = 0.8, -0.6
-        upwind = Upwind2D(
-            "fixed",
-            alpha3=0.5,
-            beta=-0.25,
-            edge_alpha1=0.2,
-            edge_alpha2=-0.3,
-            node_alphas=(0.1, -0.2, 0.05, 0.15, -0.1, 0.2, -0.05, 0.1),
-        )
         r = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
 
         from afpg.element2d import build_edge_test, build_node_test
@@ -379,18 +408,20 @@ class TestRhs2D:
                 piece, diff2(poly, "y")
             ) / dyf
 
-        edge_test = build_edge_test(
-            (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2), Fraction(upwind.alpha3)),
-            "x",
-        )
-        edge_test_y = build_edge_test(
-            (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2), Fraction(upwind.alpha3)),
-            "y",
-        )
+        # adaptive mode: edge weight sgn(a), node weight sgn(a)/2 per direction
+        if upwind.mode == "adaptive":
+            a3x, a3y = Fraction(int(np.sign(ax))), Fraction(int(np.sign(ay)))
+            beta_x, beta_y = a3x / 2, a3y / 2
+        else:
+            a3x = a3y = Fraction(upwind.alpha3)
+            beta_x = beta_y = Fraction(upwind.beta)
+        edge_alphas = (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2))
+        edge_test = build_edge_test((*edge_alphas, a3x), "x")
+        edge_test_y = build_edge_test((*edge_alphas, a3y), "y")
         node_alphas = tuple(Fraction(a) for a in upwind.node_alphas) + (
-            2 * Fraction(upwind.beta),
-            Fraction(upwind.beta) / 2,
-            Fraction(upwind.beta) / 2,
+            2 * beta_y,
+            beta_x / 2,
+            beta_x / 2,
         )
         node_test = build_node_test(node_alphas)
 
