@@ -4,7 +4,6 @@ Subcommands: ``run`` (single simulation), ``converge`` (error table
 over a list of grids), ``dump-element`` and ``dump-element-2d`` (exact
 coefficient tables of the constructed elements).  Exit codes: 0 on
 success, 2 on a configuration error, 3 on numerical blow-up.
-Set AFPG_THREADS to run the grids of a convergence study in parallel.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ import numpy as np
 from afpg.config import ConfigError, load_config
 from afpg.element1d import build_element, build_point_test
 from afpg.element2d import DOF_IDS, build_edge_test, build_element_2d, build_node_test
-from afpg.harness import (
-    convergence_study,
-    max_workers_from_env,
-    run_simulation,
-    write_convergence_csv,
-)
+from afpg.harness import convergence_study, run_simulation, write_convergence_csv
 from afpg.timestep import BlowUpError
 
 
@@ -58,7 +52,7 @@ def _cmd_run(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     grids = [int(g) for g in args.grids.split(",") if g]
-    rows = convergence_study(cfg, grids, max_workers=max_workers_from_env())
+    rows = convergence_study(cfg, grids)
     header = f"{'N':>6} {'L1':>13} {'L2':>13} {'Linf':>13} {'EOC_L1':>7} {'EOC_L2':>7} {'EOC_Li':>7}"
     print(header)
     for row in rows:

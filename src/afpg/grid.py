@@ -7,8 +7,18 @@ In 2-d, ``edge_x[i, j]`` holds the midpoint value of the right edge of
 cell (i, j), ``edge_y[i, j]`` of its top edge and ``nodes[i, j]`` its
 top-right corner.  All index arithmetic is modulo the grid size.
 
-Scalar problems use plain (N,) and (Nx, Ny) arrays; constant-coefficient
-linear systems append a trailing component axis.
+A state keeps all of its dofs in one contiguous float64 array,
+``data``; the named fields are views into it, and the ODE arithmetic
+of the time integrators acts on ``data`` alone.
+
+- 1-d: ``data`` has shape (N, K) for scalars, (N, K, m) for systems.
+  Columns 0..K-2 are the moments, column K-1 the interface value, so
+  ``moments = data[:, :-1]`` and ``points = data[:, -1]``.
+- 2-d: ``data`` has shape (4, Nx, Ny), ordered averages, edge_x,
+  edge_y, nodes.
+
+Scalar problems have plain (N,) and (Nx, Ny) fields; constant-
+coefficient linear systems append a trailing component axis.
 """
 
 from __future__ import annotations
@@ -99,69 +109,89 @@ class Grid2D:
         return self.y_min + (np.arange(self.ny) + 1.0) * self.dy
 
 
-@dataclass
-class State1D:
-    """Interface values plus cell moments; supports vector arithmetic."""
+class _FlatState:
+    """ODE arithmetic shared by the states: it acts on ``data`` only."""
 
-    k: int
-    points: np.ndarray
-    moments: np.ndarray
+    __slots__ = ("data",)
+
+    @classmethod
+    def _of(cls, data):
+        """The state whose buffer is ``data`` itself, not a copy."""
+        state = object.__new__(cls)
+        state.data = data
+        return state
 
     def __add__(self, other):
-        return State1D(self.k, self.points + other.points, self.moments + other.moments)
+        return self._of(self.data + other.data)
 
     def __mul__(self, c):
-        return State1D(self.k, c * self.points, c * self.moments)
+        return self._of(c * self.data)
 
     __rmul__ = __mul__
 
     def copy(self):
-        return State1D(self.k, self.points.copy(), self.moments.copy())
+        return self._of(self.data.copy())
 
     def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.moments)))
+        return bool(np.all(np.isfinite(self.data)))
 
 
-@dataclass
-class State2D:
-    """Averages plus the shared edge-midpoint and node values."""
+class State1D(_FlatState):
+    """Cell moments plus interface values, as views of one (N, K[, m]) buffer."""
 
-    averages: np.ndarray
-    edge_x: np.ndarray
-    edge_y: np.ndarray
-    nodes: np.ndarray
+    __slots__ = ()
 
-    def __add__(self, other):
-        return State2D(
-            self.averages + other.averages,
-            self.edge_x + other.edge_x,
-            self.edge_y + other.edge_y,
-            self.nodes + other.nodes,
-        )
+    def __init__(self, k: int, points, moments):
+        points = np.asarray(points, dtype=float)
+        moments = np.asarray(moments, dtype=float)
+        if moments.ndim < 2 or moments.shape[1] != k - 1:
+            raise ValueError(f"degree {k} needs {k - 1} moments per cell")
+        if points.shape != moments.shape[:1] + moments.shape[2:]:
+            raise ValueError("points and moments disagree in shape")
+        self.data = np.empty((moments.shape[0], k) + moments.shape[2:])
+        self.data[:, :-1] = moments
+        self.data[:, -1] = points
 
-    def __mul__(self, c):
-        return State2D(c * self.averages, c * self.edge_x, c * self.edge_y, c * self.nodes)
+    @property
+    def k(self) -> int:
+        return self.data.shape[1]
 
-    __rmul__ = __mul__
+    @property
+    def points(self) -> np.ndarray:
+        return self.data[:, -1]
 
-    def copy(self):
-        return State2D(
-            self.averages.copy(), self.edge_x.copy(), self.edge_y.copy(), self.nodes.copy()
-        )
-
-    def all_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.averages))
-            and np.all(np.isfinite(self.edge_x))
-            and np.all(np.isfinite(self.edge_y))
-            and np.all(np.isfinite(self.nodes))
-        )
+    @property
+    def moments(self) -> np.ndarray:
+        return self.data[:, :-1]
 
 
-def _check_finite_samples(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("initial data produced non-finite samples")
+class State2D(_FlatState):
+    """Averages plus the shared edge-midpoint and node values, as views of
+    one (4, Nx, Ny) buffer."""
+
+    __slots__ = ()
+
+    def __init__(self, averages, edge_x, edge_y, nodes):
+        fields = [np.asarray(f, dtype=float) for f in (averages, edge_x, edge_y, nodes)]
+        if fields[0].ndim != 2 or any(f.shape != fields[0].shape for f in fields):
+            raise ValueError("the four 2-d fields must share one (nx, ny) shape")
+        self.data = np.stack(fields)
+
+    @property
+    def averages(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def edge_x(self) -> np.ndarray:
+        return self.data[1]
+
+    @property
+    def edge_y(self) -> np.ndarray:
+        return self.data[2]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.data[3]
 
 
 def project_initial(grid, fn, element: Element1D | None = None):
@@ -190,10 +220,8 @@ def project_initial(grid, fn, element: Element1D | None = None):
         for mw in element.moment_weights:
             weights = w * np.polynomial.polynomial.polyval(xi, mw.poly.float_coeffs)
             moments[:, mw.k] = np.tensordot(vals, weights, axes=([1], [0]))
-        _check_finite_samples(points, moments)
-        return State1D(k, points, moments)
-
-    if isinstance(grid, Grid2D):
+        state = State1D(k, points, moments)
+    elif isinstance(grid, Grid2D):
         rule = gauss_rule(min(16, 2 + _PROJECT_RULE_MARGIN))
         xi = rule.nodes_array
         w = rule.weights_array
@@ -209,13 +237,17 @@ def project_initial(grid, fn, element: Element1D | None = None):
 
         vals = sample(xg[:, None, :, None], yg[None, :, None, :], (nx, ny, g, g))
         averages = np.einsum("ijab,a,b->ij", vals, w, w)
-        edge_x = sample(xf[:, None], yc[None, :], (nx, ny)).copy()
-        edge_y = sample(xc[:, None], yf[None, :], (nx, ny)).copy()
-        nodes = sample(xf[:, None], yf[None, :], (nx, ny)).copy()
-        _check_finite_samples(averages, edge_x, edge_y, nodes)
-        return State2D(averages, edge_x, edge_y, nodes)
-
-    raise TypeError(f"unsupported grid type {type(grid)!r}")
+        state = State2D(
+            averages,
+            sample(xf[:, None], yc[None, :], (nx, ny)),
+            sample(xc[:, None], yf[None, :], (nx, ny)),
+            sample(xf[:, None], yf[None, :], (nx, ny)),
+        )
+    else:
+        raise TypeError(f"unsupported grid type {type(grid)!r}")
+    if not state.all_finite():
+        raise ValueError("initial data produced non-finite samples")
+    return state
 
 
 def total_mass(state, grid):
@@ -226,10 +258,9 @@ def total_mass(state, grid):
 
 
 def _dof_gather_1d(state: State1D) -> np.ndarray:
+    """Each cell's K+1 dofs: left interface value, moments, right interface value."""
     left = np.roll(state.points, 1, axis=0)
-    return np.concatenate(
-        [left[:, None, ...], state.moments, state.points[:, None, ...]], axis=1
-    )
+    return np.concatenate([left[:, None, ...], state.data], axis=1)
 
 
 def _eval_at_nodes(dofs, basis_vals):
@@ -327,12 +358,13 @@ def write_state_csv(state, grid, path):
         if isinstance(grid, Grid1D):
             writer.writerow(["x", "dof_class", "value"])
             centers, interfaces = grid.centers(), grid.interfaces()
+            moments, points = state.moments, state.points
             for i in range(grid.n):
-                for k in range(state.moments.shape[1]):
-                    for suffix, v in _value_rows(state.moments[i, k]):
+                for k in range(moments.shape[1]):
+                    for suffix, v in _value_rows(moments[i, k]):
                         writer.writerow([repr(float(centers[i])), f"moment{k}{suffix}", repr(v)])
             for i in range(grid.n):
-                for suffix, v in _value_rows(state.points[i]):
+                for suffix, v in _value_rows(points[i]):
                     writer.writerow([repr(float(interfaces[i])), f"point{suffix}", repr(v)])
         else:
             writer.writerow(["x", "y", "dof_class", "value"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "run_simulation",
     "convergence_study",
     "write_convergence_csv",
-    "max_workers_from_env",
 ]
 
 
@@ -203,24 +201,19 @@ def _eoc(err_coarse, err_fine, ratio):
     return math.log(err_coarse / err_fine) / math.log(ratio)
 
 
-def convergence_study(cfg: RunConfig, grid_sizes, max_workers=1):
+def convergence_study(cfg: RunConfig, grid_sizes):
     """Error norms and experimental orders over a list of resolutions."""
     grid_sizes = list(grid_sizes)
     if len(grid_sizes) < 2:
         raise ConfigError("a convergence study needs at least 2 grids")
     cfg = replace(cfg, output_dir="", output_snapshot_every=0)
 
-    def one(n):
+    all_norms = []
+    for n in grid_sizes:
         result = run_simulation(cfg, n=n)
         if result.norms is None:
             raise ConfigError(f"model {cfg.model_name!r} provides no exact solution")
-        return result.norms
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            all_norms = list(pool.map(one, grid_sizes))
-    else:
-        all_norms = [one(n) for n in grid_sizes]
+        all_norms.append(result.norms)
 
     rows = []
     for i, (n, (l1, l2, linf)) in enumerate(zip(grid_sizes, all_norms)):
@@ -247,16 +240,3 @@ def write_convergence_csv(rows, path):
                 + ["" if math.isnan(row[k]) else repr(float(row[k]))
                    for k in ("eoc_l1", "eoc_l2", "eoc_linf")]
             )
-
-
-def max_workers_from_env() -> int:
-    raw = os.environ.get("AFPG_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"AFPG_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError("AFPG_THREADS must be >= 1")
-    return workers

@@ -22,7 +22,7 @@ part.  These stencils and the Simpson flux differences of the averages
 are compiled once per grid spacing, velocity and upwind setting, in
 exact arithmetic, into a flat tap list (input field, cell offset,
 weight) per output field.  A call sums weighted slice views of one
-wrap-padded copy of each stored field.
+wrap-padded copy of the state buffer.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     k = state.k
     if k != element.k:
         raise ValueError("state and element degree disagree")
-    if state.points.shape[0] != grid.n:
+    if state.data.shape[0] != grid.n:
         raise ValueError("state size does not match grid")
     if not state.all_finite():
         raise ValueError("state contains non-finite values")
@@ -157,16 +157,17 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     tab = _tables_1d(k)
     dx = grid.dx
     pts = state.points
+    dofs = _dof_gather_1d(state)
     f_right = np.asarray(model.flux(pts), dtype=float)
     f_left = np.roll(f_right, 1, axis=0)
 
-    d_moments = np.empty_like(state.moments)
+    out = np.empty_like(state.data)
+    d_moments = out[:, :-1]
     d_moments[:, 0] = -(f_right - f_left) / dx
 
     if k > 2:
         n_rule = k + 1 if model.is_linear else k + 2
         basis_vals, weight_derivs = tab.moment_rules[n_rule]
-        dofs = _dof_gather_1d(state)
         qg = _eval_at_nodes(dofs, basis_vals)
         fg = np.asarray(model.flux(qg), dtype=float)
         for idx, wd in enumerate(weight_derivs):
@@ -179,9 +180,8 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     if point_update == "exact":
         if model.name != "burgers":
             raise ValueError("exact-integration point update is Burgers-only")
-        d_points = rhs_point_burgers(state, grid, upwind)
+        out[:, -1] = rhs_point_burgers(state, grid, upwind)
     else:
-        dofs = _dof_gather_1d(state)
         d_from_left = np.tensordot(dofs, tab.d_right, axes=([1], [0])) / dx
         d_from_right = np.roll(
             np.tensordot(dofs, tab.d_left, axes=([1], [0])) / dx, -1, axis=0
@@ -190,18 +190,18 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
             if upwind.mode == "fixed":
                 a = upwind.alpha
                 blend = 0.5 * (1.0 + a) * d_from_left + 0.5 * (1.0 - a) * d_from_right
-                d_points = -np.asarray(model.jac(pts), dtype=float) * blend
+                out[:, -1] = -np.asarray(model.jac(pts), dtype=float) * blend
             else:
                 jac = np.asarray(model.jac(pts), dtype=float)
-                d_points = -(
+                out[:, -1] = -(
                     np.maximum(jac, 0.0) * d_from_left + np.minimum(jac, 0.0) * d_from_right
                 )
         else:
             if upwind.mode == "fixed":
                 raise ValueError("fixed-alpha updates apply to scalar models only")
-            d_points = -(d_from_left @ model.jac_plus.T + d_from_right @ model.jac_minus.T)
+            out[:, -1] = -(d_from_left @ model.jac_plus.T + d_from_right @ model.jac_minus.T)
 
-    return State1D(k, d_points, d_moments)
+    return State1D._of(out)
 
 
 def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndarray:
@@ -296,11 +296,13 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
 
 
 def _wrap_pad(a):
-    """Copy of a 2-d field with one periodic ghost layer on each side."""
-    p = np.empty((a.shape[0] + 2, a.shape[1] + 2))
-    p[1:-1, 1:-1] = a
-    p[0, 1:-1], p[-1, 1:-1] = a[-1], a[0]
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    """Copy of a (fields, nx, ny) stack with one periodic ghost layer around
+    each field."""
+    f, nx, ny = a.shape
+    p = np.empty((f, nx + 2, ny + 2))
+    p[:, 1:-1, 1:-1] = a
+    p[:, 0, 1:-1], p[:, -1, 1:-1] = a[:, -1], a[:, 0]
+    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
     return p
 
 
@@ -315,46 +317,18 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
     if not model.is_linear:
         raise ValueError("nonlinear 2-d models are not supported")
-    fields = (state.averages, state.edge_x, state.edge_y, state.nodes)
     nx, ny = grid.nx, grid.ny
-    if any(np.shape(f) != (nx, ny) for f in fields):
+    if state.data.shape != (4, nx, ny):
         raise ValueError("state size does not match grid")
     if not state.all_finite():
         raise ValueError("state contains non-finite values")
 
     taps = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
-    padded = [_wrap_pad(f) for f in fields]
+    padded = _wrap_pad(state.data)
     scratch = np.empty((nx, ny))
-    out = []
-    for field_taps in taps:
-        total = np.zeros((nx, ny))
+    out = np.zeros_like(state.data)
+    for total, field_taps in zip(out, taps):
         for field, (ox, oy), w in field_taps:
-            view = padded[field][1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
+            view = padded[field, 1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
             total += np.multiply(view, w, out=scratch)
-        out.append(total)
-    return State2D(*out)
-
-
-def edge_trace_mean_flux(lower, mid, upper, flux, exact_quadratic=True):
-    """Mean of the flux of a quadratic edge trace from its three values.
-
-    Simpson weights integrate the trace exactly when the flux is
-    linear; otherwise a 3-point Gauss rule on the interpolated trace is
-    used (degree-5 exact, enough for a quadratic flux of a quadratic
-    trace).
-    """
-    if exact_quadratic:
-        return (flux(lower) + 4.0 * flux(mid) + flux(upper)) / 6.0
-    rule = gauss_rule(3)
-    s = rule.nodes_array  # in [-1/2, 1/2] along the edge
-    w = rule.weights_array
-    total = 0.0
-    for sv, wv in zip(s, w):
-        # quadratic through (-1/2, lower), (0, mid), (1/2, upper)
-        val = (
-            lower * (2.0 * sv**2 - sv)
-            + mid * (1.0 - 4.0 * sv**2)
-            + upper * (2.0 * sv**2 + sv)
-        )
-        total = total + wv * flux(val)
-    return total
+    return State2D._of(out)

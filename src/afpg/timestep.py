@@ -40,9 +40,8 @@ class TimeIntegrator:
 
 
 def _finite(u) -> bool:
-    if isinstance(u, np.ndarray):
-        return bool(np.all(np.isfinite(u)))
-    return u.all_finite()
+    # ``data`` is a state's buffer; for a plain array it is a buffer over its values
+    return bool(np.all(np.isfinite(u.data)))
 
 
 def _checked(u, stage):
@@ -78,9 +77,7 @@ def compute_dt(state, grid, model, cfl: float) -> float:
     """
     if isinstance(grid, Grid2D):
         h = min(grid.dx, grid.dy)
-        speed = model.max_speed(
-            np.concatenate([state.edge_x.ravel(), state.edge_y.ravel(), state.nodes.ravel()])
-        )
+        speed = model.max_speed(state.data[1:])
     else:
         h = grid.dx
         speed = model.max_speed(state.points)

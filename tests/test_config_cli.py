@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from afpg.config import ConfigError, parse_config, serialize_config
-from afpg.harness import (
-    convergence_study,
-    max_workers_from_env,
-    run_simulation,
-)
+from afpg.harness import convergence_study, run_simulation
 from afpg.cli import main
 
 BASE_CFG = """
@@ -136,24 +132,6 @@ class TestHarness:
         )
         result = run_simulation(cfg)
         assert result.norms[0] < 1e-3
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.delenv("AFPG_THREADS", raising=False)
-        assert max_workers_from_env() == 1
-        monkeypatch.setenv("AFPG_THREADS", "4")
-        assert max_workers_from_env() == 4
-        monkeypatch.setenv("AFPG_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            max_workers_from_env()
-        monkeypatch.setenv("AFPG_THREADS", "0")
-        with pytest.raises(ConfigError):
-            max_workers_from_env()
-
-    def test_parallel_study_matches_serial(self):
-        cfg = parse_config(BASE_CFG)
-        serial = convergence_study(cfg, [12, 24], max_workers=1)
-        parallel = convergence_study(cfg, [12, 24], max_workers=2)
-        assert serial == parallel
 
 
 class TestCli:

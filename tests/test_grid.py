@@ -11,6 +11,7 @@ from afpg.grid import (
     Grid1D,
     Grid2D,
     State1D,
+    State2D,
     error_norms,
     project_initial,
     total_mass,
@@ -165,6 +166,66 @@ class TestStateArithmetic:
     def test_finite_check(self):
         st = State1D(2, np.array([1.0, np.inf, 0.0]), np.zeros((3, 1)))
         assert not st.all_finite()
+
+
+class TestStateBuffer:
+    def test_1d_scalar_views(self):
+        st = State1D(3, np.arange(4.0), np.arange(8.0).reshape(4, 2))
+        assert st.data.shape == (4, 3) and st.data.flags.c_contiguous
+        assert st.k == 3
+        st.points[1] = -7.0
+        st.moments[2, 1] = -9.0
+        assert st.data[1, 2] == -7.0 and st.data[2, 1] == -9.0
+        assert np.shares_memory(st.points, st.data)
+
+    def test_1d_system_views(self):
+        st = State1D(2, np.zeros((5, 2)), np.ones((5, 1, 2)))
+        assert st.data.shape == (5, 2, 2) and st.data.flags.c_contiguous
+        st.points[3, 1] = 4.0
+        assert st.data[3, 1, 1] == 4.0
+        assert np.array_equal(st.moments, np.ones((5, 1, 2)))
+
+    def test_2d_views(self):
+        fields = [np.full((3, 4), float(f)) for f in range(4)]
+        st = State2D(*fields)
+        assert st.data.shape == (4, 3, 4) and st.data.flags.c_contiguous
+        st.edge_y[2, 3] = -1.0
+        assert st.data[2, 2, 3] == -1.0
+        for f, view in enumerate((st.averages, st.edge_x, st.edge_y, st.nodes)):
+            assert np.shares_memory(view, st.data)
+            assert view[0, 0] == f
+
+    def test_constructors_copy(self):
+        points, moments = np.zeros(4), np.zeros((4, 1))
+        st = State1D(2, points, moments)
+        st.points[0] = 1.0
+        assert points[0] == 0.0
+
+    def test_1d_constructor_rejects_mismatch(self):
+        with pytest.raises(ValueError):
+            State1D(2, np.zeros(5), np.zeros((4, 1)))  # cell counts disagree
+        with pytest.raises(ValueError):
+            State1D(2, np.zeros((4, 2)), np.zeros((4, 1)))  # component axis on points only
+        with pytest.raises(ValueError):
+            State1D(3, np.zeros(4), np.zeros((4, 1)))  # k = 3 needs two moments
+        with pytest.raises(ValueError):
+            State1D(2, np.zeros(4), np.zeros(4))  # moments without a moment axis
+
+    def test_2d_constructor_rejects_non_2d_fields(self):
+        with pytest.raises(ValueError):
+            State2D(*[np.zeros((2, 3, 4))] * 4)
+
+    def test_arithmetic_keeps_type_and_layout(self):
+        rng = np.random.default_rng(2)
+        a = State2D(*rng.standard_normal((4, 3, 3)))
+        b = State2D(*rng.standard_normal((4, 3, 3)))
+        c = a + 0.5 * b
+        assert type(c) is State2D
+        assert np.array_equal(c.data, a.data + 0.5 * b.data)
+        d = c.copy()
+        d.nodes[0, 0] += 1.0
+        assert not np.shares_memory(d.data, c.data)
+        assert d.nodes[0, 0] != c.nodes[0, 0]
 
 
 class TestCsvExport:

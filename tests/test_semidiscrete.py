@@ -14,7 +14,6 @@ from afpg.semidiscrete import (
     Upwind1D,
     Upwind2D,
     choose_alpha,
-    edge_trace_mean_flux,
     rhs_1d,
     rhs_2d,
     rhs_point_burgers,
@@ -253,7 +252,7 @@ class TestBurgersPointUpdate:
         g = Grid1D(6)
         rng = np.random.default_rng(10)
         st = random_state_1d(rng, 6, 2)
-        st.points = np.abs(st.points) + 0.1  # all positive
+        st.points[:] = np.abs(st.points) + 0.1  # all positive
         adaptive = rhs_point_burgers(st, g, Upwind1D("adaptive"))
         fixed = rhs_point_burgers(st, g, Upwind1D("fixed", 1.0))
         assert np.allclose(adaptive, fixed, atol=1e-14)
@@ -360,13 +359,18 @@ class TestRhs2D:
 
     @pytest.mark.parametrize("field", ["averages", "edge_x", "edge_y", "nodes"])
     def test_field_shape_mismatch_rejected(self, field):
-        g = Grid2D(5, 4)
-        el = build_element_2d()
+        rng = np.random.default_rng(15)
         for shape in ((4,), (6, 4), (5, 3)):
-            st = random_state_2d(np.random.default_rng(15), 5, 4)
-            setattr(st, field, np.zeros(shape))
+            fields = {name: rng.standard_normal((5, 4))
+                      for name in ("averages", "edge_x", "edge_y", "nodes")}
+            fields[field] = np.zeros(shape)
             with pytest.raises(ValueError):
-                rhs_2d(st, g, el, advection2d(1.0, 1.0), Upwind2D())
+                State2D(**fields)
+
+    def test_state_grid_mismatch_rejected(self):
+        st = random_state_2d(np.random.default_rng(15), 6, 4)
+        with pytest.raises(ValueError):
+            rhs_2d(st, Grid2D(5, 4), build_element_2d(), advection2d(1.0, 1.0), Upwind2D())
 
     @pytest.mark.parametrize(
         "nx, ny, ax, ay, upwind",
@@ -459,23 +463,3 @@ def _one():
     from afpg.poly import Poly2
 
     return Poly2([[1]])
-
-
-class TestEdgeTraceMeanFlux:
-    def test_simpson_equals_gauss_for_linear(self):
-        flux = lambda q: 2.5 * q
-        vals = (0.3, -1.2, 0.8)
-        s = edge_trace_mean_flux(*vals, flux, exact_quadratic=True)
-        gq = edge_trace_mean_flux(*vals, flux, exact_quadratic=False)
-        assert s == pytest.approx(gq, abs=1e-14)
-
-    def test_gauss_handles_quadratic_flux(self):
-        # mean of (trace)^2/2 over the edge, trace quadratic: degree 4
-        lower, mid, upper = 1.0, 0.25, -0.5
-        flux = lambda q: 0.5 * q * q
-        got = edge_trace_mean_flux(lower, mid, upper, flux, exact_quadratic=False)
-        # dense-sampling reference
-        s = np.linspace(-0.5, 0.5, 20001)
-        trace = lower * (2 * s**2 - s) + mid * (1 - 4 * s**2) + upper * (2 * s**2 + s)
-        ref = np.trapezoid(flux(trace), s)
-        assert got == pytest.approx(ref, abs=1e-9)
