@@ -186,6 +186,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError("linear_system is one-dimensional")
     if cfg.model_point_update == "exact" and cfg.model_name != "burgers":
         raise ConfigError("model.point_update=exact applies to burgers only")
+    if cfg.model_point_update == "exact" and cfg.degree != 2:
+        raise ConfigError("model.point_update=exact needs k = 2")
+    if cfg.model_name == "linear_system" and cfg.upwind_mode == "fixed":
+        raise ConfigError("upwind.mode=fixed applies to scalar models only")
     return cfg
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from afpg.poly import (
     HALF,
@@ -104,19 +105,16 @@ class PointTest1D:
 
 @dataclass(frozen=True)
 class DerivStencil1D:
-    """Weights of the upwinded interface derivative, scaled by 1/dx.
+    """Weights of the upwinded interface derivative in xi units.
 
-    The 2K+1 weights act on the dof window
+    The 2K+1 weights act on the raw dofs of the window
     (left cell: endpoint, moments, shared interface value,
-    right cell: moments, endpoint).
+    right cell: moments, endpoint); the x-derivative is the weighted
+    sum divided by dx.
     """
 
     k: int
     weights: tuple
-
-    @property
-    def float_weights(self):
-        return tuple(float(w) for w in self.weights)
 
     def apply(self, window):
         if len(window) != len(self.weights):
@@ -124,8 +122,9 @@ class DerivStencil1D:
         return sum(w * v for w, v in zip(self.weights, window))
 
 
+@lru_cache(maxsize=None)
 def build_element(k: int) -> Element1D:
-    """Construct the degree-K element with its dual basis, exactly."""
+    """Construct the degree-K element with its dual basis, exactly (cached: it is immutable)."""
     if k < 2:
         raise ValueError(f"element degree must be >= 2, got {k}")
     weights = tuple(moment_weight(kk) for kk in range(k - 1))

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from afpg.element1d import Element1D
+from afpg.element1d import Element1D, build_element
 from afpg.poly import gauss_rule
 
 __all__ = [
@@ -257,17 +258,22 @@ def total_mass(state, grid):
     return float(np.sum(state.averages)) * grid.dx * grid.dy
 
 
-def _dof_gather_1d(state: State1D) -> np.ndarray:
-    """Each cell's K+1 dofs: left interface value, moments, right interface value."""
+@lru_cache(maxsize=None)
+def _gauss_basis_1d(k: int, n: int) -> np.ndarray:
+    """(K+1, n): the degree-K basis, in dof order, at the n-point Gauss nodes."""
+    xi = gauss_rule(n).nodes_array
+    return np.array(
+        [np.polynomial.polynomial.polyval(xi, b.float_coeffs) for b in build_element(k).basis()]
+    )
+
+
+def _values_at_gauss(state: State1D, n: int) -> np.ndarray:
+    """(N, n[, m]): each cell's reconstruction at the n-point Gauss nodes."""
     left = np.roll(state.points, 1, axis=0)
-    return np.concatenate([left[:, None, ...], state.data], axis=1)
-
-
-def _eval_at_nodes(dofs, basis_vals):
-    """Reconstruction at quadrature nodes from gathered 1-d cell dofs."""
-    if dofs.ndim == 2:
-        return np.einsum("ns,sg->ng", dofs, basis_vals)
-    return np.einsum("nsm,sg->ngm", dofs, basis_vals)
+    dofs = np.concatenate([left[:, None, ...], state.data], axis=1)
+    # explicit subscripts: with "..." einsum takes a slower path
+    subscripts = "ns,sg->ng" if dofs.ndim == 2 else "nsm,sg->ngm"
+    return np.einsum(subscripts, dofs, _gauss_basis_1d(state.k, n))
 
 
 def error_norms(state, grid, element, exact):
@@ -280,10 +286,7 @@ def error_norms(state, grid, element, exact):
         k = state.k
         rule = gauss_rule(k + _NORM_RULE_MARGIN)
         xi, w = rule.nodes_array, rule.weights_array
-        basis_vals = np.array(
-            [np.polynomial.polynomial.polyval(xi, b.float_coeffs) for b in element.basis()]
-        )  # (k+1, g)
-        qg = _eval_at_nodes(_dof_gather_1d(state), basis_vals)
+        qg = _values_at_gauss(state, len(xi))
         xg = grid.centers()[:, None] + xi[None, :] * grid.dx
         abs_err = np.abs(qg - np.asarray(exact(xg), dtype=float))
         l1 = float(np.sum(np.tensordot(abs_err, w, axes=([1], [0])))) * grid.dx

@@ -84,25 +84,45 @@ class Burgers1D:
         """Characteristic-traced solution, valid before shock formation.
 
         Requires ic.derivative for the Newton iteration on the foot
-        point x0 of the characteristic through (x, t).  Before the
-        shock 1 + t ic'(y) > 0 for every y, so a non-positive value at
-        any Newton iterate means the characteristics have crossed;
-        that, and a loop that does not converge, raise ValueError.
+        point y of the characteristic through (x, t), the root of
+        g(y) = y + t ic(y) - x.  Before the shock g' = 1 + t ic' > 0
+        everywhere, so g is increasing and its root lies in
+        [x - t max ic, x - t min ic] (extremes sampled over the grid
+        domain).  Every iterate narrows this bracket, and a Newton step
+        that leaves it is replaced by bisection.  A non-positive g' at
+        any iterate means the characteristics have crossed; that, and a
+        loop that does not converge, raise ValueError.
         """
+        samples = ic(np.linspace(grid.x_min, grid.x_max, 1025))
+        ic_min, ic_max = float(np.min(samples)), float(np.max(samples))
 
         def exact(x, t=0.0):
             x = np.asarray(x, dtype=float)
             if t == 0.0:
                 return ic(x)
-            x0 = x - t * ic(x)
+
+            def g(y):
+                return y + t * ic(y) - x
+
+            # a sampled extreme can fall short of the true one: keep only
+            # bracket ends whose sign is right, and open the others
+            lo, hi = x - t * ic_max, x - t * ic_min
+            lo = np.where(g(lo) <= 0.0, lo, -np.inf)
+            hi = np.where(g(hi) >= 0.0, hi, np.inf)
+            y = x - t * ic(x)
             for _ in range(100):
-                df = 1.0 + t * ic.derivative(x0)
+                df = 1.0 + t * ic.derivative(y)
                 if np.any(df <= 0.0):
                     raise ValueError(f"t = {t} is past the shock: characteristics have crossed")
-                step = (x0 + t * ic(x0) - x) / df
-                x0 = x0 - step
+                gy = g(y)
+                lo = np.where(gy < 0.0, y, lo)
+                hi = np.where(gy > 0.0, y, hi)
+                newton = y - gy / df
+                keep = ((newton >= lo) & (newton <= hi)) | ~(np.isfinite(lo) & np.isfinite(hi))
+                step = np.where(keep, newton, 0.5 * (lo + hi)) - y
+                y = y + step
                 if np.max(np.abs(step)) < 1e-14:
-                    return ic(x0)
+                    return ic(y)
             raise ValueError(f"characteristic foot points did not converge at t = {t}")
 
         return exact

@@ -6,23 +6,26 @@ moment weight by parts: the boundary terms again use the shared
 interface values, the volume term is evaluated by Gauss quadrature
 (exact for linear fluxes, one extra node otherwise).
 
-Interface values evolve by upwinded derivative formulas.  In 1-d the
-two one-sided reconstruction derivatives at an interface are either
-blended with a fixed weight (1+alpha)/2, (1-alpha)/2 and multiplied by
-the local Jacobian, or routed through the Jacobian split J+ D+ + J- D-
-(the sign-adaptive choice; for systems this is the only supported
-form).  For scalar Burgers an exact-integration point update is also
-available, which integrates the test function against the derivative
-of the quadratic flux in closed form.
+Interface values evolve by upwinded derivative formulas, run as exact
+tap lists compiled once per grid spacing (in 2-d also per velocity and
+upwind setting): exact weights, each rounded to float once, on fields
+of the state shifted by at most one cell.  A call sums weighted slice
+views of one wrap-padded copy of the state buffer; one pad and one
+tap-sum loop serve both dimensions.
+
+In 1-d the two tap lists are the one-sided reconstruction derivatives
+D+ and D- at an interface, ``element1d.derivative_stencil`` at alpha =
++1 and -1.  Scalar models use -J ((1+alpha)/2 D+ + (1-alpha)/2 D-),
+with alpha = sgn(J) when adaptive and the stored alpha when fixed;
+linear systems use -(J+ D+ + J- D-).  For scalar Burgers an
+exact-integration point update is also available, which integrates the
+test function against the derivative of the quadratic flux in closed
+form.
 
 In 2-d the edge and node stencils come from the pairing tables of the
 constructed test functions (see element2d): the same weights consume
 x-derivatives for the x-flux part and y-derivatives for the y-flux
-part.  These stencils and the Simpson flux differences of the averages
-are compiled once per grid spacing, velocity and upwind setting, in
-exact arithmetic, into a flat tap list (input field, cell offset,
-weight) per output field.  A call sums weighted slice views of one
-wrap-padded copy of the state buffer.
+part.  Simpson taps give the flux differences of the averages.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from afpg.element1d import Element1D, build_element
+from afpg.element1d import Element1D, build_element, build_point_test, derivative_stencil
 from afpg.element2d import (
     DerivStencil2D,
     Element2D,
@@ -45,7 +48,7 @@ from afpg.element2d import (
     flatten_stencil,
     node_pairing_table,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _eval_at_nodes
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, _values_at_gauss
 from afpg.poly import gauss_rule
 
 __all__ = [
@@ -108,32 +111,63 @@ def choose_alpha(model, q):
     return np.sign(model.jac(q))
 
 
-class _Tables1D:
-    def __init__(self, k: int):
-        element = build_element(k)
-        basis = element.basis()
-        self.k = k
-        self.d_right = np.array([float(b.deriv()(0.5)) for b in basis])
-        self.d_left = np.array([float(b.deriv()(-0.5)) for b in basis])
-        self.moment_rules = {}
-        for n in (k + 1, k + 2):
-            rule = gauss_rule(n)
-            xi, w = rule.nodes_array, rule.weights_array
-            basis_vals = np.array(
-                [np.polynomial.polynomial.polyval(xi, b.float_coeffs) for b in basis]
-            )
-            weight_derivs = []
-            for mw in element.moment_weights[1:]:
-                dpoly = mw.poly.deriv()
-                weight_derivs.append(
-                    w * np.polynomial.polynomial.polyval(xi, dpoly.float_coeffs)
-                )
-            self.moment_rules[n] = (basis_vals, weight_derivs)
+def _tap(field, offset, weight):
+    """(index of ``field`` shifted by ``offset`` cells in a wrap-padded stack, weight)."""
+    return (field, *(slice(1 + o, o - 1 or None) for o in offset)), weight
+
+
+def _wrap_pad(a, ndim):
+    """Copy of a (fields, *cells[, m]) stack with one periodic ghost layer on
+    each of its ``ndim`` cell axes."""
+    p = np.empty((a.shape[0], *(s + 2 for s in a.shape[1 : ndim + 1]), *a.shape[ndim + 1 :]))
+    p[(slice(None), *(slice(1, -1),) * ndim)] = a
+    for axis in range(1, ndim + 1):
+        lead = (slice(None),) * axis
+        p[(*lead, 0)], p[(*lead, -1)] = p[(*lead, -2)], p[(*lead, 1)]
+    return p
+
+
+def _tap_sums(stack, ndim, taps):
+    """Per tap list, the sum of weight times shifted field, periodic on ``ndim`` cell axes."""
+    padded = _wrap_pad(stack, ndim)
+    out = np.zeros((len(taps), *stack.shape[1:]))
+    scratch = np.empty(out.shape[1:])
+    for total, field_taps in zip(out, taps):
+        for index, w in field_taps:
+            total += np.multiply(padded[index], w, out=scratch)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _tables_1d(k: int) -> _Tables1D:
-    return _Tables1D(k)
+def _moment_flux_weights(k: int, n: int):
+    """Gauss weights times the derivative of moment weights 1..K-2 at the n Gauss nodes."""
+    rule = gauss_rule(n)
+    xi, w = rule.nodes_array, rule.weights_array
+    return tuple(
+        w * np.polynomial.polynomial.polyval(xi, mw.poly.deriv().float_coeffs)
+        for mw in build_element(k).moment_weights[1:]
+    )
+
+
+@lru_cache(maxsize=64)
+def _compile_taps_1d(k: int, dx):
+    """Exact taps of the one-sided interface derivatives D+ and D- of rhs_1d.
+
+    D+ differentiates the reconstruction of the cell left of the
+    interface at its right endpoint (alpha = +1), D- that of the right
+    cell at its left endpoint (alpha = -1).  Weights come from
+    derivative_stencil, are divided by dx exactly and rounded once.
+    """
+    element = build_element(k)
+    # the stencil window as (column, cell offset): left endpoint, then the
+    # K columns of the cell left of the interface, then those of the right cell
+    window = [(k - 1, (-1,))] + [(c, (o,)) for o in (0, 1) for c in range(k)]
+    inv_dx = 1 / Fraction(dx)
+    taps = []
+    for alpha in (1, -1):
+        weights = derivative_stencil(element, build_point_test(element, alpha)).weights
+        taps.append(tuple(_tap(*t, float(w * inv_dx)) for t, w in zip(window, weights) if w != 0))
+    return tuple(taps)
 
 
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
@@ -154,53 +188,35 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     if point_update not in ("split", "exact"):
         raise ValueError(f"unknown point update {point_update!r}")
 
-    tab = _tables_1d(k)
     dx = grid.dx
     pts = state.points
-    dofs = _dof_gather_1d(state)
     f_right = np.asarray(model.flux(pts), dtype=float)
     f_left = np.roll(f_right, 1, axis=0)
 
     out = np.empty_like(state.data)
-    d_moments = out[:, :-1]
-    d_moments[:, 0] = -(f_right - f_left) / dx
-
+    out[:, 0] = -(f_right - f_left) / dx
     if k > 2:
         n_rule = k + 1 if model.is_linear else k + 2
-        basis_vals, weight_derivs = tab.moment_rules[n_rule]
-        qg = _eval_at_nodes(dofs, basis_vals)
-        fg = np.asarray(model.flux(qg), dtype=float)
-        for idx, wd in enumerate(weight_derivs):
-            kk = idx + 1
-            boundary_plus = kk + 1.0
-            boundary_minus = (kk + 1.0) * (-1.0) ** kk
+        fg = np.asarray(model.flux(_values_at_gauss(state, n_rule)), dtype=float)
+        for kk, wd in enumerate(_moment_flux_weights(k, n_rule), start=1):
             vol = np.tensordot(fg, wd, axes=([1], [0]))
-            d_moments[:, kk] = -(boundary_plus * f_right - boundary_minus * f_left - vol) / dx
+            out[:, kk] = -((kk + 1.0) * f_right - (kk + 1.0) * (-1.0) ** kk * f_left - vol) / dx
 
     if point_update == "exact":
         if model.name != "burgers":
             raise ValueError("exact-integration point update is Burgers-only")
         out[:, -1] = rhs_point_burgers(state, grid, upwind)
-    else:
-        d_from_left = np.tensordot(dofs, tab.d_right, axes=([1], [0])) / dx
-        d_from_right = np.roll(
-            np.tensordot(dofs, tab.d_left, axes=([1], [0])) / dx, -1, axis=0
-        )
-        if model.m == 1:
-            if upwind.mode == "fixed":
-                a = upwind.alpha
-                blend = 0.5 * (1.0 + a) * d_from_left + 0.5 * (1.0 - a) * d_from_right
-                out[:, -1] = -np.asarray(model.jac(pts), dtype=float) * blend
-            else:
-                jac = np.asarray(model.jac(pts), dtype=float)
-                out[:, -1] = -(
-                    np.maximum(jac, 0.0) * d_from_left + np.minimum(jac, 0.0) * d_from_right
-                )
-        else:
-            if upwind.mode == "fixed":
-                raise ValueError("fixed-alpha updates apply to scalar models only")
-            out[:, -1] = -(d_from_left @ model.jac_plus.T + d_from_right @ model.jac_minus.T)
+        return State1D._of(out)
 
+    d_plus, d_minus = _tap_sums(np.moveaxis(state.data, 1, 0), 1, _compile_taps_1d(k, dx))
+    if model.m == 1:
+        alpha = choose_alpha(model, pts) if upwind.mode == "adaptive" else upwind.alpha
+        jac = np.asarray(model.jac(pts), dtype=float)
+        out[:, -1] = -jac * (0.5 * (1.0 + alpha) * d_plus + 0.5 * (1.0 - alpha) * d_minus)
+    elif upwind.mode == "fixed":
+        raise ValueError("fixed-alpha updates apply to scalar models only")
+    else:
+        out[:, -1] = -(d_plus @ model.jac_plus.T + d_minus @ model.jac_minus.T)
     return State1D._of(out)
 
 
@@ -254,7 +270,7 @@ def _tap_target(key):
 
 @lru_cache(maxsize=64)
 def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
-    """Exact taps of rhs_2d: per output field, (input field, cell offset, weight).
+    """Exact taps of rhs_2d, one tap list per output field.
 
     Fields are ordered averages, edge_x, edge_y, nodes.  Offsets are
     relative to the cell storing the output dof and reach one cell at
@@ -290,20 +306,9 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
                 taps[key] -= speed * w
         merged.append(taps)
     return tuple(
-        tuple((*_tap_target(key), float(w)) for key, w in taps.items() if w != 0)
+        tuple(_tap(*_tap_target(key), float(w)) for key, w in taps.items() if w != 0)
         for taps in merged
     )
-
-
-def _wrap_pad(a):
-    """Copy of a (fields, nx, ny) stack with one periodic ghost layer around
-    each field."""
-    f, nx, ny = a.shape
-    p = np.empty((f, nx + 2, ny + 2))
-    p[:, 1:-1, 1:-1] = a
-    p[:, 0, 1:-1], p[:, -1, 1:-1] = a[:, -1], a[:, 0]
-    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
-    return p
 
 
 def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwind2D) -> State2D:
@@ -317,18 +322,10 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
     if not model.is_linear:
         raise ValueError("nonlinear 2-d models are not supported")
-    nx, ny = grid.nx, grid.ny
-    if state.data.shape != (4, nx, ny):
+    if state.data.shape != (4, grid.nx, grid.ny):
         raise ValueError("state size does not match grid")
     if not state.all_finite():
         raise ValueError("state contains non-finite values")
 
     taps = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
-    padded = _wrap_pad(state.data)
-    scratch = np.empty((nx, ny))
-    out = np.zeros_like(state.data)
-    for total, field_taps in zip(out, taps):
-        for field, (ox, oy), w in field_taps:
-            view = padded[field, 1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
-            total += np.multiply(view, w, out=scratch)
-    return State2D._of(out)
+    return State2D._of(_tap_sums(state.data, 2, taps))

@@ -57,6 +57,8 @@ class TestConfig:
             "time.t_end=-1",
             "model.point_update=exact",  # not burgers
             "upwind.node_alphas=1,2,3",
+            "model.name=burgers\nmodel.point_update=exact\nk=3",
+            "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed",
         ],
     )
     def test_validation_errors(self, line):
@@ -152,6 +154,16 @@ class TestCli:
         cfg = self.write(tmp_path, "nonsense=1\n")
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unsupported_combinations_exit_two(self, tmp_path, capsys):
+        # both parse as keys but no solver path runs them
+        for extra in ("model.name=burgers\nmodel.point_update=exact\nk=3\n",
+                      "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed\n"):
+            cfg = self.write(tmp_path, BASE_CFG + extra)
+            out = tmp_path / "out"
+            assert main(["run", cfg, "--output-dir", str(out)]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "/does/not/exist.cfg"]) == 2

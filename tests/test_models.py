@@ -61,6 +61,17 @@ class TestBurgers:
         q = exact(x, t)
         assert np.allclose(q, ic(x - t * q), atol=1e-12)
 
+    @pytest.mark.parametrize("fraction", [0.95, 0.99])
+    def test_reference_answers_just_before_shock(self, fraction):
+        # plain Newton cycles here; the bracketed step still converges
+        g = Grid1D(8)
+        ic = SineIC(mean=0.5, amplitude=0.25)
+        exact = burgers1d().exact_solution(ic, g)
+        t = fraction / (2.0 * np.pi * ic.amplitude)
+        x = np.linspace(0.0, 1.0, 1001)
+        q = exact(x, t)
+        assert np.max(np.abs(q - ic(x - t * q))) <= 1e-12
+
     def test_reference_refuses_after_shock(self):
         # breaking time t* = 1/max(-ic') = 1/(2 pi amplitude)
         g = Grid1D(8)

@@ -109,20 +109,22 @@ class TestRhs1D:
                 r = rhs_1d(st, g, el, model, Upwind1D("adaptive"))
                 assert abs(np.sum(r.moments[:, 0])) <= 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_oracle_equivalence_advection(self, k):
+    @pytest.mark.parametrize("alpha", [None, 0.37], ids=["adaptive", "fixed0.37"])
+    @pytest.mark.parametrize("a", [1.0, -0.7])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_oracle_equivalence_advection(self, k, a, alpha):
         # every rhs entry equals the direct pairing with the test functions
         rng = np.random.default_rng(2 + k)
         n = 6
         g = Grid1D(n)
         el = build_element(k)
         st = random_state_1d(rng, n, k)
-        a = 1.0
         model = advection1d(a)
-        r = rhs_1d(st, g, el, model, Upwind1D("adaptive"))
+        upwind = Upwind1D("adaptive") if alpha is None else Upwind1D("fixed", alpha)
+        r = rhs_1d(st, g, el, model, upwind)
         dxf = Fraction(1, n)
         polys = [cell_poly(st, el, i) for i in range(n)]
-        test = build_point_test(el, 1)  # alpha = sgn(a)
+        test = build_point_test(el, np.sign(a) if alpha is None else alpha)
         for i in range(n):
             for kk in range(k - 1):
                 oracle = -float(a * inner1(el.moment_weights[kk].poly, polys[i].deriv()) / dxf)
@@ -318,6 +320,13 @@ class TestRhs2D:
         r = rhs_2d(st, g, el, advection2d(1.0, -0.5), Upwind2D("adaptive"))
         for arr in (r.averages, r.edge_x, r.edge_y, r.nodes):
             assert np.max(np.abs(arr)) <= 1e-13
+
+    def test_zero_velocity_zero(self):
+        # every tap weight vanishes, so every tap list is empty
+        g = Grid2D(5, 4)
+        st = random_state_2d(np.random.default_rng(16), 5, 4)
+        r = rhs_2d(st, g, build_element_2d(), advection2d(0.0, 0.0), Upwind2D("adaptive"))
+        assert np.array_equal(r.data, np.zeros((4, 5, 4)))
 
     def test_linear_profile_exactness(self):
         g = Grid2D(8, 8)
