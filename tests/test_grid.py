@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from afpg.config import parse_config
 from afpg.element1d import build_element, reconstruct
 from afpg.element2d import build_element_2d
 from afpg.grid import (
@@ -17,6 +18,7 @@ from afpg.grid import (
     total_mass,
     write_state_csv,
 )
+from afpg.harness import run_simulation
 
 
 class TestGrids:
@@ -228,6 +230,77 @@ class TestStateBuffer:
         assert d.nodes[0, 0] != c.nodes[0, 0]
 
 
+def _oracle_value_rows(value):
+    v = np.asarray(value)
+    if v.ndim == 0:
+        return [("", float(v))]
+    return [(f"[{c}]", float(v[c])) for c in range(v.shape[0])]
+
+
+def _oracle_write_state_csv(state, grid, path):
+    """The row-by-row csv.writer export that write_state_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if isinstance(grid, Grid1D):
+            writer.writerow(["x", "dof_class", "value"])
+            centers, interfaces = grid.centers(), grid.interfaces()
+            moments, points = state.moments, state.points
+            for i in range(grid.n):
+                for k in range(moments.shape[1]):
+                    for suffix, v in _oracle_value_rows(moments[i, k]):
+                        writer.writerow([repr(float(centers[i])), f"moment{k}{suffix}", repr(v)])
+            for i in range(grid.n):
+                for suffix, v in _oracle_value_rows(points[i]):
+                    writer.writerow([repr(float(interfaces[i])), f"point{suffix}", repr(v)])
+        else:
+            writer.writerow(["x", "y", "dof_class", "value"])
+            xc, yc = grid.x_centers(), grid.y_centers()
+            xf, yf = grid.x_interfaces(), grid.y_interfaces()
+            blocks = [
+                ("average", state.averages, xc, yc),
+                ("edge_x", state.edge_x, xf, yc),
+                ("edge_y", state.edge_y, xc, yf),
+                ("node", state.nodes, xf, yf),
+            ]
+            for name, arr, xs, ys in blocks:
+                for i in range(arr.shape[0]):
+                    for j in range(arr.shape[1]):
+                        writer.writerow(
+                            [repr(float(xs[i])), repr(float(ys[j])), name, repr(float(arr[i, j]))]
+                        )
+
+
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+
+
+def _random_with_specials(rng, shape):
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, len(_SPECIAL_VALUES), replace=False)] = _SPECIAL_VALUES
+    return values
+
+
+def _assert_same_bytes(state, grid, tmp_path):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_state_csv(state, grid, ours)
+    _oracle_write_state_csv(state, grid, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def _read_state(path, grid, k=None, m=1):
+    """The state whose values a written CSV holds, in file order."""
+    with open(path, newline="") as fh:
+        values = np.array([float(row[-1]) for row in list(csv.reader(fh))[1:]])
+    if isinstance(grid, Grid2D):
+        return State2D(*values.reshape(4, grid.nx, grid.ny))
+    split = grid.n * (k - 1) * m
+    moments = values[:split].reshape(grid.n, k - 1, m)
+    points = values[split:].reshape(grid.n, m)
+    if m == 1:
+        return State1D(k, points[:, 0], moments[..., 0])
+    return State1D(k, points, moments)
+
+
 class TestCsvExport:
     def test_1d_roundtrip(self, tmp_path):
         g = Grid1D(4)
@@ -253,3 +326,88 @@ class TestCsvExport:
         with open(p1) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 4 * 9
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_1d_scalar_bytes_match_csv_writer(self, tmp_path, k):
+        # 2500 cells: more than two write blocks, the last one partial
+        rng = np.random.default_rng(k)
+        g = Grid1D(2500, -0.3, 1.7)
+        st = State1D(k, _random_with_specials(rng, 2500), _random_with_specials(rng, (2500, k - 1)))
+        _assert_same_bytes(st, g, tmp_path)
+
+    def test_1d_system_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        g = Grid1D(1100)
+        st = State1D(3, _random_with_specials(rng, (1100, 2)),
+                     _random_with_specials(rng, (1100, 2, 2)))
+        _assert_same_bytes(st, g, tmp_path)
+
+    def test_2d_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(8)
+        g = Grid2D(7, 5, -1.0, 0.3, 0.0, 2.5)
+        st = State2D(*_random_with_specials(rng, (4, 7, 5)))
+        _assert_same_bytes(st, g, tmp_path)
+
+    def test_1d_literal_bytes(self, tmp_path):
+        g = Grid1D(3, 0.0, 3.0)
+        st = State1D(2, [0.1, -0.0, 1e16], [[1.0], [np.nan], [-np.inf]])
+        path = tmp_path / "state.csv"
+        write_state_csv(st, g, path)
+        assert path.read_bytes() == (
+            b"x,dof_class,value\r\n"
+            b"0.5,moment0,1.0\r\n"
+            b"1.5,moment0,nan\r\n"
+            b"2.5,moment0,-inf\r\n"
+            b"1.0,point,0.1\r\n"
+            b"2.0,point,-0.0\r\n"
+            b"3.0,point,1e+16\r\n"
+        )
+
+    def test_unsupported_grid_rejected(self, tmp_path):
+        st = State1D(2, np.zeros(4), np.zeros((4, 1)))
+        path = tmp_path / "state.csv"
+        with pytest.raises(TypeError):
+            write_state_csv(st, object(), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "state, grid",
+        [
+            (State1D(2, np.zeros(4), np.zeros((4, 1))), Grid1D(5)),
+            (State1D(2, np.zeros(6), np.zeros((6, 1))), Grid1D(5)),
+            (State2D(*np.zeros((4, 3, 4))), Grid2D(3, 5)),
+            (State2D(*np.zeros((4, 4, 4))), Grid2D(3, 4)),
+        ],
+        ids=["1d-fewer", "1d-more", "2d-fewer", "2d-more"],
+    )
+    def test_state_grid_mismatch_rejected(self, tmp_path, state, grid):
+        path = tmp_path / "state.csv"
+        with pytest.raises(ValueError):
+            write_state_csv(state, grid, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "text, k, m",
+        [
+            ("k=3\ngrid.n=9\nmodel.name=linear_system\nmodel.matrix=0,1;1,0\n"
+             "time.scheme=rk4\ntime.t_end=0.2\n", 3, 2),
+            ("dimension=2\ngrid.nx=6\ngrid.ny=5\nmodel.ax=1.0\nmodel.ay=-0.5\n"
+             "time.t_end=0.15\n", None, 1),
+        ],
+        ids=["1d-system", "2d"],
+    )
+    def test_run_snapshots_match_csv_writer(self, tmp_path, text, k, m):
+        cfg = parse_config(text + "output.snapshot_every=2\n")
+        result = run_simulation(cfg, output_dir=str(tmp_path / "run"))
+        grid = result.grid
+        _oracle_write_state_csv(result.state, grid, tmp_path / "oracle.csv")
+        final = tmp_path / "run" / "final_state.csv"
+        assert final.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        snapshots = sorted((tmp_path / "run").glob("state_*.csv"))
+        assert len(snapshots) == result.steps // 2 >= 2
+        # each snapshot holds the state whose mass the run logged at that step
+        for path, (_, mass) in zip(snapshots, result.mass_log[1:]):
+            state = _read_state(path, grid, k, m)
+            assert np.array_equal(total_mass(state, grid), mass)
+            _oracle_write_state_csv(state, grid, tmp_path / "oracle.csv")
+            assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
