@@ -182,6 +182,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         m = cfg.model_matrix
         if not m or any(len(row) != len(m) for row in m):
             raise ConfigError("model.matrix must be a square matrix (rows ; separated)")
+        if len(m) < 2:
+            raise ConfigError("model.matrix must be at least 2x2 (use model.name=advection)")
         if cfg.dimension != 1:
             raise ConfigError("linear_system is one-dimensional")
     if cfg.model_point_update == "exact" and cfg.model_name != "burgers":

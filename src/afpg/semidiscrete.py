@@ -1,26 +1,32 @@
 """Spatial discretization: assemble dQ/dt from the current state.
 
-Cell averages evolve by the plain flux difference of the shared
-interface values.  Higher moments integrate the flux against the
-moment weight by parts: the boundary terms again use the shared
-interface values, the volume term is evaluated by Gauss quadrature
-(exact for linear fluxes, one extra node otherwise).
+For a linear flux every row of the scheme is a fixed exact linear form
+on a few neighbouring dofs, and runs as an exact tap list compiled once
+per grid spacing (and per velocity and upwind setting): exact weights,
+each rounded to float once, on fields of the state shifted by at most
+one cell.  A call sums weighted slice views of one wrap-padded copy of
+the state buffer; one pad and one tap-sum loop serve both dimensions.
 
-Interface values evolve by upwinded derivative formulas, run as exact
-tap lists compiled once per grid spacing (in 2-d also per velocity and
-upwind setting): exact weights, each rounded to float once, on fields
-of the state shifted by at most one cell.  A call sums weighted slice
-views of one wrap-padded copy of the state buffer; one pad and one
-tap-sum loop serve both dimensions.
+In 1-d the moment rows pair each moment weight with the derivative of
+the cell's reconstruction (``element1d.moment_stencil``, integrated by
+parts: the boundary terms use the shared interface values, and row 0 is
+the plain flux difference).  The interface rows pair the interface test
+function with the derivative of the global reconstruction
+(``element1d.derivative_stencil``).  A scalar linear model q_t + a q_x
+= 0 runs one tap list per output column: the K-1 moment rows and the
+interface row at upwind weight alpha, all times -a/dx, with alpha =
+sgn(a) when adaptive and the stored alpha when fixed.  Linear systems
+run the moment rows and the one-sided interface derivatives D+ and D-
+(the interface row at alpha = +1 and -1), divided by dx, in one call;
+the moment rows are then multiplied by -A and the interface values get
+-(J+ D+ + J- D-).
 
-In 1-d the two tap lists are the one-sided reconstruction derivatives
-D+ and D- at an interface, ``element1d.derivative_stencil`` at alpha =
-+1 and -1.  Scalar models use -J ((1+alpha)/2 D+ + (1-alpha)/2 D-),
-with alpha = sgn(J) when adaptive and the stored alpha when fixed;
-linear systems use -(J+ D+ + J- D-).  For scalar Burgers an
-exact-integration point update is also available, which integrates the
-test function against the derivative of the quadratic flux in closed
-form.
+Burgers evaluates the volume term of its moment rows by Gauss
+quadrature of the flux, and updates the interface values by
+-J ((1+alpha)/2 D+ + (1-alpha)/2 D-) with alpha = sgn(J) when adaptive.
+An exact-integration point update is also available for it, which
+integrates the test function against the derivative of the quadratic
+flux in closed form.
 
 In 2-d the edge and node stencils come from the pairing tables of the
 constructed test functions (see element2d): the same weights consume
@@ -37,7 +43,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from afpg.element1d import Element1D, build_element, build_point_test, derivative_stencil
+from afpg.element1d import (
+    Element1D,
+    build_element,
+    build_point_test,
+    derivative_stencil,
+    moment_stencil,
+)
 from afpg.element2d import (
     DerivStencil2D,
     Element2D,
@@ -140,7 +152,8 @@ def _tap_sums(stack, ndim, taps):
 
 @lru_cache(maxsize=None)
 def _moment_flux_weights(k: int, n: int):
-    """Gauss weights times the derivative of moment weights 1..K-2 at the n Gauss nodes."""
+    """Burgers only: Gauss weights times the derivative of moment weights
+    1..K-2 at the n Gauss nodes (linear models run moment_stencil taps)."""
     rule = gauss_rule(n)
     xi, w = rule.nodes_array, rule.weights_array
     return tuple(
@@ -150,33 +163,47 @@ def _moment_flux_weights(k: int, n: int):
 
 
 @lru_cache(maxsize=64)
-def _compile_taps_1d(k: int, dx):
-    """Exact taps of the one-sided interface derivatives D+ and D- of rhs_1d.
+def _compile_taps_1d(k: int, dx, a=None, alpha=None):
+    """Exact taps of rhs_1d, one tap list per row.
 
-    D+ differentiates the reconstruction of the cell left of the
-    interface at its right endpoint (alpha = +1), D- that of the right
-    cell at its left endpoint (alpha = -1).  Weights come from
-    derivative_stencil, are divided by dx exactly and rounded once.
+    The rows are the K-1 moment rows of moment_stencil, then interface
+    rows of derivative_stencil.  With ``a`` given (scalar linear
+    models) there is one interface row, at upwind weight ``alpha``, and
+    every weight is multiplied by -a/dx: the lists are the whole right
+    side, in the column order of the state buffer.  Without it
+    (systems, Burgers) the interface rows are D+ (alpha = +1, the
+    derivative of the left cell's reconstruction at its right endpoint)
+    and D- (alpha = -1, the right cell's at its left endpoint), and the
+    weights are divided by dx; the caller applies the Jacobian.  Weights
+    are scaled in exact arithmetic and rounded once.
     """
     element = build_element(k)
     # the stencil window as (column, cell offset): left endpoint, then the
-    # K columns of the cell left of the interface, then those of the right cell
+    # K columns of the cell left of the interface, then those of the right
+    # cell; a moment row reads the first K+1 entries
     window = [(k - 1, (-1,))] + [(c, (o,)) for o in (0, 1) for c in range(k)]
-    inv_dx = 1 / Fraction(dx)
-    taps = []
-    for alpha in (1, -1):
-        weights = derivative_stencil(element, build_point_test(element, alpha)).weights
-        taps.append(tuple(_tap(*t, float(w * inv_dx)) for t, w in zip(window, weights) if w != 0))
-    return tuple(taps)
+    if a is None:
+        scale, alphas = 1 / Fraction(dx), (1, -1)
+    else:
+        scale, alphas = -Fraction(a) / Fraction(dx), (alpha,)
+    rows = moment_stencil(element) + tuple(
+        derivative_stencil(element, build_point_test(element, al)).weights for al in alphas
+    )
+    return tuple(
+        tuple(_tap(*t, float(w * scale)) for t, w in zip(window, row) if w != 0)
+        for row in rows
+    )
 
 
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
            point_update: str = "split") -> State1D:
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
+    Linear models run the compiled exact taps of every row; Burgers
+    integrates its moment rows by Gauss quadrature of the flux.
     ``point_update`` selects the interface-value formula: "split" is
-    the Jacobian-split / alpha-blend form, "exact" the closed-form
-    exact integration (Burgers only, K = 2).
+    the alpha-blend (scalar) or Jacobian-split (system) form, "exact"
+    the closed-form exact integration (Burgers only, K = 2).
     """
     k = state.k
     if k != element.k:
@@ -187,36 +214,44 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         raise ValueError("state contains non-finite values")
     if point_update not in ("split", "exact"):
         raise ValueError(f"unknown point update {point_update!r}")
+    if point_update == "exact" and model.name != "burgers":
+        raise ValueError("exact-integration point update is Burgers-only")
 
     dx = grid.dx
+    stack = np.moveaxis(state.data, 1, 0)
+    if model.is_linear and model.m == 1:
+        alpha = float(np.sign(model.a)) if upwind.mode == "adaptive" else upwind.alpha
+        sums = _tap_sums(stack, 1, _compile_taps_1d(k, dx, model.a, alpha))
+        return State1D._of(np.ascontiguousarray(sums.T))
+    if model.is_linear:
+        if upwind.mode == "fixed":
+            raise ValueError("fixed-alpha updates apply to scalar models only")
+        sums = _tap_sums(stack, 1, _compile_taps_1d(k, dx))
+        out = np.empty_like(state.data)
+        out[:, :-1] = np.moveaxis(-(sums[:-2] @ model.matrix.T), 0, 1)
+        out[:, -1] = -(sums[-2] @ model.jac_plus.T + sums[-1] @ model.jac_minus.T)
+        return State1D._of(out)
+
     pts = state.points
     f_right = np.asarray(model.flux(pts), dtype=float)
     f_left = np.roll(f_right, 1, axis=0)
-
     out = np.empty_like(state.data)
     out[:, 0] = -(f_right - f_left) / dx
     if k > 2:
-        n_rule = k + 1 if model.is_linear else k + 2
+        n_rule = k + 2  # one Gauss node more than a linear flux would need
         fg = np.asarray(model.flux(_values_at_gauss(state, n_rule)), dtype=float)
         for kk, wd in enumerate(_moment_flux_weights(k, n_rule), start=1):
             vol = np.tensordot(fg, wd, axes=([1], [0]))
             out[:, kk] = -((kk + 1.0) * f_right - (kk + 1.0) * (-1.0) ** kk * f_left - vol) / dx
 
     if point_update == "exact":
-        if model.name != "burgers":
-            raise ValueError("exact-integration point update is Burgers-only")
         out[:, -1] = rhs_point_burgers(state, grid, upwind)
         return State1D._of(out)
 
-    d_plus, d_minus = _tap_sums(np.moveaxis(state.data, 1, 0), 1, _compile_taps_1d(k, dx))
-    if model.m == 1:
-        alpha = choose_alpha(model, pts) if upwind.mode == "adaptive" else upwind.alpha
-        jac = np.asarray(model.jac(pts), dtype=float)
-        out[:, -1] = -jac * (0.5 * (1.0 + alpha) * d_plus + 0.5 * (1.0 - alpha) * d_minus)
-    elif upwind.mode == "fixed":
-        raise ValueError("fixed-alpha updates apply to scalar models only")
-    else:
-        out[:, -1] = -(d_plus @ model.jac_plus.T + d_minus @ model.jac_minus.T)
+    d_plus, d_minus = _tap_sums(stack, 1, _compile_taps_1d(k, dx)[-2:])
+    alpha = choose_alpha(model, pts) if upwind.mode == "adaptive" else upwind.alpha
+    jac = np.asarray(model.jac(pts), dtype=float)
+    out[:, -1] = -jac * (0.5 * (1.0 + alpha) * d_plus + 0.5 * (1.0 - alpha) * d_minus)
     return State1D._of(out)
 
 

@@ -9,13 +9,17 @@ import numpy as np
 
 from afpg.grid import Grid2D
 
-__all__ = ["TimeIntegrator", "BlowUpError", "step", "compute_dt", "advance"]
+__all__ = ["TimeIntegrator", "BlowUpError", "BLOWUP_FACTOR", "step", "compute_dt", "advance"]
 
 SCHEMES = ("ssprk3", "rk4", "euler")
 
+# advance stops once a dof exceeds this factor times max(initial max-norm, 1)
+BLOWUP_FACTOR = 1e6
+
 
 class BlowUpError(RuntimeError):
-    """Raised when a stage produces non-finite values (usually a CFL bust)."""
+    """Raised when a stage produces non-finite values, or a step grows the
+    max-norm past BLOWUP_FACTOR (usually a CFL bust)."""
 
     def __init__(self, message, step_index=None):
         super().__init__(message)
@@ -86,13 +90,22 @@ def compute_dt(state, grid, model, cfl: float) -> float:
     return cfl * h / speed
 
 
+def _max_norm(u) -> float:
+    # two reductions and no temporary of the state's size
+    data = np.asarray(u.data)
+    return max(float(data.max()), -float(data.min()))
+
+
 def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_step=None):
     """Integrate to t_end; returns (state, t, number of steps taken).
 
-    ``on_step(state, t, n)`` is invoked after every accepted step.
+    ``on_step(state, t, n)`` is invoked after every accepted step.  A
+    step whose state exceeds BLOWUP_FACTOR times max(initial max-norm,
+    1) in absolute value raises BlowUpError with its index.
     """
     t = 0.0
     n = 0
+    bound = BLOWUP_FACTOR * max(_max_norm(state), 1.0)
     while t < t_end - 1e-14 * max(1.0, t_end):
         if integrator.dt is not None:
             dt = integrator.dt
@@ -107,6 +120,13 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
             state = step(state, t, dt, rhs_fn, integrator.scheme)
         except BlowUpError as err:
             raise BlowUpError(f"{err} (step {n})", step_index=n) from None
+        norm = _max_norm(state)
+        if norm > bound:
+            raise BlowUpError(
+                f"max-norm {norm:.3g} exceeds {BLOWUP_FACTOR:g} x max(initial max-norm, 1)"
+                f" (step {n})",
+                step_index=n,
+            )
         t += dt
         n += 1
         if on_step is not None:

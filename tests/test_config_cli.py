@@ -59,6 +59,7 @@ class TestConfig:
             "upwind.node_alphas=1,2,3",
             "model.name=burgers\nmodel.point_update=exact\nk=3",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed",
+            "model.name=linear_system\nmodel.matrix=0.8",  # one field: use advection
         ],
     )
     def test_validation_errors(self, line):
@@ -175,6 +176,14 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_silent_divergence_exit_three(self, tmp_path, capsys, k):
+        # the default ssprk3 cfl=0.2 is unstable for K >= 4
+        cfg = self.write(tmp_path, f"k={k}\ngrid.n=40\n")
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: max-norm" in err and "(step " in err
 
     def test_converge_writes_table(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG + "time.t_end=1.0\n")

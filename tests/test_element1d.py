@@ -10,6 +10,7 @@ from afpg.element1d import (
     build_element,
     build_point_test,
     derivative_stencil,
+    moment_stencil,
     moment_weight,
     reconstruct,
 )
@@ -192,6 +193,25 @@ class TestDerivativeStencil:
                 pairing += rule.integrate(lambda x: p(x) * dq(x)) / dx
             got = stencil.apply(window) / dx
             assert got == pytest.approx(pairing, rel=1e-12, abs=1e-12)
+
+
+class TestMomentStencil:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_rows_equal_exact_pairing(self, k):
+        # row r applied to basis function b_s is the pairing of w_r with b_s'
+        el = build_element(k)
+        rows = moment_stencil(el)
+        assert len(rows) == k - 1
+        for w, row in zip(el.moment_weights, rows):
+            assert len(row) == k + 1
+            assert all(isinstance(v, Fraction) for v in row)
+            for b in el.basis():
+                applied = sum(v * d for v, d in zip(row, el.dof_values(b)))
+                assert applied == inner1(w.poly, b.deriv())
+
+    def test_row_zero_is_the_endpoint_difference(self):
+        for k in (2, 3, 4, 5, 6):
+            assert moment_stencil(build_element(k))[0] == (-1,) + (0,) * (k - 1) + (1,)
 
 
 class TestReconstruct:

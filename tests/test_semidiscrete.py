@@ -5,12 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from afpg.element1d import build_element, build_point_test, reconstruct
+from afpg.element1d import (
+    build_element,
+    build_point_test,
+    derivative_stencil,
+    moment_stencil,
+    reconstruct,
+)
 from afpg.element2d import build_element_2d, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg.poly import diff2, inner1, inner2
 from afpg.semidiscrete import (
+    _compile_taps_1d,
+    _tap,
     Upwind1D,
     Upwind2D,
     choose_alpha,
@@ -135,30 +143,47 @@ class TestRhs1D:
             oracle = -float(a * pairing / dxf)
             assert r.points[i] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
-    def test_oracle_equivalence_system(self):
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_oracle_equivalence_system(self, k):
         # per-characteristic pairing: each field advects with its own speed
         # and full upwinding in its own direction
-        rng = np.random.default_rng(9)
+        rng = np.random.default_rng(7 + k)  # K=2 keeps the original seed 9
         n = 6
-        k = 2
         g = Grid1D(n)
         el = build_element(k)
-        matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-        model = linear_system1d(matrix)
         st = random_state_1d(rng, n, k, m=2)
-        r = rhs_1d(st, g, el, model, Upwind1D("adaptive"))
+        # a symmetric and a non-symmetric matrix, so a transposed A shows
+        for matrix in ([[0.0, 1.0], [1.0, 0.0]], [[0.3, 1.2], [0.5, -0.4]]):
+            model = linear_system1d(matrix)
+            r = rhs_1d(st, g, el, model, Upwind1D("adaptive"))
 
-        # characteristic variables w = Rinv q advect independently
-        w_pts = st.points @ model.eigvecs_inv.T
-        w_mom = st.moments @ model.eigvecs_inv.T
-        expected_w = np.empty_like(w_pts)
-        for p, lam in enumerate(model.eigvals):
-            sub = State1D(k, w_pts[:, p], w_mom[:, :, p])
-            sub_model = advection1d(lam)
-            rsub = rhs_1d(sub, g, el, sub_model, Upwind1D("adaptive"))
-            expected_w[:, p] = rsub.points
-        expected = expected_w @ model.eigvecs.T
-        assert np.allclose(r.points, expected, atol=1e-12)
+            # characteristic variables w = Rinv q advect independently
+            w_data = st.data @ model.eigvecs_inv.T
+            expected_w = np.empty_like(w_data)
+            for p, lam in enumerate(model.eigvals):
+                sub = State1D(k, w_data[:, -1, p], w_data[:, :-1, p])
+                expected_w[..., p] = rhs_1d(sub, g, el, advection1d(lam), Upwind1D("adaptive")).data
+            expected = expected_w @ model.eigvecs.T
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(r.points - expected[:, -1])) <= 1e-14 * scale
+            assert np.max(np.abs(r.moments - expected[:, :-1])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_oracle_equivalence_burgers_moments(self, k):
+        # Burgers keeps Gauss quadrature of its flux for the moment rows;
+        # K+2 nodes integrate the pairing with d/dx(q^2/2) exactly up to K = 6
+        rng = np.random.default_rng(30 + k)
+        n = 6
+        g = Grid1D(n)
+        el = build_element(k)
+        st = random_state_1d(rng, n, k)
+        r = rhs_1d(st, g, el, burgers1d(), Upwind1D("adaptive"))
+        dxf = Fraction(1, n)
+        for i in range(n):
+            q = cell_poly(st, el, i)
+            for kk in range(k - 1):
+                oracle = -float(inner1(el.moment_weights[kk].poly, q * q.deriv()) / dxf)
+                assert r.moments[i, kk] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
     def test_alpha_consistency(self):
         # fixed alpha equals the blend of the two full-upwind right sides
@@ -196,6 +221,26 @@ class TestRhs1D:
         st = State1D(2, np.full(6, np.nan), np.zeros((6, 1)))
         with pytest.raises(ValueError):
             rhs_1d(st, g, el, advection1d(1.0), Upwind1D())
+
+
+class TestCompiledTaps1D:
+    @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
+        # moment rows, then the interface row at alpha, each weight times
+        # -a/dx in exact arithmetic and rounded to float once
+        dx = 1 / 7
+        el = build_element(k)
+        rows = (*moment_stencil(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
+        scale = -Fraction(a) / Fraction(dx)
+        window = [(k - 1, -1)] + [(c, o) for o in (0, 1) for c in range(k)]
+        taps = _compile_taps_1d(k, dx, a, alpha)
+        assert len(taps) == k
+        for row, got in zip(rows, taps):
+            expected = tuple(
+                _tap(c, (o,), float(w * scale)) for (c, o), w in zip(window, row) if w != 0
+            )
+            assert got == expected
 
 
 class TestBurgersPointUpdate:

@@ -9,7 +9,14 @@ from afpg.element1d import build_element
 from afpg.grid import Grid1D, Grid2D, project_initial, total_mass
 from afpg.models import SineIC, advection1d, advection2d, burgers1d
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
-from afpg.timestep import BlowUpError, TimeIntegrator, advance, compute_dt, step
+from afpg.timestep import (
+    BLOWUP_FACTOR,
+    BlowUpError,
+    TimeIntegrator,
+    advance,
+    compute_dt,
+    step,
+)
 
 
 class TestStep:
@@ -149,3 +156,42 @@ class TestAdvance:
         rhs_fn = lambda s: rhs_2d(s, g, el, model, Upwind2D("adaptive"))
         st, t, n = advance(st0, g, model, rhs_fn, 0.5, TimeIntegrator("ssprk3", cfl=0.2))
         assert abs(total_mass(st, g) - total_mass(st0, g)) <= 1e-13
+
+
+class TestBlowUpGuard:
+    @pytest.mark.parametrize("u0, first_bad", [(0.5, 6), (-3e3, 5)])
+    def test_growth_past_factor_raises_at_its_step(self, u0, first_bad):
+        # euler on u' = 10 u multiplies by 11 per step; the bound is
+        # BLOWUP_FACTOR * max(|u0|, 1)
+        bound = BLOWUP_FACTOR * max(abs(u0), 1.0)
+        growth = [abs(u0) * 11.0**n for n in range(1, 10)]
+        assert growth.index(next(g for g in growth if g > bound)) == first_bad
+        with pytest.raises(BlowUpError, match="max-norm") as info:
+            advance(np.array([u0, 0.0]), None, None, lambda s: 10.0 * s, 20.0,
+                    TimeIntegrator("euler", dt=1.0))
+        assert info.value.step_index == first_bad
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_unstable_default_cfl_raises(self, k):
+        # ssprk3 at cfl 0.2 lies past the linear limit for K >= 4: the run
+        # used to finish with an L2 error of 1e128 (K=4) or inf (K=5)
+        g = Grid1D(40)
+        el = build_element(k)
+        st0 = project_initial(g, SineIC(), el)
+        model = advection1d(1.0)
+        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        with pytest.raises(BlowUpError, match="max-norm") as info:
+            advance(st0, g, model, rhs_fn, 1.0, TimeIntegrator("ssprk3", cfl=0.2))
+        assert 0 < info.value.step_index < 200
+        assert f"(step {info.value.step_index})" in str(info.value)
+
+    def test_stable_k4_rk4_run_unaffected(self):
+        g = Grid1D(40)
+        el = build_element(4)
+        ic = SineIC()
+        st0 = project_initial(g, ic, el)
+        model = advection1d(1.0)
+        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        st, t, n = advance(st0, g, model, rhs_fn, 1.0, TimeIntegrator("rk4", cfl=0.1))
+        assert n >= 400 and t == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(st.data - st0.data)) < 1e-6
