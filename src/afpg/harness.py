@@ -142,7 +142,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
 
         def rhs_fn(s):
             return rhs_1d(s, grid, element, model, upwind,
-                          point_update=cfg.model_point_update)
+                          point_update=cfg.model_point_update, assume_finite=True)
 
         exact_ic = project_fn if model.m > 1 else ic
         exact = model.exact_solution(exact_ic, grid)
@@ -151,7 +151,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
         state = project_initial(grid, ic)
 
         def rhs_fn(s):
-            return rhs_2d(s, grid, element, model, upwind)
+            return rhs_2d(s, grid, element, model, upwind, assume_finite=True)
 
         exact = model.exact_solution(ic, grid)
 

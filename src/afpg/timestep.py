@@ -1,4 +1,20 @@
-"""Explicit method-of-lines integration of the semi-discrete system."""
+"""Explicit method-of-lines integration of the semi-discrete system.
+
+``step`` works on the buffer behind a state (or on a plain array).  It
+allocates its stage buffers once per call, one for Euler, two for
+SSPRK3 and three for RK4, and forms every stage with ``out=`` ufuncs in
+the same floating-point order as the textbook expressions, so the
+result is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each
+k into its weighted sum as it arrives, so one k is live at a time.
+
+Every stage is tested for finiteness once, right after it is formed;
+``advance`` also tests its initial state.  Every state handed to
+``rhs_fn`` has therefore passed a test, which lets the harness skip
+the right-hand side's own entry check.  A stage state handed to
+``rhs_fn`` is valid only during that call: the next stage overwrites
+it.  The result is a fresh buffer, never the input, a stage state
+handed to ``rhs_fn`` or an array ``rhs_fn`` returned.
+"""
 
 from __future__ import annotations
 
@@ -43,35 +59,73 @@ class TimeIntegrator:
             raise ValueError("dt must be positive")
 
 
-def _finite(u) -> bool:
-    # ``data`` is a state's buffer; for a plain array it is a buffer over its values
-    return bool(np.all(np.isfinite(u.data)))
+def _array(u):
+    """The buffer behind a state, or a plain array itself."""
+    return u if isinstance(u, np.ndarray) else u.data
 
 
-def _checked(u, stage):
-    if not _finite(u):
+def _check(buf, stage):
+    if not np.isfinite(buf).all():
         raise BlowUpError(f"non-finite state after {stage}")
-    return u
+
+
+def _stage(out, u, c, k, stage):
+    """out = u + c*k, tested for finiteness."""
+    np.add(u, np.multiply(k, c, out=out), out=out)
+    _check(out, stage)
 
 
 def step(state, t, dt, rhs_fn, scheme: str = "ssprk3"):
-    """One explicit step.  Works on states and on plain arrays."""
+    """One explicit step.  Works on states and on plain arrays.
+
+    Calls ``rhs_fn(state)`` once per stage and returns a fresh buffer
+    of the input's kind; see the module docstring.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    u = _array(state)
+    wrap = (lambda buf: buf) if u is state else state._of
+
+    def rhs(buf):
+        return _array(rhs_fn(wrap(buf)))
+
+    k = _array(rhs_fn(state))
+    a = np.empty_like(u, dtype=np.result_type(u, k, dt))
     if scheme == "euler":
-        return _checked(state + dt * rhs_fn(state), "euler stage")
+        _stage(a, u, dt, k, "euler stage")
+        return wrap(a)
     if scheme == "ssprk3":
-        u1 = _checked(state + dt * rhs_fn(state), "stage 1")
-        u2 = _checked(0.75 * state + 0.25 * (u1 + dt * rhs_fn(u1)), "stage 2")
+        # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
+        # result = 1/3 u + 2/3 (u2 + dt k(u2))
+        b = np.empty_like(a)
+        _stage(a, u, dt, k, "stage 1")
+        k = rhs(a)
+        np.multiply(np.add(a, np.multiply(k, dt, out=b), out=b), 0.25, out=b)
+        np.add(np.multiply(u, 0.75, out=a), b, out=a)
+        _check(a, "stage 2")
+        k = rhs(a)
         third = 1.0 / 3.0
-        return _checked(third * state + (2.0 * third) * (u2 + dt * rhs_fn(u2)), "stage 3")
-    if scheme == "rk4":
-        k1 = rhs_fn(state)
-        k2 = rhs_fn(_checked(state + (0.5 * dt) * k1, "stage 1"))
-        k3 = rhs_fn(_checked(state + (0.5 * dt) * k2, "stage 2"))
-        k4 = rhs_fn(_checked(state + dt * k3, "stage 3"))
-        return _checked(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "stage 4")
-    raise ValueError(f"unknown scheme {scheme!r}")
+        np.multiply(np.add(a, np.multiply(k, dt, out=b), out=b), 2.0 * third, out=b)
+        np.add(np.multiply(u, third, out=a), b, out=b)
+        _check(b, "stage 3")
+        return wrap(b)
+    # rk4: acc = ((k1 + 2 k2) + 2 k3) + k4, then u + dt/6 acc
+    acc, tmp = np.empty_like(a), np.empty_like(a)
+    half = 0.5 * dt
+    np.copyto(acc, k)
+    _stage(a, u, half, k, "stage 1")
+    k = rhs(a)
+    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+    _stage(a, u, half, k, "stage 2")
+    k = rhs(a)
+    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+    _stage(a, u, dt, k, "stage 3")
+    k = rhs(a)
+    np.add(acc, k, out=acc)
+    _stage(acc, u, dt / 6.0, acc, "stage 4")
+    return wrap(acc)
 
 
 def compute_dt(state, grid, model, cfl: float) -> float:
@@ -92,7 +146,7 @@ def compute_dt(state, grid, model, cfl: float) -> float:
 
 def _max_norm(u) -> float:
     # two reductions and no temporary of the state's size
-    data = np.asarray(u.data)
+    data = _array(u)
     return max(float(data.max()), -float(data.min()))
 
 
@@ -100,9 +154,12 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
     """Integrate to t_end; returns (state, t, number of steps taken).
 
     ``on_step(state, t, n)`` is invoked after every accepted step.  A
-    step whose state exceeds BLOWUP_FACTOR times max(initial max-norm,
-    1) in absolute value raises BlowUpError with its index.
+    non-finite initial state raises ValueError.  A step whose state
+    exceeds BLOWUP_FACTOR times max(initial max-norm, 1) in absolute
+    value raises BlowUpError with its index.
     """
+    if not np.isfinite(_array(state)).all():
+        raise ValueError("initial state contains non-finite values")
     t = 0.0
     n = 0
     bound = BLOWUP_FACTOR * max(_max_norm(state), 1.0)

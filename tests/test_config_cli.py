@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from afpg import harness, timestep
 from afpg.config import ConfigError, parse_config, serialize_config
+from afpg.grid import State1D, State2D
 from afpg.harness import convergence_study, run_simulation
 from afpg.cli import main
 
@@ -136,6 +138,34 @@ class TestHarness:
         result = run_simulation(cfg)
         assert result.norms[0] < 1e-3
 
+    @pytest.mark.parametrize("text, stages", [
+        (BASE_CFG + "time.scheme=rk4\ntime.t_end=0.1\n", 4),
+        ("dimension=2\ngrid.nx=6\ngrid.ny=5\nmodel.name=advection\nmodel.ax=0.8\n"
+         "model.ay=-0.6\nic.name=sine\ntime.t_end=0.1\n", 3),
+    ])
+    def test_tracer_contract(self, monkeypatch, text, stages):
+        # perfbench/tracer.py wraps these names and counts RHS work from the
+        # state passed first: the harness must call them by name, state first
+        calls = {"rhs_1d": [], "rhs_2d": [], "step": []}
+        for module, name in ((harness, "rhs_1d"), (harness, "rhs_2d"), (timestep, "step")):
+            original = getattr(module, name)
+
+            def recording(*args, _original=original, _name=name, **kwargs):
+                calls[_name].append(args[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        cfg = parse_config(text)
+        result = run_simulation(cfg)
+        if cfg.dimension == 1:
+            rhs_calls, kind, shape = calls["rhs_1d"], State1D, (cfg.grid_n, cfg.degree)
+        else:
+            rhs_calls, kind, shape = calls["rhs_2d"], State2D, (4, cfg.grid_nx, cfg.grid_ny)
+        assert result.steps > 0 and len(calls["step"]) == result.steps
+        assert len(rhs_calls) == result.steps * stages
+        for state in rhs_calls + calls["step"]:
+            assert type(state) is kind and state.data.shape == shape
+
 
 class TestCli:
     def write(self, tmp_path, text, name="run.cfg"):
@@ -176,6 +206,18 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_blowup_exit_three_2d(self, tmp_path, capsys):
+        # dt = 1e300 overflows the second ssprk3 stage before any max-norm test
+        cfg = self.write(
+            tmp_path,
+            "dimension=2\ngrid.nx=8\ngrid.ny=8\nmodel.name=advection\nmodel.ax=1.0\n"
+            "model.ay=1.0\nic.name=sine\ntime.dt=1e300\ntime.t_end=1e300\n",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite state after stage 2 (step 0)" in err
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_silent_divergence_exit_three(self, tmp_path, capsys, k):

@@ -221,6 +221,8 @@ class TestRhs1D:
         st = State1D(2, np.full(6, np.nan), np.zeros((6, 1)))
         with pytest.raises(ValueError):
             rhs_1d(st, g, el, advection1d(1.0), Upwind1D())
+        # a caller that has tested the state already skips the test
+        assert not rhs_1d(st, g, el, advection1d(1.0), Upwind1D(), assume_finite=True).all_finite()
 
 
 class TestCompiledTaps1D:
@@ -389,6 +391,17 @@ class TestRhs2D:
         st = random_state_2d(rng, 5, 6)
         r = rhs_2d(st, g, el, advection2d(0.7, -1.2), Upwind2D("adaptive"))
         assert abs(np.sum(r.averages)) <= 1e-12
+
+    def test_nonfinite_rejected(self):
+        g = Grid2D(5, 4)
+        el = build_element_2d()
+        fields = np.random.default_rng(17).standard_normal((4, 5, 4))
+        fields[3, 2, 1] = np.nan
+        st = State2D(*fields)
+        model, up = advection2d(0.8, -0.6), Upwind2D("adaptive")
+        with pytest.raises(ValueError, match="non-finite"):
+            rhs_2d(st, g, el, model, up)
+        assert not rhs_2d(st, g, el, model, up, assume_finite=True).all_finite()
 
     def test_nonlinear_rejected(self):
         g = Grid2D(4, 4)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from afpg.element1d import build_element
-from afpg.grid import Grid1D, Grid2D, project_initial, total_mass
-from afpg.models import SineIC, advection1d, advection2d, burgers1d
+from afpg.element2d import build_element_2d
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial, total_mass
+from afpg.models import SineIC, advection1d, advection2d, burgers1d, linear_system1d
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
 from afpg.timestep import (
     BLOWUP_FACTOR,
@@ -17,6 +18,99 @@ from afpg.timestep import (
     compute_dt,
     step,
 )
+
+
+def _checked(u, stage):
+    if not np.all(np.isfinite(u.data)):
+        raise BlowUpError(f"non-finite state after {stage}")
+    return u
+
+
+def oracle_step(state, t, dt, rhs_fn, scheme):
+    """The stepper as operator expressions, one fresh array per operation."""
+    if scheme == "euler":
+        return _checked(state + dt * rhs_fn(state), "euler stage")
+    if scheme == "ssprk3":
+        u1 = _checked(state + dt * rhs_fn(state), "stage 1")
+        u2 = _checked(0.75 * state + 0.25 * (u1 + dt * rhs_fn(u1)), "stage 2")
+        third = 1.0 / 3.0
+        return _checked(third * state + (2.0 * third) * (u2 + dt * rhs_fn(u2)), "stage 3")
+    k1 = rhs_fn(state)
+    k2 = rhs_fn(_checked(state + (0.5 * dt) * k1, "stage 1"))
+    k3 = rhs_fn(_checked(state + (0.5 * dt) * k2, "stage 2"))
+    k4 = rhs_fn(_checked(state + dt * k3, "stage 3"))
+    return _checked(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "stage 4")
+
+
+def _buffer(u):
+    return u if isinstance(u, np.ndarray) else u.data
+
+
+def _problem(case):
+    """(state, dt, rhs_fn) of one bit-identity case."""
+    rng = np.random.default_rng(41)
+    if case == "array":
+        # signed zeros, subnormals and both signs, with an rhs that mixes neighbours
+        u = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, -1.5, 3.25, 1e300])
+        return u, 0.37, lambda s: -2.1 * s + np.roll(s, 1)
+    if case == "scalar_1d":
+        g, el = Grid1D(12), build_element(4)
+        st = State1D(4, rng.standard_normal(12), rng.standard_normal((12, 3)))
+        model, up = advection1d(0.8), Upwind1D("adaptive")
+        return st, 0.01, lambda s: rhs_1d(s, g, el, model, up)
+    if case == "system_1d":
+        g, el = Grid1D(10), build_element(3)
+        st = State1D(3, rng.standard_normal((10, 2)), rng.standard_normal((10, 2, 2)))
+        model, up = linear_system1d([[0.0, 1.0], [1.0, 0.0]]), Upwind1D("adaptive")
+        return st, 0.02, lambda s: rhs_1d(s, g, el, model, up)
+    g, el = Grid2D(6, 5), build_element_2d()
+    st = State2D(*rng.standard_normal((4, 6, 5)))
+    model, up = advection2d(0.8, -0.6), Upwind2D("adaptive")
+    return st, 0.03, lambda s: rhs_2d(s, g, el, model, up)
+
+
+class TestInPlaceStages:
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    def test_bit_identical_to_operator_expressions(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        new = step(u, 0.0, dt, rhs_fn, scheme)
+        old = oracle_step(u, 0.0, dt, rhs_fn, scheme)
+        assert type(new) is type(old)
+        assert _buffer(new).tobytes() == _buffer(old).tobytes()
+
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    def test_result_aliases_nothing(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        before = _buffer(u).copy()
+        for fn in (rhs_fn, lambda s: s):  # the second hands its input back
+            returned = []
+
+            def recording(s):
+                r = fn(s)
+                returned.append(_buffer(r))
+                return r
+
+            out = _buffer(step(u, 0.0, dt, recording, scheme))
+            assert _buffer(u).tobytes() == before.tobytes()
+            assert not np.shares_memory(out, _buffer(u))
+            assert not any(np.shares_memory(out, r) for r in returned)
+
+    def test_consecutive_advance_results_independent(self):
+        u, dt, rhs_fn = _problem("state_2d")
+        integ = TimeIntegrator("ssprk3", dt=dt)
+        first, _, _ = advance(u, None, None, rhs_fn, 2 * dt, integ)
+        kept = first.data.copy()
+        second, _, _ = advance(first, None, None, rhs_fn, 2 * dt, integ)
+        assert np.array_equal(first.data, kept)
+        assert not np.shares_memory(first.data, second.data)
+        assert not np.shares_memory(first.data, u.data)
+
+    def test_nonfinite_initial_state_rejected(self):
+        u = np.array([1.0, np.nan])
+        with pytest.raises(ValueError, match="initial state"):
+            advance(u, None, None, lambda s: -s, 1.0, TimeIntegrator("euler", dt=0.1))
 
 
 class TestStep:
