@@ -26,6 +26,14 @@ def _frac_str(value) -> str:
     return str(Fraction(value))
 
 
+def _number(text, convert, option):
+    """A command-line value read by ``convert``; an unreadable one is a config error."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{option}: cannot read {text!r} as {convert.__name__}") from None
+
+
 def _dump_rows(rows, path):
     if path:
         with open(path, "w", newline="") as fh:
@@ -51,7 +59,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
-    grids = [int(g) for g in args.grids.split(",") if g]
+    grids = [_number(g, int, "--grids") for g in args.grids.split(",") if g]
     rows = convergence_study(cfg, grids)
     header = f"{'N':>6} {'L1':>13} {'L2':>13} {'Linf':>13} {'EOC_L1':>7} {'EOC_L2':>7} {'EOC_Li':>7}"
     print(header)
@@ -85,7 +93,7 @@ def _cmd_dump_element(args) -> int:
     for mw in element.moment_weights:
         rows.append(poly_row(f"moment_weight_{mw.k}", mw.poly))
     if args.alpha is not None:
-        test = build_point_test(element, Fraction(args.alpha))
+        test = build_point_test(element, _number(args.alpha, Fraction, "--alpha"))
         rows.append(poly_row("test_left_cell", test.left))
         rows.append(poly_row("test_right_cell", test.right))
     _dump_rows(rows, args.output)
@@ -120,7 +128,7 @@ def _cmd_dump_element_2d(args) -> int:
     for dof in DOF_IDS:
         rows.append(poly_row(f"basis_{_DOF_NAMES[dof]}", element.basis[dof]))
 
-    alphas = [Fraction(a) for a in args.alphas.split(",")] if args.alphas else []
+    alphas = [_number(a, Fraction, "--alphas") for a in (args.alphas or "").split(",") if a]
     if len(alphas) not in (0, 3, 14):
         raise ConfigError("--alphas takes 3 (edge) or 14 (edge + node) values")
     if alphas:

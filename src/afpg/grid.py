@@ -116,7 +116,9 @@ class Grid2D:
 
 
 class _FlatState:
-    """ODE arithmetic shared by the states: it acts on ``data`` only."""
+    """ODE arithmetic shared by the states: it acts on ``data`` only.  The
+    solver steps ``data`` in place; ``__add__``, ``__mul__`` and ``copy`` are
+    the reference arithmetic of ``tests/test_timestep.py::oracle_step``."""
 
     __slots__ = ("data",)
 

@@ -204,8 +204,8 @@ def _eoc(err_coarse, err_fine, ratio):
 def convergence_study(cfg: RunConfig, grid_sizes):
     """Error norms and experimental orders over a list of resolutions."""
     grid_sizes = list(grid_sizes)
-    if len(grid_sizes) < 2:
-        raise ConfigError("a convergence study needs at least 2 grids")
+    if len(grid_sizes) < 2 or min(grid_sizes) < 3:
+        raise ConfigError(f"a convergence study needs 2+ grids of 3+ cells, got {grid_sizes}")
     cfg = replace(cfg, output_dir="", output_snapshot_every=0)
 
     all_norms = []

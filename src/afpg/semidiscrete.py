@@ -21,12 +21,12 @@ run the moment rows and the one-sided interface derivatives D+ and D-
 the moment rows are then multiplied by -A and the interface values get
 -(J+ D+ + J- D-).
 
-Burgers evaluates the volume term of its moment rows by Gauss
-quadrature of the flux, and updates the interface values by
--J ((1+alpha)/2 D+ + (1-alpha)/2 D-) with alpha = sgn(J) when adaptive.
-An exact-integration point update is also available for it, which
-integrates the test function against the derivative of the quadratic
-flux in closed form.
+Burgers (f = q^2/2) pairs every row with d/dx f of a cell's
+reconstruction: an exact quadratic form in the cell's dofs, tabulated
+once per K and rounded once (``_burgers_forms``).  The moment rows use
+the table; the interface values use -J ((1+alpha)/2 D+ + (1-alpha)/2 D-)
+with alpha = sgn(J) when adaptive, or at K = 2 the table's exact
+one-sided pairings, blended by (1+alpha)/2 and (1-alpha)/2.
 
 In 2-d the edge and node stencils come from the pairing tables of the
 constructed test functions (see element2d): the same weights consume
@@ -60,8 +60,8 @@ from afpg.element2d import (
     flatten_stencil,
     node_pairing_table,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _values_at_gauss
-from afpg.poly import gauss_rule
+from afpg.grid import Grid1D, Grid2D, State1D, State2D
+from afpg.poly import inner1
 
 __all__ = [
     "Upwind1D",
@@ -151,15 +151,34 @@ def _tap_sums(stack, ndim, taps):
 
 
 @lru_cache(maxsize=None)
-def _moment_flux_weights(k: int, n: int):
-    """Burgers only: Gauss weights times the derivative of moment weights
-    1..K-2 at the n Gauss nodes (linear models run moment_stencil taps)."""
-    rule = gauss_rule(n)
-    xi, w = rule.nodes_array, rule.weights_array
-    return tuple(
-        w * np.polynomial.polynomial.polyval(xi, mw.poly.deriv().float_coeffs)
-        for mw in build_element(k).moment_weights[1:]
-    )
+def _burgers_forms(k: int) -> np.ndarray:
+    """Burgers' rows as exact quadratic forms on a cell's K+1 dofs, rounded
+    to float once: a (K+1, K+1, K+1) array of form matrices.
+
+    Forms 0..K-2 pair w_k with d/dxi (q^2/2), integrated by parts:
+    1/2 [(k+1) (e_R e_R^T - (-1)^k e_L e_L^T) - int w_k' b_s b_t].  Forms
+    K-1 and K are int phi b_s b_t' for the left piece of the alpha = +1
+    test function and the right piece of the alpha = -1 one.
+    """
+    element = build_element(k)
+    basis = element.basis()
+    forms = []
+    for w in element.moment_weights:
+        form = [[-inner1(w.poly.deriv(), b * c) / 2 for c in basis] for b in basis]
+        form[-1][-1] += Fraction(w.k + 1, 2)
+        form[0][0] -= Fraction((w.k + 1) * (-1) ** w.k, 2)
+        forms.append(form)
+    for phi in (build_point_test(element, 1).left, build_point_test(element, -1).right):
+        forms.append([[inner1(phi, b * c.deriv()) for c in basis] for b in basis])
+    return np.array(forms, dtype=float)
+
+
+def _cell_forms(state: State1D, forms: np.ndarray) -> np.ndarray:
+    """(F, N) values of the F quadratic forms on every cell's K+1 dofs."""
+    dofs = np.empty((state.k + 1, len(state.data)))
+    dofs[1:] = state.data.T
+    dofs[0, 1:], dofs[0, 0] = dofs[-1, :-1], dofs[-1, -1]  # the left neighbour's right end
+    return np.einsum("fsn,sn->fn", forms @ dofs, dofs)
 
 
 @lru_cache(maxsize=64)
@@ -200,10 +219,11 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
     Linear models run the compiled exact taps of every row; Burgers
-    integrates its moment rows by Gauss quadrature of the flux.
+    evaluates the exact quadratic forms of its moment rows.
     ``point_update`` selects the interface-value formula: "split" is
     the alpha-blend (scalar) or Jacobian-split (system) form, "exact"
-    the closed-form exact integration (Burgers only, K = 2).
+    the exact pairing of the test function with d/dx (q^2/2) (Burgers
+    only, K = 2; see rhs_point_burgers).
 
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
@@ -237,17 +257,8 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         return State1D._of(out)
 
     pts = state.points
-    f_right = np.asarray(model.flux(pts), dtype=float)
-    f_left = np.roll(f_right, 1, axis=0)
     out = np.empty_like(state.data)
-    out[:, 0] = -(f_right - f_left) / dx
-    if k > 2:
-        n_rule = k + 2  # one Gauss node more than a linear flux would need
-        fg = np.asarray(model.flux(_values_at_gauss(state, n_rule)), dtype=float)
-        for kk, wd in enumerate(_moment_flux_weights(k, n_rule), start=1):
-            vol = np.tensordot(fg, wd, axes=([1], [0]))
-            out[:, kk] = -((kk + 1.0) * f_right - (kk + 1.0) * (-1.0) ** kk * f_left - vol) / dx
-
+    np.divide(_cell_forms(state, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
     if point_update == "exact":
         out[:, -1] = rhs_point_burgers(state, grid, upwind)
         return State1D._of(out)
@@ -262,37 +273,15 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
 def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndarray:
     """Exact-integration interface update for Burgers, K = 2.
 
-    The pairing of the interface test function with the derivative of
-    the quadratic flux of the reconstruction integrates in closed form;
-    both one-sided contributions are quadratic in the local dofs.
+    The pairing of the interface test function with d/dx (q^2/2): the
+    one-sided forms of ``_burgers_forms`` on the cells left and right of
+    each interface, blended by (1+alpha)/2 and (1-alpha)/2.
     """
     if state.k != 2:
         raise ValueError("the exact-integration Burgers update needs K = 2")
-    pts = state.points
-    avg = state.moments[:, 0]
-    q_left = np.roll(pts, 1, axis=0)  # value at interface i-1/2
-    q_mid = pts  # value at interface i+1/2
-    q_right = np.roll(pts, -1, axis=0)  # value at interface i+3/2
-    avg_l = avg  # average of cell i
-    avg_r = np.roll(avg, -1, axis=0)  # average of cell i+1
-    dx = grid.dx
-
-    if upwind.mode == "adaptive":
-        alpha = np.sign(q_mid)
-    else:
-        alpha = upwind.alpha
-
-    left_part = (
-        -9.0 * (q_left - 2.0 * avg_l) ** 2
-        + 2.0 * (q_left - 12.0 * avg_l) * q_mid
-        + 31.0 * q_mid**2
-    ) / (10.0 * dx)
-    right_part = (
-        9.0 * (q_right - 2.0 * avg_r) ** 2
-        - 2.0 * (q_right - 12.0 * avg_r) * q_mid
-        - 31.0 * q_mid**2
-    ) / (10.0 * dx)
-    return -(0.5 * (1.0 + alpha) * left_part + 0.5 * (1.0 - alpha) * right_part)
+    left, right = _cell_forms(state, _burgers_forms(2)[-2:])
+    alpha = np.sign(state.points) if upwind.mode == "adaptive" else upwind.alpha
+    return -(0.5 * (1.0 + alpha) * left + 0.5 * (1.0 - alpha) * np.roll(right, -1)) / grid.dx
 
 
 def _tap_target(key):

@@ -253,6 +253,19 @@ class TestCli:
     def test_dump_element_rejects_bad_degree(self, tmp_path):
         assert main(["dump-element", "--k", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dump-element", "--k", "2", "--alpha", "abc"],
+        ["dump-element", "--k", "2", "--alpha", "1/0"],
+        ["dump-element-2d", "--alphas", "a,b,c"],
+        ["converge", "CFG", "--grids", "20,x"],
+        ["converge", "CFG", "--grids", "2,4"],
+        ["converge", "CFG", "--grids", "0,40"],
+    ])
+    def test_malformed_values_exit_two(self, tmp_path, capsys, argv):
+        cfg = self.write(tmp_path, BASE_CFG)
+        assert main([cfg if a == "CFG" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_dump_element_2d_coefficients(self, tmp_path):
         out = tmp_path / "el2.csv"
         assert main(["dump-element-2d", "--output", str(out)]) == 0

@@ -17,6 +17,7 @@ from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg.poly import diff2, inner1, inner2
 from afpg.semidiscrete import (
+    _burgers_forms,
     _compile_taps_1d,
     _tap,
     Upwind1D,
@@ -168,10 +169,11 @@ class TestRhs1D:
             assert np.max(np.abs(r.points - expected[:, -1])) <= 1e-14 * scale
             assert np.max(np.abs(r.moments - expected[:, :-1])) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_oracle_equivalence_burgers_moments(self, k):
-        # Burgers keeps Gauss quadrature of its flux for the moment rows;
-        # K+2 nodes integrate the pairing with d/dx(q^2/2) exactly up to K = 6
+        # every moment row, the flux difference of row 0 included, comes
+        # from the exact quadratic forms; the oracle pairs w_k with
+        # d/dx(q^2/2) of the exact reconstruction
         rng = np.random.default_rng(30 + k)
         n = 6
         g = Grid1D(n)
@@ -243,6 +245,41 @@ class TestCompiledTaps1D:
                 _tap(c, (o,), float(w * scale)) for (c, o), w in zip(window, row) if w != 0
             )
             assert got == expected
+
+
+class TestBurgersForms:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_forms_are_exact_pairings_rounded_once(self, k):
+        # moment forms 1/2 [(k+1)(e_R e_R^T - (-1)^k e_L e_L^T) - int w_k' b_s b_t],
+        # then int phi b_s b_t' for the two one-sided interface test pieces
+        el = build_element(k)
+        basis = el.basis()
+        exact = []
+        for w in el.moment_weights:
+            form = [[-inner1(w.poly.deriv(), b * c) / 2 for c in basis] for b in basis]
+            form[-1][-1] += Fraction(w.k + 1, 2)
+            form[0][0] -= Fraction(w.k + 1, 2) * (-1) ** w.k
+            exact.append(form)
+        for phi in (build_point_test(el, 1).left, build_point_test(el, -1).right):
+            exact.append([[inner1(phi, b * c.deriv()) for c in basis] for b in basis])
+        forms = _burgers_forms(k)
+        assert forms.shape == (k + 1, k + 1, k + 1)
+        for got, form in zip(forms, exact):
+            assert got.tolist() == [[float(v) for v in row] for row in form]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_forms_pair_the_reconstruction(self, k):
+        # on one cell's dofs each form equals its pairing with d/dxi(q^2/2)
+        rng = np.random.default_rng(40 + k)
+        el = build_element(k)
+        dofs = [Fraction(float(v)) for v in rng.standard_normal(k + 1)]
+        q = reconstruct(el, dofs)
+        tests = (build_point_test(el, 1).left, build_point_test(el, -1).right)
+        pairings = [inner1(w.poly, q * q.deriv()) for w in el.moment_weights]
+        pairings += [inner1(phi, q * q.deriv()) for phi in tests]
+        d = np.array([float(v) for v in dofs])
+        for form, oracle in zip(_burgers_forms(k), pairings):
+            assert d @ form @ d == pytest.approx(float(oracle), rel=1e-12, abs=1e-12)
 
 
 class TestBurgersPointUpdate:
