@@ -93,7 +93,10 @@ def _cmd_dump_element(args) -> int:
     for mw in element.moment_weights:
         rows.append(poly_row(f"moment_weight_{mw.k}", mw.poly))
     if args.alpha is not None:
-        test = build_point_test(element, _number(args.alpha, Fraction, "--alpha"))
+        alpha = _number(args.alpha, Fraction, "--alpha")
+        if abs(alpha) > 1:
+            raise ConfigError("--alpha must lie in [-1, 1]")
+        test = build_point_test(element, alpha)
         rows.append(poly_row("test_left_cell", test.left))
         rows.append(poly_row("test_right_cell", test.right))
     _dump_rows(rows, args.output)
@@ -131,6 +134,8 @@ def _cmd_dump_element_2d(args) -> int:
     alphas = [_number(a, Fraction, "--alphas") for a in (args.alphas or "").split(",") if a]
     if len(alphas) not in (0, 3, 14):
         raise ConfigError("--alphas takes 3 (edge) or 14 (edge + node) values")
+    if alphas and abs(alphas[2]) > 1:
+        raise ConfigError("--alphas: the edge weight alpha3 must lie in [-1, 1]")
     if alphas:
         edge = build_edge_test(tuple(alphas[:3]), orientation="x")
         for off, name in (((0, 0), "edge_test_left_cell"), ((1, 0), "edge_test_right_cell")):

@@ -8,6 +8,7 @@ form (every key, sorted), which round-trips through the parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "serialize_config"]
@@ -26,9 +27,12 @@ def _parse_int(s):
 
 def _parse_float(s):
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise ConfigError(f"expected a number, got {s!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_floats(s):

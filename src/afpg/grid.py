@@ -285,13 +285,20 @@ def _gauss_basis_2d(n: int) -> np.ndarray:
     )
 
 
+def _dof_gather_1d(state: State1D) -> np.ndarray:
+    """(K+1, N[, m]): each cell's dofs in the element1d dof order, the left
+    neighbour's interface value first."""
+    data = state.data
+    dofs = np.empty((data.shape[1] + 1, data.shape[0], *data.shape[2:]))
+    dofs[1:] = np.moveaxis(data, 1, 0)
+    dofs[0, 1:], dofs[0, 0] = dofs[-1, :-1], dofs[-1, -1]
+    return dofs
+
+
 def _values_at_gauss(state: State1D, n: int) -> np.ndarray:
     """(N, n[, m]): each cell's reconstruction at the n-point Gauss nodes."""
-    left = np.roll(state.points, 1, axis=0)
-    dofs = np.concatenate([left[:, None, ...], state.data], axis=1)
-    # explicit subscripts: with "..." einsum takes a slower path
-    subscripts = "ns,sg->ng" if dofs.ndim == 2 else "nsm,sg->ngm"
-    return np.einsum(subscripts, dofs, _gauss_basis_1d(state.k, n))
+    values = np.tensordot(_gauss_basis_1d(state.k, n).T, _dof_gather_1d(state), axes=1)
+    return np.moveaxis(values, 0, 1)
 
 
 def error_norms(state, grid, element, exact):

@@ -1,7 +1,8 @@
 """Flux models and reference data for the desk-scale benchmark problems.
 
-Every model exposes its dimension, system size m, pointwise flux and
-Jacobian, and the maximum wave speed used for time-step control.
+Every model exposes its dimension, system size m and the maximum wave
+speed used for time-step control; the 1-d models also give their
+Jacobian.
 Constant-coefficient linear systems precompute the eigenvalue split of
 the Jacobian; scalar models split sign by sign at evaluation time.
 Where an exact solution is cheap (translation for linear advection,
@@ -45,9 +46,6 @@ class Advection1D:
     def __init__(self, a):
         self.a = float(a)
 
-    def flux(self, q):
-        return self.a * q
-
     def jac(self, q):
         return self.a * np.ones_like(np.asarray(q, dtype=float))
 
@@ -70,9 +68,6 @@ class Burgers1D:
     m = 1
     is_linear = False
     name = "burgers"
-
-    def flux(self, q):
-        return 0.5 * np.asarray(q) ** 2
 
     def jac(self, q):
         return np.asarray(q, dtype=float)
@@ -154,9 +149,6 @@ class LinearSystem1D:
         self.jac_plus = eigvecs @ np.diag(np.maximum(eigvals, 0.0)) @ self.eigvecs_inv
         self.jac_minus = eigvecs @ np.diag(np.minimum(eigvals, 0.0)) @ self.eigvecs_inv
 
-    def flux(self, q):
-        return np.asarray(q) @ self.matrix.T
-
     def jac(self, q):
         return self.matrix
 
@@ -192,12 +184,6 @@ class Advection2D:
     def __init__(self, ax, ay):
         self.ax = float(ax)
         self.ay = float(ay)
-
-    def flux_x(self, q):
-        return self.ax * q
-
-    def flux_y(self, q):
-        return self.ay * q
 
     def max_speed(self, points) -> float:
         return max(abs(self.ax), abs(self.ay))

@@ -1,37 +1,35 @@
 """Spatial discretization: assemble dQ/dt from the current state.
 
-For a linear flux every row of the scheme is a fixed exact linear form
-on a few neighbouring dofs, and runs as an exact tap list compiled once
-per grid spacing (and per velocity and upwind setting): exact weights,
-each rounded to float once, on fields of the state shifted by at most
-one cell.  A call sums weighted slice views of one wrap-padded copy of
-the state buffer; one pad and one tap-sum loop serve both dimensions.
+Every row pairs a test function with the derivative of the flux of the
+reconstruction and runs from exact weights, tabulated once and rounded
+to float once.
 
-In 1-d the moment rows pair each moment weight with the derivative of
-the cell's reconstruction (``element1d.moment_stencil``, integrated by
-parts: the boundary terms use the shared interface values, and row 0 is
-the plain flux difference).  The interface rows pair the interface test
-function with the derivative of the global reconstruction
-(``element1d.derivative_stencil``).  A scalar linear model q_t + a q_x
-= 0 runs one tap list per output column: the K-1 moment rows and the
-interface row at upwind weight alpha, all times -a/dx, with alpha =
-sgn(a) when adaptive and the stored alpha when fixed.  Linear systems
-run the moment rows and the one-sided interface derivatives D+ and D-
-(the interface row at alpha = +1 and -1), divided by dx, in one call;
-the moment rows are then multiplied by -A and the interface values get
--(J+ D+ + J- D-).
+In 1-d a moment weight lives on one cell and an interface test function
+has one piece on each of the two cells at its interface, so every row
+reads one cell's K+1 dofs (left endpoint, moments, right endpoint),
+gathered once per call by ``grid._dof_gather_1d``.  ``_linear_rows``
+holds the K-1 moment rows of ``element1d.moment_stencil`` (row 0 is the
+plain endpoint difference) and the one-sided interface derivatives of
+``element1d.derivative_stencil``: D+ (alpha = +1) on the cell left of
+an interface, D- (alpha = -1) on the cell right of it.  ``_blend``
+joins the two into the interface values:
 
-Burgers (f = q^2/2) pairs every row with d/dx f of a cell's
-reconstruction: an exact quadratic form in the cell's dofs, tabulated
-once per K and rounded once (``_burgers_forms``).  The moment rows use
-the table; the interface values use -J ((1+alpha)/2 D+ + (1-alpha)/2 D-)
-with alpha = sgn(J) when adaptive, or at K = 2 the table's exact
-one-sided pairings, blended by (1+alpha)/2 and (1-alpha)/2.
+- scalar linear models q_t + a q_x = 0: every row times -a/dx, D+ and
+  D- weighted by (1+alpha)/2 and (1-alpha)/2, with alpha = sgn(a) when
+  adaptive and the stored alpha when fixed;
+- linear systems: -A on the moment rows, -J+ on D+ and -J- on D-;
+- Burgers (f = q^2/2): the moment rows are exact quadratic forms in the
+  cell's dofs (``_burgers_forms``); D+ and D- are weighted by
+  -J (1+alpha)/2 and -J (1-alpha)/2 with alpha = sgn(J) when adaptive,
+  or at K = 2 the forms' exact one-sided pairings by (1+alpha)/2 and
+  (1-alpha)/2.
 
 In 2-d the edge and node stencils come from the pairing tables of the
 constructed test functions (see element2d): the same weights consume
 x-derivatives for the x-flux part and y-derivatives for the y-flux
-part.  Simpson taps give the flux differences of the averages.
+part.  Simpson taps give the flux differences of the averages.  Each
+output field runs an exact tap list, compiled once per grid spacing,
+velocity and upwind setting, on one wrap-padded copy of the state.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from afpg.element2d import (
     flatten_stencil,
     node_pairing_table,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d
 from afpg.poly import inner1
 
 __all__ = [
@@ -128,26 +126,40 @@ def _tap(field, offset, weight):
     return (field, *(slice(1 + o, o - 1 or None) for o in offset)), weight
 
 
-def _wrap_pad(a, ndim):
-    """Copy of a (fields, *cells[, m]) stack with one periodic ghost layer on
-    each of its ``ndim`` cell axes."""
-    p = np.empty((a.shape[0], *(s + 2 for s in a.shape[1 : ndim + 1]), *a.shape[ndim + 1 :]))
-    p[(slice(None), *(slice(1, -1),) * ndim)] = a
-    for axis in range(1, ndim + 1):
-        lead = (slice(None),) * axis
-        p[(*lead, 0)], p[(*lead, -1)] = p[(*lead, -2)], p[(*lead, 1)]
+def _wrap_pad(a):
+    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each cell axis."""
+    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2))
+    p[:, 1:-1, 1:-1] = a
+    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
     return p
 
 
-def _tap_sums(stack, ndim, taps):
-    """Per tap list, the sum of weight times shifted field, periodic on ``ndim`` cell axes."""
-    padded = _wrap_pad(stack, ndim)
+def _tap_sums(stack, taps):
+    """Per tap list, the sum of weight times shifted field, periodic on both cell axes."""
+    padded = _wrap_pad(stack)
     out = np.zeros((len(taps), *stack.shape[1:]))
     scratch = np.empty(out.shape[1:])
     for total, field_taps in zip(out, taps):
         for index, w in field_taps:
             total += np.multiply(padded[index], w, out=scratch)
     return out
+
+
+@lru_cache(maxsize=None)
+def _linear_rows(k: int) -> np.ndarray:
+    """The 1-d linear rows as exact weights on a cell's K+1 dofs, each
+    rounded to float once: a (K+1, K+1) array in xi units.
+
+    Rows 0..K-2 are the moment rows of moment_stencil.  Row K-1 is D+,
+    the interface row at alpha = +1 (the derivative of the cell's
+    reconstruction at its right endpoint); row K is D-, the interface
+    row at alpha = -1 (the derivative at its left endpoint).
+    """
+    element = build_element(k)
+    d_plus = derivative_stencil(element, build_point_test(element, 1)).weights[: k + 1]
+    d_minus = derivative_stencil(element, build_point_test(element, -1)).weights[k:]
+    return np.array([*moment_stencil(element), d_plus, d_minus], dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -173,57 +185,33 @@ def _burgers_forms(k: int) -> np.ndarray:
     return np.array(forms, dtype=float)
 
 
-def _cell_forms(state: State1D, forms: np.ndarray) -> np.ndarray:
-    """(F, N) values of the F quadratic forms on every cell's K+1 dofs."""
-    dofs = np.empty((state.k + 1, len(state.data)))
-    dofs[1:] = state.data.T
-    dofs[0, 1:], dofs[0, 0] = dofs[-1, :-1], dofs[-1, -1]  # the left neighbour's right end
+def _cell_forms(dofs: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """(F, N) values of the F quadratic forms on the gathered (K+1, N) cell dofs."""
     return np.einsum("fsn,sn->fn", forms @ dofs, dofs)
 
 
-@lru_cache(maxsize=64)
-def _compile_taps_1d(k: int, dx, a=None, alpha=None):
-    """Exact taps of rhs_1d, one tap list per row.
-
-    The rows are the K-1 moment rows of moment_stencil, then interface
-    rows of derivative_stencil.  With ``a`` given (scalar linear
-    models) there is one interface row, at upwind weight ``alpha``, and
-    every weight is multiplied by -a/dx: the lists are the whole right
-    side, in the column order of the state buffer.  Without it
-    (systems, Burgers) the interface rows are D+ (alpha = +1, the
-    derivative of the left cell's reconstruction at its right endpoint)
-    and D- (alpha = -1, the right cell's at its left endpoint), and the
-    weights are divided by dx; the caller applies the Jacobian.  Weights
-    are scaled in exact arithmetic and rounded once.
-    """
-    element = build_element(k)
-    # the stencil window as (column, cell offset): left endpoint, then the
-    # K columns of the cell left of the interface, then those of the right
-    # cell; a moment row reads the first K+1 entries
-    window = [(k - 1, (-1,))] + [(c, (o,)) for o in (0, 1) for c in range(k)]
-    if a is None:
-        scale, alphas = 1 / Fraction(dx), (1, -1)
-    else:
-        scale, alphas = -Fraction(a) / Fraction(dx), (alpha,)
-    rows = moment_stencil(element) + tuple(
-        derivative_stencil(element, build_point_test(element, al)).weights for al in alphas
-    )
-    return tuple(
-        tuple(_tap(*t, float(w * scale)) for t, w in zip(window, row) if w != 0)
-        for row in rows
-    )
+def _blend(out, d_plus, d_minus, w_plus=1.0, w_minus=1.0):
+    """Fill the interface values ``out`` in place: interface i, right of
+    cell i, gets w_plus D+ of cell i plus w_minus D- of cell i+1
+    (periodic).  The weights are numbers or per-interface arrays;
+    ``d_plus`` is overwritten."""
+    out[:-1], out[-1] = d_minus[1:], d_minus[0]
+    np.multiply(out, w_minus, out=out)
+    np.add(out, np.multiply(d_plus, w_plus, out=d_plus), out=out)
+    return out
 
 
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
            point_update: str = "split", *, assume_finite: bool = False) -> State1D:
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
-    Linear models run the compiled exact taps of every row; Burgers
-    evaluates the exact quadratic forms of its moment rows.
-    ``point_update`` selects the interface-value formula: "split" is
-    the alpha-blend (scalar) or Jacobian-split (system) form, "exact"
-    the exact pairing of the test function with d/dx (q^2/2) (Burgers
-    only, K = 2; see rhs_point_burgers).
+    Every row is a table on the gathered cell dofs: ``_linear_rows``
+    for the linear rows and for Burgers' D+/D-, ``_burgers_forms`` for
+    Burgers' moment rows; ``_blend`` joins the two cells of each
+    interface.  ``point_update`` selects the interface-value formula:
+    "split" is the alpha-blend (scalar) or Jacobian-split (system,
+    Burgers) form, "exact" the exact pairing of the test function with
+    d/dx (q^2/2) (Burgers only, K = 2; see rhs_point_burgers).
 
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
@@ -240,33 +228,36 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         raise ValueError(f"unknown point update {point_update!r}")
     if point_update == "exact" and model.name != "burgers":
         raise ValueError("exact-integration point update is Burgers-only")
+    if model.is_linear and model.m > 1 and upwind.mode == "fixed":
+        raise ValueError("fixed-alpha updates apply to scalar models only")
 
     dx = grid.dx
-    stack = np.moveaxis(state.data, 1, 0)
+    dofs = _dof_gather_1d(state)
+    out = np.empty_like(state.data)
     if model.is_linear and model.m == 1:
         alpha = float(np.sign(model.a)) if upwind.mode == "adaptive" else upwind.alpha
-        sums = _tap_sums(stack, 1, _compile_taps_1d(k, dx, model.a, alpha))
-        return State1D._of(np.ascontiguousarray(sums.T))
+        c = -model.a / dx
+        rows = _linear_rows(k)
+        # one product straight into the (N, K) state layout: no (K-1, N) temporary to transpose
+        np.matmul(dofs.T, rows[:-2].T * c, out=out[:, :-1])
+        d_plus, d_minus = rows[-2:] @ dofs
+        _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
+        return State1D._of(out)
     if model.is_linear:
-        if upwind.mode == "fixed":
-            raise ValueError("fixed-alpha updates apply to scalar models only")
-        sums = _tap_sums(stack, 1, _compile_taps_1d(k, dx))
-        out = np.empty_like(state.data)
-        out[:, :-1] = np.moveaxis(-(sums[:-2] @ model.matrix.T), 0, 1)
-        out[:, -1] = -(sums[-2] @ model.jac_plus.T + sums[-1] @ model.jac_minus.T)
+        rows = np.tensordot(_linear_rows(k), dofs, axes=1)
+        out[:, :-1] = np.moveaxis(rows[:-2] @ (model.matrix.T / -dx), 0, 1)
+        jac_plus, jac_minus = model.jac_plus.T / -dx, model.jac_minus.T / -dx
+        _blend(out[:, -1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
         return State1D._of(out)
 
-    pts = state.points
-    out = np.empty_like(state.data)
-    np.divide(_cell_forms(state, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
+    np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
     if point_update == "exact":
         out[:, -1] = rhs_point_burgers(state, grid, upwind)
         return State1D._of(out)
-
-    d_plus, d_minus = _tap_sums(stack, 1, _compile_taps_1d(k, dx)[-2:])
-    alpha = choose_alpha(model, pts) if upwind.mode == "adaptive" else upwind.alpha
-    jac = np.asarray(model.jac(pts), dtype=float)
-    out[:, -1] = -jac * (0.5 * (1.0 + alpha) * d_plus + 0.5 * (1.0 - alpha) * d_minus)
+    alpha = choose_alpha(model, state.points) if upwind.mode == "adaptive" else upwind.alpha
+    jac = model.jac(state.points) / -dx
+    d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
+    _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * jac, 0.5 * (1.0 - alpha) * jac)
     return State1D._of(out)
 
 
@@ -279,9 +270,10 @@ def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndar
     """
     if state.k != 2:
         raise ValueError("the exact-integration Burgers update needs K = 2")
-    left, right = _cell_forms(state, _burgers_forms(2)[-2:])
+    left, right = _cell_forms(_dof_gather_1d(state), _burgers_forms(2)[-2:])
     alpha = np.sign(state.points) if upwind.mode == "adaptive" else upwind.alpha
-    return -(0.5 * (1.0 + alpha) * left + 0.5 * (1.0 - alpha) * np.roll(right, -1)) / grid.dx
+    scale = -0.5 / grid.dx
+    return _blend(np.empty_like(left), left, right, (1.0 + alpha) * scale, (1.0 - alpha) * scale)
 
 
 def _tap_target(key):
@@ -358,4 +350,4 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
         raise ValueError("state contains non-finite values")
 
     taps = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
-    return State2D._of(_tap_sums(state.data, 2, taps))
+    return State2D._of(_tap_sums(state.data, taps))

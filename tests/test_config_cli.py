@@ -62,6 +62,15 @@ class TestConfig:
             "model.name=burgers\nmodel.point_update=exact\nk=3",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed",
             "model.name=linear_system\nmodel.matrix=0.8",  # one field: use advection
+            # non-finite numbers: each ran 0 steps, a wrong answer or a traceback
+            "time.t_end=nan",
+            "time.t_end=inf",
+            "time.dt=inf",
+            "time.cfl=nan",
+            "model.a=nan",
+            "grid.x_max=inf",
+            "upwind.node_alphas=0,0,0,0,0,0,0,nan",
+            "model.name=linear_system\nmodel.matrix=0,1;-inf,0",
         ],
     )
     def test_validation_errors(self, line):
@@ -260,6 +269,8 @@ class TestCli:
         ["converge", "CFG", "--grids", "20,x"],
         ["converge", "CFG", "--grids", "2,4"],
         ["converge", "CFG", "--grids", "0,40"],
+        ["dump-element", "--k", "2", "--alpha", "3"],
+        ["dump-element-2d", "--alphas", "0,0,5"],  # alpha3; alpha1 and alpha2 are free
     ])
     def test_malformed_values_exit_two(self, tmp_path, capsys, argv):
         cfg = self.write(tmp_path, BASE_CFG)

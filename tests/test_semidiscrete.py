@@ -18,8 +18,7 @@ from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg.poly import diff2, inner1, inner2
 from afpg.semidiscrete import (
     _burgers_forms,
-    _compile_taps_1d,
-    _tap,
+    _linear_rows,
     Upwind1D,
     Upwind2D,
     choose_alpha,
@@ -110,13 +109,19 @@ class TestRhs1D:
 
     def test_conservation_telescopes(self):
         rng = np.random.default_rng(1)
-        for k in (2, 3):
-            g = Grid1D(9)
+        g = Grid1D(9)
+        for k in (2, 3, 4, 5, 6):
             el = build_element(k)
             st = random_state_1d(rng, 9, k)
             for model in (advection1d(0.8), burgers1d()):
                 r = rhs_1d(st, g, el, model, Upwind1D("adaptive"))
                 assert abs(np.sum(r.moments[:, 0])) <= 1e-12
+            system = rhs_1d(random_state_1d(rng, 9, k, m=2), g, el,
+                            linear_system1d([[0.3, 1.2], [0.5, -0.4]]), Upwind1D("adaptive"))
+            assert np.max(np.abs(np.sum(system.moments[:, 0], axis=0))) <= 1e-12
+        st = random_state_1d(rng, 9, 2)
+        r = rhs_1d(st, g, build_element(2), burgers1d(), Upwind1D("adaptive"), "exact")
+        assert abs(np.sum(r.moments[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [None, 0.37], ids=["adaptive", "fixed0.37"])
     @pytest.mark.parametrize("a", [1.0, -0.7])
@@ -227,24 +232,21 @@ class TestRhs1D:
         assert not rhs_1d(st, g, el, advection1d(1.0), Upwind1D(), assume_finite=True).all_finite()
 
 
-class TestCompiledTaps1D:
-    @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
+class TestLinearRows:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
-        # moment rows, then the interface row at alpha, each weight times
-        # -a/dx in exact arithmetic and rounded to float once
-        dx = 1 / 7
+    def test_rows_are_exact_rows_rounded_once(self, k):
+        # the moment rows, then D+ (alpha = +1, on the left cell's K+1
+        # dofs) and D- (alpha = -1, on the right cell's), each weight
+        # rounded to float once
         el = build_element(k)
-        rows = (*moment_stencil(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
-        scale = -Fraction(a) / Fraction(dx)
-        window = [(k - 1, -1)] + [(c, o) for o in (0, 1) for c in range(k)]
-        taps = _compile_taps_1d(k, dx, a, alpha)
-        assert len(taps) == k
-        for row, got in zip(rows, taps):
-            expected = tuple(
-                _tap(c, (o,), float(w * scale)) for (c, o), w in zip(window, row) if w != 0
-            )
-            assert got == expected
+        d_plus = derivative_stencil(el, build_point_test(el, 1)).weights
+        d_minus = derivative_stencil(el, build_point_test(el, -1)).weights
+        # the full-upwind rows read one cell only
+        assert not any(d_plus[k + 1:]) and not any(d_minus[:k])
+        exact = [*moment_stencil(el), d_plus[: k + 1], d_minus[k:]]
+        rows = _linear_rows(k)
+        assert rows.shape == (k + 1, k + 1)
+        assert rows.tolist() == [[float(w) for w in row] for row in exact]
 
 
 class TestBurgersForms:
