@@ -232,6 +232,39 @@ class TestRhs1D:
         assert not rhs_1d(st, g, el, advection1d(1.0), Upwind1D(), assume_finite=True).all_finite()
 
 
+class TestCompiledTaps1D:
+    @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
+        # the taps rhs_1d applies, read off one unit dof at a time: the
+        # moment rows, then the interface row at alpha, each weight times
+        # -a/dx in exact arithmetic.  The table entry is rounded once; the
+        # scale and the D+/D- blend add at most a few half-ulp roundings,
+        # so each tap lies within 2 eps of its row's largest weight.
+        g = Grid1D(7)
+        el = build_element(k)
+        rows = (*moment_stencil(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
+        scale = -Fraction(a) / Fraction(g.dx)
+        i = 3
+        window = [(k - 1, -1)] + [(c, o) for o in (0, 1) for c in range(k)]
+        taps = np.empty((k, g.n, k))
+        for j in range(g.n):
+            for c in range(k):
+                data = np.zeros((g.n, k))
+                data[j, c] = 1.0
+                st = State1D(k, data[:, -1], data[:, :-1])
+                taps[:, j, c] = rhs_1d(st, g, el, advection1d(a), Upwind1D("fixed", alpha)).data[i]
+        for got, row in zip(taps, rows):
+            exact = {((i + o) % g.n, c): w * scale for (c, o), w in zip(window, row)}
+            bound = 2 * np.finfo(float).eps * max(abs(float(w)) for w in exact.values())
+            for (j, c), w in exact.items():
+                assert abs(Fraction(got[j, c]) - w) <= bound
+            # nothing outside the one-cell window
+            outside = np.ones((g.n, k), dtype=bool)
+            outside[tuple(zip(*exact))] = False
+            assert not np.any(got[outside])
+
+
 class TestLinearRows:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_rows_are_exact_rows_rounded_once(self, k):
