@@ -16,7 +16,6 @@ from afpg.element1d import (
     build_element,
     build_point_test,
     derivative_stencil,
-    moment_stencil,
     moment_weight,
     reconstruct,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "integrate1", "inner1", "differentiate1", "integrate2", "inner2", "diff2",
     "MomentWeight", "Element1D", "PointTest1D", "DerivStencil1D",
     "moment_weight", "build_element", "build_point_test", "derivative_stencil",
-    "moment_stencil", "reconstruct",
+    "reconstruct",
     "DOF_IDS", "Element2D", "EdgeTest2D", "NodeTest2D", "DerivStencil2D",
     "build_element_2d", "build_edge_test", "build_node_test",
     "edge_derivative_stencils", "node_derivative_stencils", "reconstruct2d",

@@ -166,10 +166,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for attr in ("grid_n", "grid_nx", "grid_ny"):
         if getattr(cfg, attr) < 3:
             raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be >= 3")
-    if not cfg.grid_x_max > cfg.grid_x_min:
-        raise ConfigError("grid.x_max must exceed grid.x_min")
-    if not cfg.grid_y_max > cfg.grid_y_min:
-        raise ConfigError("grid.y_max must exceed grid.y_min")
+    for axis in ("x", "y"):
+        width = getattr(cfg, f"grid_{axis}_max") - getattr(cfg, f"grid_{axis}_min")
+        if not width > 0:
+            raise ConfigError(f"grid.{axis}_max must exceed grid.{axis}_min")
+        if not math.isfinite(width):
+            raise ConfigError(f"grid.{axis}_max - grid.{axis}_min must be finite")
     if abs(cfg.upwind_alpha) > 1 or abs(cfg.upwind_alpha3) > 1:
         raise ConfigError("upwind alpha weights must lie in [-1, 1]")
     if abs(cfg.upwind_beta) > 0.5:

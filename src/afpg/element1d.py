@@ -20,9 +20,11 @@ monomial coefficients, and stay in exact rational arithmetic (a float
 alpha enters at its exact binary value).  ``derivative_stencil``
 collapses the pairing of a test function with the derivative of the
 global reconstruction into weights on the 2K+1 degrees of freedom of
-the two cells meeting at the interface; ``moment_stencil`` does the same
-for the pairing of each moment weight with the derivative of the cell's
-own reconstruction, on its K+1 degrees of freedom.
+the two cells meeting at the interface.  ``Element1D.dof_values``
+applies every dof functional to a polynomial; by biorthogonality, a
+moment weight pairs with any polynomial of the cell space as its
+moment functional, so the dof values of each basis derivative b_s'
+give the runtime's rows directly (see semidiscrete).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "build_element",
     "build_point_test",
     "derivative_stencil",
-    "moment_stencil",
     "reconstruct",
 ]
 
@@ -179,27 +180,6 @@ def derivative_stencil(element: Element1D, test: PointTest1D) -> DerivStencil1D:
     for i, d in enumerate(d_left_end):
         weights[k + i] += w_right_cell * d
     return DerivStencil1D(k, tuple(weights))
-
-
-def moment_stencil(element: Element1D) -> tuple:
-    """Dof weights of the moment rows: row k pairs w_k with q' over the cell.
-
-    Row k (k = 0..K-2) holds K+1 exact weights on the cell's dofs (left
-    endpoint, moments 0..K-2, right endpoint).  Integrating by parts,
-    the weight on dof s is (k+1) [delta_right - (-1)^k delta_left]
-    minus the pairing of w_k' with basis function s; the boundary terms
-    are w_k(+-1/2) = (k+1) (+-1)^k times the endpoint dofs.  Row 0 is
-    the plain endpoint difference.  In x units the rows are divided by dx.
-    """
-    basis = element.basis()
-    rows = []
-    for w in element.moment_weights:
-        d_w = differentiate1(w.poly)
-        row = [-inner1(d_w, b) for b in basis]
-        row[-1] += w.k + 1
-        row[0] -= (w.k + 1) * (-1) ** w.k
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def reconstruct(element: Element1D, dofs) -> Poly1:

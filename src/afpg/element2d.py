@@ -34,7 +34,10 @@ Continuity of the reconstruction then collapses the node stencils to
 two-sided blends: weight 1/2 +- (alpha10+alpha11) for the
 x-derivative and 1/2 +- alpha9/2 for the y-derivative, plus the
 stabilization jump terms.  That collapse is verified against the
-quadrature oracle in the test-suite rather than assumed.
+quadrature oracle in the test-suite rather than assumed.  The runtime
+uses the tables directly: a piece pairs with any polynomial of the cell
+space as its table row applied to that polynomial's dof functionals
+(``apply_dof``), which gives each weight on a raw dof (see semidiscrete).
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ __all__ = [
     "node_derivative_stencils",
     "reconstruct2d",
     "apply_stencil",
-    "flatten_stencil",
 ]
 
 # Fixed dof ordering: average, edge midpoints (left, right, bottom, top),
@@ -398,27 +400,3 @@ def apply_stencil(stencil: DerivStencil2D, element: Element2D, cells, dx, dy):
         xi, eta = dof_point(dof)
         total += w * polys[off](xi, eta)
     return total / scale
-
-
-def flatten_stencil(stencil: DerivStencil2D, element: Element2D, dx, dy):
-    """Equivalent raw-dof weights of a stencil.
-
-    Point dofs shared between support cells are merged under a global
-    key: ('pt', 2*ox + r, 2*oy + s) for the point dof (r, s) of the
-    cell at offset (ox, oy), and ('avg', ox, oy) for averages.  The
-    1/dx (or 1/dy) scale is folded in.
-    """
-    scale = Fraction(1) / Fraction(dx if stencil.axis == "x" else dy)
-    out = {}
-    for off, pt, w in stencil.terms:
-        xi, eta = dof_point(pt)
-        for dof in DOF_IDS:
-            coeff = w * diff2(element.basis[dof], stencil.axis)(xi, eta) * scale
-            if coeff == 0:
-                continue
-            if dof == (0, 0):
-                key = ("avg", off[0], off[1])
-            else:
-                key = ("pt", 2 * off[0] + dof[0], 2 * off[1] + dof[1])
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}

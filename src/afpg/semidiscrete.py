@@ -2,34 +2,39 @@
 
 Every row pairs a test function with the derivative of the flux of the
 reconstruction and runs from exact weights, tabulated once and rounded
-to float once.
+to float once.  The weights all follow one rule.  The test functions
+are biorthogonal to the basis, so a test function pairs with any
+polynomial of the cell space as its pairing table applied to that
+polynomial's dof functionals; a row is this table applied to the dof
+functionals of the differentiated flux of each basis function.
 
 In 1-d a moment weight lives on one cell and an interface test function
 has one piece on each of the two cells at its interface, so every row
 reads one cell's K+1 dofs (left endpoint, moments, right endpoint),
 gathered once per call by ``grid._dof_gather_1d``.  ``_linear_rows``
-holds the K-1 moment rows of ``element1d.moment_stencil`` (row 0 is the
-plain endpoint difference) and the one-sided interface derivatives of
-``element1d.derivative_stencil``: D+ (alpha = +1) on the cell left of
-an interface, D- (alpha = -1) on the cell right of it.  ``_blend``
-joins the two into the interface values:
+reads its rows off the dof functionals of each b_s': the K-1 moment
+rows (row 0 is the plain endpoint difference) and the one-sided
+interface derivatives D+ (the right-endpoint value, alpha = +1, on the
+cell left of an interface) and D- (the left-endpoint value, alpha = -1,
+on the cell right of it).  ``_blend`` joins the two into the interface
+values:
 
 - scalar linear models q_t + a q_x = 0: every row times -a/dx, D+ and
   D- weighted by (1+alpha)/2 and (1-alpha)/2, with alpha = sgn(a) when
   adaptive and the stored alpha when fixed;
 - linear systems: -A on the moment rows, -J+ on D+ and -J- on D-;
 - Burgers (f = q^2/2): the moment rows are exact quadratic forms in the
-  cell's dofs (``_burgers_forms``); D+ and D- are weighted by
-  -J (1+alpha)/2 and -J (1-alpha)/2 with alpha = sgn(J) when adaptive,
-  or at K = 2 the forms' exact one-sided pairings by (1+alpha)/2 and
-  (1-alpha)/2.
+  cell's dofs (``_burgers_forms``, the moments of (b_s b_t)'/2); D+ and
+  D- are weighted by -J (1+alpha)/2 and -J (1-alpha)/2 with
+  alpha = sgn(J) when adaptive, or at K = 2 the forms' exact one-sided
+  pairings by (1+alpha)/2 and (1-alpha)/2.
 
-In 2-d the edge and node stencils come from the pairing tables of the
-constructed test functions (see element2d): the same weights consume
-x-derivatives for the x-flux part and y-derivatives for the y-flux
-part.  Simpson taps give the flux differences of the averages.  Each
-output field runs an exact tap list, compiled once per grid spacing,
-velocity and upwind setting, on one wrap-padded copy of the state.
+In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
+indicator for the average, then the edge-x, edge-y and node tables of
+element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
+every basis function b of every support cell.  Each output field runs
+the resulting exact tap list, compiled once per grid spacing, velocity
+and upwind setting, on one wrap-padded copy of the state.
 """
 
 from __future__ import annotations
@@ -41,25 +46,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from afpg.element1d import (
-    Element1D,
-    build_element,
-    build_point_test,
-    derivative_stencil,
-    moment_stencil,
-)
+from afpg.element1d import Element1D, build_element, build_point_test
 from afpg.element2d import (
-    DerivStencil2D,
     Element2D,
-    _stencil_terms,
     _transpose_table,
+    apply_dof,
     build_element_2d,
     edge_pairing_table,
-    flatten_stencil,
     node_pairing_table,
 )
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d
-from afpg.poly import inner1
+from afpg.poly import HALF, diff2, inner1
 
 __all__ = [
     "Upwind1D",
@@ -151,15 +148,16 @@ def _linear_rows(k: int) -> np.ndarray:
     """The 1-d linear rows as exact weights on a cell's K+1 dofs, each
     rounded to float once: a (K+1, K+1) array in xi units.
 
-    Rows 0..K-2 are the moment rows of moment_stencil.  Row K-1 is D+,
-    the interface row at alpha = +1 (the derivative of the cell's
-    reconstruction at its right endpoint); row K is D-, the interface
-    row at alpha = -1 (the derivative at its left endpoint).
+    Column s holds the dof functionals of b_s', the derivative of basis
+    function s: rows 0..K-2 its moments (the moment rows; row 0 is the
+    plain endpoint difference), row K-1 its right-endpoint value (D+,
+    the interface row at alpha = +1 on the cell left of the interface)
+    and row K its left-endpoint value (D-, alpha = -1, on the cell right
+    of it).
     """
     element = build_element(k)
-    d_plus = derivative_stencil(element, build_point_test(element, 1)).weights[: k + 1]
-    d_minus = derivative_stencil(element, build_point_test(element, -1)).weights[k:]
-    return np.array([*moment_stencil(element), d_plus, d_minus], dtype=float)
+    values = [element.dof_values(b.deriv()) for b in element.basis()]
+    return np.array([[v[r] for v in values] for r in (*range(1, k), k, 0)], dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +165,15 @@ def _burgers_forms(k: int) -> np.ndarray:
     """Burgers' rows as exact quadratic forms on a cell's K+1 dofs, rounded
     to float once: a (K+1, K+1, K+1) array of form matrices.
 
-    Forms 0..K-2 pair w_k with d/dxi (q^2/2), integrated by parts:
-    1/2 [(k+1) (e_R e_R^T - (-1)^k e_L e_L^T) - int w_k' b_s b_t].  Forms
-    K-1 and K are int phi b_s b_t' for the left piece of the alpha = +1
-    test function and the right piece of the alpha = -1 one.
+    Entry (s, t) of form r < K-1 is the r-th moment of (b_s b_t)'/2.
+    Forms K-1 and K are int phi b_s b_t' for the left piece of the
+    alpha = +1 test function and the right piece of the alpha = -1 one:
+    q q' leaves the cell space, so these pair the solved pieces.
     """
     element = build_element(k)
     basis = element.basis()
-    forms = []
-    for w in element.moment_weights:
-        form = [[-inner1(w.poly.deriv(), b * c) / 2 for c in basis] for b in basis]
-        form[-1][-1] += Fraction(w.k + 1, 2)
-        form[0][0] -= Fraction((w.k + 1) * (-1) ** w.k, 2)
-        forms.append(form)
+    values = [[element.dof_values((b * c).deriv() * HALF) for c in basis] for b in basis]
+    forms = [[[v[r] for v in row] for row in values] for r in range(1, k)]
     for phi in (build_point_test(element, 1).left, build_point_test(element, -1).right):
         forms.append([[inner1(phi, b * c.deriv()) for c in basis] for b in basis])
     return np.array(forms, dtype=float)
@@ -276,25 +270,16 @@ def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndar
     return _blend(np.empty_like(left), left, right, (1.0 + alpha) * scale, (1.0 - alpha) * scale)
 
 
-def _tap_target(key):
-    """(input field, cell offset) of a flatten_stencil global key.
-
-    Point keys count half cells from the center of the output cell:
-    x odd is an x-edge, y odd a y-edge, both odd a node.
-    """
-    kind, x, y = key
-    if kind == "avg":
-        return 0, (x, y)
-    return x % 2 + 2 * (y % 2), (x // 2, y // 2)
-
-
 @lru_cache(maxsize=64)
 def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     """Exact taps of rhs_2d, one tap list per output field.
 
-    Fields are ordered averages, edge_x, edge_y, nodes.  Offsets are
-    relative to the cell storing the output dof and reach one cell at
-    most.  The x and y parts are merged exactly and rounded once.
+    Fields are ordered averages, edge_x, edge_y, nodes; their tables are
+    the cell indicator (the average's test function) and the edge and
+    node pairing tables.  Dof (r, s) of the support cell at offset o
+    weighs -sum_pt row[pt] apply_dof(pt, ax/dx d_xi b + ay/dy d_eta b),
+    b its basis function, and is stored in field |r| + 2|s| of the cell
+    at o + (min(r, 0), min(s, 0)).  Each weight is exact and rounded once.
     """
     if upwind.mode == "adaptive":
         a3x, a3y = np.sign(ax), np.sign(ay)
@@ -304,41 +289,35 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
         beta_x = beta_y = Fraction(upwind.beta)
     edge = (upwind.edge_alpha1, upwind.edge_alpha2)
     tables = (
+        {(0, 0): {(0, 0): Fraction(1)}},
         edge_pairing_table((*edge, a3x)),
         _transpose_table(edge_pairing_table((*edge, a3y))),
         node_pairing_table((*upwind.node_alphas, 2 * beta_y, beta_x / 2, beta_x / 2)),
     )
-    fax, fay = Fraction(ax), Fraction(ay)
-    cx, cy = fax / Fraction(dx), fay / Fraction(dy)
-    # averages: flux differences of the Simpson means of the edge traces
-    avg = defaultdict(Fraction)
-    for s, w in ((-1, Fraction(1, 6)), (0, Fraction(4, 6)), (1, Fraction(1, 6))):
-        for key, c in ((("pt", 1, s), -cx), (("pt", -1, s), cx),
-                       (("pt", s, 1), -cy), (("pt", s, -1), cy)):
-            avg[key] += c * w
-    merged = [avg]
-    element = build_element_2d()
+    cx, cy = Fraction(ax) / Fraction(dx), Fraction(ay) / Fraction(dy)
+    basis = build_element_2d().basis
+    flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in basis.items()}
+    compiled = []
     for table in tables:
         taps = defaultdict(Fraction)
-        terms = _stencil_terms(table)
-        for axis, speed in (("x", fax), ("y", fay)):
-            for key, w in flatten_stencil(DerivStencil2D(axis, terms), element, dx, dy).items():
-                taps[key] -= speed * w
-        merged.append(taps)
-    return tuple(
-        tuple(_tap(*_tap_target(key), float(w)) for key, w in taps.items() if w != 0)
-        for taps in merged
-    )
+        for (ox, oy), row in table.items():
+            for pt, w in row.items():
+                if w == 0:
+                    continue
+                for (r, s), f in flux.items():
+                    target = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
+                    taps[target] -= w * apply_dof(pt, f)
+        compiled.append(tuple(_tap(*target, float(w)) for target, w in taps.items() if w != 0))
+    return tuple(compiled)
 
 
 def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwind2D,
            *, assume_finite: bool = False) -> State2D:
     """Spatial right-hand side of the 2-d semi-discrete scheme (K = 2).
 
-    Supports scalar linear models.  Average fluxes integrate the edge
-    trace with Simpson weights (exact, the trace is a quadratic); edge
-    and node values use the pairing-table stencils.  ``assume_finite``
-    skips the finiteness test of the state, as in rhs_1d.
+    Supports scalar linear models.  Every output dof runs the exact tap
+    list of ``_compile_taps_2d``.  ``assume_finite`` skips the
+    finiteness test of the state, as in rhs_1d.
     """
     if getattr(model, "dim", 0) != 2 or model.m != 1:
         raise ValueError("rhs_2d needs a two-dimensional scalar model")

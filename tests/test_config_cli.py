@@ -69,6 +69,9 @@ class TestConfig:
             "time.cfl=nan",
             "model.a=nan",
             "grid.x_max=inf",
+            # finite bounds whose width overflows: a traceback in project_initial
+            "grid.x_min=-1e308\ngrid.x_max=1e308",
+            "dimension=2\ngrid.y_min=-1e308\ngrid.y_max=1e308",
             "upwind.node_alphas=0,0,0,0,0,0,0,nan",
             "model.name=linear_system\nmodel.matrix=0,1;-inf,0",
         ],

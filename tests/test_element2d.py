@@ -15,7 +15,6 @@ from afpg.element2d import (
     build_node_test,
     dof_point,
     edge_derivative_stencils,
-    flatten_stencil,
     node_derivative_stencils,
     reconstruct2d,
 )
@@ -480,17 +479,6 @@ class TestStencils:
         sx, sy = node_derivative_stencils(build_node_test(tuple(range(-5, 6))))
         assert apply_stencil(sx, el, const_cells, dx, dy) == 0
         assert apply_stencil(sy, el, const_cells, dx, dy) == 0
-
-    def test_flatten_matches_apply(self):
-        rng = random.Random(28)
-        el = build_element_2d()
-        cells, gval = shared_patch(rng, [(0, 0), (1, 0), (0, 1), (1, 1)])
-        t = build_node_test(tuple(random_rational(rng, 6) for _ in range(11)))
-        sx, _ = node_derivative_stencils(t)
-        dx, dy = Fraction(1, 2), Fraction(1, 2)
-        flat = flatten_stencil(sx, el, dx, dy)
-        flat_val = sum(w * gval(key) for key, w in flat.items())
-        assert flat_val == apply_stencil(sx, el, cells, dx, dy)
 
 
 class TestReconstruct2D:

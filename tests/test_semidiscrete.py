@@ -9,15 +9,15 @@ from afpg.element1d import (
     build_element,
     build_point_test,
     derivative_stencil,
-    moment_stencil,
     reconstruct,
 )
-from afpg.element2d import build_element_2d, reconstruct2d
+from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
-from afpg.poly import diff2, inner1, inner2
+from afpg.poly import Poly2, diff2, inner1, inner2
 from afpg.semidiscrete import (
     _burgers_forms,
+    _compile_taps_2d,
     _linear_rows,
     Upwind1D,
     Upwind2D,
@@ -232,6 +232,19 @@ class TestRhs1D:
         assert not rhs_1d(st, g, el, advection1d(1.0), Upwind1D(), assume_finite=True).all_finite()
 
 
+def by_parts_rows(el):
+    """The moment rows, integrated by parts: the weight of w_r on dof s is
+    (r+1) [delta_right - (-1)^r delta_left] minus the pairing of w_r'
+    with basis function s."""
+    rows = []
+    for w in el.moment_weights:
+        row = [-inner1(w.poly.deriv(), b) for b in el.basis()]
+        row[-1] += w.k + 1
+        row[0] -= (w.k + 1) * (-1) ** w.k
+        rows.append(row)
+    return rows
+
+
 class TestCompiledTaps1D:
     @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -243,7 +256,7 @@ class TestCompiledTaps1D:
         # so each tap lies within 2 eps of its row's largest weight.
         g = Grid1D(7)
         el = build_element(k)
-        rows = (*moment_stencil(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
+        rows = (*by_parts_rows(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
         scale = -Fraction(a) / Fraction(g.dx)
         i = 3
         window = [(k - 1, -1)] + [(c, o) for o in (0, 1) for c in range(k)]
@@ -276,7 +289,7 @@ class TestLinearRows:
         d_minus = derivative_stencil(el, build_point_test(el, -1)).weights
         # the full-upwind rows read one cell only
         assert not any(d_plus[k + 1:]) and not any(d_minus[:k])
-        exact = [*moment_stencil(el), d_plus[: k + 1], d_minus[k:]]
+        exact = [*by_parts_rows(el), d_plus[: k + 1], d_minus[k:]]
         rows = _linear_rows(k)
         assert rows.shape == (k + 1, k + 1)
         assert rows.tolist() == [[float(w) for w in row] for row in exact]
@@ -404,21 +417,49 @@ def random_state_2d(rng, nx, ny):
     )
 
 
+# (field, cell offset) storing dof (r, s) of a cell: field 0 holds the
+# averages, 1 the x-edges (right of the cell), 2 the y-edges (above it),
+# 3 the nodes (upper right)
+DOF_STORAGE_2D = {
+    (0, 0): (0, (0, 0)),
+    (-1, 0): (1, (-1, 0)),
+    (1, 0): (1, (0, 0)),
+    (0, -1): (2, (0, -1)),
+    (0, 1): (2, (0, 0)),
+    (-1, -1): (3, (-1, -1)),
+    (1, -1): (3, (0, -1)),
+    (-1, 1): (3, (-1, 0)),
+    (1, 1): (3, (0, 0)),
+}
+
+
 def cell_poly_2d(state, el, i, j):
     nx, ny = state.averages.shape
-    a, ex, ey, nd = state.averages, state.edge_x, state.edge_y, state.nodes
+    fields = (state.averages, state.edge_x, state.edge_y, state.nodes)
     dofs = {
-        (0, 0): Fraction(float(a[i, j])),
-        (-1, 0): Fraction(float(ex[(i - 1) % nx, j])),
-        (1, 0): Fraction(float(ex[i, j])),
-        (0, -1): Fraction(float(ey[i, (j - 1) % ny])),
-        (0, 1): Fraction(float(ey[i, j])),
-        (-1, -1): Fraction(float(nd[(i - 1) % nx, (j - 1) % ny])),
-        (1, -1): Fraction(float(nd[i, (j - 1) % ny])),
-        (-1, 1): Fraction(float(nd[(i - 1) % nx, j])),
-        (1, 1): Fraction(float(nd[i, j])),
+        dof: Fraction(float(fields[f][(i + ox) % nx, (j + oy) % ny]))
+        for dof, (f, (ox, oy)) in DOF_STORAGE_2D.items()
     }
     return reconstruct2d(el, dofs)
+
+
+def pieces_2d(ax, ay, upwind):
+    """Pieces of the four output fields' test functions, keyed by support-cell offset."""
+    # adaptive mode: edge weight sgn(a), node weight sgn(a)/2 per direction
+    if upwind.mode == "adaptive":
+        a3x, a3y = Fraction(int(np.sign(ax))), Fraction(int(np.sign(ay)))
+        beta_x, beta_y = a3x / 2, a3y / 2
+    else:
+        a3x = a3y = Fraction(upwind.alpha3)
+        beta_x = beta_y = Fraction(upwind.beta)
+    edge_alphas = (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2))
+    node_alphas = tuple(Fraction(a) for a in upwind.node_alphas) + (2 * beta_y, beta_x / 2, beta_x / 2)
+    return (
+        {(0, 0): Poly2([[1]])},  # the average's test function: the cell indicator
+        build_edge_test((*edge_alphas, a3x), "x").pieces,
+        build_edge_test((*edge_alphas, a3y), "y").pieces,
+        build_node_test(node_alphas).pieces,
+    )
 
 
 STABILIZED_2D = Upwind2D(
@@ -429,6 +470,15 @@ STABILIZED_2D = Upwind2D(
     edge_alpha2=-0.3,
     node_alphas=(0.1, -0.2, 0.05, 0.15, -0.1, 0.2, -0.05, 0.1),
 )
+
+CASES_2D = [
+    pytest.param(4, 4, 0.8, -0.6, STABILIZED_2D, id="fixed-4x4"),
+    pytest.param(5, 4, 0.8, -0.6, STABILIZED_2D, id="fixed-5x4"),
+    pytest.param(5, 4, 0.8, -0.6, Upwind2D("adaptive"), id="adaptive-5x4-a(0.8,-0.6)"),
+    pytest.param(5, 4, -0.7, 1.1, Upwind2D("adaptive"), id="adaptive-5x4-a(-0.7,1.1)"),
+    pytest.param(5, 4, 1.0, 0.0, Upwind2D("adaptive"), id="adaptive-5x4-a(1,0)"),
+    pytest.param(5, 4, 0.0, -1.3, Upwind2D("adaptive"), id="adaptive-5x4-a(0,-1.3)"),
+]
 
 
 class TestRhs2D:
@@ -511,25 +561,7 @@ class TestRhs2D:
         with pytest.raises(ValueError):
             rhs_2d(st, Grid2D(5, 4), build_element_2d(), advection2d(1.0, 1.0), Upwind2D())
 
-    @pytest.mark.parametrize(
-        "nx, ny, ax, ay, upwind",
-        [
-            (4, 4, 0.8, -0.6, STABILIZED_2D),
-            (5, 4, 0.8, -0.6, STABILIZED_2D),
-            (5, 4, 0.8, -0.6, Upwind2D("adaptive")),
-            (5, 4, -0.7, 1.1, Upwind2D("adaptive")),
-            (5, 4, 1.0, 0.0, Upwind2D("adaptive")),
-            (5, 4, 0.0, -1.3, Upwind2D("adaptive")),
-        ],
-        ids=[
-            "fixed-4x4",
-            "fixed-5x4",
-            "adaptive-5x4-a(0.8,-0.6)",
-            "adaptive-5x4-a(-0.7,1.1)",
-            "adaptive-5x4-a(1,0)",
-            "adaptive-5x4-a(0,-1.3)",
-        ],
-    )
+    @pytest.mark.parametrize("nx, ny, ax, ay, upwind", CASES_2D)
     def test_oracle_equivalence_random_alphas(self, nx, ny, ax, ay, upwind):
         # every rhs entry equals the direct pairing of the assembled test
         # function with -(ax dq/dx + ay dq/dy), integrated exactly
@@ -538,8 +570,6 @@ class TestRhs2D:
         el = build_element_2d()
         st = random_state_2d(rng, nx, ny)
         r = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
-
-        from afpg.element2d import build_edge_test, build_node_test
 
         cells = {(i, j): cell_poly_2d(st, el, i, j) for i in range(nx) for j in range(ny)}
         dxf = Fraction(1, nx)
@@ -551,54 +581,47 @@ class TestRhs2D:
                 piece, diff2(poly, "y")
             ) / dyf
 
-        # adaptive mode: edge weight sgn(a), node weight sgn(a)/2 per direction
-        if upwind.mode == "adaptive":
-            a3x, a3y = Fraction(int(np.sign(ax))), Fraction(int(np.sign(ay)))
-            beta_x, beta_y = a3x / 2, a3y / 2
-        else:
-            a3x = a3y = Fraction(upwind.alpha3)
-            beta_x = beta_y = Fraction(upwind.beta)
-        edge_alphas = (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2))
-        edge_test = build_edge_test((*edge_alphas, a3x), "x")
-        edge_test_y = build_edge_test((*edge_alphas, a3y), "y")
-        node_alphas = tuple(Fraction(a) for a in upwind.node_alphas) + (
-            2 * beta_y,
-            beta_x / 2,
-            beta_x / 2,
-        )
-        node_test = build_node_test(node_alphas)
-
-        for i in range(nx):
-            for j in range(ny):
-                # average: test function is the cell indicator / cell area
-                oracle = -float(pair(Fraction(1, 1) * _one(), cells[(i, j)]))
-                assert r.averages[i, j] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
-                # vertical edge (i+1/2, j)
-                oracle = -float(
-                    pair(edge_test.pieces[(0, 0)], cells[(i, j)])
-                    + pair(edge_test.pieces[(1, 0)], cells[((i + 1) % nx, j)])
-                )
-                assert r.edge_x[i, j] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
-                # horizontal edge (i, j+1/2)
-                oracle = -float(
-                    pair(edge_test_y.pieces[(0, 0)], cells[(i, j)])
-                    + pair(edge_test_y.pieces[(0, 1)], cells[(i, (j + 1) % ny)])
-                )
-                assert r.edge_y[i, j] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
-                # node (i+1/2, j+1/2)
-                oracle = -float(
-                    sum(
-                        pair(
-                            node_test.pieces[off],
-                            cells[((i + off[0]) % nx, (j + off[1]) % ny)],
+        pieces = pieces_2d(ax, ay, upwind)
+        for out, field_pieces in zip((r.averages, r.edge_x, r.edge_y, r.nodes), pieces):
+            for i in range(nx):
+                for j in range(ny):
+                    # the piece at offset o lives on the cell (i, j) + o
+                    oracle = -float(
+                        sum(
+                            pair(piece, cells[((i + ox) % nx, (j + oy) % ny)])
+                            for (ox, oy), piece in field_pieces.items()
                         )
-                        for off in ((0, 0), (1, 0), (0, 1), (1, 1))
                     )
-                )
-                assert r.nodes[i, j] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
+                    assert out[i, j] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
 
-def _one():
-    from afpg.poly import Poly2
-
-    return Poly2([[1]])
+class TestCompiledTaps2D:
+    @pytest.mark.parametrize(
+        "nx, ny, ax, ay, upwind",
+        [
+            *CASES_2D,
+            pytest.param(160, 160, 1.0, 1.0, Upwind2D("adaptive"), id="adv2d-160x160-a(1,1)"),
+        ],
+    )
+    def test_taps_are_exact_pairings_rounded_once(self, nx, ny, ax, ay, upwind):
+        # the tap of an output field on the dof stored at (field, offset) is
+        # -sum over the field's test-function pieces of
+        # inner2(piece, ax/dx d_xi b + ay/dy d_eta b), b the basis function
+        # of that dof in the piece's cell, rounded to float once; no other
+        # (field, offset) carries a tap
+        g = Grid2D(nx, ny)
+        cx, cy = Fraction(ax) / Fraction(g.dx), Fraction(ay) / Fraction(g.dy)
+        el = build_element_2d()
+        flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in el.basis.items()}
+        compiled = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
+        for field_pieces, field_taps in zip(pieces_2d(ax, ay, upwind), compiled, strict=True):
+            exact = {}
+            for (px, py), piece in field_pieces.items():
+                for dof, f in flux.items():
+                    field, (ox, oy) = DOF_STORAGE_2D[dof]
+                    key = field, (px + ox, py + oy)
+                    exact[key] = exact.get(key, 0) - inner2(piece, f)
+            # a tap's index holds slice(1 + o, ...) per cell axis of the padded stack
+            got = {(index[0], tuple(sl.start - 1 for sl in index[1:])): w for index, w in field_taps}
+            assert len(got) == len(field_taps)
+            assert got == {key: float(w) for key, w in exact.items() if w != 0}
