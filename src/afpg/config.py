@@ -14,6 +14,11 @@ from dataclasses import dataclass, fields
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "serialize_config"]
 
 
+# Most steps a fixed time.dt may ask for: a larger t_end / dt would not
+# finish in any useful time, so it is rejected instead of run.
+MAX_STEPS = 10**8
+
+
 class ConfigError(ValueError):
     pass
 
@@ -153,6 +158,15 @@ _CHOICES = {
 }
 
 
+def _finite_phase(cycles: int, width: float) -> bool:
+    """Whether the sine phase 2 pi cycles (x - x_min) stays finite up to
+    x - x_min = width, in the order models.SineIC forms it."""
+    try:
+        return math.isfinite(2.0 * math.pi * cycles * width)
+    except OverflowError:  # cycles too large for a float
+        return False
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
     for attr, choices in _CHOICES.items():
         if getattr(cfg, attr) not in choices:
@@ -172,6 +186,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"grid.{axis}_max must exceed grid.{axis}_min")
         if not math.isfinite(width):
             raise ConfigError(f"grid.{axis}_max - grid.{axis}_min must be finite")
+        if cfg.ic_name == "sine" and not _finite_phase(cfg.ic_cycles, width):
+            raise ConfigError(
+                f"2 pi ic.cycles (grid.{axis}_max - grid.{axis}_min) must be finite"
+            )
     if abs(cfg.upwind_alpha) > 1 or abs(cfg.upwind_alpha3) > 1:
         raise ConfigError("upwind alpha weights must lie in [-1, 1]")
     if abs(cfg.upwind_beta) > 0.5:
@@ -182,6 +200,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("set a positive time.cfl or time.dt")
     if cfg.time_t_end < 0:
         raise ConfigError("time.t_end must be >= 0")
+    if cfg.time_dt > 0 and cfg.time_t_end / cfg.time_dt > MAX_STEPS:
+        raise ConfigError(f"time.t_end / time.dt must not exceed {MAX_STEPS} steps")
     if cfg.output_snapshot_every < 0:
         raise ConfigError("output.snapshot_every must be >= 0")
     if cfg.model_name == "linear_system":

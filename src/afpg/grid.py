@@ -116,9 +116,8 @@ class Grid2D:
 
 
 class _FlatState:
-    """ODE arithmetic shared by the states: it acts on ``data`` only.  The
-    solver steps ``data`` in place; ``__add__``, ``__mul__`` and ``copy`` are
-    the reference arithmetic of ``tests/test_timestep.py::oracle_step``."""
+    """What the states share: one ``data`` buffer, which the solver steps
+    in place (``timestep.step``); the field names are views of it."""
 
     __slots__ = ("data",)
 
@@ -128,17 +127,6 @@ class _FlatState:
         state = object.__new__(cls)
         state.data = data
         return state
-
-    def __add__(self, other):
-        return self._of(self.data + other.data)
-
-    def __mul__(self, c):
-        return self._of(c * self.data)
-
-    __rmul__ = __mul__
-
-    def copy(self):
-        return self._of(self.data.copy())
 
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))

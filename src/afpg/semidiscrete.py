@@ -32,9 +32,14 @@ values:
 In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
 indicator for the average, then the edge-x, edge-y and node tables of
 element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
-every basis function b of every support cell.  Each output field runs
-the resulting exact tap list, compiled once per grid spacing, velocity
-and upwind setting, on one wrap-padded copy of the state.
+every basis function b of every support cell.  The scheme is then an
+offset-block operator, compiled once per grid spacing, velocity and
+upwind setting: the distinct (source field, 2-d offset) columns that
+carry weight (9 for a = (1, 1) adaptive) and one (4, #columns) float
+matrix W.  ``rhs_2d`` applies it by tiles of grid rows: it copies each
+column's shifted slice of the tile's rows, out of one wrap-padded copy
+of the state, into a small buffer of ``TILE_BYTES``, and one GEMM of W
+with that buffer writes those rows of the output.
 """
 
 from __future__ import annotations
@@ -118,11 +123,6 @@ def choose_alpha(model, q):
     return np.sign(model.jac(q))
 
 
-def _tap(field, offset, weight):
-    """(index of ``field`` shifted by ``offset`` cells in a wrap-padded stack, weight)."""
-    return (field, *(slice(1 + o, o - 1 or None) for o in offset)), weight
-
-
 def _wrap_pad(a):
     """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each cell axis."""
     p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2))
@@ -130,17 +130,6 @@ def _wrap_pad(a):
     p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
     p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
     return p
-
-
-def _tap_sums(stack, taps):
-    """Per tap list, the sum of weight times shifted field, periodic on both cell axes."""
-    padded = _wrap_pad(stack)
-    out = np.zeros((len(taps), *stack.shape[1:]))
-    scratch = np.empty(out.shape[1:])
-    for total, field_taps in zip(out, taps):
-        for index, w in field_taps:
-            total += np.multiply(padded[index], w, out=scratch)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -272,14 +261,19 @@ def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndar
 
 @lru_cache(maxsize=64)
 def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
-    """Exact taps of rhs_2d, one tap list per output field.
+    """Exact taps of rhs_2d as one offset-block operator: ``(columns, weights)``.
 
-    Fields are ordered averages, edge_x, edge_y, nodes; their tables are
-    the cell indicator (the average's test function) and the edge and
-    node pairing tables.  Dof (r, s) of the support cell at offset o
-    weighs -sum_pt row[pt] apply_dof(pt, ax/dx d_xi b + ay/dy d_eta b),
-    b its basis function, and is stored in field |r| + 2|s| of the cell
-    at o + (min(r, 0), min(s, 0)).  Each weight is exact and rounded once.
+    ``columns`` lists the distinct (source field, (ox, oy)) pairs that
+    carry weight, sorted; ``weights`` is the read-only (4, len(columns))
+    float matrix W, so output field f at cell i is the sum over columns
+    j = (g, o) of W[f, j] times field g at cell i + o (periodic, every
+    offset in {-1, 0, 1}^2).  Fields are ordered averages, edge_x,
+    edge_y, nodes; their tables are the cell indicator (the average's
+    test function) and the edge and node pairing tables.  Dof (r, s) of
+    the support cell at offset o weighs -sum_pt row[pt] apply_dof(pt,
+    ax/dx d_xi b + ay/dy d_eta b), b its basis function, and is stored in
+    field |r| + 2|s| of the cell at o + (min(r, 0), min(s, 0)).  Each
+    weight is exact and rounded once.
     """
     if upwind.mode == "adaptive":
         a3x, a3y = np.sign(ax), np.sign(ay)
@@ -297,27 +291,68 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     cx, cy = Fraction(ax) / Fraction(dx), Fraction(ay) / Fraction(dy)
     basis = build_element_2d().basis
     flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in basis.items()}
-    compiled = []
-    for table in tables:
-        taps = defaultdict(Fraction)
+    exact = defaultdict(Fraction)
+    for out_field, table in enumerate(tables):
         for (ox, oy), row in table.items():
             for pt, w in row.items():
                 if w == 0:
                     continue
                 for (r, s), f in flux.items():
-                    target = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
-                    taps[target] -= w * apply_dof(pt, f)
-        compiled.append(tuple(_tap(*target, float(w)) for target, w in taps.items() if w != 0))
-    return tuple(compiled)
+                    column = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
+                    exact[out_field, column] -= w * apply_dof(pt, f)
+    columns = tuple(sorted({column for (_, column), w in exact.items() if w != 0}))
+    index = {column: j for j, column in enumerate(columns)}
+    weights = np.zeros((len(tables), len(columns)))
+    for (out_field, column), w in exact.items():
+        if w != 0:
+            weights[out_field, index[column]] = float(w)
+    weights.flags.writeable = False
+    return columns, weights
+
+
+# Byte budget of the tile buffer rhs_2d fills before each GEMM; the rows
+# per tile follow from it (45 at ny = 160 with 9 columns).  Chosen from
+# whole 160^2 adv2d runs (1 BLAS thread) at 4 to 64 rows per tile: 4 and
+# 8 rows were 1.2-2x slower, 16 to 64 rows within the noise of this
+# budget, which also keeps the buffer at or below half a MiB.
+TILE_BYTES = 512 * 1024
+
+
+def _apply_blocks_2d(data, columns, weights):
+    """W applied to the offset columns of a (4, nx, ny) stack, by row tiles.
+
+    Each tile copies the shifted slices of a few grid rows, one per
+    column, out of one wrap-padded copy of ``data`` into a
+    (#columns, rows * ny) buffer, and one matmul writes W times that
+    buffer straight into the same rows of the fresh output.
+    """
+    _, nx, ny = data.shape
+    padded = _wrap_pad(data)
+    out = np.empty_like(data)
+    flat_out = out.reshape(len(out), nx * ny)
+    rows = min(nx, max(1, TILE_BYTES // (max(1, len(columns)) * ny * out.itemsize)))
+    tile = np.empty((len(columns), rows * ny))
+    for i in range(0, nx, rows):
+        t = min(rows, nx - i)
+        block = tile[:, : t * ny]
+        for dest, (field, (ox, oy)) in zip(block, columns):
+            # dest is one contiguous row of the tile, so this reshape is a view
+            dest.reshape(t, ny)[...] = padded[field, 1 + ox + i : 1 + ox + i + t, 1 + oy : 1 + oy + ny]
+        np.matmul(weights, block, out=flat_out[:, i * ny : (i + t) * ny])
+    return out
 
 
 def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwind2D,
            *, assume_finite: bool = False) -> State2D:
     """Spatial right-hand side of the 2-d semi-discrete scheme (K = 2).
 
-    Supports scalar linear models.  Every output dof runs the exact tap
-    list of ``_compile_taps_2d``.  ``assume_finite`` skips the
-    finiteness test of the state, as in rhs_1d.
+    Supports scalar linear models.  The scheme is a periodic,
+    translation-invariant map: W times the state shifted by each offset
+    column of ``_compile_taps_2d``, compiled once per grid spacing,
+    velocity and upwind setting.  ``_apply_blocks_2d`` applies it as one
+    GEMM per tile of grid rows.  Returns a fresh state and leaves
+    ``state`` untouched.  ``assume_finite`` skips the finiteness test of
+    the state, as in rhs_1d.
     """
     if getattr(model, "dim", 0) != 2 or model.m != 1:
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
@@ -328,5 +363,5 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
     if not assume_finite and not state.all_finite():
         raise ValueError("state contains non-finite values")
 
-    taps = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
-    return State2D._of(_tap_sums(state.data, taps))
+    columns, weights = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
+    return State2D._of(_apply_blocks_2d(state.data, columns, weights))

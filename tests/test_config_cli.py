@@ -72,6 +72,13 @@ class TestConfig:
             # finite bounds whose width overflows: a traceback in project_initial
             "grid.x_min=-1e308\ngrid.x_max=1e308",
             "dimension=2\ngrid.y_min=-1e308\ngrid.y_max=1e308",
+            # finite widths whose sine phase 2 pi cycles width overflows: a
+            # traceback from SineIC._phase
+            "grid.x_min=-1e308\ngrid.x_max=0.7e308",
+            "dimension=2\ngrid.y_min=-1e308\ngrid.y_max=0.7e308",
+            "ic.cycles=" + "1" * 400,
+            # about 1e300 steps: ran until killed
+            "time.dt=1e-300",
             "upwind.node_alphas=0,0,0,0,0,0,0,nan",
             "model.name=linear_system\nmodel.matrix=0,1;-inf,0",
         ],

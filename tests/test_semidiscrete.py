@@ -14,6 +14,7 @@ from afpg.element1d import (
 from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
+from afpg import semidiscrete
 from afpg.poly import Poly2, diff2, inner1, inner2
 from afpg.semidiscrete import (
     _burgers_forms,
@@ -491,7 +492,7 @@ class TestRhs2D:
             assert np.max(np.abs(arr)) <= 1e-13
 
     def test_zero_velocity_zero(self):
-        # every tap weight vanishes, so every tap list is empty
+        # every weight vanishes, so the block operator has no columns
         g = Grid2D(5, 4)
         st = random_state_2d(np.random.default_rng(16), 5, 4)
         r = rhs_2d(st, g, build_element_2d(), advection2d(0.0, 0.0), Upwind2D("adaptive"))
@@ -604,24 +605,97 @@ class TestCompiledTaps2D:
         ],
     )
     def test_taps_are_exact_pairings_rounded_once(self, nx, ny, ax, ay, upwind):
-        # the tap of an output field on the dof stored at (field, offset) is
+        # the weight of an output field on the dof stored at (field, offset) is
         # -sum over the field's test-function pieces of
         # inner2(piece, ax/dx d_xi b + ay/dy d_eta b), b the basis function
         # of that dof in the piece's cell, rounded to float once; no other
-        # (field, offset) carries a tap
+        # (field, offset) is a column of the block operator
         g = Grid2D(nx, ny)
         cx, cy = Fraction(ax) / Fraction(g.dx), Fraction(ay) / Fraction(g.dy)
         el = build_element_2d()
         flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in el.basis.items()}
-        compiled = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
-        for field_pieces, field_taps in zip(pieces_2d(ax, ay, upwind), compiled, strict=True):
+        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
+        assert weights.shape == (4, len(columns))
+        assert not weights.flags.writeable  # shared by every call through the cache
+        assert len(set(columns)) == len(columns)
+        carried = set()
+        for field_pieces, row in zip(pieces_2d(ax, ay, upwind), weights, strict=True):
             exact = {}
             for (px, py), piece in field_pieces.items():
                 for dof, f in flux.items():
                     field, (ox, oy) = DOF_STORAGE_2D[dof]
                     key = field, (px + ox, py + oy)
                     exact[key] = exact.get(key, 0) - inner2(piece, f)
-            # a tap's index holds slice(1 + o, ...) per cell axis of the padded stack
-            got = {(index[0], tuple(sl.start - 1 for sl in index[1:])): w for index, w in field_taps}
-            assert len(got) == len(field_taps)
-            assert got == {key: float(w) for key, w in exact.items() if w != 0}
+            exact = {key: float(w) for key, w in exact.items() if w != 0}
+            got = {column: w for column, w in zip(columns, row) if w != 0}
+            assert got == exact
+            carried |= exact.keys()
+        assert carried == set(columns)
+
+
+def rolled_reference(data, columns, weights):
+    """The block operator without tiles or padding: the sum over the columns
+    (field, o) of W[:, j] times field shifted by o with np.roll."""
+    out = np.zeros_like(data)
+    for w, (field, (ox, oy)) in zip(weights.T, columns):
+        out += w[:, None, None] * np.roll(data[field], (-ox, -oy), axis=(0, 1))
+    return out
+
+
+def tile_rows(columns, ny):
+    """Grid rows per tile of rhs_2d at the module's TILE_BYTES."""
+    return semidiscrete.TILE_BYTES // (len(columns) * ny * 8)
+
+
+class TestBlockApply2D:
+    @pytest.mark.parametrize(
+        "ax, ay, upwind",
+        [
+            pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
+            pytest.param(0.8, -0.6, STABILIZED_2D, id="fixed-stabilized"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "grid_rows, budget_rows, full_tiles_and_rest",
+        [
+            # (nx, ny) from the tile height T at ny = 160; budget_rows, if
+            # set, shrinks TILE_BYTES to that many rows at ny = 11
+            pytest.param(lambda t: (7, 5), None, (0, 7), id="smaller-than-a-tile"),
+            pytest.param(lambda t: (2 * t, 160), None, (2, 0), id="two-full-tiles"),
+            pytest.param(lambda t: (t + 1, 160), None, (1, 1), id="one-row-past-a-tile"),
+            pytest.param(lambda t: (37, 11), 4, (9, 1), id="prime-37x11-in-4-row-tiles"),
+            pytest.param(lambda t: (37, 11), 0, (37, 0), id="prime-37x11-in-1-row-tiles"),
+        ],
+    )
+    def test_tiles_match_rolled_reference(
+        self, monkeypatch, grid_rows, budget_rows, full_tiles_and_rest, ax, ay, upwind
+    ):
+        # every tile, the last partial one included, must land in its own
+        # rows: compare with the untiled sum of np.roll-shifted fields
+        probe = Grid2D(4, 4)
+        columns, _ = _compile_taps_2d(probe.dx, probe.dy, ax, ay, upwind)
+        if budget_rows is not None:
+            monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget_rows * len(columns) * 11 * 8)
+        nx, ny = grid_rows(tile_rows(columns, 160))
+        assert divmod(nx, max(1, tile_rows(columns, ny))) == full_tiles_and_rest
+        g = Grid2D(nx, ny)
+        st = random_state_2d(np.random.default_rng(31), nx, ny)
+        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
+        r = rhs_2d(st, g, build_element_2d(), advection2d(ax, ay), upwind)
+        ref = rolled_reference(st.data, columns, weights)
+        assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_fresh_output_and_untouched_input(self):
+        # timestep.step hands rhs_2d a stage buffer it overwrites later and
+        # keeps the returned buffer: both must stay unaliased
+        g = Grid2D(50, 160)
+        st = random_state_2d(np.random.default_rng(32), 50, 160)
+        before = st.data.copy()
+        model, up = advection2d(1.0, 1.0), Upwind2D("adaptive")
+        first = rhs_2d(st, g, build_element_2d(), model, up)
+        second = rhs_2d(st, g, build_element_2d(), model, up)
+        assert st.data.tobytes() == before.tobytes()
+        assert first.data.flags.c_contiguous and first.data.shape == st.data.shape
+        assert not np.shares_memory(first.data, st.data)
+        assert not np.shares_memory(first.data, second.data)
+        assert first.data.tobytes() == second.data.tobytes()

@@ -20,30 +20,37 @@ from afpg.timestep import (
 )
 
 
+def _buffer(u):
+    return u if isinstance(u, np.ndarray) else u.data
+
+
 def _checked(u, stage):
-    if not np.all(np.isfinite(u.data)):
+    if not np.all(np.isfinite(u)):
         raise BlowUpError(f"non-finite state after {stage}")
     return u
 
 
 def oracle_step(state, t, dt, rhs_fn, scheme):
-    """The stepper as operator expressions, one fresh array per operation."""
+    """The stepper as operator expressions on the state's buffer, one fresh
+    array per operation; the result is wrapped in the state's type."""
+    wrap = (lambda u: u) if isinstance(state, np.ndarray) else type(state)._of
+
+    def f(u):
+        return _buffer(rhs_fn(wrap(u)))
+
+    u = _buffer(state)
     if scheme == "euler":
-        return _checked(state + dt * rhs_fn(state), "euler stage")
+        return wrap(_checked(u + dt * f(u), "euler stage"))
     if scheme == "ssprk3":
-        u1 = _checked(state + dt * rhs_fn(state), "stage 1")
-        u2 = _checked(0.75 * state + 0.25 * (u1 + dt * rhs_fn(u1)), "stage 2")
+        u1 = _checked(u + dt * f(u), "stage 1")
+        u2 = _checked(0.75 * u + 0.25 * (u1 + dt * f(u1)), "stage 2")
         third = 1.0 / 3.0
-        return _checked(third * state + (2.0 * third) * (u2 + dt * rhs_fn(u2)), "stage 3")
-    k1 = rhs_fn(state)
-    k2 = rhs_fn(_checked(state + (0.5 * dt) * k1, "stage 1"))
-    k3 = rhs_fn(_checked(state + (0.5 * dt) * k2, "stage 2"))
-    k4 = rhs_fn(_checked(state + dt * k3, "stage 3"))
-    return _checked(state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "stage 4")
-
-
-def _buffer(u):
-    return u if isinstance(u, np.ndarray) else u.data
+        return wrap(_checked(third * u + (2.0 * third) * (u2 + dt * f(u2)), "stage 3"))
+    k1 = f(u)
+    k2 = f(_checked(u + (0.5 * dt) * k1, "stage 1"))
+    k3 = f(_checked(u + (0.5 * dt) * k2, "stage 2"))
+    k4 = f(_checked(u + dt * k3, "stage 3"))
+    return wrap(_checked(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "stage 4"))
 
 
 def _problem(case):
