@@ -14,8 +14,10 @@ from dataclasses import dataclass, fields
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "serialize_config"]
 
 
-# Most steps a fixed time.dt may ask for: a larger t_end / dt would not
-# finish in any useful time, so it is rejected instead of run.
+# Most steps a run may ask for: a larger t_end / dt would not finish in
+# any useful time, so it is rejected instead of run.  A fixed time.dt is
+# checked here; a CFL step depends on the wave speed and is checked by
+# the harness on the initial state.
 MAX_STEPS = 10**8
 
 

@@ -367,6 +367,12 @@ def write_state_csv(state, grid, path):
     2-d rows: the ``average``, ``edge_x``, ``edge_y`` and ``node``
     blocks, each row-major (x index outer), at the cell center, right
     edge midpoint, top edge midpoint and top-right corner.
+
+    Each line is joined from four strings: the coordinate text, a label
+    shared by the file, the value's ``repr`` and the line end.  The 1-d
+    coordinate strings are kept for the last grid written (one grid at
+    most, see ``_csv_x_1d``), so the snapshots of a run format their
+    x values once; the values are formatted anew in every file.
     """
     if isinstance(grid, Grid1D):
         fits = state.data.shape[:1] == (grid.n,)
@@ -384,26 +390,60 @@ def write_state_csv(state, grid, path):
             fh.write(chunk)
 
 
+def _csv_join(xs, tails, values):
+    """The lines ``{x}{tail}{v!r}\\r\\n`` as one string: each string of
+    ``xs`` heads len(tails) consecutive lines, which take ``tails`` in
+    order, and ``values`` holds one float per line.  One join over a
+    flat list of four references per line."""
+    parts = ["\r\n"] * (4 * len(values))
+    parts[0::4] = [x for x in xs for _ in tails]
+    parts[1::4] = tails * len(xs)
+    parts[2::4] = map(repr, values)
+    return "".join(parts)
+
+
+# (grid, center strings, interface strings) of the last 1-d grid written
+_csv_x_last = None
+
+
+def _csv_x_1d(grid: Grid1D):
+    """The ``repr`` strings of the grid's cell centers and interfaces.
+
+    Only the last grid's strings are kept (1.5 MB at n=10240), and the
+    grid is matched by identity, not equality: equal grids need not give
+    equal coordinates, e.g. ``Grid1D(3, 0.5, 1.0)`` and the same grid
+    with float32 bounds.  The strings depend on the grid alone, so one
+    cache shared by every caller in the process is safe.
+    """
+    global _csv_x_last
+    cached = _csv_x_last
+    if cached is None or cached[0] is not grid:
+        cached = _csv_x_last = (grid, [*map(repr, grid.centers().tolist())],
+                                [*map(repr, grid.interfaces().tolist())])
+    return cached[1], cached[2]
+
+
 def _csv_chunks_1d(state: State1D, grid: Grid1D):
-    """The 1-d data lines, _CSV_BLOCK_CELLS cells per string."""
+    """The 1-d data lines, _CSV_BLOCK_CELLS cells per string, from the
+    grid's cached x strings and one ``,label,`` string per dof class."""
     data = state.data
     comps = [""] if data.ndim == 2 else [f"[{c}]" for c in range(data.shape[2])]
+    centers, interfaces = _csv_x_1d(grid)
     sections = [
-        (grid.centers(), [f"moment{k}{c}" for k in range(state.k - 1) for c in comps],
+        (centers, [f",moment{k}{c}," for k in range(state.k - 1) for c in comps],
          state.moments),
-        (grid.interfaces(), [f"point{c}" for c in comps], state.points),
+        (interfaces, [f",point{c}," for c in comps], state.points),
     ]
-    for xs, labels, values in sections:
+    for xs, tails, values in sections:
         for i0 in range(0, grid.n, _CSV_BLOCK_CELLS):
             block = slice(i0, i0 + _CSV_BLOCK_CELLS)
-            prefixes = [f"{x},{label}," for x in map(repr, xs[block].tolist()) for label in labels]
-            yield "".join(
-                [f"{p}{v!r}\r\n" for p, v in zip(prefixes, values[block].reshape(-1).tolist())]
-            )
+            yield _csv_join(xs[block], tails, values[block].reshape(-1).tolist())
 
 
 def _csv_chunks_2d(state: State2D, grid: Grid2D):
-    """The 2-d data lines, one grid row (fixed x index) per string."""
+    """The 2-d data lines, one grid row (fixed x index) per string, from
+    the row's x string and one ``,{y},{name},`` string per column.  The
+    coordinates are only 2 (nx + ny) strings, so they are not cached."""
     xc, yc, xf, yf = (
         [repr(v) for v in coords.tolist()]
         for coords in (grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces())
@@ -415,6 +455,6 @@ def _csv_chunks_2d(state: State2D, grid: Grid2D):
         ("node", state.nodes, xf, yf),
     ]
     for name, field, xs, ys in blocks:
-        tails = [f"{y},{name}," for y in ys]
+        tails = [f",{y},{name}," for y in ys]
         for x, row in zip(xs, field):
-            yield "".join([f"{x},{t}{v!r}\r\n" for t, v in zip(tails, row.tolist())])
+            yield _csv_join([x], tails, row.tolist())

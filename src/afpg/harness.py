@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from afpg import models as _models
-from afpg.config import ConfigError, RunConfig, serialize_config
+from afpg.config import MAX_STEPS, ConfigError, RunConfig, serialize_config
 from afpg.element1d import build_element
 from afpg.element2d import build_element_2d
 from afpg.grid import (
@@ -29,7 +29,7 @@ from afpg.grid import (
     write_state_csv,
 )
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
-from afpg.timestep import TimeIntegrator, advance
+from afpg.timestep import TimeIntegrator, advance, compute_dt
 
 __all__ = [
     "RunResult",
@@ -119,6 +119,22 @@ def build_integrator(cfg: RunConfig) -> TimeIntegrator:
     return TimeIntegrator(cfg.time_scheme, cfg.time_cfl, dt)
 
 
+def _check_cfl_steps(cfg: RunConfig, state, grid, model):
+    """Reject a CFL run whose first step could not reach t_end within
+    MAX_STEPS steps, the bound config applies to a fixed time.dt, or
+    whose wave speed is zero, so that the CFL gives no step at all."""
+    if cfg.time_dt > 0 or not cfg.time_t_end > 0:
+        return
+    dt = compute_dt(state, grid, model, cfg.time_cfl)
+    if math.isinf(dt):
+        raise ConfigError("time.cfl gives no step for a zero wave speed; set time.dt instead")
+    if cfg.time_t_end > dt * MAX_STEPS:
+        raise ConfigError(
+            f"time.cfl={cfg.time_cfl!r} gives dt={dt!r}: time.t_end would take more than"
+            f" {MAX_STEPS} steps"
+        )
+
+
 def _vectorize_ic(ic, m):
     def fn(x):
         base = np.asarray(ic(x), dtype=float)
@@ -155,6 +171,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
 
         exact = model.exact_solution(ic, grid)
 
+    _check_cfl_steps(cfg, state, grid, model)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
     mass_log = [(0.0, total_mass(state, grid))]

@@ -246,6 +246,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure: max-norm" in err and "(step " in err
 
+    def test_cfl_beyond_max_steps_exit_two(self, tmp_path, capsys):
+        # dt = 2.5e-302 needs about 4e301 steps: this ran until killed
+        cfg = self.write(tmp_path, "k=2\ngrid.n=40\ntime.cfl=1e-300\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "time.cfl" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "model.a=0.0\n",
+            "dimension=2\ngrid.nx=6\ngrid.ny=6\nmodel.ax=0.0\nmodel.ay=-0.0\n",
+            "model.name=burgers\nic.name=constant\nic.value=0.0\n",
+        ],
+        ids=["1d", "2d", "burgers"],
+    )
+    def test_zero_wave_speed_under_cfl_exit_two(self, tmp_path, capsys, text):
+        # advance raised ValueError("zero wave speed"): a traceback, exit 1
+        cfg = self.write(tmp_path, "grid.n=12\n" + text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "time.cfl" in err[0]
+        assert not out.exists()
+        # a fixed step still runs it
+        cfg = self.write(tmp_path, "grid.n=12\ntime.dt=0.25\n" + text)
+        assert main(["run", cfg, "--output-dir", str(out)]) == 0
+
     def test_converge_writes_table(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG + "time.t_end=1.0\n")
         out = tmp_path / "conv.csv"

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from afpg import grid as grid_module
 from afpg.config import parse_config
 from afpg.element1d import build_element, reconstruct
 from afpg.element2d import build_element_2d
@@ -390,3 +391,35 @@ class TestCsvExport:
             assert np.array_equal(total_mass(state, grid), mass)
             _oracle_write_state_csv(state, grid, tmp_path / "oracle.csv")
             assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_x_cache_follows_the_grid_written(self, tmp_path):
+        # 600 cells: three write blocks, the last one partial
+        rng = np.random.default_rng(9)
+        first = Grid1D(600, -0.3, 1.7)
+        scalar = State1D(4, _random_with_specials(rng, 600), _random_with_specials(rng, (600, 3)))
+        system = State1D(3, _random_with_specials(rng, (600, 2)),
+                         _random_with_specials(rng, (600, 2, 2)))
+        writes = [
+            (scalar, first),
+            (scalar, first),  # a cache hit
+            (scalar, Grid1D(600, 0.25, 0.75)),  # same n, other extent
+            (system, first),  # m = 2, back on the first grid
+            (State1D(2, rng.standard_normal(7), rng.standard_normal((7, 1))), Grid1D(7)),
+        ]
+        held = []
+        for state, grid in writes:
+            _assert_same_bytes(state, grid, tmp_path)
+            # the cache holds the strings of the grid just written and no other
+            cached_grid, centers, interfaces = grid_module._csv_x_last
+            assert cached_grid is grid and len(centers) == len(interfaces) == grid.n
+            held.append(centers)
+        assert held[1] is held[0] and held[2] is not held[0] and held[3] is not held[0]
+
+    def test_x_cache_matches_grids_by_identity(self, tmp_path):
+        # equal as dataclasses, but float32 bounds give other coordinates
+        wide = Grid1D(3, np.float32(0.5), np.float32(1.0))
+        plain = Grid1D(3, 0.5, 1.0)
+        assert wide == plain and not np.array_equal(wide.centers(), plain.centers())
+        st = State1D(2, [0.1, 0.2, 0.3], [[1.0], [2.0], [3.0]])
+        for grid in (wide, plain, wide):
+            _assert_same_bytes(st, grid, tmp_path)
