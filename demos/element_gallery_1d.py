@@ -1,11 +1,11 @@
-"""Walk through the 1-d element construction: basis, test functions, stencils.
+"""Walk through the 1-d element construction: basis, test functions, derivative rows.
 
 Run as:  python3 demos/element_gallery_1d.py
 """
 
 from fractions import Fraction
 
-from afpg import build_element, build_point_test, derivative_stencil
+from afpg import build_element, build_point_test, inner1
 
 
 def fmt_poly(p, var="xi"):
@@ -40,8 +40,12 @@ def main():
     print("Derivative stencils (weights on q_left, avg_i, q_mid, avg_i+1, q_right)")
     print("=" * 60)
     for alpha in (Fraction(1), Fraction(0), Fraction(-1), Fraction(2, 5)):
-        s = derivative_stencil(el, build_point_test(el, alpha))
-        weights = ", ".join(str(w) for w in s.weights)
+        # pair each test piece with the derivative of every basis function
+        # of its cell; the two cells share the interface value q_mid
+        t = build_point_test(el, alpha)
+        left = [inner1(t.left, b.deriv()) for b in el.basis()]
+        right = [inner1(t.right, b.deriv()) for b in el.basis()]
+        weights = ", ".join(str(w) for w in (*left[:-1], left[-1] + right[0], *right[1:]))
         print(f"  alpha = {alpha!s:>4}: dx * D = [{weights}]")
     print()
     print("alpha = +1 reads only the left cell (full upwind for a right-moving")

@@ -1,4 +1,4 @@
-"""The biparabolic 2-d element: nine dofs, tensor structure, stencil weights.
+"""The biparabolic 2-d element: nine dofs, tensor structure, pairing-table weights.
 
 Run as:  python3 demos/element_gallery_2d.py
 """
@@ -11,8 +11,6 @@ from afpg import (
     build_element_2d,
     build_node_test,
     build_point_test,
-    edge_derivative_stencils,
-    node_derivative_stencils,
 )
 from afpg.poly import Poly1, Poly2
 
@@ -27,6 +25,15 @@ NAMES = {
     (-1, 1): "node top-left",
     (1, 1): "node top-right",
 }
+
+
+def print_table(table):
+    # a row paired with the derivative of a reconstruction weighs its
+    # one-sided derivative values at the dof points: list the nonzero ones
+    for off, row in table.items():
+        for dof, w in row.items():
+            if w != 0:
+                print(f"    cell offset {off}, derivative at {NAMES[dof]:<18} weight {w}")
 
 
 def main():
@@ -72,17 +79,13 @@ def main():
 
     print("Stencil weights (pairings that survive for default upwinding)")
     print("=" * 60)
-    normal, tangential = edge_derivative_stencils(build_edge_test((0, 0, 1), "x"))
     print("  edge, alpha3 = +1 (full left upwind):")
-    for off, dof, w in normal.terms:
-        print(f"    cell offset {off}, derivative at {NAMES[dof]:<18} weight {w}")
+    print_table(build_edge_test((0, 0, 1), "x").table)
     print()
-    sx, sy = node_derivative_stencils(
-        build_node_test((0, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 4), Fraction(1, 4)))
-    )
     print("  node, x-weight beta = 1/2 (full left upwind in x):")
-    for off, dof, w in sx.terms:
-        print(f"    cell offset {off}, derivative at {NAMES[dof]:<18} weight {w}")
+    print_table(
+        build_node_test((0, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 4), Fraction(1, 4))).table
+    )
     print()
     print("The same weights consume x-derivatives for the x-flux and")
     print("y-derivatives for the y-flux; continuity of the reconstruction")

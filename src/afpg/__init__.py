@@ -9,27 +9,22 @@ interfaces carry a free upwind weight per interface.
 """
 
 from afpg.element1d import (
-    DerivStencil1D,
     Element1D,
     MomentWeight,
     PointTest1D,
     build_element,
     build_point_test,
-    derivative_stencil,
     moment_weight,
     reconstruct,
 )
 from afpg.element2d import (
     DOF_IDS,
-    DerivStencil2D,
     EdgeTest2D,
     Element2D,
     NodeTest2D,
     build_edge_test,
     build_element_2d,
     build_node_test,
-    edge_derivative_stencils,
-    node_derivative_stencils,
     reconstruct2d,
 )
 from afpg.grid import (
@@ -48,7 +43,6 @@ from afpg.poly import (
     Poly2,
     QuadratureRule,
     diff2,
-    differentiate1,
     gauss_rule,
     inner1,
     inner2,
@@ -69,13 +63,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly1", "Poly2", "QuadratureRule", "gauss_rule",
-    "integrate1", "inner1", "differentiate1", "integrate2", "inner2", "diff2",
-    "MomentWeight", "Element1D", "PointTest1D", "DerivStencil1D",
-    "moment_weight", "build_element", "build_point_test", "derivative_stencil",
-    "reconstruct",
-    "DOF_IDS", "Element2D", "EdgeTest2D", "NodeTest2D", "DerivStencil2D",
-    "build_element_2d", "build_edge_test", "build_node_test",
-    "edge_derivative_stencils", "node_derivative_stencils", "reconstruct2d",
+    "integrate1", "inner1", "integrate2", "inner2", "diff2",
+    "MomentWeight", "Element1D", "PointTest1D",
+    "moment_weight", "build_element", "build_point_test", "reconstruct",
+    "DOF_IDS", "Element2D", "EdgeTest2D", "NodeTest2D",
+    "build_element_2d", "build_edge_test", "build_node_test", "reconstruct2d",
     "Grid1D", "Grid2D", "State1D", "State2D",
     "project_initial", "total_mass", "error_norms", "write_state_csv",
     "advection1d", "advection2d", "burgers1d", "linear_system1d",

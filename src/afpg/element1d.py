@@ -17,14 +17,16 @@ right.  alpha = +1/-1 is full upwinding, alpha = 0 central.
 
 Both solves are performed in the Legendre basis and converted back to
 monomial coefficients, and stay in exact rational arithmetic (a float
-alpha enters at its exact binary value).  ``derivative_stencil``
-collapses the pairing of a test function with the derivative of the
-global reconstruction into weights on the 2K+1 degrees of freedom of
-the two cells meeting at the interface.  ``Element1D.dof_values``
-applies every dof functional to a polynomial; by biorthogonality, a
-moment weight pairs with any polynomial of the cell space as its
-moment functional, so the dof values of each basis derivative b_s'
-give the runtime's rows directly (see semidiscrete).
+alpha enters at its exact binary value).  An interface derivative is
+the pairing (``inner1``) of the two test pieces with the derivative of
+the global reconstruction, that is with each b_s' of the two cells
+meeting at the interface.  ``Element1D.dof_values`` applies every dof
+functional to a polynomial; by biorthogonality, a moment weight or a
+test piece pairs with any polynomial of the cell space as its dof
+functional (the alpha = +1 left piece as the right-endpoint value, the
+alpha = -1 right piece as the left-endpoint value), so the dof values
+of each basis derivative b_s' give the runtime's rows directly (see
+semidiscrete).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from functools import lru_cache
 from afpg.poly import (
     HALF,
     Poly1,
-    differentiate1,
     from_legendre,
     inner1,
     legendre_basis,
@@ -47,11 +48,9 @@ __all__ = [
     "MomentWeight",
     "Element1D",
     "PointTest1D",
-    "DerivStencil1D",
     "moment_weight",
     "build_element",
     "build_point_test",
-    "derivative_stencil",
     "reconstruct",
 ]
 
@@ -107,25 +106,6 @@ class PointTest1D:
     right: Poly1
 
 
-@dataclass(frozen=True)
-class DerivStencil1D:
-    """Weights of the upwinded interface derivative in xi units.
-
-    The 2K+1 weights act on the raw dofs of the window
-    (left cell: endpoint, moments, shared interface value,
-    right cell: moments, endpoint); the x-derivative is the weighted
-    sum divided by dx.
-    """
-
-    k: int
-    weights: tuple
-
-    def apply(self, window):
-        if len(window) != len(self.weights):
-            raise ValueError("dof window does not match stencil size")
-        return sum(w * v for w, v in zip(self.weights, window))
-
-
 @lru_cache(maxsize=None)
 def build_element(k: int) -> Element1D:
     """Construct the degree-K element with its dual basis, exactly (cached: it is immutable)."""
@@ -158,28 +138,6 @@ def build_point_test(element: Element1D, alpha) -> PointTest1D:
     left = from_legendre(solve_exact(rows, rhs_left))
     right = from_legendre(solve_exact(rows, rhs_right))
     return PointTest1D(alpha, left, right)
-
-
-def derivative_stencil(element: Element1D, test: PointTest1D) -> DerivStencil1D:
-    """Dof weights of the alpha-blended interface derivative.
-
-    Equals (1+alpha)/2 times the derivative of the left-cell
-    reconstruction at its right endpoint plus (1-alpha)/2 times the
-    derivative of the right-cell reconstruction at its left endpoint;
-    the pairing of the test function with the derivative of the global
-    reconstruction reduces to exactly this blend.
-    """
-    k = element.k
-    af = Fraction(test.alpha)
-    basis = element.basis()
-    d_right_end = [differentiate1(p)(HALF) for p in basis]
-    d_left_end = [differentiate1(p)(-HALF) for p in basis]
-    w_left_cell = HALF + af / 2
-    w_right_cell = HALF - af / 2
-    weights = [w_left_cell * d for d in d_right_end] + [Fraction(0)] * k
-    for i, d in enumerate(d_left_end):
-        weights[k + i] += w_right_cell * d
-    return DerivStencil1D(k, tuple(weights))
 
 
 def reconstruct(element: Element1D, dofs) -> Poly1:

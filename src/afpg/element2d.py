@@ -1,4 +1,4 @@
-"""Biparabolic element on Cartesian cells: basis, test functions, stencils.
+"""Biparabolic element on Cartesian cells: basis, test functions, pairing tables.
 
 The nine degrees of freedom of a cell are the four corner values, the
 four edge-midpoint values and the cell average.  Dof ids are pairs
@@ -25,19 +25,21 @@ redistribute it within each pair.  ``node_pairing_table`` spells out
 all 36 defining integrals; each of the four pieces is solved from its
 own nine conditions, exactly.
 
-Derivative stencils fall out of the same tables: expanding the
-cellwise derivative of the reconstruction in the cell basis, the
-pairing weights multiply the one-sided derivative values at the dof
-points (the average component always pairs to zero).  The same weights
-serve the x- and the y-derivative; only the values fed in differ.
-Continuity of the reconstruction then collapses the node stencils to
-two-sided blends: weight 1/2 +- (alpha10+alpha11) for the
+Every derivative row comes from the same tables.  By biorthogonality a
+piece pairs with any polynomial of the cell space as its table row
+applied to that polynomial's dof functionals (``pair_row``); the
+runtime pairs each row with the derivatives of the basis functions,
+which gives each weight on a raw dof (see semidiscrete).  Paired with
+the derivative of a reconstruction, a row weighs the one-sided
+derivative values at the dof points (the average entry of an edge or
+node row is always zero), and the same row serves the x- and the
+y-derivative.  Continuity of the reconstruction then collapses the
+node rows to two-sided blends: weight 1/2 +- (alpha10+alpha11) for the
 x-derivative and 1/2 +- alpha9/2 for the y-derivative, plus the
-stabilization jump terms.  That collapse is verified against the
-quadrature oracle in the test-suite rather than assumed.  The runtime
-uses the tables directly: a piece pairs with any polynomial of the cell
-space as its table row applied to that polynomial's dof functionals
-(``apply_dof``), which gives each weight on a raw dof (see semidiscrete).
+stabilization jump terms.  That collapse is checked rather than
+assumed: ``tests/test_element2d.py::TestStencils`` compares the rows
+with these blends (``test_node_simplified_two_sided_forms``) and with
+the exact pairing of the solved pieces (``test_node_oracle_random_alphas``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from afpg.poly import (
     HALF,
     Poly1,
     Poly2,
-    diff2,
     inner2,
     integrate2,
     legendre_basis,
@@ -62,18 +63,15 @@ __all__ = [
     "Element2D",
     "EdgeTest2D",
     "NodeTest2D",
-    "DerivStencil2D",
     "dof_point",
     "apply_dof",
+    "pair_row",
     "build_element_2d",
     "build_edge_test",
     "build_node_test",
     "edge_pairing_table",
     "node_pairing_table",
-    "edge_derivative_stencils",
-    "node_derivative_stencils",
     "reconstruct2d",
-    "apply_stencil",
 ]
 
 # Fixed dof ordering: average, edge midpoints (left, right, bottom, top),
@@ -104,6 +102,16 @@ def apply_dof(dof, p: Poly2):
         return integrate2(p)
     xi, eta = dof_point(dof)
     return p(xi, eta)
+
+
+def pair_row(row, p: Poly2):
+    """Pairing of a test-function piece with p, a polynomial of the cell space.
+
+    ``row`` is the piece's row of a pairing table (its pairings with the
+    basis functions, keyed by dof id); by biorthogonality the pairing
+    with p is that row applied to the dof functionals of p.
+    """
+    return sum(w * apply_dof(dof, p) for dof, w in row.items() if w != 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +146,6 @@ class NodeTest2D:
     alphas: tuple
     pieces: dict
     table: dict
-
-
-@dataclass(frozen=True)
-class DerivStencil2D:
-    """Weights on one-sided derivative point values d^(cell)_(dof point).
-
-    ``terms`` is a tuple of (cell_offset, dof_id, weight): the stencil
-    value is the weighted sum of the ``axis``-derivative of each
-    support cell's reconstruction, evaluated at the dof point, taken
-    from inside that cell.
-    """
-
-    axis: str
-    terms: tuple
 
 
 def _closed_form_factors():
@@ -346,57 +340,9 @@ def build_node_test(alphas) -> NodeTest2D:
     return NodeTest2D(tuple(alphas), pieces, table)
 
 
-def _stencil_terms(table):
-    return tuple(
-        (off, dof, w)
-        for off, row in table.items()
-        for dof, w in row.items()
-        if dof != (0, 0) and w != 0
-    )
-
-
-def edge_derivative_stencils(test: EdgeTest2D):
-    """(normal, tangential) derivative stencils of an edge test function.
-
-    Both share the same pairing weights; the normal stencil consumes
-    derivatives along the edge normal, the tangential one derivatives
-    along the edge.  For the tangential direction the weights always
-    recombine to the single-valued trace derivative at the midpoint.
-    """
-    terms = _stencil_terms(test.table)
-    normal_axis = test.orientation
-    tangential_axis = "y" if normal_axis == "x" else "x"
-    return (
-        DerivStencil2D(normal_axis, terms),
-        DerivStencil2D(tangential_axis, terms),
-    )
-
-
-def node_derivative_stencils(test: NodeTest2D):
-    """(x, y) derivative stencils of a node test function."""
-    terms = _stencil_terms(test.table)
-    return (DerivStencil2D("x", terms), DerivStencil2D("y", terms))
-
-
 def reconstruct2d(element: Element2D, dofs) -> Poly2:
     """Cell polynomial matching the nine dofs, keyed by dof id."""
     total = Poly2([[0]])
     for dof in DOF_IDS:
         total = total + dofs[dof] * element.basis[dof]
     return total
-
-
-def apply_stencil(stencil: DerivStencil2D, element: Element2D, cells, dx, dy):
-    """Evaluate a stencil on explicit cell data (for oracles and checks).
-
-    ``cells`` maps each support-cell offset to that cell's dof mapping.
-    """
-    scale = dx if stencil.axis == "x" else dy
-    total = 0
-    polys = {}
-    for off, dof, w in stencil.terms:
-        if off not in polys:
-            polys[off] = diff2(reconstruct2d(element, cells[off]), stencil.axis)
-        xi, eta = dof_point(dof)
-        total += w * polys[off](xi, eta)
-    return total / scale

@@ -27,7 +27,6 @@ __all__ = [
     "QuadratureRule",
     "integrate1",
     "inner1",
-    "differentiate1",
     "integrate2",
     "inner2",
     "diff2",
@@ -208,44 +207,6 @@ class Poly2:
 
     __rmul__ = __mul__
 
-    def partial(self, axis) -> "Poly2":
-        """Derivative in xi (axis 0/'x') or eta (axis 1/'y')."""
-        ax = {0: 0, 1: 1, "x": 0, "y": 1, "xi": 0, "eta": 1}[axis]
-        if ax == 0:
-            if len(self.coeffs) == 1:
-                return Poly2([[0]])
-            rows = [
-                [k * c for c in row] for k, row in enumerate(self.coeffs) if k > 0
-            ]
-            return Poly2(rows)
-        rows = []
-        for row in self.coeffs:
-            if len(row) == 1:
-                rows.append([0])
-            else:
-                rows.append([l * c for l, c in enumerate(row) if l > 0])
-        return Poly2(rows)
-
-    def at_xi(self, v) -> Poly1:
-        """Restriction xi = v, as a polynomial in eta."""
-        width = len(self.coeffs[0])
-        out = [0] * width
-        for k, row in enumerate(self.coeffs):
-            vk = v**k
-            for l, c in enumerate(row):
-                out[l] += c * vk
-        return Poly1(out)
-
-    def at_eta(self, v) -> Poly1:
-        """Restriction eta = v, as a polynomial in xi."""
-        out = []
-        for row in self.coeffs:
-            acc = 0
-            for c in reversed(row):
-                acc = acc * v + c
-            out.append(acc)
-        return Poly1(out)
-
     def transpose(self) -> "Poly2":
         """Swap the roles of xi and eta."""
         nk, nl = len(self.coeffs), len(self.coeffs[0])
@@ -279,11 +240,6 @@ def inner1(p: Poly1, q: Poly1):
     return integrate1(p * q)
 
 
-def differentiate1(p: Poly1) -> Poly1:
-    """d/dxi of p; callers supply the physical 1/dx factor."""
-    return p.deriv()
-
-
 @lru_cache(maxsize=None)
 def _mono_integral(k: int) -> Fraction:
     # integral of xi^k over [-1/2, 1/2]
@@ -313,7 +269,12 @@ def inner2(p: Poly2, q: Poly2):
 
 
 def diff2(p: Poly2, axis) -> Poly2:
-    return p.partial(axis)
+    """Derivative of p in xi (axis "x") or eta (axis "y")."""
+    if axis == "x":
+        return Poly2([[k * c for c in row] for k, row in enumerate(p.coeffs) if k > 0])
+    if axis == "y":
+        return Poly2([[l * c for l, c in enumerate(row) if l > 0] or [0] for row in p.coeffs])
+    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 @dataclass(frozen=True)

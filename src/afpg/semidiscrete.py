@@ -32,7 +32,7 @@ values:
 In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
 indicator for the average, then the edge-x, edge-y and node tables of
 element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
-every basis function b of every support cell.  The scheme is then an
+every basis function b of every support cell, by ``element2d.pair_row``.  The scheme is then an
 offset-block operator, compiled once per grid spacing, velocity and
 upwind setting: the distinct (source field, 2-d offset) columns that
 carry weight (9 for a = (1, 1) adaptive) and one (4, #columns) float
@@ -55,10 +55,10 @@ from afpg.element1d import Element1D, build_element, build_point_test
 from afpg.element2d import (
     Element2D,
     _transpose_table,
-    apply_dof,
     build_element_2d,
     edge_pairing_table,
     node_pairing_table,
+    pair_row,
 )
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d
 from afpg.poly import HALF, diff2, inner1
@@ -270,10 +270,10 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     offset in {-1, 0, 1}^2).  Fields are ordered averages, edge_x,
     edge_y, nodes; their tables are the cell indicator (the average's
     test function) and the edge and node pairing tables.  Dof (r, s) of
-    the support cell at offset o weighs -sum_pt row[pt] apply_dof(pt,
-    ax/dx d_xi b + ay/dy d_eta b), b its basis function, and is stored in
-    field |r| + 2|s| of the cell at o + (min(r, 0), min(s, 0)).  Each
-    weight is exact and rounded once.
+    the support cell at offset o weighs -pair_row(row, ax/dx d_xi b +
+    ay/dy d_eta b), b its basis function and row the table's row at o,
+    and is stored in field |r| + 2|s| of the cell at o + (min(r, 0),
+    min(s, 0)).  Each weight is exact and rounded once.
     """
     if upwind.mode == "adaptive":
         a3x, a3y = np.sign(ax), np.sign(ay)
@@ -294,12 +294,9 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     exact = defaultdict(Fraction)
     for out_field, table in enumerate(tables):
         for (ox, oy), row in table.items():
-            for pt, w in row.items():
-                if w == 0:
-                    continue
-                for (r, s), f in flux.items():
-                    column = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
-                    exact[out_field, column] -= w * apply_dof(pt, f)
+            for (r, s), f in flux.items():
+                column = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
+                exact[out_field, column] -= pair_row(row, f)
     columns = tuple(sorted({column for (_, column), w in exact.items() if w != 0}))
     index = {column: j for j, column in enumerate(columns)}
     weights = np.zeros((len(tables), len(columns)))

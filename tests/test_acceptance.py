@@ -10,25 +10,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from afpg.element1d import (
-    build_element,
-    build_point_test,
-    derivative_stencil,
-    reconstruct,
-)
-from afpg.element2d import (
-    apply_stencil,
-    build_edge_test,
-    build_element_2d,
-    build_node_test,
-    edge_derivative_stencils,
-    node_derivative_stencils,
-    reconstruct2d,
-)
+from afpg.element1d import build_element, build_point_test, reconstruct
+from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, error_norms, project_initial, total_mass
 from afpg.models import SineIC, advection1d, advection2d, burgers1d
-from afpg.poly import Poly1, Poly2, diff2, gauss_rule, inner2
-from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d, rhs_point_burgers
+from afpg.poly import HALF, Poly1, Poly2, diff2, gauss_rule, inner1, inner2
+from afpg.semidiscrete import (
+    Upwind1D,
+    Upwind2D,
+    _linear_rows,
+    rhs_1d,
+    rhs_2d,
+    rhs_point_burgers,
+)
 from afpg.timestep import TimeIntegrator, advance, compute_dt
 
 
@@ -88,17 +82,42 @@ def test_criterion_2_biorthogonality_suite():
 
 
 def test_criterion_3_stencil_identities():
-    """Full-upwind and central derivative stencils, coefficientwise exact."""
+    """Full-upwind and central interface rows, coefficientwise exact.
+
+    The rows are the ones rhs_1d applies: ``_linear_rows(2)``'s D+ on the
+    left cell's dofs (q_left, avg_i, q_mid) and D- on the right cell's
+    (q_mid, avg_i+1, q_right), blended by (1+alpha)/2 and (1-alpha)/2.
+    Each must also equal its oracle, the exact pairing of the solved test
+    pieces with the basis derivatives b_s'.
+    """
     el = build_element(2)
-    up = derivative_stencil(el, build_point_test(el, 1)).weights
-    down = derivative_stencil(el, build_point_test(el, -1)).weights
-    central = derivative_stencil(el, build_point_test(el, 0)).weights
+    d_plus, d_minus = ([Fraction(w) for w in row] for row in _linear_rows(2)[-2:])
+
+    def blended(alpha):
+        row = [HALF * (1 + alpha) * w for w in d_plus] + [Fraction(0)] * 2
+        for s, w in enumerate(d_minus):
+            row[2 + s] += HALF * (1 - alpha) * w
+        return tuple(row)
+
+    def paired(alpha):
+        t = build_point_test(el, alpha)
+        row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * 2
+        for s, b in enumerate(el.basis()):
+            row[2 + s] += inner1(t.right, b.deriv())
+        return tuple(row)
+
+    up, down, central = (blended(Fraction(alpha)) for alpha in (1, -1, 0))
     ok = (
         up == (2, -6, 4, 0, 0)
         and down == (0, 0, -4, 6, -2)
         and central == (1, -3, 0, 3, -1)
+        and (up, down, central) == tuple(paired(alpha) for alpha in (1, -1, 0))
     )
-    report(3, ok, f"(up={up}, down={down}, central={central})")
+
+    def fmt(row):
+        return "(" + ", ".join(str(w) for w in row) + ")"
+
+    report(3, ok, f"(up={fmt(up)}, down={fmt(down)}, central={fmt(central)})")
 
 
 def test_criterion_4_burgers_closed_form():
@@ -186,25 +205,41 @@ def test_criterion_5_2d_structure_theorems():
 
 
 def test_criterion_6_2d_derivative_oracles():
-    """Edge/node stencils vs direct pairings on random periodic states."""
+    """rhs_2d vs direct pairings on random periodic states.
+
+    Every output entry of rhs_2d must equal the quadrature oracle: minus
+    the exact pairing of the solved test pieces (the cell indicator for
+    the average, the edge and node pieces) with ax d/dx + ay d/dy of the
+    reconstruction.  The free weights are drawn through Upwind2D in fixed
+    mode, which ties the node weights to beta as the runtime does.
+    """
     rng = np.random.default_rng(99)
     nx = ny = 4
     g = Grid2D(nx, ny)
     el = build_element_2d()
+    dx, dy = Fraction(g.dx), Fraction(g.dy)
     worst = 0.0
-    for trial in range(3):
-        st = State2D(
-            rng.standard_normal((nx, ny)),
-            rng.standard_normal((nx, ny)),
-            rng.standard_normal((nx, ny)),
-            rng.standard_normal((nx, ny)),
+    for ax, ay in ((1.0, 0.0), (0.0, 1.0), tuple(rng.uniform(-1.5, 1.5, 2))):
+        st = State2D(*rng.standard_normal((4, nx, ny)))
+        upwind = Upwind2D(
+            "fixed",
+            alpha3=rng.uniform(-1, 1),
+            beta=rng.uniform(-0.5, 0.5),
+            edge_alpha1=rng.uniform(-1, 1),
+            edge_alpha2=rng.uniform(-1, 1),
+            node_alphas=tuple(rng.uniform(-0.5, 0.5, 8)),
         )
-        edge_alphas = tuple(rng.uniform(-1, 1) for _ in range(3))
-        node_alphas = tuple(rng.uniform(-0.5, 0.5) for _ in range(11))
-        edge_test = build_edge_test(edge_alphas, "x")
-        node_test = build_node_test(node_alphas)
-        e_norm, e_tang = edge_derivative_stencils(edge_test)
-        n_x, n_y = node_derivative_stencils(node_test)
+        got = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
+
+        edge = (upwind.edge_alpha1, upwind.edge_alpha2, upwind.alpha3)
+        beta = Fraction(upwind.beta)
+        node = (*upwind.node_alphas, 2 * beta, beta / 2, beta / 2)
+        pieces = (
+            {(0, 0): Poly2([[1]])},
+            build_edge_test(edge, "x").pieces,
+            build_edge_test(edge, "y").pieces,
+            build_node_test(node).pieces,
+        )
 
         def cell_dofs(i, j):
             return {
@@ -219,28 +254,23 @@ def test_criterion_6_2d_derivative_oracles():
                 (1, 1): st.nodes[i % nx, j % ny],
             }
 
+        flux = {}
         for i in range(nx):
             for j in range(ny):
-                e_cells = {(0, 0): cell_dofs(i, j), (1, 0): cell_dofs(i + 1, j)}
-                n_cells = {
-                    off: cell_dofs(i + off[0], j + off[1])
-                    for off in ((0, 0), (1, 0), (0, 1), (1, 1))
-                }
-                for test_obj, cells, stencils in (
-                    (edge_test, e_cells, (e_norm, e_tang)),
-                    (node_test, n_cells, (n_x, n_y)),
-                ):
-                    for stencil in stencils:
-                        got = apply_stencil(stencil, el, cells, g.dx, g.dy)
-                        scale = g.dx if stencil.axis == "x" else g.dy
-                        oracle = 0.0
-                        for off, piece in test_obj.pieces.items():
-                            recon = reconstruct2d(
-                                el, {d: Fraction(v) for d, v in cells[off].items()}
-                            )
-                            oracle += float(inner2(piece, diff2(recon, stencil.axis)))
-                        oracle /= scale
-                        worst = max(worst, abs(got - oracle) / max(abs(oracle), 1.0))
+                recon = reconstruct2d(el, {d: Fraction(v) for d, v in cell_dofs(i, j).items()})
+                flux[i, j] = (
+                    Fraction(ax) / dx * diff2(recon, "x") + Fraction(ay) / dy * diff2(recon, "y")
+                )
+        for out, field_pieces in zip(got.data, pieces):
+            for i in range(nx):
+                for j in range(ny):
+                    oracle = -float(
+                        sum(
+                            inner2(piece, flux[(i + ox) % nx, (j + oy) % ny])
+                            for (ox, oy), piece in field_pieces.items()
+                        )
+                    )
+                    worst = max(worst, abs(out[i, j] - oracle) / max(abs(oracle), 1.0))
     report(6, worst <= 1e-11, f"(max relative defect {worst:.2e})")
 
 

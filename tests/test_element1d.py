@@ -1,4 +1,4 @@
-"""Construction tests for the 1-d element, test functions and stencils."""
+"""Construction tests for the 1-d element, test functions and derivative rows."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 from afpg.element1d import (
     build_element,
     build_point_test,
-    derivative_stencil,
     moment_weight,
     reconstruct,
 )
@@ -129,21 +128,48 @@ class TestPointTests:
             assert got == pytest.approx(expected, rel=1e-12)
 
 
+def pairing_row(el, t):
+    """Oracle of an interface row: the exact pairing of the test pieces
+    with each b_s', on the 2K+1 dofs of the two cells at the interface
+    (the left cell's K+1 dofs, then the right cell's past the shared
+    interface value), in xi units."""
+    k = el.k
+    row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
+    for s, b in enumerate(el.basis()):
+        row[k + s] += inner1(t.right, b.deriv())
+    return tuple(row)
+
+
+def blended_row(k, alpha):
+    """The interface row rhs_1d applies at alpha, on the same 2K+1 dofs:
+    ``_linear_rows(k)``'s D+ on the left cell times (1+alpha)/2 plus its
+    D- on the right cell times (1-alpha)/2, blended exactly (every D+/D-
+    entry is a dyadic rational, so its float is exact)."""
+    d_plus, d_minus = ([Fraction(w) for w in row] for row in _linear_rows(k)[-2:])
+    alpha = Fraction(alpha)
+    row = [HALF * (1 + alpha) * w for w in d_plus] + [Fraction(0)] * k
+    for s, w in enumerate(d_minus):
+        row[k + s] += HALF * (1 - alpha) * w
+    return tuple(row)
+
+
 class TestDerivativeStencil:
+    """The interface rows of ``semidiscrete._linear_rows``, blended at alpha."""
+
     def test_full_upwind_weights(self):
         el = build_element(2)
-        s = derivative_stencil(el, build_point_test(el, 1))
-        assert s.weights == (2, -6, 4, 0, 0)
+        assert blended_row(2, 1) == (2, -6, 4, 0, 0)
+        assert pairing_row(el, build_point_test(el, 1)) == (2, -6, 4, 0, 0)
 
     def test_full_downwind_weights(self):
         el = build_element(2)
-        s = derivative_stencil(el, build_point_test(el, -1))
-        assert s.weights == (0, 0, -4, 6, -2)
+        assert blended_row(2, -1) == (0, 0, -4, 6, -2)
+        assert pairing_row(el, build_point_test(el, -1)) == (0, 0, -4, 6, -2)
 
     def test_central_weights(self):
         el = build_element(2)
-        s = derivative_stencil(el, build_point_test(el, 0))
-        assert s.weights == (1, -3, 0, 3, -1)
+        assert blended_row(2, 0) == (1, -3, 0, 3, -1)
+        assert pairing_row(el, build_point_test(el, 0)) == (1, -3, 0, 3, -1)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_constant_annihilation(self, k):
@@ -152,31 +178,26 @@ class TestDerivativeStencil:
         cell_dofs = el.dof_values(Poly1([Fraction(5, 3)]))
         window = list(cell_dofs) + list(cell_dofs[1:])
         for alpha in ALPHAS:
-            s = derivative_stencil(el, build_point_test(el, alpha))
-            assert s.apply(window) == 0
+            assert sum(w * v for w, v in zip(blended_row(k, alpha), window)) == 0
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_alpha_linearity(self, k):
+        # the test pieces are linear in alpha, so the pairing at any alpha
+        # is the blend of the two one-sided rows the runtime stores
         el = build_element(k)
-        plus = derivative_stencil(el, build_point_test(el, 1)).weights
-        minus = derivative_stencil(el, build_point_test(el, -1)).weights
         for alpha in (Fraction(-1, 3), Fraction(37, 100), Fraction(4, 5)):
-            blend = derivative_stencil(el, build_point_test(el, alpha)).weights
-            expected = tuple(
-                HALF * (1 + alpha) * p + HALF * (1 - alpha) * m
-                for p, m in zip(plus, minus)
-            )
-            assert blend == expected
+            assert pairing_row(el, build_point_test(el, alpha)) == blended_row(k, alpha)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_stencil_equals_pairing_quadrature(self, k, alpha):
-        # random dofs on two adjacent cells: the stencil value must equal
-        # the pairing of the test function with d/dx of the reconstruction
+        # random dofs on two adjacent cells: the runtime row's value must
+        # equal the pairing of the test function with d/dx of the
+        # reconstruction, by Gauss quadrature
         rng = random.Random(10 * k + int(10 * alpha))
         el = build_element(k)
         t = build_point_test(el, alpha)
-        stencil = derivative_stencil(el, t)
+        row = [float(w) for w in blended_row(k, alpha)]
         rule = gauss_rule(k + 1)
         dx = 0.2
         for _ in range(5):
@@ -191,7 +212,7 @@ class TestDerivativeStencil:
                 # cancels badly at K = 6 (test coefficients reach ~8e3)
                 p, dq = piece.as_float(), q.deriv()
                 pairing += rule.integrate(lambda x: p(x) * dq(x)) / dx
-            got = stencil.apply(window) / dx
+            got = sum(w * v for w, v in zip(row, window)) / dx
             assert got == pytest.approx(pairing, rel=1e-12, abs=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Construction and stencil tests for the biparabolic 2-d element."""
+"""Construction and pairing-row tests for the biparabolic 2-d element."""
 
 import random
 from fractions import Fraction
@@ -9,13 +9,11 @@ from afpg.element1d import build_element, build_point_test
 from afpg.element2d import (
     DOF_IDS,
     apply_dof,
-    apply_stencil,
     build_edge_test,
     build_element_2d,
     build_node_test,
     dof_point,
-    edge_derivative_stencils,
-    node_derivative_stencils,
+    pair_row,
     reconstruct2d,
 )
 from afpg.poly import Poly1, Poly2, diff2, gauss_rule, inner2, integrate2
@@ -309,7 +307,21 @@ class TestGlobalBiorthogonality:
         del rng2
 
 
+def paired(table, cells, axis, scale):
+    """What a test function's pairing table makes of the axis-derivative
+    of the reconstruction on ``cells`` (support-cell offset -> dof
+    mapping): each row paired with its cell's derivative by ``pair_row``,
+    as the runtime pairs rows, summed and divided by the grid spacing."""
+    el = build_element_2d()
+    total = sum(
+        pair_row(row, diff2(reconstruct2d(el, cells[off]), axis)) for off, row in table.items()
+    )
+    return total / scale
+
+
 class TestStencils:
+    """Interface derivatives from the pairing tables through ``pair_row``."""
+
     def test_edge_full_left_upwind(self):
         # alpha3 = 1 and no stabilization: the normal derivative is the
         # one-sided derivative from the left cell
@@ -317,9 +329,8 @@ class TestStencils:
         el = build_element_2d()
         cells, _ = shared_patch(rng, [(0, 0), (1, 0)])
         t = build_edge_test((0, 0, 1), "x")
-        normal, _ = edge_derivative_stencils(t)
-        dx, dy = Fraction(1, 4), Fraction(1, 5)
-        got = apply_stencil(normal, el, cells, dx, dy)
+        dx = Fraction(1, 4)
+        got = paired(t.table, cells, "x", dx)
         own = diff2(reconstruct2d(el, cells[(0, 0)]), "x")
         assert got == own(Fraction(1, 2), Fraction(0)) / dx
 
@@ -342,9 +353,8 @@ class TestStencils:
                     shifted[dof] = p(xi + off[0], eta + off[1])
             cells[off] = shifted
         t = build_edge_test((0, 0, 0), "x")
-        normal, tangential = edge_derivative_stencils(t)
-        got_n = apply_stencil(normal, el, cells, dx, dy)
-        got_t = apply_stencil(tangential, el, cells, dx, dy)
+        got_n = paired(t.table, cells, "x", dx)
+        got_t = paired(t.table, cells, "y", dy)
         assert got_n == diff2(p, "x")(Fraction(1, 2), 0)
         assert got_t == diff2(p, "y")(Fraction(1, 2), 0)
 
@@ -354,9 +364,8 @@ class TestStencils:
         cells, _ = shared_patch(rng, [(0, 0), (1, 0)])
         dx, dy = Fraction(1, 3), Fraction(1, 6)
         t = build_edge_test((Fraction(1, 5), Fraction(-3, 10), Fraction(1, 2)), "x")
-        normal, tangential = edge_derivative_stencils(t)
-        for stencil, axis, scale in ((normal, "x", dx), (tangential, "y", dy)):
-            got = apply_stencil(stencil, el, cells, dx, dy)
+        for axis, scale in (("x", dx), ("y", dy)):
+            got = paired(t.table, cells, axis, scale)
             oracle = Fraction(0)
             for off, piece in t.pieces.items():
                 recon = reconstruct2d(el, cells[off])
@@ -370,8 +379,7 @@ class TestStencils:
         dy = Fraction(1, 7)
         for alphas in ((0, 0, 0), (Fraction(1, 3), Fraction(-1, 4), Fraction(4, 5))):
             t = build_edge_test(alphas, "x")
-            _, tangential = edge_derivative_stencils(t)
-            got = apply_stencil(tangential, el, cells, Fraction(1, 2), dy)
+            got = paired(t.table, cells, "y", dy)
             own = diff2(reconstruct2d(el, cells[(0, 0)]), "y")(Fraction(1, 2), 0) / dy
             other = diff2(reconstruct2d(el, cells[(1, 0)]), "y")(Fraction(-1, 2), 0) / dy
             assert own == other  # trace derivative is single-valued
@@ -382,9 +390,8 @@ class TestStencils:
         el = build_element_2d()
         cells, _ = shared_patch(rng, [(0, 0), (1, 0), (0, 1), (1, 1)])
         t = build_node_test((0, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 4), Fraction(1, 4)))
-        sx, _ = node_derivative_stencils(t)
-        dx, dy = Fraction(1, 2), Fraction(1, 3)
-        got = apply_stencil(sx, el, cells, dx, dy)
+        dx = Fraction(1, 2)
+        got = paired(t.table, cells, "x", dx)
         own = diff2(reconstruct2d(el, cells[(0, 0)]), "x")(Fraction(1, 2), Fraction(1, 2)) / dx
         assert got == own
 
@@ -393,9 +400,8 @@ class TestStencils:
         el = build_element_2d()
         cells, _ = shared_patch(rng, [(0, 0), (1, 0), (0, 1), (1, 1)])
         t = build_node_test((0,) * 11)
-        sx, sy = node_derivative_stencils(t)
-        dx, dy = Fraction(1, 2), Fraction(1, 3)
-        got = apply_stencil(sx, el, cells, dx, dy)
+        dx = Fraction(1, 2)
+        got = paired(t.table, cells, "x", dx)
         d_left = diff2(reconstruct2d(el, cells[(0, 0)]), "x")(Fraction(1, 2), Fraction(1, 2)) / dx
         d_right = diff2(reconstruct2d(el, cells[(1, 0)]), "x")(Fraction(-1, 2), Fraction(1, 2)) / dx
         assert got == (d_left + d_right) / 2
@@ -406,10 +412,9 @@ class TestStencils:
         cells, _ = shared_patch(rng, [(0, 0), (1, 0), (0, 1), (1, 1)])
         alphas = tuple(random_rational(rng, 12) for _ in range(11))
         t = build_node_test(alphas)
-        sx, sy = node_derivative_stencils(t)
         dx, dy = Fraction(2, 5), Fraction(1, 4)
-        for stencil, axis, scale in ((sx, "x", dx), (sy, "y", dy)):
-            got = apply_stencil(stencil, el, cells, dx, dy)
+        for axis, scale in (("x", dx), ("y", dy)):
+            got = paired(t.table, cells, axis, scale)
             oracle = Fraction(0)
             for off, piece in t.pieces.items():
                 oracle += inner2(piece, diff2(reconstruct2d(el, cells[off]), axis))
@@ -424,14 +429,13 @@ class TestStencils:
         alphas = tuple(random_rational(rng, 10) for _ in range(11))
         a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = alphas
         t = build_node_test(alphas)
-        sx, sy = node_derivative_stencils(t)
         dx, dy = Fraction(1, 3), Fraction(1, 5)
 
         def d(off, pt, axis, scale):
             xi, eta = dof_point(pt)
             return diff2(reconstruct2d(el, cells[off]), axis)(xi, eta) / scale
 
-        got_x = apply_stencil(sx, el, cells, dx, dy)
+        got_x = paired(t.table, cells, "x", dx)
         expected_x = (
             d((0, 0), (1, 1), "x", dx) * (Fraction(1, 2) + a10 + a11)
             + d((1, 0), (-1, 1), "x", dx) * (Fraction(1, 2) - (a10 + a11))
@@ -442,7 +446,7 @@ class TestStencils:
         )
         assert got_x == expected_x
 
-        got_y = apply_stencil(sy, el, cells, dx, dy)
+        got_y = paired(t.table, cells, "y", dy)
         expected_y = (
             d((0, 0), (1, 1), "y", dy) * (Fraction(1, 2) + a9 / 2)
             + d((0, 1), (1, -1), "y", dy) * (Fraction(1, 2) - a9 / 2)
@@ -455,10 +459,9 @@ class TestStencils:
 
     def test_node_exact_on_global_tensor_quadratic(self):
         # sampling one global biquadratic across all four cells kills the
-        # jumps: every stencil reproduces the analytic derivative at the
-        # node, whatever the free weights are
+        # jumps: every row reproduces the analytic derivative at the node,
+        # whatever the free weights are
         rng = random.Random(29)
-        el = build_element_2d()
         p = Poly2([[random_rational(rng) for _ in range(3)] for _ in range(3)])
         cells = {}
         for off in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -468,17 +471,17 @@ class TestStencils:
         node = (Fraction(1, 2), Fraction(1, 2))
         for _ in range(3):
             alphas = tuple(random_rational(rng, 12) for _ in range(11))
-            sx, sy = node_derivative_stencils(build_node_test(alphas))
-            assert apply_stencil(sx, el, cells, dx, dy) == diff2(p, "x")(*node)
-            assert apply_stencil(sy, el, cells, dx, dy) == diff2(p, "y")(*node)
+            table = build_node_test(alphas).table
+            assert paired(table, cells, "x", dx) == diff2(p, "x")(*node)
+            assert paired(table, cells, "y", dy) == diff2(p, "y")(*node)
         # constant data is annihilated
         const_cells = {
             off: {dof: apply_dof(dof, Poly2([[Fraction(3, 7)]])) for dof in DOF_IDS}
             for off in cells
         }
-        sx, sy = node_derivative_stencils(build_node_test(tuple(range(-5, 6))))
-        assert apply_stencil(sx, el, const_cells, dx, dy) == 0
-        assert apply_stencil(sy, el, const_cells, dx, dy) == 0
+        table = build_node_test(tuple(range(-5, 6))).table
+        assert paired(table, const_cells, "x", dx) == 0
+        assert paired(table, const_cells, "y", dy) == 0
 
 
 class TestReconstruct2D:

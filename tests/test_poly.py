@@ -11,7 +11,6 @@ from afpg.poly import (
     Poly1,
     Poly2,
     diff2,
-    differentiate1,
     from_legendre,
     gauss_rule,
     inner1,
@@ -68,16 +67,16 @@ class TestInner1:
 
 class TestDifferentiate1:
     def test_constant(self):
-        assert differentiate1(Poly1([5])) == Poly1([0])
+        assert Poly1([5]).deriv() == Poly1([0])
 
     def test_xi_squared(self):
-        assert differentiate1(Poly1([0, 0, 1])) == Poly1([0, 2])
+        assert Poly1([0, 0, 1]).deriv() == Poly1([0, 2])
 
     def test_right_endpoint_basis_slope(self):
         # derivative of -1/4 + xi + 3 xi^2 at xi = 1/2 is 4: the weight of
-        # the interface value in the full-upwind derivative stencil
+        # the interface value in the full-upwind interface row D+
         p = Poly1([Fraction(-1, 4), 1, 3])
-        d = differentiate1(p)
+        d = p.deriv()
         assert d == Poly1([1, 6])
         assert d(HALF) == 4
 
@@ -108,11 +107,11 @@ class TestPoly2:
         p = Poly2([[0, 0, 0], [0, 0, 0], [1, 0, 0]])  # xi^2
         assert diff2(p, "x") == Poly2([[0], [2]])
         assert diff2(p, "y") == Poly2([[0]])
-
-    def test_restrictions(self):
-        p = Poly2([[1, 2], [3, 4]])  # 1 + 2 eta + 3 xi + 4 xi eta
-        assert p.at_xi(Fraction(1, 2)) == Poly1([Fraction(5, 2), 4])
-        assert p.at_eta(0) == Poly1([1, 3])
+        q = Poly2([[1, 2], [3, 4]])  # 1 + 2 eta + 3 xi + 4 xi eta
+        assert diff2(q, "x") == Poly2([[3, 4]])
+        assert diff2(q, "y") == Poly2([[2], [4]])
+        with pytest.raises(ValueError):
+            diff2(q, "xi")
 
     def test_transpose(self):
         p = Poly2([[1, 2], [3, 4]])

@@ -8,7 +8,6 @@ import pytest
 from afpg.element1d import (
     build_element,
     build_point_test,
-    derivative_stencil,
     reconstruct,
 )
 from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
@@ -246,6 +245,18 @@ def by_parts_rows(el):
     return rows
 
 
+def interface_row(el, alpha):
+    """The exact interface row at alpha on the 2K+1 dofs of the two cells
+    at an interface (the left cell's K+1 dofs, then the right cell's past
+    the shared value): the pairing of the test pieces with each b_s'."""
+    t = build_point_test(el, alpha)
+    k = el.k
+    row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
+    for s, b in enumerate(el.basis()):
+        row[k + s] += inner1(t.right, b.deriv())
+    return row
+
+
 class TestCompiledTaps1D:
     @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -257,7 +268,7 @@ class TestCompiledTaps1D:
         # so each tap lies within 2 eps of its row's largest weight.
         g = Grid1D(7)
         el = build_element(k)
-        rows = (*by_parts_rows(el), derivative_stencil(el, build_point_test(el, alpha)).weights)
+        rows = (*by_parts_rows(el), interface_row(el, alpha))
         scale = -Fraction(a) / Fraction(g.dx)
         i = 3
         window = [(k - 1, -1)] + [(c, o) for o in (0, 1) for c in range(k)]
@@ -286,8 +297,8 @@ class TestLinearRows:
         # dofs) and D- (alpha = -1, on the right cell's), each weight
         # rounded to float once
         el = build_element(k)
-        d_plus = derivative_stencil(el, build_point_test(el, 1)).weights
-        d_minus = derivative_stencil(el, build_point_test(el, -1)).weights
+        d_plus = interface_row(el, 1)
+        d_minus = interface_row(el, -1)
         # the full-upwind rows read one cell only
         assert not any(d_plus[k + 1:]) and not any(d_minus[:k])
         exact = [*by_parts_rows(el), d_plus[: k + 1], d_minus[k:]]
@@ -534,7 +545,7 @@ class TestRhs2D:
             rhs_2d(st, g, el, burgers1d(), Upwind2D())
 
     def test_node_upwind_picks_left_cells(self):
-        # for ax > 0 the adaptive node stencil reads x-derivatives from the
+        # for ax > 0 the adaptive node row reads x-derivatives from the
         # left-side cells only
         rng = np.random.default_rng(13)
         g = Grid2D(4, 4)
