@@ -49,14 +49,7 @@ from afpg.poly import (
     integrate1,
     integrate2,
 )
-from afpg.semidiscrete import (
-    Upwind1D,
-    Upwind2D,
-    choose_alpha,
-    rhs_1d,
-    rhs_2d,
-    rhs_point_burgers,
-)
+from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
 from afpg.timestep import BlowUpError, TimeIntegrator, advance, compute_dt, step
 
 __version__ = "0.1.0"
@@ -71,6 +64,6 @@ __all__ = [
     "Grid1D", "Grid2D", "State1D", "State2D",
     "project_initial", "total_mass", "error_norms", "write_state_csv",
     "advection1d", "advection2d", "burgers1d", "linear_system1d",
-    "Upwind1D", "Upwind2D", "choose_alpha", "rhs_1d", "rhs_2d", "rhs_point_burgers",
+    "Upwind1D", "Upwind2D", "rhs_1d", "rhs_2d",
     "TimeIntegrator", "BlowUpError", "step", "compute_dt", "advance",
 ]

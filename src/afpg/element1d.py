@@ -101,7 +101,6 @@ class PointTest1D:
     to the cell on the right.
     """
 
-    alpha: object
     left: Poly1
     right: Poly1
 
@@ -137,7 +136,7 @@ def build_point_test(element: Element1D, alpha) -> PointTest1D:
     rhs_right[0] = HALF - af / 2  # pairing with the left-endpoint basis function
     left = from_legendre(solve_exact(rows, rhs_left))
     right = from_legendre(solve_exact(rows, rhs_right))
-    return PointTest1D(alpha, left, right)
+    return PointTest1D(left, right)
 
 
 def reconstruct(element: Element1D, dofs) -> Poly1:

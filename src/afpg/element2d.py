@@ -133,8 +133,6 @@ class EdgeTest2D:
     holds the defining pairings of each piece with the cell basis.
     """
 
-    alphas: tuple
-    orientation: str
     pieces: dict
     table: dict
 
@@ -143,7 +141,6 @@ class EdgeTest2D:
 class NodeTest2D:
     """Node test function: four polynomial pieces around the node."""
 
-    alphas: tuple
     pieces: dict
     table: dict
 
@@ -330,14 +327,14 @@ def build_edge_test(alphas, orientation="x") -> EdgeTest2D:
         pieces = {
             (oy, ox): p.transpose() for (ox, oy), p in pieces.items()
         }
-    return EdgeTest2D(tuple(alphas), orientation, pieces, table)
+    return EdgeTest2D(pieces, table)
 
 
 def build_node_test(alphas) -> NodeTest2D:
     """Test function of a node for the given eleven free weights."""
     table = node_pairing_table(alphas)
     pieces = {off: _solve_test_piece(row) for off, row in table.items()}
-    return NodeTest2D(tuple(alphas), pieces, table)
+    return NodeTest2D(pieces, table)
 
 
 def reconstruct2d(element: Element2D, dofs) -> Poly2:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from afpg.element1d import Element1D, build_element
-from afpg.element2d import build_element_2d
+from afpg.element2d import DOF_IDS, build_element_2d
 from afpg.poly import gauss_rule
 
 __all__ = [
@@ -48,11 +48,11 @@ __all__ = [
 _PROJECT_RULE_MARGIN = 6
 # Gauss points per axis used for error norms.
 _NORM_RULE_MARGIN = 2
-# 1-d cells per string handed to one write: large enough that the cost
-# per call vanishes, small enough that no file is held in memory whole
-# (K=4, n=10240: 1024 cells raise peak RSS by 1 MB, 256 by 0.3 MB, at
-# the same speed).
-_CSV_BLOCK_CELLS = 256
+# Lines per string handed to one write: large enough that the cost per
+# call vanishes, small enough that no file is held in memory whole (1-d
+# K=4 at n=10240 and 2-d 160^2 write at one speed, within the noise, at
+# 512, 1024 and 2048 lines, and peak RSS moves by at most 0.2 MB).
+_CSV_BLOCK_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,37 @@ def _dof_gather_1d(state: State1D) -> np.ndarray:
     return dofs
 
 
+def _wrap_pad(a):
+    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each cell axis."""
+    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2))
+    p[:, 1:-1, 1:-1] = a
+    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
+    return p
+
+
+def _dof_source_2d(r, s):
+    """(field, cell offset) of the stored value that is dof (r, s) of a cell.
+
+    Fields are ordered averages, edge_x, edge_y, nodes, so dof (r, s)
+    lives in field |r| + 2|s|; a cell stores its right edge, top edge and
+    top-right node, so a dof on its left or bottom side is stored by the
+    neighbour at (min(r, 0), min(s, 0)).
+    """
+    return abs(r) + 2 * abs(s), (min(r, 0), min(s, 0))
+
+
+def _dof_gather_2d(state: State2D) -> np.ndarray:
+    """(9, nx, ny): each cell's nine dofs in the element2d dof order, each
+    a shifted slice of one wrap-padded copy of the state, where
+    ``_dof_source_2d`` says it is stored."""
+    padded = _wrap_pad(state.data)
+    _, nx, ny = state.data.shape
+    sources = (_dof_source_2d(r, s) for r, s in DOF_IDS)
+    return np.stack([padded[f, 1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
+                     for f, (ox, oy) in sources])
+
+
 def _values_at_gauss(state: State1D, n: int) -> np.ndarray:
     """(N, n[, m]): each cell's reconstruction at the n-point Gauss nodes."""
     values = np.tensordot(_gauss_basis_1d(state.k, n).T, _dof_gather_1d(state), axes=1)
@@ -334,24 +365,6 @@ def error_norms(state, grid, element, exact):
     raise TypeError(f"unsupported grid type {type(grid)!r}")
 
 
-def _dof_gather_2d(state: State2D) -> np.ndarray:
-    """Stack each cell's nine dofs, in the element2d dof order."""
-    a, ex, ey, nd = state.averages, state.edge_x, state.edge_y, state.nodes
-    return np.stack(
-        [
-            a,
-            np.roll(ex, 1, axis=0),
-            ex,
-            np.roll(ey, 1, axis=1),
-            ey,
-            np.roll(np.roll(nd, 1, axis=0), 1, axis=1),
-            np.roll(nd, 1, axis=1),
-            np.roll(nd, 1, axis=0),
-            nd,
-        ]
-    )
-
-
 def write_state_csv(state, grid, path):
     """Dump all dofs as CSV with a deterministic row order.
 
@@ -369,25 +382,49 @@ def write_state_csv(state, grid, path):
     edge midpoint, top edge midpoint and top-right corner.
 
     Each line is joined from four strings: the coordinate text, a label
-    shared by the file, the value's ``repr`` and the line end.  The 1-d
-    coordinate strings are kept for the last grid written (one grid at
-    most, see ``_csv_x_1d``), so the snapshots of a run format their
-    x values once; the values are formatted anew in every file.
+    shared by the file, the value's ``repr`` and the line end.  The
+    lines go out in sections (the 1-d moments and points; each 2-d
+    field, one x string per grid row) and each section in blocks of
+    whole x strings, at most ``_CSV_BLOCK_LINES`` lines unless one x
+    string heads more.  The 1-d coordinate strings are kept for the last
+    grid written (one grid at most, see ``_csv_x_1d``), so the snapshots
+    of a run format their x values once; the values are formatted anew
+    in every file.
     """
-    if isinstance(grid, Grid1D):
-        fits = state.data.shape[:1] == (grid.n,)
-        header, chunks = "x,dof_class,value\r\n", _csv_chunks_1d(state, grid)
-    elif isinstance(grid, Grid2D):
-        fits = state.data.shape[1:] == (grid.nx, grid.ny)
-        header, chunks = "x,y,dof_class,value\r\n", _csv_chunks_2d(state, grid)
+    if isinstance(grid, Grid1D) and state.data.shape[:1] == (grid.n,):
+        comps = [""] if state.data.ndim == 2 else [f"[{c}]" for c in range(state.data.shape[2])]
+        centers, interfaces = _csv_x_1d(grid)
+        header = "x,dof_class,value\r\n"
+        sections = [
+            (centers, [f",moment{k}{c}," for k in range(state.k - 1) for c in comps],
+             state.moments),
+            (interfaces, [f",point{c}," for c in comps], state.points),
+        ]
+    elif isinstance(grid, Grid2D) and state.data.shape[1:] == (grid.nx, grid.ny):
+        # only 2 (nx + ny) coordinate strings, so they are not cached
+        xc, yc, xf, yf = ([*map(repr, coords.tolist())] for coords in (
+            grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces()))
+        header = "x,y,dof_class,value\r\n"
+        sections = [
+            (xs, [f",{y},{name}," for y in ys], field)
+            for name, field, xs, ys in (
+                ("average", state.averages, xc, yc),
+                ("edge_x", state.edge_x, xf, yc),
+                ("edge_y", state.edge_y, xc, yf),
+                ("node", state.nodes, xf, yf),
+            )
+        ]
+    elif isinstance(grid, (Grid1D, Grid2D)):
+        raise ValueError("state size does not match grid")
     else:
         raise TypeError(f"unsupported grid type {type(grid)!r}")
-    if not fits:
-        raise ValueError("state size does not match grid")
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
+        for xs, tails, values in sections:
+            step = max(1, _CSV_BLOCK_LINES // len(tails))
+            for i in range(0, len(xs), step):
+                block = slice(i, i + step)
+                fh.write(_csv_join(xs[block], tails, values[block].reshape(-1).tolist()))
 
 
 def _csv_join(xs, tails, values):
@@ -421,40 +458,3 @@ def _csv_x_1d(grid: Grid1D):
         cached = _csv_x_last = (grid, [*map(repr, grid.centers().tolist())],
                                 [*map(repr, grid.interfaces().tolist())])
     return cached[1], cached[2]
-
-
-def _csv_chunks_1d(state: State1D, grid: Grid1D):
-    """The 1-d data lines, _CSV_BLOCK_CELLS cells per string, from the
-    grid's cached x strings and one ``,label,`` string per dof class."""
-    data = state.data
-    comps = [""] if data.ndim == 2 else [f"[{c}]" for c in range(data.shape[2])]
-    centers, interfaces = _csv_x_1d(grid)
-    sections = [
-        (centers, [f",moment{k}{c}," for k in range(state.k - 1) for c in comps],
-         state.moments),
-        (interfaces, [f",point{c}," for c in comps], state.points),
-    ]
-    for xs, tails, values in sections:
-        for i0 in range(0, grid.n, _CSV_BLOCK_CELLS):
-            block = slice(i0, i0 + _CSV_BLOCK_CELLS)
-            yield _csv_join(xs[block], tails, values[block].reshape(-1).tolist())
-
-
-def _csv_chunks_2d(state: State2D, grid: Grid2D):
-    """The 2-d data lines, one grid row (fixed x index) per string, from
-    the row's x string and one ``,{y},{name},`` string per column.  The
-    coordinates are only 2 (nx + ny) strings, so they are not cached."""
-    xc, yc, xf, yf = (
-        [repr(v) for v in coords.tolist()]
-        for coords in (grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces())
-    )
-    blocks = [
-        ("average", state.averages, xc, yc),
-        ("edge_x", state.edge_x, xf, yc),
-        ("edge_y", state.edge_y, xc, yf),
-        ("node", state.nodes, xf, yf),
-    ]
-    for name, field, xs, ys in blocks:
-        tails = [f",{y},{name}," for y in ys]
-        for x, row in zip(xs, field):
-            yield _csv_join([x], tails, row.tolist())

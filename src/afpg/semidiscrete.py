@@ -19,27 +19,30 @@ cell left of an interface) and D- (the left-endpoint value, alpha = -1,
 on the cell right of it).  ``_blend`` joins the two into the interface
 values:
 
-- scalar linear models q_t + a q_x = 0: every row times -a/dx, D+ and
-  D- weighted by (1+alpha)/2 and (1-alpha)/2, with alpha = sgn(a) when
-  adaptive and the stored alpha when fixed;
 - linear systems: -A on the moment rows, -J+ on D+ and -J- on D-;
-- Burgers (f = q^2/2): the moment rows are exact quadratic forms in the
-  cell's dofs (``_burgers_forms``, the moments of (b_s b_t)'/2); D+ and
-  D- are weighted by -J (1+alpha)/2 and -J (1-alpha)/2 with
-  alpha = sgn(J) when adaptive, or at K = 2 the forms' exact one-sided
-  pairings by (1+alpha)/2 and (1-alpha)/2.
+- scalar models, linear (q_t + a q_x = 0) and Burgers (f = q^2/2):
+  the moment rows times -a/dx, or for Burgers exact quadratic forms in
+  the cell's dofs (``_burgers_forms``, the moments of (b_s b_t)'/2)
+  over -dx.  Each interface value blends two one-sided pairings by
+  (1+alpha)/2 (-c/dx) and (1-alpha)/2 (-c/dx), c the wave speed (a, or
+  the interface value for Burgers) and alpha = sgn(c) when adaptive or
+  the stored alpha when fixed.  The pairings are D+ and D- ("split"),
+  or for Burgers at K = 2 the forms' exact one-sided pairings with
+  q q' ("exact"), which carry the speed themselves (c = 1 there).
 
 In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
 indicator for the average, then the edge-x, edge-y and node tables of
 element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
-every basis function b of every support cell, by ``element2d.pair_row``.  The scheme is then an
-offset-block operator, compiled once per grid spacing, velocity and
-upwind setting: the distinct (source field, 2-d offset) columns that
-carry weight (9 for a = (1, 1) adaptive) and one (4, #columns) float
-matrix W.  ``rhs_2d`` applies it by tiles of grid rows: it copies each
-column's shifted slice of the tile's rows, out of one wrap-padded copy
-of the state, into a small buffer of ``TILE_BYTES``, and one GEMM of W
-with that buffer writes those rows of the output.
+every basis function b of every support cell, by ``element2d.pair_row``,
+with each dof read where ``grid._dof_source_2d`` stores it.  The scheme
+is then an offset-block operator, compiled once per grid spacing,
+velocity and upwind setting: the distinct (source field, 2-d offset)
+columns that carry weight (9 for a = (1, 1) adaptive) and one
+(4, #columns) float matrix W.  ``rhs_2d`` applies it by tiles of grid
+rows: it copies each column's shifted slice of the tile's rows, out of
+one wrap-padded copy of the state, into a small buffer of
+``TILE_BYTES``, and one GEMM of W with that buffer writes those rows of
+the output.
 """
 
 from __future__ import annotations
@@ -60,15 +63,13 @@ from afpg.element2d import (
     node_pairing_table,
     pair_row,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_source_2d, _wrap_pad
 from afpg.poly import HALF, diff2, inner1
 
 __all__ = [
     "Upwind1D",
     "Upwind2D",
-    "choose_alpha",
     "rhs_1d",
-    "rhs_point_burgers",
     "rhs_2d",
 ]
 
@@ -116,20 +117,6 @@ class Upwind2D:
             raise ValueError("node_alphas must hold 8 values")
         # a tuple keeps the policy hashable, as the rhs_2d tap cache needs
         object.__setattr__(self, "node_alphas", tuple(self.node_alphas))
-
-
-def choose_alpha(model, q):
-    """Sign-adaptive upwind weight: sgn of the wave speed, with sgn(0) = 0."""
-    return np.sign(model.jac(q))
-
-
-def _wrap_pad(a):
-    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each cell axis."""
-    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2))
-    p[:, 1:-1, 1:-1] = a
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
-    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
-    return p
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +176,12 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
     Every row is a table on the gathered cell dofs: ``_linear_rows``
-    for the linear rows and for Burgers' D+/D-, ``_burgers_forms`` for
-    Burgers' moment rows; ``_blend`` joins the two cells of each
-    interface.  ``point_update`` selects the interface-value formula:
-    "split" is the alpha-blend (scalar) or Jacobian-split (system,
-    Burgers) form, "exact" the exact pairing of the test function with
-    d/dx (q^2/2) (Burgers only, K = 2; see rhs_point_burgers).
+    for the linear rows and D+/D-, ``_burgers_forms`` for Burgers'
+    moment rows and exact one-sided pairings; ``_blend`` joins the two
+    cells of each interface.  ``point_update`` selects the one-sided
+    pairings: "split" takes D+/D- (alpha-blended for scalar models,
+    Jacobian-split for systems), "exact" the exact pairing of the test
+    function with d/dx (q^2/2) (Burgers only, K = 2).
 
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
@@ -209,54 +196,37 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         raise ValueError("state contains non-finite values")
     if point_update not in ("split", "exact"):
         raise ValueError(f"unknown point update {point_update!r}")
-    if point_update == "exact" and model.name != "burgers":
-        raise ValueError("exact-integration point update is Burgers-only")
+    if point_update == "exact" and (model.name != "burgers" or k != 2):
+        raise ValueError("the exact-integration point update needs Burgers at K = 2")
     if model.is_linear and model.m > 1 and upwind.mode == "fixed":
         raise ValueError("fixed-alpha updates apply to scalar models only")
 
     dx = grid.dx
     dofs = _dof_gather_1d(state)
     out = np.empty_like(state.data)
-    if model.is_linear and model.m == 1:
-        alpha = float(np.sign(model.a)) if upwind.mode == "adaptive" else upwind.alpha
-        c = -model.a / dx
-        rows = _linear_rows(k)
-        # one product straight into the (N, K) state layout: no (K-1, N) temporary to transpose
-        np.matmul(dofs.T, rows[:-2].T * c, out=out[:, :-1])
-        d_plus, d_minus = rows[-2:] @ dofs
-        _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
-        return State1D._of(out)
-    if model.is_linear:
+    if model.m > 1:
         rows = np.tensordot(_linear_rows(k), dofs, axes=1)
         out[:, :-1] = np.moveaxis(rows[:-2] @ (model.matrix.T / -dx), 0, 1)
         jac_plus, jac_minus = model.jac_plus.T / -dx, model.jac_minus.T / -dx
         _blend(out[:, -1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
         return State1D._of(out)
 
-    np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
+    if model.is_linear:
+        speed = model.a
+        # one product straight into the (N, K) state layout: no (K-1, N) temporary to transpose
+        np.matmul(dofs.T, _linear_rows(k)[:-2].T * (speed / -dx), out=out[:, :-1])
+    else:
+        speed = model.jac(state.points)
+        np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
+    alpha = np.sign(speed) if upwind.mode == "adaptive" else upwind.alpha
     if point_update == "exact":
-        out[:, -1] = rhs_point_burgers(state, grid, upwind)
-        return State1D._of(out)
-    alpha = choose_alpha(model, state.points) if upwind.mode == "adaptive" else upwind.alpha
-    jac = model.jac(state.points) / -dx
-    d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
-    _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * jac, 0.5 * (1.0 - alpha) * jac)
+        speed = 1.0
+        d_plus, d_minus = _cell_forms(dofs, _burgers_forms(k)[-2:])
+    else:
+        d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
+    c = speed / -dx
+    _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
     return State1D._of(out)
-
-
-def rhs_point_burgers(state: State1D, grid: Grid1D, upwind: Upwind1D) -> np.ndarray:
-    """Exact-integration interface update for Burgers, K = 2.
-
-    The pairing of the interface test function with d/dx (q^2/2): the
-    one-sided forms of ``_burgers_forms`` on the cells left and right of
-    each interface, blended by (1+alpha)/2 and (1-alpha)/2.
-    """
-    if state.k != 2:
-        raise ValueError("the exact-integration Burgers update needs K = 2")
-    left, right = _cell_forms(_dof_gather_1d(state), _burgers_forms(2)[-2:])
-    alpha = np.sign(state.points) if upwind.mode == "adaptive" else upwind.alpha
-    scale = -0.5 / grid.dx
-    return _blend(np.empty_like(left), left, right, (1.0 + alpha) * scale, (1.0 - alpha) * scale)
 
 
 @lru_cache(maxsize=64)
@@ -272,8 +242,8 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     test function) and the edge and node pairing tables.  Dof (r, s) of
     the support cell at offset o weighs -pair_row(row, ax/dx d_xi b +
     ay/dy d_eta b), b its basis function and row the table's row at o,
-    and is stored in field |r| + 2|s| of the cell at o + (min(r, 0),
-    min(s, 0)).  Each weight is exact and rounded once.
+    and is stored where ``grid._dof_source_2d`` says, shifted by o.
+    Each weight is exact and rounded once.
     """
     if upwind.mode == "adaptive":
         a3x, a3y = np.sign(ax), np.sign(ay)
@@ -294,9 +264,9 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     exact = defaultdict(Fraction)
     for out_field, table in enumerate(tables):
         for (ox, oy), row in table.items():
-            for (r, s), f in flux.items():
-                column = abs(r) + 2 * abs(s), (ox + min(r, 0), oy + min(s, 0))
-                exact[out_field, column] -= pair_row(row, f)
+            for dof, f in flux.items():
+                field, (sx, sy) = _dof_source_2d(*dof)
+                exact[out_field, (field, (ox + sx, oy + sy))] -= pair_row(row, f)
     columns = tuple(sorted({column for (_, column), w in exact.items() if w != 0}))
     index = {column: j for j, column in enumerate(columns)}
     weights = np.zeros((len(tables), len(columns)))

@@ -294,7 +294,6 @@ class TestGlobalBiorthogonality:
             ]
 
         all_dofs = [(kind, i, j) for kind in ("avg", "ex", "ey", "nd") for i in range(n) for j in range(n)]
-        rng2 = random.Random(18)
         # checking all 36x36 pairings exactly is cheap enough
         for r in all_dofs:
             tps = dict(test_pieces(*r))
@@ -304,7 +303,6 @@ class TestGlobalBiorthogonality:
                     if cell in tps:
                         total += inner2(tps[cell], bp)
                 assert total == Fraction(int(r == s)), (r, s)
-        del rng2
 
 
 def paired(table, cells, axis, scale):

@@ -323,10 +323,14 @@ class TestCsvExport:
         _assert_same_bytes(st, g, tmp_path)
 
     def test_2d_bytes_match_csv_writer(self, tmp_path):
+        # 7 x 300: each field spans several write blocks, the last one partial
+        rows_per_block = max(1, grid_module._CSV_BLOCK_LINES // 300)
+        assert 7 > rows_per_block and 7 % rows_per_block
         rng = np.random.default_rng(8)
-        g = Grid2D(7, 5, -1.0, 0.3, 0.0, 2.5)
-        st = State2D(*_random_with_specials(rng, (4, 7, 5)))
-        _assert_same_bytes(st, g, tmp_path)
+        for nx, ny in ((7, 5), (7, 300)):
+            g = Grid2D(nx, ny, -1.0, 0.3, 0.0, 2.5)
+            st = State2D(*_random_with_specials(rng, (4, nx, ny)))
+            _assert_same_bytes(st, g, tmp_path)
 
     def test_1d_literal_bytes(self, tmp_path):
         g = Grid1D(3, 0.0, 3.0)
@@ -393,7 +397,9 @@ class TestCsvExport:
             assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_x_cache_follows_the_grid_written(self, tmp_path):
-        # 600 cells: three write blocks, the last one partial
+        # 600 cells of 3 moment lines: several write blocks, the last one partial
+        cells_per_block = grid_module._CSV_BLOCK_LINES // 3
+        assert 600 > cells_per_block and 600 % cells_per_block
         rng = np.random.default_rng(9)
         first = Grid1D(600, -0.3, 1.7)
         scalar = State1D(4, _random_with_specials(rng, 600), _random_with_specials(rng, (600, 3)))

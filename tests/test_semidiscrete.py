@@ -10,8 +10,15 @@ from afpg.element1d import (
     build_point_test,
     reconstruct,
 )
-from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial
+from afpg.element2d import (
+    DOF_IDS,
+    apply_dof,
+    build_edge_test,
+    build_element_2d,
+    build_node_test,
+    reconstruct2d,
+)
+from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_2d, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg import semidiscrete
 from afpg.poly import Poly2, diff2, inner1, inner2
@@ -21,10 +28,8 @@ from afpg.semidiscrete import (
     _linear_rows,
     Upwind1D,
     Upwind2D,
-    choose_alpha,
     rhs_1d,
     rhs_2d,
-    rhs_point_burgers,
 )
 
 
@@ -42,16 +47,37 @@ def cell_poly(state, el, i):
     return reconstruct(el, dofs)
 
 
+def exact_points(state, grid, upwind):
+    """Interface values of the exact-integration Burgers update."""
+    return rhs_1d(state, grid, build_element(state.k), burgers1d(), upwind, "exact").points
+
+
 class TestChooseAlpha:
+    # the adaptive alpha is sgn of the wave speed, with sgn(0) = 0
     def test_burgers_positive(self):
-        assert choose_alpha(burgers1d(), np.array([2.0]))[0] == 1.0
+        g = Grid1D(7)
+        st = random_state_1d(np.random.default_rng(12), 7, 3)
+        st.points[:] = np.abs(st.points) + 0.1  # all positive
+        adaptive = rhs_1d(st, g, build_element(3), burgers1d(), Upwind1D("adaptive"))
+        fixed = rhs_1d(st, g, build_element(3), burgers1d(), Upwind1D("fixed", 1.0))
+        assert adaptive.data.tobytes() == fixed.data.tobytes()
 
     def test_sonic_point(self):
-        assert choose_alpha(burgers1d(), np.array([0.0]))[0] == 0.0
+        g = Grid1D(6)
+        st = random_state_1d(np.random.default_rng(13), 6, 2)
+        st.points[:] = np.abs(st.points) + 0.1
+        st.points[2] = 0.0
+        adaptive = exact_points(st, g, Upwind1D("adaptive"))
+        assert adaptive[2] == exact_points(st, g, Upwind1D("fixed", 0.0))[2]
+        assert adaptive[2] != exact_points(st, g, Upwind1D("fixed", 1.0))[2]
 
     def test_negative_advection(self):
-        a = choose_alpha(advection1d(-1.0), np.array([5.0, -3.0]))
-        assert np.all(a == -1.0)
+        g = Grid1D(7)
+        st = random_state_1d(np.random.default_rng(14), 7, 4)
+        model = advection1d(-1.0)
+        adaptive = rhs_1d(st, g, build_element(4), model, Upwind1D("adaptive"))
+        fixed = rhs_1d(st, g, build_element(4), model, Upwind1D("fixed", -1.0))
+        assert adaptive.data.tobytes() == fixed.data.tobytes()
 
 
 class TestUpwindConfigs:
@@ -346,7 +372,7 @@ class TestBurgersPointUpdate:
     def test_constant_zero(self):
         g = Grid1D(5)
         st = State1D(2, np.full(5, 1.7), np.full((5, 1), 1.7))
-        r = rhs_point_burgers(st, g, Upwind1D("fixed", 0.3))
+        r = exact_points(st, g, Upwind1D("fixed", 0.3))
         assert np.max(np.abs(r)) <= 1e-13
 
     def test_closed_form_frozen_expression(self):
@@ -360,7 +386,7 @@ class TestBurgersPointUpdate:
         al = st.moments[:, 0]
         ar = np.roll(al, -1)
         for alpha in (-1.0, 0.0, 1.0):
-            got = rhs_point_burgers(st, g, Upwind1D("fixed", alpha))
+            got = exact_points(st, g, Upwind1D("fixed", alpha))
             left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
             right = (9 * (qr - 2 * ar) ** 2 - 2 * (qr - 12 * ar) * qc - 31 * qc**2) / (10 * g.dx)
             expected = -(0.5 * (1 + alpha) * left + 0.5 * (1 - alpha) * right)
@@ -375,7 +401,7 @@ class TestBurgersPointUpdate:
         el = build_element(2)
         st = random_state_1d(rng, n, 2)
         alpha = 0.4
-        got = rhs_point_burgers(st, g, Upwind1D("fixed", alpha))
+        got = exact_points(st, g, Upwind1D("fixed", alpha))
         t = build_point_test(el, Fraction(alpha))
         polys = [cell_poly(st, el, i) for i in range(n)]
         for i in range(n):
@@ -388,7 +414,7 @@ class TestBurgersPointUpdate:
         rng = np.random.default_rng(9)
         g = Grid1D(6)
         st = random_state_1d(rng, 6, 2)
-        got = rhs_point_burgers(st, g, Upwind1D("fixed", 1.0))
+        got = exact_points(st, g, Upwind1D("fixed", 1.0))
         ql, qc = np.roll(st.points, 1), st.points
         al = st.moments[:, 0]
         left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
@@ -399,23 +425,26 @@ class TestBurgersPointUpdate:
         rng = np.random.default_rng(10)
         st = random_state_1d(rng, 6, 2)
         st.points[:] = np.abs(st.points) + 0.1  # all positive
-        adaptive = rhs_point_burgers(st, g, Upwind1D("adaptive"))
-        fixed = rhs_point_burgers(st, g, Upwind1D("fixed", 1.0))
+        adaptive = exact_points(st, g, Upwind1D("adaptive"))
+        fixed = exact_points(st, g, Upwind1D("fixed", 1.0))
         assert np.allclose(adaptive, fixed, atol=1e-14)
 
     def test_wrong_degree_rejected(self):
         g = Grid1D(6)
         st = State1D(3, np.zeros(6), np.zeros((6, 2)))
         with pytest.raises(ValueError):
-            rhs_point_burgers(st, g, Upwind1D())
+            exact_points(st, g, Upwind1D())
 
     def test_exact_update_through_rhs_1d(self):
         g = Grid1D(6)
         el = build_element(2)
         rng = np.random.default_rng(11)
         st = random_state_1d(rng, 6, 2)
-        r = rhs_1d(st, g, el, burgers1d(), Upwind1D("adaptive"), point_update="exact")
-        assert np.allclose(r.points, rhs_point_burgers(st, g, Upwind1D("adaptive")), atol=0)
+        exact = rhs_1d(st, g, el, burgers1d(), Upwind1D("adaptive"), point_update="exact")
+        split = rhs_1d(st, g, el, burgers1d(), Upwind1D("adaptive"), point_update="split")
+        # the point update changes the interface values and nothing else
+        assert exact.moments.tobytes() == split.moments.tobytes()
+        assert not np.allclose(exact.points, split.points)
         with pytest.raises(ValueError):
             rhs_1d(st, g, el, advection1d(1.0), Upwind1D(), point_update="exact")
 
@@ -491,6 +520,21 @@ CASES_2D = [
     pytest.param(5, 4, 1.0, 0.0, Upwind2D("adaptive"), id="adaptive-5x4-a(1,0)"),
     pytest.param(5, 4, 0.0, -1.3, Upwind2D("adaptive"), id="adaptive-5x4-a(0,-1.3)"),
 ]
+
+
+class TestDofGather2D:
+    def test_gather_matches_cell_poly_oracle(self):
+        # each gathered dof is that dof functional of the oracle's cell
+        # polynomial, on a grid with nx != ny so that swapped axes show
+        nx, ny = 5, 4
+        st = random_state_2d(np.random.default_rng(33), nx, ny)
+        el = build_element_2d()
+        dofs = _dof_gather_2d(st)
+        assert dofs.shape == (len(DOF_IDS), nx, ny)
+        for i in range(nx):
+            for j in range(ny):
+                q = cell_poly_2d(st, el, i, j)
+                assert [apply_dof(dof, q) for dof in DOF_IDS] == [Fraction(v) for v in dofs[:, i, j]]
 
 
 class TestRhs2D:
