@@ -3,7 +3,8 @@
 Subcommands: ``run`` (single simulation), ``converge`` (error table
 over a list of grids), ``dump-element`` and ``dump-element-2d`` (exact
 coefficient tables of the constructed elements).  Exit codes: 0 on
-success, 2 on a configuration error, 3 on numerical blow-up.
+success, 2 on a configuration error or an output that cannot be
+written, 3 on numerical blow-up.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        # the config file is read by load_config, which reports its own
+        # OSError as a ConfigError; what is left comes from the outputs
+        print(f"output error: {err}", file=sys.stderr)
         return 2
     except BlowUpError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

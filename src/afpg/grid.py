@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from afpg._floatrepr import HEADS, repr_floats, repr_parts
 from afpg.element1d import Element1D, build_element
 from afpg.element2d import DOF_IDS, build_element_2d
 from afpg.poly import gauss_rule
@@ -48,11 +49,13 @@ __all__ = [
 _PROJECT_RULE_MARGIN = 6
 # Gauss points per axis used for error norms.
 _NORM_RULE_MARGIN = 2
-# Lines per string handed to one write: large enough that the cost per
-# call vanishes, small enough that no file is held in memory whole (1-d
-# K=4 at n=10240 and 2-d 160^2 write at one speed, within the noise, at
-# 512, 1024 and 2048 lines, and peak RSS moves by at most 0.2 MB).
-_CSV_BLOCK_LINES = 1024
+# Lines formatted and handed to one write.  The formatter's numpy calls
+# cost the same per block whatever its size, so larger blocks are faster,
+# while its arrays hold about 180 B per line (tracemalloc).  1-d K=4 at
+# n=10240, medians over 5 processes of 21 writes each, on a 2-CPU host:
+# 35.5 ms per file at 1024 lines, 28.8 at 2048, 26.4 at 4096 (55.8 with
+# ``repr`` at 1024); 2048 lines keep the arrays near 0.4 MB.
+_CSV_BLOCK_LINES = 2048
 
 
 @dataclass(frozen=True)
@@ -370,8 +373,9 @@ def write_state_csv(state, grid, path):
 
     The first line is the header, ``x,dof_class,value`` in 1-d and
     ``x,y,dof_class,value`` in 2-d.  Every line ends in ``\\r\\n``, no
-    field is quoted, and coordinates and values are written with Python
-    ``repr``, the shortest string that reads back to the same float.
+    field is quoted, and coordinates and values are written as Python's
+    ``repr`` of their float64 value, the shortest string that reads back
+    to the same float (a float32 state writes its exact float64 values).
 
     1-d rows: the moments cell by cell (``moment0``, ``moment1``, ...),
     then the interface values (``point``); a system writes one row per
@@ -381,10 +385,12 @@ def write_state_csv(state, grid, path):
     blocks, each row-major (x index outer), at the cell center, right
     edge midpoint, top edge midpoint and top-right corner.
 
-    Each line is joined from four strings: the coordinate text, a label
-    shared by the file, the value's ``repr`` and the line end.  The
-    lines go out in sections (the 1-d moments and points; each 2-d
-    field, one x string per grid row) and each section in blocks of
+    The strings come from ``_floatrepr``, a numpy formatter equal to
+    ``repr`` string for string.  Each line is joined from four strings:
+    the coordinate text, a label shared by the file with the value's
+    sign and leading "0." folded in, the rest of the value and the line
+    end.  The lines go out in sections (the 1-d moments and points; each
+    2-d field, one x string per grid row) and each section in blocks of
     whole x strings, at most ``_CSV_BLOCK_LINES`` lines unless one x
     string heads more.  The 1-d coordinate strings are kept for the last
     grid written (one grid at most, see ``_csv_x_1d``), so the snapshots
@@ -402,7 +408,7 @@ def write_state_csv(state, grid, path):
         ]
     elif isinstance(grid, Grid2D) and state.data.shape[1:] == (grid.nx, grid.ny):
         # only 2 (nx + ny) coordinate strings, so they are not cached
-        xc, yc, xf, yf = ([*map(repr, coords.tolist())] for coords in (
+        xc, yc, xf, yf = (repr_floats(coords) for coords in (
             grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces()))
         header = "x,y,dof_class,value\r\n"
         sections = [
@@ -422,20 +428,25 @@ def write_state_csv(state, grid, path):
         fh.write(header)
         for xs, tails, values in sections:
             step = max(1, _CSV_BLOCK_LINES // len(tails))
+            labels = np.array([[t + h for h in HEADS] for t in tails], dtype=object)
             for i in range(0, len(xs), step):
                 block = slice(i, i + step)
-                fh.write(_csv_join(xs[block], tails, values[block].reshape(-1).tolist()))
+                fh.write(_csv_join(xs[block], labels, values[block]))
 
 
-def _csv_join(xs, tails, values):
+def _csv_join(xs, labels, values):
     """The lines ``{x}{tail}{v!r}\\r\\n`` as one string: each string of
-    ``xs`` heads len(tails) consecutive lines, which take ``tails`` in
-    order, and ``values`` holds one float per line.  One join over a
-    flat list of four references per line."""
-    parts = ["\r\n"] * (4 * len(values))
-    parts[0::4] = [x for x in xs for _ in tails]
-    parts[1::4] = tails * len(xs)
-    parts[2::4] = map(repr, values)
+    ``xs`` heads len(labels) consecutive lines, which take the tails in
+    order, and ``values`` holds one number per line.  Row t of
+    ``labels`` is tail t followed by each head of ``_floatrepr.HEADS``,
+    so a line's label carries its value's head.  One join over a flat
+    list of four references per line."""
+    heads, bodies = repr_parts(values)
+    per_x = range(len(labels))
+    parts = ["\r\n"] * (4 * len(bodies))
+    parts[0::4] = [x for x in xs for _ in per_x]
+    parts[1::4] = labels[np.arange(len(bodies)) % len(labels), heads].tolist()
+    parts[2::4] = bodies
     return "".join(parts)
 
 
@@ -455,6 +466,6 @@ def _csv_x_1d(grid: Grid1D):
     global _csv_x_last
     cached = _csv_x_last
     if cached is None or cached[0] is not grid:
-        cached = _csv_x_last = (grid, [*map(repr, grid.centers().tolist())],
-                                [*map(repr, grid.interfaces().tolist())])
+        cached = _csv_x_last = (grid, repr_floats(grid.centers()),
+                                repr_floats(grid.interfaces()))
     return cached[1], cached[2]

@@ -276,6 +276,34 @@ class TestCli:
         cfg = self.write(tmp_path, "grid.n=12\ntime.dt=0.25\n" + text)
         assert main(["run", cfg, "--output-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_run_output_dir_error_exit_two(self, tmp_path, capsys, below):
+        # makedirs raised FileExistsError or NotADirectoryError: a traceback, exit 1
+        cfg = self.write(tmp_path, BASE_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if below else taken
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error:") and str(out) in err[0]
+        assert taken.read_text() == "keep"
+
+    def test_converge_output_error_exit_two(self, tmp_path, capsys):
+        # open() on a directory raised IsADirectoryError: a traceback, exit 1
+        cfg = self.write(tmp_path, BASE_CFG + "time.t_end=0.1\n")
+        assert main(["converge", cfg, "--grids", "12,24", "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "EOC_L1" in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error:") and str(tmp_path) in err[0]
+
+    @pytest.mark.parametrize("argv", [["dump-element", "--k", "2"], ["dump-element-2d"]])
+    def test_dump_element_output_error_exit_two(self, tmp_path, capsys, argv):
+        # open() on a directory raised IsADirectoryError: a traceback, exit 1
+        assert main(argv + ["--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error:") and str(tmp_path) in err[0]
+
     def test_converge_writes_table(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG + "time.t_end=1.0\n")
         out = tmp_path / "conv.csv"

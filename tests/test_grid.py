@@ -314,6 +314,8 @@ class TestCsvExport:
         g = Grid1D(2500, -0.3, 1.7)
         st = State1D(k, _random_with_specials(rng, 2500), _random_with_specials(rng, (2500, k - 1)))
         _assert_same_bytes(st, g, tmp_path)
+        # a float32 buffer writes its exact float64 values
+        _assert_same_bytes(State1D._of(st.data.astype(np.float32)), g, tmp_path)
 
     def test_1d_system_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -321,6 +323,7 @@ class TestCsvExport:
         st = State1D(3, _random_with_specials(rng, (1100, 2)),
                      _random_with_specials(rng, (1100, 2, 2)))
         _assert_same_bytes(st, g, tmp_path)
+        _assert_same_bytes(State1D._of(st.data.astype(np.float32)), g, tmp_path)
 
     def test_2d_bytes_match_csv_writer(self, tmp_path):
         # 7 x 300: each field spans several write blocks, the last one partial
@@ -331,6 +334,7 @@ class TestCsvExport:
             g = Grid2D(nx, ny, -1.0, 0.3, 0.0, 2.5)
             st = State2D(*_random_with_specials(rng, (4, nx, ny)))
             _assert_same_bytes(st, g, tmp_path)
+            _assert_same_bytes(State2D._of(st.data.astype(np.float32)), g, tmp_path)
 
     def test_1d_literal_bytes(self, tmp_path):
         g = Grid1D(3, 0.0, 3.0)
@@ -397,18 +401,18 @@ class TestCsvExport:
             assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_x_cache_follows_the_grid_written(self, tmp_path):
-        # 600 cells of 3 moment lines: several write blocks, the last one partial
+        # 1500 cells of 3 moment lines: several write blocks, the last one partial
         cells_per_block = grid_module._CSV_BLOCK_LINES // 3
-        assert 600 > cells_per_block and 600 % cells_per_block
+        assert 1500 > cells_per_block and 1500 % cells_per_block
         rng = np.random.default_rng(9)
-        first = Grid1D(600, -0.3, 1.7)
-        scalar = State1D(4, _random_with_specials(rng, 600), _random_with_specials(rng, (600, 3)))
-        system = State1D(3, _random_with_specials(rng, (600, 2)),
-                         _random_with_specials(rng, (600, 2, 2)))
+        first = Grid1D(1500, -0.3, 1.7)
+        scalar = State1D(4, _random_with_specials(rng, 1500), _random_with_specials(rng, (1500, 3)))
+        system = State1D(3, _random_with_specials(rng, (1500, 2)),
+                         _random_with_specials(rng, (1500, 2, 2)))
         writes = [
             (scalar, first),
             (scalar, first),  # a cache hit
-            (scalar, Grid1D(600, 0.25, 0.75)),  # same n, other extent
+            (scalar, Grid1D(1500, 0.25, 0.75)),  # same n, other extent
             (system, first),  # m = 2, back on the first grid
             (State1D(2, rng.standard_normal(7), rng.standard_normal((7, 1))), Grid1D(7)),
         ]
