@@ -9,7 +9,7 @@ form (every key, sorted), which round-trips through the parser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "serialize_config"]
 
@@ -81,7 +81,7 @@ class RunConfig:
     model_a: float = 1.0
     model_ax: float = 1.0
     model_ay: float = 1.0
-    model_matrix: tuple = ()
+    model_matrix: tuple = field(default=(), metadata={"parser": _parse_matrix})
     model_point_update: str = "split"
     ic_name: str = "sine"
     ic_mean: float = 0.0
@@ -98,7 +98,7 @@ class RunConfig:
     upwind_beta: float = 0.0
     upwind_edge_alpha1: float = 0.0
     upwind_edge_alpha2: float = 0.0
-    upwind_node_alphas: tuple = (0.0,) * 8
+    upwind_node_alphas: tuple = field(default=(0.0,) * 8, metadata={"parser": _parse_floats})
     time_scheme: str = "ssprk3"
     time_cfl: float = 0.2
     time_dt: float = 0.0
@@ -107,45 +107,15 @@ class RunConfig:
     output_snapshot_every: int = 0
 
 
-# key in the file -> (attribute, parser)
+_PARSERS = {int: _parse_int, float: _parse_float, str: str}
+
+# key in the file -> (attribute, parser).  The key is the attribute with
+# its first "_" made "." (degree is "k"); the parser follows the type of
+# the default, unless the field names its own.
 _SCHEMA = {
-    "dimension": ("dimension", _parse_int),
-    "k": ("degree", _parse_int),
-    "grid.n": ("grid_n", _parse_int),
-    "grid.nx": ("grid_nx", _parse_int),
-    "grid.ny": ("grid_ny", _parse_int),
-    "grid.x_min": ("grid_x_min", _parse_float),
-    "grid.x_max": ("grid_x_max", _parse_float),
-    "grid.y_min": ("grid_y_min", _parse_float),
-    "grid.y_max": ("grid_y_max", _parse_float),
-    "model.name": ("model_name", str),
-    "model.a": ("model_a", _parse_float),
-    "model.ax": ("model_ax", _parse_float),
-    "model.ay": ("model_ay", _parse_float),
-    "model.matrix": ("model_matrix", _parse_matrix),
-    "model.point_update": ("model_point_update", str),
-    "ic.name": ("ic_name", str),
-    "ic.mean": ("ic_mean", _parse_float),
-    "ic.amplitude": ("ic_amplitude", _parse_float),
-    "ic.cycles": ("ic_cycles", _parse_int),
-    "ic.center": ("ic_center", _parse_float),
-    "ic.width": ("ic_width", _parse_float),
-    "ic.slope": ("ic_slope", _parse_float),
-    "ic.offset": ("ic_offset", _parse_float),
-    "ic.value": ("ic_value", _parse_float),
-    "upwind.mode": ("upwind_mode", str),
-    "upwind.alpha": ("upwind_alpha", _parse_float),
-    "upwind.alpha3": ("upwind_alpha3", _parse_float),
-    "upwind.beta": ("upwind_beta", _parse_float),
-    "upwind.edge_alpha1": ("upwind_edge_alpha1", _parse_float),
-    "upwind.edge_alpha2": ("upwind_edge_alpha2", _parse_float),
-    "upwind.node_alphas": ("upwind_node_alphas", _parse_floats),
-    "time.scheme": ("time_scheme", str),
-    "time.cfl": ("time_cfl", _parse_float),
-    "time.dt": ("time_dt", _parse_float),
-    "time.t_end": ("time_t_end", _parse_float),
-    "output.dir": ("output_dir", str),
-    "output.snapshot_every": ("output_snapshot_every", _parse_int),
+    "k" if f.name == "degree" else f.name.replace("_", ".", 1):
+        (f.name, f.metadata.get("parser") or _PARSERS[type(f.default)])
+    for f in fields(RunConfig)
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}

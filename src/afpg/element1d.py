@@ -15,12 +15,12 @@ of the interface basis function, where a free weight alpha splits the
 unit pairing into (1+alpha)/2 on the left cell and (1-alpha)/2 on the
 right.  alpha = +1/-1 is full upwinding, alpha = 0 central.
 
-Both solves are performed in the Legendre basis and converted back to
-monomial coefficients, and stay in exact rational arithmetic (a float
-alpha enters at its exact binary value).  An interface derivative is
-the pairing (``inner1``) of the two test pieces with the derivative of
-the global reconstruction, that is with each b_s' of the two cells
-meeting at the interface.  ``Element1D.dof_values`` applies every dof
+Both solves are for the monomial coefficients themselves, in exact
+rational arithmetic (a float alpha enters at its exact binary value),
+so their answer is unique whatever basis the systems are written in.
+An interface derivative is the pairing (``inner1``) of the two test
+pieces with the derivative of the global reconstruction, that is with
+each b_s' of the two cells meeting at the interface.  ``Element1D.dof_values`` applies every dof
 functional to a polynomial; by biorthogonality, a moment weight or a
 test piece pairs with any polynomial of the cell space as its dof
 functional (the alpha = +1 left piece as the right-endpoint value, the
@@ -35,14 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import (
-    HALF,
-    Poly1,
-    from_legendre,
-    inner1,
-    legendre_basis,
-    solve_exact,
-)
+from afpg.poly import HALF, Poly1, inner1, solve_exact
 
 __all__ = [
     "MomentWeight",
@@ -105,21 +98,26 @@ class PointTest1D:
     right: Poly1
 
 
+def _monomials(k: int):
+    """xi^0 .. xi^k, the trial functions of both solves."""
+    return [Poly1([0] * j + [1]) for j in range(k + 1)]
+
+
 @lru_cache(maxsize=None)
 def build_element(k: int) -> Element1D:
     """Construct the degree-K element with its dual basis, exactly (cached: it is immutable)."""
     if k < 2:
         raise ValueError(f"element degree must be >= 2, got {k}")
     weights = tuple(moment_weight(kk) for kk in range(k - 1))
-    legs = legendre_basis(k)
-    rows = [[leg(-HALF) for leg in legs]]
-    rows += [[inner1(w.poly, leg) for leg in legs] for w in weights]
-    rows.append([leg(HALF) for leg in legs])
+    monos = _monomials(k)
+    rows = [[m(-HALF) for m in monos]]
+    rows += [[inner1(w.poly, m) for m in monos] for w in weights]
+    rows.append([m(HALF) for m in monos])
     n = k + 1
     basis = []
     for s in range(n):
         rhs = [Fraction(int(r == s)) for r in range(n)]
-        basis.append(from_legendre(solve_exact(rows, rhs)))
+        basis.append(Poly1(solve_exact(rows, rhs)))
     return Element1D(k, basis[0], tuple(basis[1:-1]), basis[-1], weights)
 
 
@@ -127,15 +125,14 @@ def build_point_test(element: Element1D, alpha) -> PointTest1D:
     """Solve for the interface test-function pieces at upwind weight alpha."""
     k = element.k
     af = Fraction(alpha)
-    legs = legendre_basis(k)
-    rows = [[inner1(b, leg) for leg in legs] for b in element.basis()]
+    rows = [[inner1(b, m) for m in _monomials(k)] for b in element.basis()]
     n = k + 1
     rhs_left = [Fraction(0)] * n
     rhs_left[-1] = HALF + af / 2  # pairing with the right-endpoint basis function
     rhs_right = [Fraction(0)] * n
     rhs_right[0] = HALF - af / 2  # pairing with the left-endpoint basis function
-    left = from_legendre(solve_exact(rows, rhs_left))
-    right = from_legendre(solve_exact(rows, rhs_right))
+    left = Poly1(solve_exact(rows, rhs_left))
+    right = Poly1(solve_exact(rows, rhs_right))
     return PointTest1D(left, right)
 
 

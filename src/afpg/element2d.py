@@ -48,15 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import (
-    HALF,
-    Poly1,
-    Poly2,
-    inner2,
-    integrate2,
-    legendre_basis,
-    solve_exact,
-)
+from afpg.poly import HALF, Poly1, Poly2, inner2, integrate2, solve_exact
 
 __all__ = [
     "DOF_IDS",
@@ -88,7 +80,16 @@ DOF_IDS = (
     (1, 1),
 )
 
-_MONO_IDS = tuple((m, n) for m in range(3) for n in range(3))
+# The monomials xi^m eta^n of the tensor-quadratic space, the trial
+# functions of every exact solve here, m major.
+_MONOMIALS = tuple(Poly2([[int((i, j) == (m, n)) for j in range(3)] for i in range(3)])
+                   for m in range(3) for n in range(3))
+
+
+def _solved_poly(rows, rhs) -> Poly2:
+    """The polynomial whose monomial coefficients solve rows . c = rhs."""
+    c = solve_exact(rows, rhs)
+    return Poly2([c[3 * m : 3 * m + 3] for m in range(3)])
 
 
 def dof_point(dof):
@@ -182,28 +183,15 @@ def _closed_form_basis():
 
 
 @lru_cache(maxsize=1)
-def _tensor_legendre():
-    legs = legendre_basis(2)
-    return {mn: Poly2.tensor(legs[mn[0]], legs[mn[1]]) for mn in _MONO_IDS}
-
-
-@lru_cache(maxsize=1)
 def build_element_2d() -> Element2D:
     """Solve the 9x9 duality system over the tensor-quadratic space.
 
     The result is compared against the closed forms exactly; a mismatch
     would indicate a broken construction, hence the hard assert.
     """
-    legbasis = _tensor_legendre()
-    rows = [[apply_dof(dof, legbasis[mn]) for mn in _MONO_IDS] for dof in DOF_IDS]
-    basis = {}
-    for s, dof in enumerate(DOF_IDS):
-        rhs = [Fraction(int(r == s)) for r in range(9)]
-        coeffs = solve_exact(rows, rhs)
-        total = Poly2([[0]])
-        for c, mn in zip(coeffs, _MONO_IDS):
-            total = total + c * legbasis[mn]
-        basis[dof] = total
+    rows = [[apply_dof(dof, m) for m in _MONOMIALS] for dof in DOF_IDS]
+    basis = {dof: _solved_poly(rows, [Fraction(int(r == s)) for r in range(9)])
+             for s, dof in enumerate(DOF_IDS)}
     expected = _closed_form_basis()
     for dof in DOF_IDS:
         assert basis[dof] == expected[dof], f"basis mismatch for dof {dof}"
@@ -285,24 +273,13 @@ def node_pairing_table(alphas):
 
 @lru_cache(maxsize=1)
 def _test_solve_rows():
-    # pairing of every basis function with every tensor Legendre polynomial
+    # pairing of every basis function with every monomial
     element = build_element_2d()
-    legbasis = _tensor_legendre()
-    return [
-        [inner2(element.basis[dof], legbasis[mn]) for mn in _MONO_IDS]
-        for dof in DOF_IDS
-    ]
+    return [[inner2(element.basis[dof], m) for m in _MONOMIALS] for dof in DOF_IDS]
 
 
 def _solve_test_piece(pairings):
-    rows = _test_solve_rows()
-    rhs = [pairings[dof] for dof in DOF_IDS]
-    coeffs = solve_exact(rows, rhs)
-    legbasis = _tensor_legendre()
-    total = Poly2([[0]])
-    for c, mn in zip(coeffs, _MONO_IDS):
-        total = total + c * legbasis[mn]
-    return total
+    return _solved_poly(_test_solve_rows(), [pairings[dof] for dof in DOF_IDS])
 
 
 def _transpose_table(table):

@@ -8,12 +8,14 @@ cell (i, j), ``edge_y[i, j]`` of its top edge and ``nodes[i, j]`` its
 top-right corner.  All index arithmetic is modulo the grid size.
 
 A state keeps all of its dofs in one contiguous float64 array,
-``data``; the named fields are views into it, and the ODE arithmetic
-of the time integrators acts on ``data`` alone.
+``data``, field first and then cells, in both dimensions; the named
+fields are views into it, and the ODE arithmetic of the time
+integrators acts on ``data`` alone.
 
-- 1-d: ``data`` has shape (N, K) for scalars, (N, K, m) for systems.
-  Columns 0..K-2 are the moments, column K-1 the interface value, so
-  ``moments = data[:, :-1]`` and ``points = data[:, -1]``.
+- 1-d: ``data`` has shape (K, N) for scalars, (K, N, m) for systems.
+  Rows 0..K-2 are the moments, row K-1 the interface values, so
+  ``points = data[-1]`` and ``moments`` is ``data[:-1]`` with its first
+  two axes swapped, an (N, K-1[, m]) view.
 - 2-d: ``data`` has shape (4, Nx, Ny), ordered averages, edge_x,
   edge_y, nodes.
 
@@ -136,7 +138,7 @@ class _FlatState:
 
 
 class State1D(_FlatState):
-    """Cell moments plus interface values, as views of one (N, K[, m]) buffer."""
+    """Cell moments plus interface values, as views of one (K, N[, m]) buffer."""
 
     __slots__ = ()
 
@@ -147,21 +149,21 @@ class State1D(_FlatState):
             raise ValueError(f"degree {k} needs {k - 1} moments per cell")
         if points.shape != moments.shape[:1] + moments.shape[2:]:
             raise ValueError("points and moments disagree in shape")
-        self.data = np.empty((moments.shape[0], k) + moments.shape[2:])
-        self.data[:, :-1] = moments
-        self.data[:, -1] = points
+        self.data = np.empty((k,) + points.shape)
+        self.data[:-1] = moments.swapaxes(0, 1)
+        self.data[-1] = points
 
     @property
     def k(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[0]
 
     @property
     def points(self) -> np.ndarray:
-        return self.data[:, -1]
+        return self.data[-1]
 
     @property
     def moments(self) -> np.ndarray:
-        return self.data[:, :-1]
+        return self.data[:-1].swapaxes(0, 1)
 
 
 class State2D(_FlatState):
@@ -214,12 +216,11 @@ def project_initial(grid, fn, element: Element1D | None = None):
         vals = np.asarray(fn(xg), dtype=float)
         if vals.ndim == 0:
             vals = np.full(xg.shape, float(vals))
-        mom_shape = (grid.n, k - 1) + vals.shape[2:]
-        moments = np.empty(mom_shape)
+        moments = np.empty((k - 1, grid.n) + vals.shape[2:])
         for mw in element.moment_weights:
             weights = w * np.polynomial.polynomial.polyval(xi, mw.poly.float_coeffs)
-            moments[:, mw.k] = np.tensordot(vals, weights, axes=([1], [0]))
-        state = State1D(k, points, moments)
+            moments[mw.k] = np.tensordot(vals, weights, axes=([1], [0]))
+        state = State1D(k, points, moments.swapaxes(0, 1))
     elif isinstance(grid, Grid2D):
         rule = gauss_rule(min(16, 2 + _PROJECT_RULE_MARGIN))
         xi = rule.nodes_array
@@ -252,7 +253,7 @@ def project_initial(grid, fn, element: Element1D | None = None):
 def total_mass(state, grid):
     """Sum of the cell averages times the cell volume."""
     if isinstance(grid, Grid1D):
-        return np.sum(state.moments[:, 0], axis=0) * grid.dx
+        return np.sum(state.data[0], axis=0) * grid.dx
     return float(np.sum(state.averages)) * grid.dx * grid.dy
 
 
@@ -280,9 +281,9 @@ def _dof_gather_1d(state: State1D) -> np.ndarray:
     """(K+1, N[, m]): each cell's dofs in the element1d dof order, the left
     neighbour's interface value first."""
     data = state.data
-    dofs = np.empty((data.shape[1] + 1, data.shape[0], *data.shape[2:]))
-    dofs[1:] = np.moveaxis(data, 1, 0)
-    dofs[0, 1:], dofs[0, 0] = dofs[-1, :-1], dofs[-1, -1]
+    dofs = np.empty((len(data) + 1,) + data.shape[1:])
+    dofs[1:] = data
+    dofs[0, 1:], dofs[0, 0] = data[-1, :-1], data[-1, -1]
     return dofs
 
 
@@ -397,7 +398,7 @@ def write_state_csv(state, grid, path):
     of a run format their x values once; the values are formatted anew
     in every file.
     """
-    if isinstance(grid, Grid1D) and state.data.shape[:1] == (grid.n,):
+    if isinstance(grid, Grid1D) and state.data.shape[1:2] == (grid.n,):
         comps = [""] if state.data.ndim == 2 else [f"[{c}]" for c in range(state.data.shape[2])]
         centers, interfaces = _csv_x_1d(grid)
         header = "x,dof_class,value\r\n"

@@ -31,10 +31,6 @@ __all__ = [
     "inner2",
     "diff2",
     "gauss_rule",
-    "legendre1",
-    "legendre_basis",
-    "to_legendre",
-    "from_legendre",
     "solve_exact",
 ]
 
@@ -303,39 +299,6 @@ def gauss_rule(n: int) -> QuadratureRule:
         raise ValueError(f"gauss_rule supports 1 <= n <= 16, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(tuple(0.5 * x), tuple(0.5 * w))
-
-
-@lru_cache(maxsize=None)
-def legendre1(n: int) -> Poly1:
-    """Legendre polynomial rescaled to [-1/2, 1/2], with rational coefficients."""
-    if n == 0:
-        return Poly1([1])
-    if n == 1:
-        return Poly1([0, 2])
-    x2 = Poly1([0, 2])
-    pm, pc = legendre1(n - 2), legendre1(n - 1)
-    return ((2 * n - 1) * x2 * pc - (n - 1) * pm) * Fraction(1, n)
-
-
-def legendre_basis(k: int):
-    """The rescaled Legendre polynomials of degree 0..k."""
-    return tuple(legendre1(n) for n in range(k + 1))
-
-
-def to_legendre(p: Poly1):
-    """Expansion coefficients of p in the rescaled Legendre basis."""
-    out = []
-    for n in range(p.degree + 1):
-        ln = legendre1(n)
-        out.append(inner1(p, ln) / inner1(ln, ln))
-    return tuple(out)
-
-
-def from_legendre(coeffs) -> Poly1:
-    total = Poly1([0])
-    for n, c in enumerate(coeffs):
-        total = total + c * legendre1(n)
-    return total
 
 
 def solve_exact(matrix, rhs):

@@ -11,7 +11,8 @@ functionals of the differentiated flux of each basis function.
 In 1-d a moment weight lives on one cell and an interface test function
 has one piece on each of the two cells at its interface, so every row
 reads one cell's K+1 dofs (left endpoint, moments, right endpoint),
-gathered once per call by ``grid._dof_gather_1d``.  ``_linear_rows``
+gathered once per call by ``grid._dof_gather_1d``: the state's K rows
+under one row of the left neighbours' interface values.  ``_linear_rows``
 reads its rows off the dof functionals of each b_s': the K-1 moment
 rows (row 0 is the plain endpoint difference) and the one-sided
 interface derivatives D+ (the right-endpoint value, alpha = +1, on the
@@ -190,7 +191,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     k = state.k
     if k != element.k:
         raise ValueError("state and element degree disagree")
-    if state.data.shape[0] != grid.n:
+    if state.data.shape[1] != grid.n:
         raise ValueError("state size does not match grid")
     if not assume_finite and not state.all_finite():
         raise ValueError("state contains non-finite values")
@@ -206,18 +207,17 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     out = np.empty_like(state.data)
     if model.m > 1:
         rows = np.tensordot(_linear_rows(k), dofs, axes=1)
-        out[:, :-1] = np.moveaxis(rows[:-2] @ (model.matrix.T / -dx), 0, 1)
+        np.matmul(rows[:-2], model.matrix.T / -dx, out=out[:-1])
         jac_plus, jac_minus = model.jac_plus.T / -dx, model.jac_minus.T / -dx
-        _blend(out[:, -1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
+        _blend(out[-1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
         return State1D._of(out)
 
     if model.is_linear:
         speed = model.a
-        # one product straight into the (N, K) state layout: no (K-1, N) temporary to transpose
-        np.matmul(dofs.T, _linear_rows(k)[:-2].T * (speed / -dx), out=out[:, :-1])
+        np.matmul(_linear_rows(k)[:-2] * (speed / -dx), dofs, out=out[:-1])
     else:
         speed = model.jac(state.points)
-        np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out.T[:-1])
+        np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out[:-1])
     alpha = np.sign(speed) if upwind.mode == "adaptive" else upwind.alpha
     if point_update == "exact":
         speed = 1.0
@@ -225,7 +225,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     else:
         d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
     c = speed / -dx
-    _blend(out[:, -1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
+    _blend(out[-1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
     return State1D._of(out)
 
 

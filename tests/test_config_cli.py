@@ -3,12 +3,13 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from afpg import harness, timestep
-from afpg.config import ConfigError, parse_config, serialize_config
+from afpg.config import ConfigError, RunConfig, parse_config, serialize_config
 from afpg.grid import State1D, State2D
 from afpg.harness import convergence_study, run_simulation
 from afpg.cli import main
@@ -100,6 +101,15 @@ class TestConfig:
         # serialization is idempotent (normalized form)
         assert serialize_config(parse_config(text)) == text
 
+    def test_readme_lists_exactly_the_parsed_keys(self):
+        # the key of every key=value in README's "Config format" block, comments dropped
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```", 2)[1]
+        listed = {word.split("=", 1)[0] for line in block.splitlines()
+                  for word in line.split("#", 1)[0].split() if "=" in word}
+        parsed = {line.split("=", 1)[0] for line in serialize_config(RunConfig()).splitlines()}
+        assert listed == parsed
+
 
 class TestHarness:
     def test_constant_run_is_exact(self, tmp_path):
@@ -177,7 +187,7 @@ class TestHarness:
         cfg = parse_config(text)
         result = run_simulation(cfg)
         if cfg.dimension == 1:
-            rhs_calls, kind, shape = calls["rhs_1d"], State1D, (cfg.grid_n, cfg.degree)
+            rhs_calls, kind, shape = calls["rhs_1d"], State1D, (cfg.degree, cfg.grid_n)
         else:
             rhs_calls, kind, shape = calls["rhs_2d"], State2D, (4, cfg.grid_nx, cfg.grid_ny)
         assert result.steps > 0 and len(calls["step"]) == result.steps

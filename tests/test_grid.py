@@ -166,18 +166,18 @@ class TestStateArithmetic:
 class TestStateBuffer:
     def test_1d_scalar_views(self):
         st = State1D(3, np.arange(4.0), np.arange(8.0).reshape(4, 2))
-        assert st.data.shape == (4, 3) and st.data.flags.c_contiguous
+        assert st.data.shape == (3, 4) and st.data.flags.c_contiguous
         assert st.k == 3
         st.points[1] = -7.0
         st.moments[2, 1] = -9.0
-        assert st.data[1, 2] == -7.0 and st.data[2, 1] == -9.0
+        assert st.data[2, 1] == -7.0 and st.data[1, 2] == -9.0
         assert np.shares_memory(st.points, st.data)
 
     def test_1d_system_views(self):
         st = State1D(2, np.zeros((5, 2)), np.ones((5, 1, 2)))
-        assert st.data.shape == (5, 2, 2) and st.data.flags.c_contiguous
+        assert st.data.shape == (2, 5, 2) and st.data.flags.c_contiguous
         st.points[3, 1] = 4.0
-        assert st.data[3, 1, 1] == 4.0
+        assert st.data[1, 3, 1] == 4.0
         assert np.array_equal(st.moments, np.ones((5, 1, 2)))
 
     def test_2d_views(self):
@@ -309,7 +309,11 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_1d_scalar_bytes_match_csv_writer(self, tmp_path, k):
-        # 2500 cells: more than two write blocks, the last one partial
+        # 2500 cells: each section (k - 1 moment lines per cell, then one
+        # point line) spans two or more write blocks, the last one partial
+        for lines_per_cell in (k - 1, 1):
+            cells_per_block = grid_module._CSV_BLOCK_LINES // lines_per_cell
+            assert 2500 > cells_per_block and 2500 % cells_per_block
         rng = np.random.default_rng(k)
         g = Grid1D(2500, -0.3, 1.7)
         st = State1D(k, _random_with_specials(rng, 2500), _random_with_specials(rng, (2500, k - 1)))

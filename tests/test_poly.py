@@ -1,4 +1,4 @@
-"""Exact algebra, quadrature and Legendre-basis tests for the poly core."""
+"""Exact algebra, quadrature and exact-solve tests for the poly core."""
 
 import random
 from fractions import Fraction
@@ -11,16 +11,12 @@ from afpg.poly import (
     Poly1,
     Poly2,
     diff2,
-    from_legendre,
     gauss_rule,
     inner1,
     inner2,
     integrate1,
     integrate2,
-    legendre1,
-    legendre_basis,
     solve_exact,
-    to_legendre,
 )
 
 
@@ -155,29 +151,6 @@ class TestGaussRule:
             rule = gauss_rule(n)
             assert all(w > 0 for w in rule.weights)
             assert sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
-
-
-class TestLegendre:
-    def test_orthogonality(self):
-        legs = legendre_basis(5)
-        for i, p in enumerate(legs):
-            for j, q in enumerate(legs):
-                val = inner1(p, q)
-                if i != j:
-                    assert val == 0
-                else:
-                    assert val == Fraction(1, 2 * i + 1)
-
-    def test_endpoint_values(self):
-        for n in range(6):
-            assert legendre1(n)(HALF) == 1
-            assert legendre1(n)(-HALF) == (-1) ** n
-
-    def test_roundtrip(self):
-        rng = random.Random(2)
-        for _ in range(6):
-            p = rational_poly(rng, 5)
-            assert from_legendre(to_legendre(p)) == p
 
 
 class TestSolveExact:

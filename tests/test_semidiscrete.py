@@ -193,12 +193,12 @@ class TestRhs1D:
             w_data = st.data @ model.eigvecs_inv.T
             expected_w = np.empty_like(w_data)
             for p, lam in enumerate(model.eigvals):
-                sub = State1D(k, w_data[:, -1, p], w_data[:, :-1, p])
+                sub = State1D(k, w_data[-1, :, p], w_data[:-1, :, p].T)
                 expected_w[..., p] = rhs_1d(sub, g, el, advection1d(lam), Upwind1D("adaptive")).data
             expected = expected_w @ model.eigvecs.T
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(r.points - expected[:, -1])) <= 1e-14 * scale
-            assert np.max(np.abs(r.moments - expected[:, :-1])) <= 1e-14 * scale
+            assert np.max(np.abs(r.points - expected[-1])) <= 1e-14 * scale
+            assert np.max(np.abs(r.moments - expected[:-1].swapaxes(0, 1))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_oracle_equivalence_burgers_moments(self, k):
@@ -301,10 +301,10 @@ class TestCompiledTaps1D:
         taps = np.empty((k, g.n, k))
         for j in range(g.n):
             for c in range(k):
-                data = np.zeros((g.n, k))
-                data[j, c] = 1.0
-                st = State1D(k, data[:, -1], data[:, :-1])
-                taps[:, j, c] = rhs_1d(st, g, el, advection1d(a), Upwind1D("fixed", alpha)).data[i]
+                data = np.zeros((k, g.n))
+                data[c, j] = 1.0
+                st = State1D(k, data[-1], data[:-1].T)
+                taps[:, j, c] = rhs_1d(st, g, el, advection1d(a), Upwind1D("fixed", alpha)).data[:, i]
         for got, row in zip(taps, rows):
             exact = {((i + o) % g.n, c): w * scale for (c, o), w in zip(window, row)}
             bound = 2 * np.finfo(float).eps * max(abs(float(w)) for w in exact.values())
