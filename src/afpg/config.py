@@ -188,6 +188,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("model.point_update=exact applies to burgers only")
     if cfg.model_point_update == "exact" and cfg.degree != 2:
         raise ConfigError("model.point_update=exact needs k = 2")
+    if cfg.model_name == "burgers" and cfg.ic_name == "linear" and cfg.ic_slope != 0:
+        raise ConfigError("model.name=burgers needs ic.slope=0 with ic.name=linear: the"
+                          " periodic ramp jumps at the wrap, a shock or fan at t = 0")
     if cfg.model_name == "linear_system" and cfg.upwind_mode == "fixed":
         raise ConfigError("upwind.mode=fixed applies to scalar models only")
     return cfg

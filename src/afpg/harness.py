@@ -153,23 +153,19 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
 
     if cfg.dimension == 1:
         element = build_element(cfg.degree)
-        project_fn = _vectorize_ic(ic, model.m) if model.m > 1 else ic
-        state = project_initial(grid, project_fn, element)
+        ic = _vectorize_ic(ic, model.m) if model.m > 1 else ic
 
         def rhs_fn(s):
             return rhs_1d(s, grid, element, model, upwind,
                           point_update=cfg.model_point_update, assume_finite=True)
-
-        exact_ic = project_fn if model.m > 1 else ic
-        exact = model.exact_solution(exact_ic, grid)
     else:
         element = build_element_2d()
-        state = project_initial(grid, ic)
 
         def rhs_fn(s):
             return rhs_2d(s, grid, element, model, upwind, assume_finite=True)
 
-        exact = model.exact_solution(ic, grid)
+    state = project_initial(grid, ic, element)
+    exact = model.exact_solution(ic, grid)
 
     _check_cfl_steps(cfg, state, grid, model)
     if output_dir is not None:
@@ -187,12 +183,13 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
                               integrator, on_step=on_step)
     mass_log.append((t, total_mass(state, grid)))
 
-    norms = None
-    if exact is not None:
-        if cfg.dimension == 1:
-            norms = error_norms(state, grid, element, lambda x: exact(x, t))
-        else:
-            norms = error_norms(state, grid, element, lambda x, y: exact(x, y, t))
+    def reference(*xs):
+        try:
+            return exact(*xs, t)
+        except ValueError as err:  # e.g. Burgers past the shock
+            raise ConfigError(f"no reference solution: {err}") from None
+
+    norms = None if exact is None else error_norms(state, grid, element, reference)
 
     if output_dir is not None:
         write_state_csv(state, grid, os.path.join(output_dir, "final_state.csv"))

@@ -88,6 +88,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(BASE_CFG + line)
 
+    @pytest.mark.parametrize("slope", ["1.0", "-0.5"])
+    def test_burgers_sawtooth_rejected(self, slope):
+        # the periodic ramp jumps at the wrap, where the pre-shock reference
+        # does not hold: this exited 0 with an L2 error of 0.354
+        with pytest.raises(ConfigError, match="jumps at the wrap"):
+            parse_config(f"model.name=burgers\nic.name=linear\nic.slope={slope}\n")
+
+    def test_burgers_flat_linear_ic_accepted(self):
+        cfg = parse_config("model.name=burgers\nic.name=linear\nic.slope=0\nic.offset=0.5\n"
+                           "grid.n=12\ntime.t_end=0.1\n")
+        assert run_simulation(cfg).norms[2] <= 1e-14
+
     def test_matrix_parsing(self):
         cfg = parse_config("model.name=linear_system\nmodel.matrix=0,1;1,0")
         assert cfg.model_matrix == ((0.0, 1.0), (1.0, 0.0))
@@ -313,6 +325,17 @@ class TestCli:
         assert main(argv + ["--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("output error:") and str(tmp_path) in err[0]
+
+    @pytest.mark.parametrize("argv", [["run"], ["converge", "--grids", "12,24"]],
+                             ids=["run", "converge"])
+    def test_reference_refusal_exit_two(self, tmp_path, capsys, argv):
+        # the breaking time is 1/(2 pi): Burgers1D's reference raised
+        # ValueError inside error_norms, a traceback with exit 1
+        cfg = self.write(tmp_path, "model.name=burgers\ngrid.n=12\ntime.t_end=0.5\n")
+        assert main([argv[0], cfg, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "past the shock" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_converge_writes_table(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG + "time.t_end=1.0\n")

@@ -8,7 +8,7 @@ import pytest
 from afpg import grid as grid_module
 from afpg.config import parse_config
 from afpg.element1d import build_element, reconstruct
-from afpg.element2d import build_element_2d
+from afpg.element2d import DOF_IDS, build_element_2d, reconstruct2d
 from afpg.grid import (
     Grid1D,
     Grid2D,
@@ -64,6 +64,26 @@ class TestProjection:
         st = project_initial(g, lambda x, y: np.asarray(x) * np.asarray(y))
         xc, yc = g.x_centers(), g.y_centers()
         assert np.allclose(st.averages, np.outer(xc, yc), atol=1e-14)
+
+    def test_point_fields_sit_at_their_places(self):
+        # dx = 0.4 differs from dy = 0.375, and x + 10 y tells x from y
+        g = Grid2D(5, 4, 0.0, 2.0, -1.0, 0.5)
+        f = lambda x, y: np.asarray(x) + 10.0 * np.asarray(y)
+        st = project_initial(g, f)
+        xc, yc = g.x_centers()[:, None], g.y_centers()[None, :]
+        xf, yf = g.x_interfaces()[:, None], g.y_interfaces()[None, :]
+        assert np.array_equal(st.edge_x, f(xf, yc))
+        assert np.array_equal(st.edge_y, f(xc, yf))
+        assert np.array_equal(st.nodes, f(xf, yf))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_system_projects_componentwise(self, k):
+        g = Grid1D(9, -0.5, 1.5)
+        el = build_element(k)
+        parts = (lambda x: np.sin(3.0 * np.asarray(x)), lambda x: np.exp(np.asarray(x)))
+        st = project_initial(g, lambda x: np.stack([p(x) for p in parts], axis=-1), el)
+        for c, part in enumerate(parts):
+            assert st.data[..., c].tobytes() == project_initial(g, part, el).data.tobytes()
 
     def test_nonfinite_rejected(self):
         g = Grid1D(4)
@@ -145,6 +165,45 @@ class TestErrorNorms:
         l1, _, linf = error_norms(st, g, el, lambda x: fn(x) + eps)
         assert l1 == pytest.approx(eps * 2.0, rel=1e-10)
         assert linf == pytest.approx(eps, rel=1e-10)
+
+    def test_system_constant_offset(self):
+        # per component as in test_constant_offset; L1 sums the components
+        g = Grid1D(6, -1.0, 1.5)
+        el = build_element(3)
+        fn = lambda x: np.zeros(np.shape(x) + (2,)) + [0.7, -0.2]
+        st = project_initial(g, fn, el)
+        l1, _, linf = error_norms(st, g, el, lambda x: fn(x) + [1e-3, 2e-3])
+        assert l1 == pytest.approx(3e-3 * 2.5, rel=1e-10)
+        assert linf == pytest.approx(2e-3, rel=1e-10)
+
+    def test_2d_zero_against_own_reconstruction(self):
+        g = Grid2D(5, 3, 0.0, 1.0, -0.5, 1.0)
+        el = build_element_2d()
+        st = project_initial(
+            g, lambda x, y: np.sin(2 * np.pi * np.asarray(x)) * np.cos(np.pi * np.asarray(y)))
+
+        # a cell stores its right edge, top edge and top-right node; a dof on
+        # its left or bottom side is stored by that neighbour
+        def cell_poly(i, j):
+            dofs = {(r, s): float(st.data[abs(r) + 2 * abs(s), (i + min(r, 0)) % g.nx,
+                                          (j + min(s, 0)) % g.ny]) for r, s in DOF_IDS}
+            return reconstruct2d(el, dofs)
+
+        polys = {(i, j): cell_poly(i, j) for i in range(g.nx) for j in range(g.ny)}
+
+        def own(x, y):
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            vals = np.empty(x.shape)
+            for idx in np.ndindex(x.shape):
+                i = min(int((x[idx] - g.x_min) // g.dx), g.nx - 1)
+                j = min(int((y[idx] - g.y_min) // g.dy), g.ny - 1)
+                xi = (x[idx] - (g.x_min + (i + 0.5) * g.dx)) / g.dx
+                eta = (y[idx] - (g.y_min + (j + 0.5) * g.dy)) / g.dy
+                vals[idx] = polys[i, j](xi, eta)
+            return vals
+
+        l1, l2, linf = error_norms(st, g, el, own)
+        assert l1 <= 1e-14 and l2 <= 1e-14 and linf <= 1e-14
 
     def test_2d_constant_offset(self):
         g = Grid2D(4, 4)
