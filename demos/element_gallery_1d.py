@@ -5,7 +5,7 @@ Run as:  python3 demos/element_gallery_1d.py
 
 from fractions import Fraction
 
-from afpg import build_element, build_point_test, inner1
+from afpg import build_element, build_point_test, inner
 
 
 def fmt_poly(p, var="xi"):
@@ -43,8 +43,8 @@ def main():
         # pair each test piece with the derivative of every basis function
         # of its cell; the two cells share the interface value q_mid
         t = build_point_test(el, alpha)
-        left = [inner1(t.left, b.deriv()) for b in el.basis()]
-        right = [inner1(t.right, b.deriv()) for b in el.basis()]
+        left = [inner(t.left, b.deriv()) for b in el.basis()]
+        right = [inner(t.right, b.deriv()) for b in el.basis()]
         weights = ", ".join(str(w) for w in (*left[:-1], left[-1] + right[0], *right[1:]))
         print(f"  alpha = {alpha!s:>4}: dx * D = [{weights}]")
     print()

@@ -12,7 +12,7 @@ from afpg import (
     build_node_test,
     build_point_test,
 )
-from afpg.poly import Poly1, Poly2
+from afpg.poly import Poly
 
 NAMES = {
     (0, 0): "average",
@@ -49,14 +49,14 @@ def main():
     el1 = build_element(2)
     b1 = {1: el1.basis_right, -1: el1.basis_left, 0: el1.basis_moments[0]}
     edge = el2.basis[(1, 0)]
-    tensor = Poly2.tensor(b1[1], b1[0])
+    tensor = b1[1].tensor(b1[0])
     print("  edge basis == 2/3 * (1-d right endpoint) x (1-d average):",
           edge == Fraction(2, 3) * tensor)
     node = el2.basis[(1, 1)]
     expected = (
-        Poly2.tensor(b1[1], b1[1])
-        + Fraction(1, 6) * Poly2.tensor(b1[1], b1[0])
-        + Fraction(1, 6) * Poly2.tensor(b1[0], b1[1])
+        b1[1].tensor(b1[1])
+        + Fraction(1, 6) * b1[1].tensor(b1[0])
+        + Fraction(1, 6) * b1[0].tensor(b1[1])
     )
     print("  node basis == tensor + 1/6 corrections along each axis:",
           node == expected)
@@ -65,13 +65,13 @@ def main():
     print("Edge test function in the tensor basis of 1-d central tests")
     print("=" * 60)
     t0 = build_point_test(el1, 0)
-    a1d = {1: t0.left, -1: t0.right, 0: Poly1([1])}
+    a1d = {1: t0.left, -1: t0.right, 0: Poly([1])}
     a1, a2, a3 = Fraction(0), Fraction(0), Fraction(1, 2)
     t = build_edge_test((a1, a2, a3), "x")
     expansion = (
-        (8 * a1 - 1 - a3) / 2 * Poly2.tensor(a1d[1], a1d[1])
-        + Fraction(3, 2) * (1 + a3) * Poly2.tensor(a1d[1], a1d[0])
-        + (8 * a2 - 1 - a3) / 2 * Poly2.tensor(a1d[1], a1d[-1])
+        (8 * a1 - 1 - a3) / 2 * a1d[1].tensor(a1d[1])
+        + Fraction(3, 2) * (1 + a3) * a1d[1].tensor(a1d[0])
+        + (8 * a2 - 1 - a3) / 2 * a1d[1].tensor(a1d[-1])
     )
     print(f"  alphas = ({a1}, {a2}, {a3}): expansion identity holds:",
           t.pieces[(0, 0)] == expansion)

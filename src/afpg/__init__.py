@@ -38,25 +38,14 @@ from afpg.grid import (
     write_state_csv,
 )
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
-from afpg.poly import (
-    Poly1,
-    Poly2,
-    QuadratureRule,
-    diff2,
-    gauss_rule,
-    inner1,
-    inner2,
-    integrate1,
-    integrate2,
-)
+from afpg.poly import Poly, QuadratureRule, gauss_rule, inner, integrate
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
 from afpg.timestep import BlowUpError, TimeIntegrator, advance, compute_dt, step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly1", "Poly2", "QuadratureRule", "gauss_rule",
-    "integrate1", "inner1", "integrate2", "inner2", "diff2",
+    "Poly", "QuadratureRule", "gauss_rule", "integrate", "inner",
     "MomentWeight", "Element1D", "PointTest1D",
     "moment_weight", "build_element", "build_point_test", "reconstruct",
     "DOF_IDS", "Element2D", "EdgeTest2D", "NodeTest2D",

@@ -162,6 +162,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(
                 f"2 pi ic.cycles (grid.{axis}_max - grid.{axis}_min) must be finite"
             )
+    if cfg.ic_name == "gaussian" and not cfg.ic_width > 0:
+        raise ConfigError("ic.width must be > 0 for ic.name=gaussian")
     if abs(cfg.upwind_alpha) > 1 or abs(cfg.upwind_alpha3) > 1:
         raise ConfigError("upwind alpha weights must lie in [-1, 1]")
     if abs(cfg.upwind_beta) > 0.5:

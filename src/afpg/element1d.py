@@ -18,7 +18,7 @@ right.  alpha = +1/-1 is full upwinding, alpha = 0 central.
 Both solves are for the monomial coefficients themselves, in exact
 rational arithmetic (a float alpha enters at its exact binary value),
 so their answer is unique whatever basis the systems are written in.
-An interface derivative is the pairing (``inner1``) of the two test
+An interface derivative is the pairing (``poly.inner``) of the two test
 pieces with the derivative of the global reconstruction, that is with
 each b_s' of the two cells meeting at the interface.  ``Element1D.dof_values`` applies every dof
 functional to a polynomial; by biorthogonality, a moment weight or a
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import HALF, Poly1, inner1, solve_exact
+from afpg.poly import HALF, Poly, inner, solve_exact
 
 __all__ = [
     "MomentWeight",
@@ -53,13 +53,13 @@ class MomentWeight:
     """Weight polynomial of the k-th moment, in xi units."""
 
     k: int
-    poly: Poly1
+    poly: Poly
 
 
 def moment_weight(k: int) -> MomentWeight:
     if k < 0:
         raise ValueError("moment index must be >= 0")
-    return MomentWeight(k, Poly1([0] * k + [(k + 1) * 2**k]))
+    return MomentWeight(k, Poly([0] * k + [(k + 1) * 2**k]))
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,17 @@ class Element1D:
     """
 
     k: int
-    basis_left: Poly1
+    basis_left: Poly
     basis_moments: tuple
-    basis_right: Poly1
+    basis_right: Poly
     moment_weights: tuple
 
     def basis(self):
         return (self.basis_left, *self.basis_moments, self.basis_right)
 
-    def dof_values(self, p: Poly1):
+    def dof_values(self, p: Poly):
         """Apply every degree-of-freedom functional to p."""
-        mids = tuple(inner1(w.poly, p) for w in self.moment_weights)
+        mids = tuple(inner(w.poly, p) for w in self.moment_weights)
         return (p(-HALF), *mids, p(HALF))
 
 
@@ -94,13 +94,13 @@ class PointTest1D:
     to the cell on the right.
     """
 
-    left: Poly1
-    right: Poly1
+    left: Poly
+    right: Poly
 
 
 def _monomials(k: int):
     """xi^0 .. xi^k, the trial functions of both solves."""
-    return [Poly1([0] * j + [1]) for j in range(k + 1)]
+    return [Poly([0] * j + [1]) for j in range(k + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -111,13 +111,13 @@ def build_element(k: int) -> Element1D:
     weights = tuple(moment_weight(kk) for kk in range(k - 1))
     monos = _monomials(k)
     rows = [[m(-HALF) for m in monos]]
-    rows += [[inner1(w.poly, m) for m in monos] for w in weights]
+    rows += [[inner(w.poly, m) for m in monos] for w in weights]
     rows.append([m(HALF) for m in monos])
     n = k + 1
     basis = []
     for s in range(n):
         rhs = [Fraction(int(r == s)) for r in range(n)]
-        basis.append(Poly1(solve_exact(rows, rhs)))
+        basis.append(Poly(solve_exact(rows, rhs)))
     return Element1D(k, basis[0], tuple(basis[1:-1]), basis[-1], weights)
 
 
@@ -125,23 +125,23 @@ def build_point_test(element: Element1D, alpha) -> PointTest1D:
     """Solve for the interface test-function pieces at upwind weight alpha."""
     k = element.k
     af = Fraction(alpha)
-    rows = [[inner1(b, m) for m in _monomials(k)] for b in element.basis()]
+    rows = [[inner(b, m) for m in _monomials(k)] for b in element.basis()]
     n = k + 1
     rhs_left = [Fraction(0)] * n
     rhs_left[-1] = HALF + af / 2  # pairing with the right-endpoint basis function
     rhs_right = [Fraction(0)] * n
     rhs_right[0] = HALF - af / 2  # pairing with the left-endpoint basis function
-    left = Poly1(solve_exact(rows, rhs_left))
-    right = Poly1(solve_exact(rows, rhs_right))
+    left = Poly(solve_exact(rows, rhs_left))
+    right = Poly(solve_exact(rows, rhs_right))
     return PointTest1D(left, right)
 
 
-def reconstruct(element: Element1D, dofs) -> Poly1:
+def reconstruct(element: Element1D, dofs) -> Poly:
     """Cell polynomial matching the given dofs (left, moments, right)."""
     basis = element.basis()
     if len(dofs) != len(basis):
         raise ValueError(f"expected {len(basis)} dofs, got {len(dofs)}")
-    total = Poly1([0])
+    total = Poly([0])
     for v, b in zip(dofs, basis):
         total = total + v * b
     return total

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import HALF, Poly1, Poly2, inner2, integrate2, solve_exact
+from afpg.poly import HALF, Poly, inner, integrate, solve_exact
 
 __all__ = [
     "DOF_IDS",
@@ -82,14 +82,14 @@ DOF_IDS = (
 
 # The monomials xi^m eta^n of the tensor-quadratic space, the trial
 # functions of every exact solve here, m major.
-_MONOMIALS = tuple(Poly2([[int((i, j) == (m, n)) for j in range(3)] for i in range(3)])
+_MONOMIALS = tuple(Poly([[int((i, j) == (m, n)) for j in range(3)] for i in range(3)])
                    for m in range(3) for n in range(3))
 
 
-def _solved_poly(rows, rhs) -> Poly2:
+def _solved_poly(rows, rhs) -> Poly:
     """The polynomial whose monomial coefficients solve rows . c = rhs."""
     c = solve_exact(rows, rhs)
-    return Poly2([c[3 * m : 3 * m + 3] for m in range(3)])
+    return Poly([c[3 * m : 3 * m + 3] for m in range(3)])
 
 
 def dof_point(dof):
@@ -97,15 +97,15 @@ def dof_point(dof):
     return (Fraction(r, 2), Fraction(s, 2))
 
 
-def apply_dof(dof, p: Poly2):
+def apply_dof(dof, p: Poly):
     """Apply the dof functional: point value, or the integral for (0, 0)."""
     if dof == (0, 0):
-        return integrate2(p)
+        return integrate(p)
     xi, eta = dof_point(dof)
     return p(xi, eta)
 
 
-def pair_row(row, p: Poly2):
+def pair_row(row, p: Poly):
     """Pairing of a test-function piece with p, a polynomial of the cell space.
 
     ``row`` is the piece's row of a pairing table (its pairings with the
@@ -147,12 +147,12 @@ class NodeTest2D:
 
 
 def _closed_form_factors():
-    one = Poly1([1])
-    lin_p = Poly1([1, 2])  # 2 xi + 1
-    lin_m = Poly1([-1, 2])  # 2 xi - 1
-    six_m = Poly1([-1, 6])  # 6 xi - 1
-    six_p = Poly1([1, 6])  # 6 xi + 1
-    sq = Poly1([-1, 0, 4])  # 4 xi^2 - 1
+    one = Poly([1])
+    lin_p = Poly([1, 2])  # 2 xi + 1
+    lin_m = Poly([-1, 2])  # 2 xi - 1
+    six_m = Poly([-1, 6])  # 6 xi - 1
+    six_p = Poly([1, 6])  # 6 xi + 1
+    sq = Poly([-1, 0, 4])  # 4 xi^2 - 1
     return one, lin_p, lin_m, six_m, six_p, sq
 
 
@@ -161,18 +161,18 @@ def _closed_form_basis():
     one, lin_p, lin_m, six_m, six_p, sq = _closed_form_factors()
 
     def tx(p):
-        return Poly2.tensor(p, one)
+        return p.tensor(one)
 
     def ty(p):
-        return Poly2.tensor(one, p)
+        return one.tensor(p)
 
     s16 = Fraction(1, 16)
     m14 = Fraction(-1, 4)
     forms = {
-        (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly2([[-1, 2], [2, 12]]),
-        (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly2([[1, -2], [2, 12]]),
-        (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly2([[-1, -2], [-2, 12]]),
-        (1, -1): s16 * tx(lin_p) * ty(lin_m) * Poly2([[1, 2], [-2, 12]]),
+        (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly([[-1, 2], [2, 12]]),
+        (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly([[1, -2], [2, 12]]),
+        (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly([[-1, -2], [-2, 12]]),
+        (1, -1): s16 * tx(lin_p) * ty(lin_m) * Poly([[1, 2], [-2, 12]]),
         (0, 1): m14 * tx(sq) * ty(lin_p) * ty(six_m),
         (0, -1): m14 * tx(sq) * ty(lin_m) * ty(six_p),
         (-1, 0): m14 * tx(lin_m) * tx(six_p) * ty(sq),
@@ -275,7 +275,7 @@ def node_pairing_table(alphas):
 def _test_solve_rows():
     # pairing of every basis function with every monomial
     element = build_element_2d()
-    return [[inner2(element.basis[dof], m) for m in _MONOMIALS] for dof in DOF_IDS]
+    return [[inner(element.basis[dof], m) for m in _MONOMIALS] for dof in DOF_IDS]
 
 
 def _solve_test_piece(pairings):
@@ -314,9 +314,9 @@ def build_node_test(alphas) -> NodeTest2D:
     return NodeTest2D(pieces, table)
 
 
-def reconstruct2d(element: Element2D, dofs) -> Poly2:
+def reconstruct2d(element: Element2D, dofs) -> Poly:
     """Cell polynomial matching the nine dofs, keyed by dof id."""
-    total = Poly2([[0]])
+    total = Poly([[0]])
     for dof in DOF_IDS:
         total = total + dofs[dof] * element.basis[dof]
     return total

@@ -23,6 +23,7 @@ from afpg.element2d import build_element_2d
 from afpg.grid import (
     Grid1D,
     Grid2D,
+    _axes,
     error_norms,
     project_initial,
     total_mass,
@@ -144,7 +145,12 @@ def _vectorize_ic(ic, m):
 
 
 def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
-    """Project, integrate to t_end, optionally write outputs."""
+    """Project, integrate to t_end, optionally write outputs.
+
+    Non-finite initial data and a reference solution that refuses at
+    t_end (e.g. Burgers past the shock) raise ConfigError before the
+    first step; a refusal the norms meet later raises it at the end.
+    """
     grid = build_grid(cfg, n=n)
     model = build_model(cfg)
     ic = build_ic(cfg)
@@ -164,10 +170,21 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
         def rhs_fn(s):
             return rhs_2d(s, grid, element, model, upwind, assume_finite=True)
 
-    state = project_initial(grid, ic, element)
+    try:
+        state = project_initial(grid, ic, element)
+    except ValueError as err:  # non-finite initial data
+        raise ConfigError(str(err)) from None
     exact = model.exact_solution(ic, grid)
 
+    def reference(*xs, t):
+        try:
+            return exact(*xs, t)
+        except ValueError as err:  # e.g. Burgers past the shock
+            raise ConfigError(f"no reference solution: {err}") from None
+
     _check_cfl_steps(cfg, state, grid, model)
+    if exact is not None:  # refuse before the first step, at the grid's centres and interfaces
+        reference(*np.ix_(*(np.concatenate((c, f)) for c, f, _ in _axes(grid))), t=cfg.time_t_end)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
     mass_log = [(0.0, total_mass(state, grid))]
@@ -182,14 +199,8 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
     state, t, steps = advance(state, grid, model, rhs_fn, cfg.time_t_end,
                               integrator, on_step=on_step)
     mass_log.append((t, total_mass(state, grid)))
-
-    def reference(*xs):
-        try:
-            return exact(*xs, t)
-        except ValueError as err:  # e.g. Burgers past the shock
-            raise ConfigError(f"no reference solution: {err}") from None
-
-    norms = None if exact is None else error_norms(state, grid, element, reference)
+    norms = None if exact is None else error_norms(state, grid, element,
+                                                   lambda *xs: reference(*xs, t=t))
 
     if output_dir is not None:
         write_state_csv(state, grid, os.path.join(output_dir, "final_state.csv"))

@@ -65,7 +65,7 @@ from afpg.element2d import (
     pair_row,
 )
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_source_2d, _wrap_pad
-from afpg.poly import HALF, diff2, inner1
+from afpg.poly import HALF, inner
 
 __all__ = [
     "Upwind1D",
@@ -152,7 +152,7 @@ def _burgers_forms(k: int) -> np.ndarray:
     values = [[element.dof_values((b * c).deriv() * HALF) for c in basis] for b in basis]
     forms = [[[v[r] for v in row] for row in values] for r in range(1, k)]
     for phi in (build_point_test(element, 1).left, build_point_test(element, -1).right):
-        forms.append([[inner1(phi, b * c.deriv()) for c in basis] for b in basis])
+        forms.append([[inner(phi, b * c.deriv()) for c in basis] for b in basis])
     return np.array(forms, dtype=float)
 
 
@@ -260,7 +260,7 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     )
     cx, cy = Fraction(ax) / Fraction(dx), Fraction(ay) / Fraction(dy)
     basis = build_element_2d().basis
-    flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in basis.items()}
+    flux = {dof: cx * b.deriv(0) + cy * b.deriv(1) for dof, b in basis.items()}
     exact = defaultdict(Fraction)
     for out_field, table in enumerate(tables):
         for (ox, oy), row in table.items():

@@ -14,7 +14,7 @@ from afpg.element1d import build_element, build_point_test, reconstruct
 from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, error_norms, project_initial, total_mass
 from afpg.models import SineIC, advection1d, advection2d, burgers1d
-from afpg.poly import HALF, Poly1, Poly2, diff2, gauss_rule, inner1, inner2
+from afpg.poly import HALF, Poly, gauss_rule, inner
 from afpg.semidiscrete import (
     Upwind1D,
     Upwind2D,
@@ -31,7 +31,7 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def quad_inner1(p, q, n):
+def quad_inner(p, q, n):
     rule = gauss_rule(n)
     xs = rule.nodes_array
     pv = np.polynomial.polynomial.polyval(xs, p.float_coeffs)
@@ -44,11 +44,11 @@ def test_criterion_1_closed_form_element_match():
     start = time.time()
     el = build_element(2)
     ok = (
-        el.basis_moments[0] == Fraction(3, 2) * Poly1([1, 0, -4])
-        and el.basis_right == Fraction(1, 4) * Poly1([1, 2]) * Poly1([-1, 6])
-        and el.basis_left == Fraction(1, 4) * Poly1([-1, 2]) * Poly1([1, 6])
+        el.basis_moments[0] == Fraction(3, 2) * Poly([1, 0, -4])
+        and el.basis_right == Fraction(1, 4) * Poly([1, 2]) * Poly([-1, 6])
+        and el.basis_left == Fraction(1, 4) * Poly([-1, 2]) * Poly([1, 6])
     )
-    shape_left, shape_right = Poly1([-1, 4, 20]), Poly1([-1, -4, 20])
+    shape_left, shape_right = Poly([-1, 4, 20]), Poly([-1, -4, 20])
     for alpha in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(37, 100), Fraction(1)):
         t = build_point_test(el, alpha)
         ok = ok and t.left == Fraction(3, 4) * (1 + alpha) * shape_left
@@ -70,12 +70,12 @@ def test_criterion_2_biorthogonality_suite():
             for s, b in enumerate(basis):
                 want_left = 0.5 + alpha / 2 if s == k else 0.0
                 want_right = 0.5 - alpha / 2 if s == 0 else 0.0
-                worst = max(worst, abs(quad_inner1(t.left, b, n) - want_left))
-                worst = max(worst, abs(quad_inner1(t.right, b, n) - want_right))
+                worst = max(worst, abs(quad_inner(t.left, b, n) - want_left))
+                worst = max(worst, abs(quad_inner(t.right, b, n) - want_right))
         for mw in el.moment_weights:
             for s, b in enumerate(basis):
                 want = 1.0 if s == mw.k + 1 else 0.0
-                worst = max(worst, abs(quad_inner1(mw.poly, b, n) - want))
+                worst = max(worst, abs(quad_inner(mw.poly, b, n) - want))
     elapsed = time.time() - start
     report(2, worst <= 1e-13 and elapsed < 5.0, f"(max defect {worst:.2e}, {elapsed:.2f}s)")
 
@@ -100,9 +100,9 @@ def test_criterion_3_stencil_identities():
 
     def paired(alpha):
         t = build_point_test(el, alpha)
-        row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * 2
+        row = [inner(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * 2
         for s, b in enumerate(el.basis()):
-            row[2 + s] += inner1(t.right, b.deriv())
+            row[2 + s] += inner(t.right, b.deriv())
         return tuple(row)
 
     up, down, central = (blended(Fraction(alpha)) for alpha in (1, -1, 0))
@@ -142,7 +142,7 @@ def test_criterion_4_burgers_closed_form():
         worst_formula = max(worst_formula, np.max(np.abs(got - expected)) / scale)
 
     # independent quadrature oracle on a small grid
-    from afpg.poly import inner1
+    from afpg.poly import inner
 
     n2 = 6
     g2 = Grid1D(n2)
@@ -160,7 +160,7 @@ def test_criterion_4_burgers_closed_form():
             ]
             qi = reconstruct(el, dofs_i)
             qn = reconstruct(el, dofs_n)
-            val = inner1(t.left, qi * qi.deriv()) + inner1(t.right, qn * qn.deriv())
+            val = inner(t.left, qi * qi.deriv()) + inner(t.right, qn * qn.deriv())
             oracle = -float(val / Fraction(1, n2))
             worst_quad = max(worst_quad, abs(got[i] - oracle) / max(abs(oracle), 1.0))
     ok = worst_formula <= 1e-12 and worst_quad <= 1e-12
@@ -174,7 +174,7 @@ def test_criterion_5_2d_structure_theorems():
     b1 = {1: el1.basis_right, -1: el1.basis_left, 0: el1.basis_moments[0]}
 
     def tens_b(r, s):
-        return Poly2.tensor(b1[r], b1[s])
+        return Poly.tensor(b1[r], b1[s])
 
     ok = True
     for r, s in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -186,10 +186,10 @@ def test_criterion_5_2d_structure_theorems():
     ok = ok and el2.basis[(0, 0)] == tens_b(0, 0)
 
     t0 = build_point_test(el1, 0)
-    a1d = {1: t0.left, -1: t0.right, 0: Poly1([1])}
+    a1d = {1: t0.left, -1: t0.right, 0: Poly([1])}
 
     def tens_a(r, s):
-        return Poly2.tensor(a1d[r], a1d[s])
+        return Poly.tensor(a1d[r], a1d[s])
 
     rng = random.Random(314)
     worst = 0.0
@@ -238,7 +238,7 @@ def test_criterion_6_2d_derivative_oracles():
         beta = Fraction(upwind.beta)
         node = (*upwind.node_alphas, 2 * beta, beta / 2, beta / 2)
         pieces = (
-            {(0, 0): Poly2([[1]])},
+            {(0, 0): Poly([[1]])},
             build_edge_test(edge, "x").pieces,
             build_edge_test(edge, "y").pieces,
             build_node_test(node).pieces,
@@ -262,14 +262,14 @@ def test_criterion_6_2d_derivative_oracles():
             for j in range(ny):
                 recon = reconstruct2d(el, {d: Fraction(v) for d, v in cell_dofs(i, j).items()})
                 flux[i, j] = (
-                    Fraction(ax) / dx * diff2(recon, "x") + Fraction(ay) / dy * diff2(recon, "y")
+                    Fraction(ax) / dx * recon.deriv(0) + Fraction(ay) / dy * recon.deriv(1)
                 )
         for out, field_pieces in zip(got.data, pieces):
             for i in range(nx):
                 for j in range(ny):
                     oracle = -float(
                         sum(
-                            inner2(piece, flux[(i + ox) % nx, (j + oy) % ny])
+                            inner(piece, flux[(i + ox) % nx, (j + oy) % ny])
                             for (ox, oy), piece in field_pieces.items()
                         )
                     )

@@ -1,6 +1,7 @@
 """Config parsing, harness behavior and CLI subcommand tests."""
 
 import csv
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,11 @@ class TestConfig:
         cfg = parse_config("model.name=burgers\nic.name=linear\nic.slope=0\nic.offset=0.5\n"
                            "grid.n=12\ntime.t_end=0.1\n")
         assert run_simulation(cfg).norms[2] <= 1e-14
+
+    @pytest.mark.parametrize("width", ["0", "-0.1"])
+    def test_gaussian_width_must_be_positive(self, width):
+        with pytest.raises(ConfigError, match="ic.width"):
+            parse_config(f"ic.name=gaussian\nic.width={width}\n")
 
     def test_matrix_parsing(self):
         cfg = parse_config("model.name=linear_system\nmodel.matrix=0,1;1,0")
@@ -337,6 +343,40 @@ class TestCli:
         assert err.startswith("config error:") and "past the shock" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["run", "CFG", "--output-dir", "OUT"],
+                                      ["converge", "CFG", "--grids", "12,24"]],
+                             ids=["run", "converge"])
+    def test_reference_refusal_takes_no_step(self, tmp_path, capsys, monkeypatch, argv):
+        # the reference is asked at t_end before the first step: the run
+        # used to integrate to t_end and refuse only in error_norms
+        def no_step(*args, **kwargs):
+            raise AssertionError("advance was called")
+
+        monkeypatch.setattr(harness, "advance", no_step)
+        cfg = self.write(tmp_path, "model.name=burgers\ngrid.n=12\ntime.t_end=0.5\n")
+        out = tmp_path / "out"
+        assert main([{"CFG": cfg, "OUT": str(out)}.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "past the shock" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_gaussian_zero_width_exit_two(self, tmp_path, capsys, dim):
+        # exited 1 with a traceback: project_initial's non-finite samples
+        cfg = self.write(tmp_path, f"dimension={dim}\nic.name=gaussian\nic.width=0\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ic.width") and len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_non_finite_initial_data_exit_two(self, tmp_path, capsys, dim):
+        # ic.mean + ic.amplitude overflows to inf at the crest of the sine
+        cfg = self.write(tmp_path, f"dimension={dim}\nic.mean=1e308\nic.amplitude=1e308\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: initial data produced non-finite samples\n"
+
     def test_converge_writes_table(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG + "time.t_end=1.0\n")
         out = tmp_path / "conv.csv"
@@ -395,6 +435,30 @@ class TestCli:
             names = [r[0] for r in csv.reader(fh)]
         assert "edge_test_left_cell" in names
         assert "node_test_ll" in names
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["dump-element", "--k", "2", "--alpha", "1/3"],
+         "b6604d1138858a2e764e49b5d5c2a69f000bf00c3e05cb1d744d922917b71156"),
+        (["dump-element", "--k", "3", "--alpha", "1/3"],
+         "5d1445b0d3692ebc2c816de1446e9e9d87d4bb825ac0b89131777290e4a0584f"),
+        (["dump-element", "--k", "4", "--alpha", "1/3"],
+         "533cae978951292fd598bf182e4dcb86518f0aa4b2a712854051aeb0cf5331e7"),
+        (["dump-element", "--k", "5", "--alpha", "1/3"],
+         "df44f318936152f813d705fce960ee7632380b50a8eec43cd51d09b8ffc5919e"),
+        (["dump-element", "--k", "6", "--alpha", "1/3"],
+         "5ddf37cc9007482ffd290b704367c7ba1a87e931ca8c6a6fd6c61c51d95868f9"),
+        (["dump-element-2d"],
+         "fc683647270e1fc6ec8b2882687a80a31b2daf4cf8e06761303ad786f2c19b78"),
+        (["dump-element-2d", "--alphas", "1/3,-1/5,1/2"],
+         "850929d56d6a97871a65def75df5a68057bd3d3e926f0a653bd2bfeb88a6ef48"),
+        (["dump-element-2d", "--alphas", "1/3,-1/5,1/2,1,2,3,4,5,6,7,8,1/3,1/4,-1/7"],
+         "355b5f980b98a717149779d60e5a50af7a7a4ce00d788382f612e11dd4fbe8d0"),
+    ], ids=["k2", "k3", "k4", "k5", "k6", "2d-alphas0", "2d-alphas3", "2d-alphas14"])
+    def test_dump_digest(self, tmp_path, argv, digest):
+        # the dumps are exact rationals: their bytes do not depend on the machine
+        out = tmp_path / "dump.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -12,7 +12,7 @@ from afpg.element1d import (
     moment_weight,
     reconstruct,
 )
-from afpg.poly import HALF, Poly1, gauss_rule, inner1, integrate1
+from afpg.poly import HALF, Poly, gauss_rule, inner, integrate
 from afpg.semidiscrete import _linear_rows
 
 ALPHAS = (-1.0, 0.0, 0.37, 1.0)
@@ -29,13 +29,13 @@ def quad_inner(p, q, n):
 
 class TestMomentWeights:
     def test_polynomials(self):
-        assert moment_weight(0).poly == Poly1([1])
-        assert moment_weight(1).poly == Poly1([0, 4])
-        assert moment_weight(2).poly == Poly1([0, 0, 12])
+        assert moment_weight(0).poly == Poly([1])
+        assert moment_weight(1).poly == Poly([0, 4])
+        assert moment_weight(2).poly == Poly([0, 0, 12])
 
     def test_normalization_of_constants(self):
         for k in range(6):
-            val = integrate1(moment_weight(k).poly)
+            val = integrate(moment_weight(k).poly)
             assert val == (1 if k % 2 == 0 else 0)
 
 
@@ -46,9 +46,9 @@ class TestBuildElement:
 
     def test_closed_forms_k2(self):
         el = build_element(2)
-        assert el.basis_moments[0] == Fraction(3, 2) * Poly1([1, 0, -4])
-        assert el.basis_right == Fraction(1, 4) * Poly1([1, 2]) * Poly1([-1, 6])
-        assert el.basis_left == Fraction(1, 4) * Poly1([-1, 2]) * Poly1([1, 6])
+        assert el.basis_moments[0] == Fraction(3, 2) * Poly([1, 0, -4])
+        assert el.basis_right == Fraction(1, 4) * Poly([1, 2]) * Poly([-1, 6])
+        assert el.basis_left == Fraction(1, 4) * Poly([-1, 2]) * Poly([1, 6])
 
     def test_endpoint_duality_k2(self):
         el = build_element(2)
@@ -66,7 +66,7 @@ class TestBuildElement:
     def test_mirror_symmetry(self, k):
         # reflecting xi swaps the endpoint basis functions
         el = build_element(k)
-        left_reflected = Poly1([c * (-1) ** i for i, c in enumerate(el.basis_left.coeffs)])
+        left_reflected = Poly([c * (-1) ** i for i, c in enumerate(el.basis_left.coeffs)])
         assert left_reflected == el.basis_right
 
 
@@ -75,15 +75,15 @@ class TestPointTests:
         el = build_element(2)
         for alpha in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(37, 100), Fraction(1)):
             t = build_point_test(el, alpha)
-            shape_left = Poly1([-1, 4, 20])
-            shape_right = Poly1([-1, -4, 20])
+            shape_left = Poly([-1, 4, 20])
+            shape_right = Poly([-1, -4, 20])
             assert t.left == Fraction(3, 4) * (1 + alpha) * shape_left
             assert t.right == Fraction(3, 4) * (1 - alpha) * shape_right
 
     def test_central_closed_form(self):
         t = build_point_test(build_element(2), 0)
-        assert t.left == Poly1([Fraction(-3, 4), 3, 15])
-        assert t.right == Poly1([Fraction(-3, 4), -3, 15])
+        assert t.left == Poly([Fraction(-3, 4), 3, 15])
+        assert t.right == Poly([Fraction(-3, 4), -3, 15])
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -110,7 +110,7 @@ class TestPointTests:
         el = build_element(3)
         t = build_point_test(el, 1)
         for b in el.basis():
-            assert inner1(t.right, b) == 0
+            assert inner(t.right, b) == 0
 
     def test_assembled_interface_test_function_k2(self):
         # the two pieces glue into
@@ -134,9 +134,9 @@ def pairing_row(el, t):
     (the left cell's K+1 dofs, then the right cell's past the shared
     interface value), in xi units."""
     k = el.k
-    row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
+    row = [inner(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
     for s, b in enumerate(el.basis()):
-        row[k + s] += inner1(t.right, b.deriv())
+        row[k + s] += inner(t.right, b.deriv())
     return tuple(row)
 
 
@@ -175,7 +175,7 @@ class TestDerivativeStencil:
     def test_constant_annihilation(self, k):
         # constant data: note the odd moments of a constant vanish
         el = build_element(k)
-        cell_dofs = el.dof_values(Poly1([Fraction(5, 3)]))
+        cell_dofs = el.dof_values(Poly([Fraction(5, 3)]))
         window = list(cell_dofs) + list(cell_dofs[1:])
         for alpha in ALPHAS:
             assert sum(w * v for w, v in zip(blended_row(k, alpha), window)) == 0
@@ -225,7 +225,7 @@ class TestMomentStencil:
         el = build_element(k)
         rows = _linear_rows(k)[: k - 1]
         for w, row in zip(el.moment_weights, rows, strict=True):
-            assert row.tolist() == [float(inner1(w.poly, b.deriv())) for b in el.basis()]
+            assert row.tolist() == [float(inner(w.poly, b.deriv())) for b in el.basis()]
 
     def test_row_zero_is_the_endpoint_difference(self):
         for k in (2, 3, 4, 5, 6):
@@ -237,8 +237,8 @@ class TestReconstruct:
         for k in (2, 3):
             el = build_element(k)
             c = Fraction(7, 3)
-            dofs = el.dof_values(Poly1([c]))
-            assert reconstruct(el, dofs) == Poly1([c])
+            dofs = el.dof_values(Poly([c]))
+            assert reconstruct(el, dofs) == Poly([c])
 
     def test_unit_right_dof(self):
         el = build_element(2)

@@ -16,10 +16,10 @@ from afpg.element2d import (
     pair_row,
     reconstruct2d,
 )
-from afpg.poly import Poly1, Poly2, diff2, gauss_rule, inner2, integrate2
+from afpg.poly import Poly, gauss_rule, inner, integrate
 
 
-def quad_inner2(p, q, n=4):
+def quad_inner(p, q, n=4):
     """Independent 2-d pairing oracle via tensor Gauss quadrature."""
     rule = gauss_rule(n)
     total = 0.0
@@ -59,23 +59,23 @@ def shared_patch(rng, offsets):
 class TestBasis:
     def test_matches_closed_forms(self):
         el = build_element_2d()
-        one = Poly1([1])
-        lin_p, lin_m = Poly1([1, 2]), Poly1([-1, 2])
-        six_m, six_p = Poly1([-1, 6]), Poly1([1, 6])
-        sq = Poly1([-1, 0, 4])
+        one = Poly([1])
+        lin_p, lin_m = Poly([1, 2]), Poly([-1, 2])
+        six_m, six_p = Poly([-1, 6]), Poly([1, 6])
+        sq = Poly([-1, 0, 4])
 
         def tx(p):
-            return Poly2.tensor(p, one)
+            return Poly.tensor(p, one)
 
         def ty(p):
-            return Poly2.tensor(one, p)
+            return Poly.tensor(one, p)
 
         s16, m14 = Fraction(1, 16), Fraction(-1, 4)
         expected = {
-            (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly2([[-1, 2], [2, 12]]),
-            (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly2([[1, -2], [2, 12]]),
-            (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly2([[-1, -2], [-2, 12]]),
-            (1, -1): s16 * tx(lin_p) * ty(lin_m) * Poly2([[1, 2], [-2, 12]]),
+            (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly([[-1, 2], [2, 12]]),
+            (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly([[1, -2], [2, 12]]),
+            (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly([[-1, -2], [-2, 12]]),
+            (1, -1): s16 * tx(lin_p) * ty(lin_m) * Poly([[1, 2], [-2, 12]]),
             (0, 1): m14 * tx(sq) * ty(lin_p) * ty(six_m),
             (0, -1): m14 * tx(sq) * ty(lin_m) * ty(six_p),
             (-1, 0): m14 * tx(lin_m) * tx(six_p) * ty(sq),
@@ -95,17 +95,17 @@ class TestBasis:
         el = build_element_2d()
         b = el.basis[(1, 1)]
         assert b(Fraction(1, 2), Fraction(1, 2)) == 1
-        assert integrate2(b) == 0
+        assert integrate(b) == 0
 
     def test_average_basis_normalized(self):
-        assert integrate2(build_element_2d().basis[(0, 0)]) == 1
+        assert integrate(build_element_2d().basis[(0, 0)]) == 1
 
     def test_spans_tensor_quadratics(self):
         # the change of basis to monomials must be invertible: recombining
         # the nine basis functions reproduces an arbitrary tensor quadratic
         el = build_element_2d()
         rng = random.Random(5)
-        p = Poly2([[random_rational(rng) for _ in range(3)] for _ in range(3)])
+        p = Poly([[random_rational(rng) for _ in range(3)] for _ in range(3)])
         dofs = {dof: apply_dof(dof, p) for dof in DOF_IDS}
         assert reconstruct2d(el, dofs) == p
 
@@ -117,7 +117,7 @@ class TestBasis:
         b1 = {1: el1.basis_right, -1: el1.basis_left, 0: el1.basis_moments[0]}
 
         def tens(r, s):
-            return Poly2.tensor(b1[r], b1[s])
+            return Poly.tensor(b1[r], b1[s])
 
         third2 = Fraction(2, 3)
         sixth = Fraction(1, 6)
@@ -139,14 +139,14 @@ class TestEdgeTests:
             t = build_edge_test(alphas, "x")
             for off, row in t.table.items():
                 for dof, val in row.items():
-                    assert inner2(t.pieces[off], el.basis[dof]) == val
+                    assert inner(t.pieces[off], el.basis[dof]) == val
 
     def test_pairings_by_quadrature_oracle(self):
         el = build_element_2d()
         t = build_edge_test((0.21, -0.4, 0.5), "x")
         for off, row in t.table.items():
             for dof, val in row.items():
-                got = quad_inner2(t.pieces[off], el.basis[dof])
+                got = quad_inner(t.pieces[off], el.basis[dof])
                 assert got == pytest.approx(float(val), abs=1e-13)
 
     def test_tensor_expansion_theorem(self):
@@ -155,10 +155,10 @@ class TestEdgeTests:
         # (8a2-1-a3)/2
         el1 = build_element(2)
         t0 = build_point_test(el1, 0)
-        a_1d = {1: t0.left, -1: t0.right, 0: Poly1([1])}
+        a_1d = {1: t0.left, -1: t0.right, 0: Poly([1])}
 
         def tens(r, s):
-            return Poly2.tensor(a_1d[r], a_1d[s])
+            return Poly.tensor(a_1d[r], a_1d[s])
 
         rng = random.Random(12)
         for _ in range(20):
@@ -175,12 +175,12 @@ class TestEdgeTests:
     def test_central_expansion(self):
         el1 = build_element(2)
         t0 = build_point_test(el1, 0)
-        a_1d = {1: t0.left, -1: t0.right, 0: Poly1([1])}
+        a_1d = {1: t0.left, -1: t0.right, 0: Poly([1])}
         t = build_edge_test((0, 0, 0), "x")
         expected = (
-            Fraction(-1, 2) * Poly2.tensor(a_1d[1], a_1d[1])
-            + Fraction(3, 2) * Poly2.tensor(a_1d[1], a_1d[0])
-            + Fraction(-1, 2) * Poly2.tensor(a_1d[1], a_1d[-1])
+            Fraction(-1, 2) * Poly.tensor(a_1d[1], a_1d[1])
+            + Fraction(3, 2) * Poly.tensor(a_1d[1], a_1d[0])
+            + Fraction(-1, 2) * Poly.tensor(a_1d[1], a_1d[-1])
         )
         assert t.pieces[(0, 0)] == expected
 
@@ -193,7 +193,7 @@ class TestEdgeTests:
         el = build_element_2d()
         for off, row in ty_.table.items():
             for dof, val in row.items():
-                assert inner2(ty_.pieces[off], el.basis[dof]) == val
+                assert inner(ty_.pieces[off], el.basis[dof]) == val
 
     def test_invalid_orientation(self):
         with pytest.raises(ValueError):
@@ -206,12 +206,12 @@ class TestNodeTests:
         t = build_node_test((0,) * 11)
         own_dof = {(0, 0): (1, 1), (1, 0): (-1, 1), (0, 1): (1, -1), (1, 1): (-1, -1)}
         for off, dof in own_dof.items():
-            assert inner2(t.pieces[off], el.basis[dof]) == Fraction(1, 4)
+            assert inner(t.pieces[off], el.basis[dof]) == Fraction(1, 4)
 
     def test_alpha9_split(self):
         el = build_element_2d()
         t = build_node_test((0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0))
-        assert inner2(t.pieces[(0, 0)], el.basis[(1, 1)]) == Fraction(1, 2)
+        assert inner(t.pieces[(0, 0)], el.basis[(1, 1)]) == Fraction(1, 2)
 
     def test_full_table_random_alphas(self):
         rng = random.Random(13)
@@ -221,7 +221,7 @@ class TestNodeTests:
             t = build_node_test(alphas)
             for off, row in t.table.items():
                 for dof, val in row.items():
-                    assert inner2(t.pieces[off], el.basis[dof]) == val
+                    assert inner(t.pieces[off], el.basis[dof]) == val
 
     def test_table_by_quadrature_oracle(self):
         el = build_element_2d()
@@ -229,7 +229,7 @@ class TestNodeTests:
         t = build_node_test(alphas)
         for off, row in t.table.items():
             for dof, val in row.items():
-                got = quad_inner2(t.pieces[off], el.basis[dof])
+                got = quad_inner(t.pieces[off], el.basis[dof])
                 assert got == pytest.approx(float(val), abs=1e-13)
 
     def test_wrong_alpha_count(self):
@@ -278,7 +278,7 @@ class TestGlobalBiorthogonality:
 
         def test_pieces(kind, i, j):
             if kind == "avg":
-                return [((i, j), Poly2([[1]]))]
+                return [((i, j), Poly([[1]]))]
             if kind == "ex":
                 t = edge_x[(i, j)]
                 return [((i, j), t.pieces[(0, 0)]), (((i + 1) % n, j), t.pieces[(1, 0)])]
@@ -301,7 +301,7 @@ class TestGlobalBiorthogonality:
                 total = Fraction(0)
                 for cell, bp in basis_pieces(*s):
                     if cell in tps:
-                        total += inner2(tps[cell], bp)
+                        total += inner(tps[cell], bp)
                 assert total == Fraction(int(r == s)), (r, s)
 
 
@@ -311,9 +311,8 @@ def paired(table, cells, axis, scale):
     mapping): each row paired with its cell's derivative by ``pair_row``,
     as the runtime pairs rows, summed and divided by the grid spacing."""
     el = build_element_2d()
-    total = sum(
-        pair_row(row, diff2(reconstruct2d(el, cells[off]), axis)) for off, row in table.items()
-    )
+    total = sum(pair_row(row, reconstruct2d(el, cells[off]).deriv("xy".index(axis)))
+                for off, row in table.items())
     return total / scale
 
 
@@ -329,14 +328,14 @@ class TestStencils:
         t = build_edge_test((0, 0, 1), "x")
         dx = Fraction(1, 4)
         got = paired(t.table, cells, "x", dx)
-        own = diff2(reconstruct2d(el, cells[(0, 0)]), "x")
+        own = reconstruct2d(el, cells[(0, 0)]).deriv(0)
         assert got == own(Fraction(1, 2), Fraction(0)) / dx
 
     def test_edge_central_on_smooth_data(self):
         # a single global quadratic has no jumps: the central average is the
         # exact derivative regardless of the stabilization weights
         el = build_element_2d()
-        p = Poly2([[1, 2, -1], [3, Fraction(1, 2), 1], [2, -2, 1]])
+        p = Poly([[1, 2, -1], [3, Fraction(1, 2), 1], [2, -2, 1]])
         dx = dy = Fraction(1)
         cells = {}
         for off in ((0, 0), (1, 0)):
@@ -345,7 +344,7 @@ class TestStencils:
                 if dof == (0, 0):
                     # average over the shifted cell
                     cell_poly = _shift_poly(p, off)
-                    shifted[dof] = integrate2(cell_poly)
+                    shifted[dof] = integrate(cell_poly)
                 else:
                     xi, eta = dof_point(dof)
                     shifted[dof] = p(xi + off[0], eta + off[1])
@@ -353,8 +352,8 @@ class TestStencils:
         t = build_edge_test((0, 0, 0), "x")
         got_n = paired(t.table, cells, "x", dx)
         got_t = paired(t.table, cells, "y", dy)
-        assert got_n == diff2(p, "x")(Fraction(1, 2), 0)
-        assert got_t == diff2(p, "y")(Fraction(1, 2), 0)
+        assert got_n == p.deriv(0)(Fraction(1, 2), 0)
+        assert got_t == p.deriv(1)(Fraction(1, 2), 0)
 
     def test_edge_oracle_random_alphas(self):
         rng = random.Random(22)
@@ -367,7 +366,7 @@ class TestStencils:
             oracle = Fraction(0)
             for off, piece in t.pieces.items():
                 recon = reconstruct2d(el, cells[off])
-                oracle += inner2(piece, diff2(recon, axis))
+                oracle += inner(piece, recon.deriv("xy".index(axis)))
             assert got == oracle / scale
 
     def test_tangential_is_single_valued(self):
@@ -378,8 +377,8 @@ class TestStencils:
         for alphas in ((0, 0, 0), (Fraction(1, 3), Fraction(-1, 4), Fraction(4, 5))):
             t = build_edge_test(alphas, "x")
             got = paired(t.table, cells, "y", dy)
-            own = diff2(reconstruct2d(el, cells[(0, 0)]), "y")(Fraction(1, 2), 0) / dy
-            other = diff2(reconstruct2d(el, cells[(1, 0)]), "y")(Fraction(-1, 2), 0) / dy
+            own = reconstruct2d(el, cells[(0, 0)]).deriv(1)(Fraction(1, 2), 0) / dy
+            other = reconstruct2d(el, cells[(1, 0)]).deriv(1)(Fraction(-1, 2), 0) / dy
             assert own == other  # trace derivative is single-valued
             assert got == own
 
@@ -390,7 +389,7 @@ class TestStencils:
         t = build_node_test((0, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 4), Fraction(1, 4)))
         dx = Fraction(1, 2)
         got = paired(t.table, cells, "x", dx)
-        own = diff2(reconstruct2d(el, cells[(0, 0)]), "x")(Fraction(1, 2), Fraction(1, 2)) / dx
+        own = reconstruct2d(el, cells[(0, 0)]).deriv(0)(Fraction(1, 2), Fraction(1, 2)) / dx
         assert got == own
 
     def test_node_central_average(self):
@@ -400,8 +399,8 @@ class TestStencils:
         t = build_node_test((0,) * 11)
         dx = Fraction(1, 2)
         got = paired(t.table, cells, "x", dx)
-        d_left = diff2(reconstruct2d(el, cells[(0, 0)]), "x")(Fraction(1, 2), Fraction(1, 2)) / dx
-        d_right = diff2(reconstruct2d(el, cells[(1, 0)]), "x")(Fraction(-1, 2), Fraction(1, 2)) / dx
+        d_left = reconstruct2d(el, cells[(0, 0)]).deriv(0)(Fraction(1, 2), Fraction(1, 2)) / dx
+        d_right = reconstruct2d(el, cells[(1, 0)]).deriv(0)(Fraction(-1, 2), Fraction(1, 2)) / dx
         assert got == (d_left + d_right) / 2
 
     def test_node_oracle_random_alphas(self):
@@ -415,7 +414,7 @@ class TestStencils:
             got = paired(t.table, cells, axis, scale)
             oracle = Fraction(0)
             for off, piece in t.pieces.items():
-                oracle += inner2(piece, diff2(reconstruct2d(el, cells[off]), axis))
+                oracle += inner(piece, reconstruct2d(el, cells[off]).deriv("xy".index(axis)))
             assert got == oracle / scale
 
     def test_node_simplified_two_sided_forms(self):
@@ -431,7 +430,7 @@ class TestStencils:
 
         def d(off, pt, axis, scale):
             xi, eta = dof_point(pt)
-            return diff2(reconstruct2d(el, cells[off]), axis)(xi, eta) / scale
+            return reconstruct2d(el, cells[off]).deriv("xy".index(axis))(xi, eta) / scale
 
         got_x = paired(t.table, cells, "x", dx)
         expected_x = (
@@ -460,7 +459,7 @@ class TestStencils:
         # jumps: every row reproduces the analytic derivative at the node,
         # whatever the free weights are
         rng = random.Random(29)
-        p = Poly2([[random_rational(rng) for _ in range(3)] for _ in range(3)])
+        p = Poly([[random_rational(rng) for _ in range(3)] for _ in range(3)])
         cells = {}
         for off in ((0, 0), (1, 0), (0, 1), (1, 1)):
             shifted = _shift_poly(p, off)
@@ -470,11 +469,11 @@ class TestStencils:
         for _ in range(3):
             alphas = tuple(random_rational(rng, 12) for _ in range(11))
             table = build_node_test(alphas).table
-            assert paired(table, cells, "x", dx) == diff2(p, "x")(*node)
-            assert paired(table, cells, "y", dy) == diff2(p, "y")(*node)
+            assert paired(table, cells, "x", dx) == p.deriv(0)(*node)
+            assert paired(table, cells, "y", dy) == p.deriv(1)(*node)
         # constant data is annihilated
         const_cells = {
-            off: {dof: apply_dof(dof, Poly2([[Fraction(3, 7)]])) for dof in DOF_IDS}
+            off: {dof: apply_dof(dof, Poly([[Fraction(3, 7)]])) for dof in DOF_IDS}
             for off in cells
         }
         table = build_node_test(tuple(range(-5, 6))).table
@@ -487,12 +486,12 @@ class TestReconstruct2D:
         el = build_element_2d()
         c = Fraction(4, 7)
         dofs = {dof: (c if dof != (0, 0) else c) for dof in DOF_IDS}
-        assert reconstruct2d(el, dofs) == Poly2([[c]])
+        assert reconstruct2d(el, dofs) == Poly([[c]])
 
     def test_bilinear_pattern(self):
         # xi*eta sampled at the dof points (average 0) reconstructs exactly
         el = build_element_2d()
-        p = Poly2([[0, 0], [0, 1]])
+        p = Poly([[0, 0], [0, 1]])
         dofs = {dof: apply_dof(dof, p) for dof in DOF_IDS}
         assert dofs[(0, 0)] == 0
         assert reconstruct2d(el, dofs) == p
@@ -506,14 +505,14 @@ class TestReconstruct2D:
 def _shift_poly(p, off):
     """p(xi + ox, eta + oy) for integer offsets, exactly."""
     ox, oy = off
-    sx = Poly2([[Fraction(ox)], [Fraction(1)]])  # xi + ox
-    sy = Poly2([[Fraction(oy), Fraction(1)]])  # eta + oy
-    total = Poly2([[0]])
+    sx = Poly([[Fraction(ox)], [Fraction(1)]])  # xi + ox
+    sy = Poly([[Fraction(oy), Fraction(1)]])  # eta + oy
+    total = Poly([[0]])
     for k, row in enumerate(p.coeffs):
         for l, c in enumerate(row):
             if c == 0:
                 continue
-            term = Poly2([[c]])
+            term = Poly([[c]])
             for _ in range(k):
                 term = term * sx
             for _ in range(l):

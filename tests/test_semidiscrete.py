@@ -21,7 +21,7 @@ from afpg.element2d import (
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_2d, project_initial
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg import semidiscrete
-from afpg.poly import Poly2, diff2, inner1, inner2
+from afpg.poly import Poly, inner
 from afpg.semidiscrete import (
     _burgers_forms,
     _compile_taps_2d,
@@ -167,9 +167,9 @@ class TestRhs1D:
         test = build_point_test(el, np.sign(a) if alpha is None else alpha)
         for i in range(n):
             for kk in range(k - 1):
-                oracle = -float(a * inner1(el.moment_weights[kk].poly, polys[i].deriv()) / dxf)
+                oracle = -float(a * inner(el.moment_weights[kk].poly, polys[i].deriv()) / dxf)
                 assert r.moments[i, kk] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
-            pairing = inner1(test.left, polys[i].deriv()) + inner1(
+            pairing = inner(test.left, polys[i].deriv()) + inner(
                 test.right, polys[(i + 1) % n].deriv()
             )
             oracle = -float(a * pairing / dxf)
@@ -215,7 +215,7 @@ class TestRhs1D:
         for i in range(n):
             q = cell_poly(st, el, i)
             for kk in range(k - 1):
-                oracle = -float(inner1(el.moment_weights[kk].poly, q * q.deriv()) / dxf)
+                oracle = -float(inner(el.moment_weights[kk].poly, q * q.deriv()) / dxf)
                 assert r.moments[i, kk] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
     def test_alpha_consistency(self):
@@ -264,7 +264,7 @@ def by_parts_rows(el):
     with basis function s."""
     rows = []
     for w in el.moment_weights:
-        row = [-inner1(w.poly.deriv(), b) for b in el.basis()]
+        row = [-inner(w.poly.deriv(), b) for b in el.basis()]
         row[-1] += w.k + 1
         row[0] -= (w.k + 1) * (-1) ** w.k
         rows.append(row)
@@ -277,9 +277,9 @@ def interface_row(el, alpha):
     the shared value): the pairing of the test pieces with each b_s'."""
     t = build_point_test(el, alpha)
     k = el.k
-    row = [inner1(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
+    row = [inner(t.left, b.deriv()) for b in el.basis()] + [Fraction(0)] * k
     for s, b in enumerate(el.basis()):
-        row[k + s] += inner1(t.right, b.deriv())
+        row[k + s] += inner(t.right, b.deriv())
     return row
 
 
@@ -342,12 +342,12 @@ class TestBurgersForms:
         basis = el.basis()
         exact = []
         for w in el.moment_weights:
-            form = [[-inner1(w.poly.deriv(), b * c) / 2 for c in basis] for b in basis]
+            form = [[-inner(w.poly.deriv(), b * c) / 2 for c in basis] for b in basis]
             form[-1][-1] += Fraction(w.k + 1, 2)
             form[0][0] -= Fraction(w.k + 1, 2) * (-1) ** w.k
             exact.append(form)
         for phi in (build_point_test(el, 1).left, build_point_test(el, -1).right):
-            exact.append([[inner1(phi, b * c.deriv()) for c in basis] for b in basis])
+            exact.append([[inner(phi, b * c.deriv()) for c in basis] for b in basis])
         forms = _burgers_forms(k)
         assert forms.shape == (k + 1, k + 1, k + 1)
         for got, form in zip(forms, exact):
@@ -361,8 +361,8 @@ class TestBurgersForms:
         dofs = [Fraction(float(v)) for v in rng.standard_normal(k + 1)]
         q = reconstruct(el, dofs)
         tests = (build_point_test(el, 1).left, build_point_test(el, -1).right)
-        pairings = [inner1(w.poly, q * q.deriv()) for w in el.moment_weights]
-        pairings += [inner1(phi, q * q.deriv()) for phi in tests]
+        pairings = [inner(w.poly, q * q.deriv()) for w in el.moment_weights]
+        pairings += [inner(phi, q * q.deriv()) for phi in tests]
         d = np.array([float(v) for v in dofs])
         for form, oracle in zip(_burgers_forms(k), pairings):
             assert d @ form @ d == pytest.approx(float(oracle), rel=1e-12, abs=1e-12)
@@ -406,7 +406,7 @@ class TestBurgersPointUpdate:
         polys = [cell_poly(st, el, i) for i in range(n)]
         for i in range(n):
             qi, qn = polys[i], polys[(i + 1) % n]
-            val = inner1(t.left, qi * qi.deriv()) + inner1(t.right, qn * qn.deriv())
+            val = inner(t.left, qi * qi.deriv()) + inner(t.right, qn * qn.deriv())
             oracle = -float(val / Fraction(1, n))
             assert got[i] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
@@ -496,7 +496,7 @@ def pieces_2d(ax, ay, upwind):
     edge_alphas = (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2))
     node_alphas = tuple(Fraction(a) for a in upwind.node_alphas) + (2 * beta_y, beta_x / 2, beta_x / 2)
     return (
-        {(0, 0): Poly2([[1]])},  # the average's test function: the cell indicator
+        {(0, 0): Poly([[1]])},  # the average's test function: the cell indicator
         build_edge_test((*edge_alphas, a3x), "x").pieces,
         build_edge_test((*edge_alphas, a3y), "y").pieces,
         build_node_test(node_alphas).pieces,
@@ -633,9 +633,7 @@ class TestRhs2D:
         axf, ayf = Fraction(ax), Fraction(ay)
 
         def pair(piece, poly):
-            return axf * inner2(piece, diff2(poly, "x")) / dxf + ayf * inner2(
-                piece, diff2(poly, "y")
-            ) / dyf
+            return axf * inner(piece, poly.deriv(0)) / dxf + ayf * inner(piece, poly.deriv(1)) / dyf
 
         pieces = pieces_2d(ax, ay, upwind)
         for out, field_pieces in zip((r.averages, r.edge_x, r.edge_y, r.nodes), pieces):
@@ -662,13 +660,13 @@ class TestCompiledTaps2D:
     def test_taps_are_exact_pairings_rounded_once(self, nx, ny, ax, ay, upwind):
         # the weight of an output field on the dof stored at (field, offset) is
         # -sum over the field's test-function pieces of
-        # inner2(piece, ax/dx d_xi b + ay/dy d_eta b), b the basis function
+        # inner(piece, ax/dx d_xi b + ay/dy d_eta b), b the basis function
         # of that dof in the piece's cell, rounded to float once; no other
         # (field, offset) is a column of the block operator
         g = Grid2D(nx, ny)
         cx, cy = Fraction(ax) / Fraction(g.dx), Fraction(ay) / Fraction(g.dy)
         el = build_element_2d()
-        flux = {dof: cx * diff2(b, "x") + cy * diff2(b, "y") for dof, b in el.basis.items()}
+        flux = {dof: cx * b.deriv(0) + cy * b.deriv(1) for dof, b in el.basis.items()}
         columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
         assert weights.shape == (4, len(columns))
         assert not weights.flags.writeable  # shared by every call through the cache
@@ -680,7 +678,7 @@ class TestCompiledTaps2D:
                 for dof, f in flux.items():
                     field, (ox, oy) = DOF_STORAGE_2D[dof]
                     key = field, (px + ox, py + oy)
-                    exact[key] = exact.get(key, 0) - inner2(piece, f)
+                    exact[key] = exact.get(key, 0) - inner(piece, f)
             exact = {key: float(w) for key, w in exact.items() if w != 0}
             got = {column: w for column, w in zip(columns, row) if w != 0}
             assert got == exact
