@@ -20,6 +20,15 @@ field's place along every axis (cell centre or stored interface).  With
 ``_axes``, which gives each axis's centres, interfaces and spacing,
 projection, error norms and total mass run one path for both
 dimensions.  All index arithmetic is modulo the grid size.
+
+Projection and error norms sample and integrate by blocks of whole
+cells along the first grid axis, each holding at most ``BLOCK_BYTES``
+of Gauss-point values per component, so their memory does not grow
+with the grid.  A 1-d block is a multiple of 64 cells: the 1-d sums go
+through BLAS, whose order for a row of a matrix product depends on the
+row's place, and blocks of 64 cells leave every row where it was, so
+the results are bit for bit those of one block.  The 2-d sums are
+``einsum`` loops, the same at any number of rows per block.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ __all__ = [
 _PROJECT_RULE_MARGIN = 6
 # Gauss points per axis used for error norms.
 _NORM_RULE_MARGIN = 2
+# Byte budget of the Gauss-point values (per component) that projection
+# and error norms hold at once.  Sampling a whole 160^2 grid at once took
+# 13 MB per temporary; 1 MiB blocks were no slower at 320^2.
+BLOCK_BYTES = 1 << 20
 # Lines formatted and handed to one write.  The formatter's numpy calls
 # cost the same per block whatever its size, so larger blocks are faster,
 # while its arrays hold about 180 B per line (tracemalloc).  1-d K=4 at
@@ -224,9 +237,10 @@ def _dof_gather_1d(state: State1D) -> np.ndarray:
     return dofs
 
 
-def _wrap_pad(a):
-    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each cell axis."""
-    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2))
+def _wrap_pad(a, out=None):
+    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each
+    cell axis, written into ``out`` when given."""
+    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2)) if out is None else out
     p[:, 1:-1, 1:-1] = a
     p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
     p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
@@ -258,33 +272,40 @@ def _dof_gather_2d(state: State2D) -> np.ndarray:
 class _Layout(NamedTuple):
     """One dimension's entry of the layout table (see the module docstring).
 
-    ``degree`` is the element degree where the dimension fixes it.
-    ``integrate(values, weights)`` sums values at (cells..., Gauss per
-    axis...[, m]) against one weight vector per axis; ``at_gauss(state,
-    n)`` is each cell's reconstruction at its n-point Gauss nodes in that
-    layout.  Their summation orders differ by dimension and are part of
-    the output: a run's CSV bytes follow the projection's last bits.
+    ``degree`` is the element degree where the dimension fixes it, and a
+    block of cells is a multiple of ``block_cells``.  ``integrate(values,
+    weights)`` sums values at (cells..., Gauss per axis...[, m]) against
+    one weight vector per axis; ``gather(state)`` stacks each cell's dofs
+    in the element's dof order, and ``at_gauss(dofs, n)`` is the
+    reconstruction of each cell of such a stack at its n-point Gauss
+    nodes, in that layout.  Their summation orders differ by dimension
+    and are part of the output: a run's CSV bytes follow the
+    projection's last bits.
     """
 
     state: type
     degree: int | None
+    block_cells: int
     integrals: Callable
     points: tuple
     integrate: Callable
+    gather: Callable
     at_gauss: Callable
 
 
 _LAYOUTS = {
     1: _Layout(
-        State1D, None, lambda k: [(j, (j,)) for j in range(k - 1)], ((-1, (1,)),),
+        State1D, None, 64, lambda k: [(j, (j,)) for j in range(k - 1)], ((-1, (1,)),),
         lambda vals, ws: np.tensordot(vals, ws[0], axes=([1], [0])),
-        lambda st, n: np.moveaxis(np.tensordot(
-            _gauss_basis_1d(st.k, n), _dof_gather_1d(st), axes=([0], [0])), 0, 1)),
+        _dof_gather_1d,
+        lambda dofs, n: np.moveaxis(np.tensordot(
+            _gauss_basis_1d(len(dofs) - 1, n), dofs, axes=([0], [0])), 0, 1)),
     # cell-major products: Gauss-major ones were 3x slower at 160^2
     2: _Layout(
-        State2D, 2, lambda k: [(0, (0, 0))], ((1, (1, 0)), (2, (0, 1)), (3, (1, 1))),
+        State2D, 2, 1, lambda k: [(0, (0, 0))], ((1, (1, 0)), (2, (0, 1)), (3, (1, 1))),
         lambda vals, ws: np.einsum("ijab,a,b->ij", vals, *ws),
-        lambda st, n: np.einsum("sij,sab->ijab", _dof_gather_2d(st), _gauss_basis_2d(n))),
+        _dof_gather_2d,
+        lambda dofs, n: np.einsum("sij,sab->ijab", dofs, _gauss_basis_2d(n))),
 }
 
 
@@ -298,9 +319,21 @@ def _axes(grid):
     raise TypeError(f"unsupported grid type {type(grid)!r}")
 
 
-def _gauss_coords(axes, xi):
-    """Every cell's Gauss points at nodes ``xi``, one coordinate array per axis."""
-    mesh = np.ix_(*(c for c, _, _ in axes), *[xi] * len(axes))
+def _blocks(layout, axes, n):
+    """Slices of the first axis's cells whose values at n Gauss points per
+    axis take at most BLOCK_BYTES per component, in multiples of the
+    layout's ``block_cells`` (at least one such multiple)."""
+    cells = [len(c) for c, _, _ in axes]
+    per_row = n ** len(axes) * math.prod(cells[1:]) * 8
+    size = max(1, BLOCK_BYTES // (per_row * layout.block_cells)) * layout.block_cells
+    return [slice(i, i + size) for i in range(0, cells[0], size)]
+
+
+def _gauss_coords(axes, xi, block):
+    """Every Gauss point at nodes ``xi`` of the cells in ``block`` (a slice of
+    the first axis), one coordinate array per axis."""
+    centres = [c for c, _, _ in axes]
+    mesh = np.ix_(centres[0][block], *centres[1:], *[xi] * len(axes))
     return [mesh[a] + mesh[len(axes) + a] * h for a, (_, _, h) in enumerate(axes)]
 
 
@@ -309,9 +342,11 @@ def project_initial(grid, fn, element: Element1D | None = None):
 
     Point dofs are sampled; averages and moments are integrated with a
     Gauss rule fine enough that smooth data is represented to far below
-    the scheme's accuracy.  ``fn`` takes one coordinate array per axis
-    and returns values of their broadcast shape or a scalar, with a
-    trailing component axis for systems.  1-d needs the element.
+    the scheme's accuracy, block by block (see the module docstring).
+    ``fn`` takes one coordinate array per axis and returns values of
+    their broadcast shape or a scalar, with a trailing component axis
+    for systems.  1-d needs the element.  Non-finite samples raise
+    ValueError; overflow while sampling is not warned about.
     """
     axes = _axes(grid)
     layout = _LAYOUTS[len(axes)]
@@ -320,18 +355,23 @@ def project_initial(grid, fn, element: Element1D | None = None):
         raise ValueError("1-d projection needs the element (its degree)")
     rule = gauss_rule(min(16, k + _PROJECT_RULE_MARGIN))
     xi, w = rule.nodes_array, rule.weights_array
-    vals = np.asarray(fn(*_gauss_coords(axes, xi)), dtype=float)
-    cells, comps = tuple(len(c) for c, _, _ in axes), vals.shape[2 * len(axes):]
-    vals = np.broadcast_to(vals, cells + (len(xi),) * len(axes) + comps)
-    integrals = layout.integrals(k)
-    data = np.empty((len(integrals) + len(layout.points),) + cells + comps)
-    for row, moments in integrals:
-        weights = [w * np.polynomial.polynomial.polyval(xi, moment_weight(j).poly.float_coeffs)
-                   for j in moments]
-        for c in np.ndindex(comps):  # per component: bit for bit as each one alone
-            data[(row, ...) + c] = layout.integrate(vals[(...,) + c], weights)
-    for row, places in layout.points:
-        data[row] = fn(*np.ix_(*(axes[a][p] for a, p in enumerate(places))))
+    integrals = [(row, [w * np.polynomial.polynomial.polyval(
+        xi, moment_weight(j).poly.float_coeffs) for j in moments])
+        for row, moments in layout.integrals(k)]
+    cells, data = tuple(len(c) for c, _, _ in axes), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks(layout, axes, len(xi)):
+            coords = _gauss_coords(axes, xi, block)
+            vals = np.asarray(fn(*coords), dtype=float)
+            comps = vals.shape[2 * len(axes):]
+            if data is None:
+                data = np.empty((len(integrals) + len(layout.points),) + cells + comps)
+            vals = np.broadcast_to(vals, np.broadcast_shapes(*(c.shape for c in coords)) + comps)
+            for row, weights in integrals:
+                for c in np.ndindex(comps):  # per component: bit for bit as each one alone
+                    data[(row, block) + c] = layout.integrate(vals[(...,) + c], weights)
+        for row, places in layout.points:
+            data[row] = fn(*np.ix_(*(axes[a][p] for a, p in enumerate(places))))
     state = layout.state._of(data)
     if not state.all_finite():
         raise ValueError("initial data produced non-finite samples")
@@ -351,21 +391,29 @@ def error_norms(state, grid, element, exact):
     """Cellwise (L1, L2, Linf) norms of the reconstruction error.
 
     ``exact`` takes coordinates as the ``fn`` of ``project_initial``
-    does and is evaluated at Gauss points; the max norm also samples the
-    stored point values.
+    does and is evaluated at Gauss points, block by block as projection
+    samples; the max norm also samples the stored point values.  The
+    per-cell integrals of every block fill one array per norm, summed
+    once, so the norms do not depend on the blocks.
     """
     axes = _axes(grid)
     layout = _LAYOUTS[len(axes)]
     rule = gauss_rule((layout.degree or state.k) + _NORM_RULE_MARGIN)
     xi, weights = rule.nodes_array, [rule.weights_array] * len(axes)
-    err = np.abs(layout.at_gauss(state, len(xi)) - exact(*_gauss_coords(axes, xi)))
+    dofs = layout.gather(state)
+    l1, l2 = np.empty(state.data.shape[1:]), np.empty(state.data.shape[1:])
+    peaks = []
+    for block in _blocks(layout, axes, len(xi)):
+        err = layout.at_gauss(dofs[:, block], len(xi)) - exact(*_gauss_coords(axes, xi, block))
+        np.abs(err, out=err)
+        peaks.append(err.max())
+        l1[block] = layout.integrate(err, weights)
+        l2[block] = layout.integrate(np.square(err, out=err), weights)
     volume = math.prod(h for _, _, h in axes)
-    l1 = float(np.sum(layout.integrate(err, weights))) * volume
-    l2 = float(np.sqrt(np.sum(layout.integrate(err**2, weights)) * volume))
-    linf = float(max(err.max(), *(
+    linf = float(max(np.max(peaks), *(
         np.abs(state.data[row] - exact(*np.ix_(*(axes[a][p] for a, p in enumerate(places)))))
         .max() for row, places in layout.points)))
-    return (l1, l2, linf)
+    return (float(np.sum(l1)) * volume, float(np.sqrt(np.sum(l2) * volume)), linf)
 
 
 def write_state_csv(state, grid, path):

@@ -160,20 +160,25 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
     if cfg.dimension == 1:
         element = build_element(cfg.degree)
         ic = _vectorize_ic(ic, model.m) if model.m > 1 else ic
-
-        def rhs_fn(s):
-            return rhs_1d(s, grid, element, model, upwind,
-                          point_update=cfg.model_point_update, assume_finite=True)
     else:
         element = build_element_2d()
-
-        def rhs_fn(s):
-            return rhs_2d(s, grid, element, model, upwind, assume_finite=True)
-
     try:
         state = project_initial(grid, ic, element)
     except ValueError as err:  # non-finite initial data
         raise ConfigError(str(err)) from None
+
+    # one output buffer for every right-hand side: advance consumes each
+    # result before it asks for the next
+    out = np.empty_like(state.data)
+    if cfg.dimension == 1:
+
+        def rhs_fn(s):
+            return rhs_1d(s, grid, element, model, upwind, point_update=cfg.model_point_update,
+                          assume_finite=True, out=out)
+    else:
+
+        def rhs_fn(s):
+            return rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out)
     exact = model.exact_solution(ic, grid)
 
     def reference(*xs, t):

@@ -86,15 +86,24 @@ class Burgers1D:
         domain).  Every iterate narrows this bracket, and a Newton step
         that leaves it is replaced by bisection.  A non-positive g' at
         any iterate means the characteristics have crossed; that, and a
-        loop that does not converge, raise ValueError.
+        loop that does not converge, raise ValueError.  So does any
+        t > 0 when ic(x_min) and ic(x_max) differ beyond round-off
+        (1e-12 of max |ic|): the periodic data jump at the wrap, a shock
+        or fan from t = 0 on that no characteristic trace sees.
         """
         samples = ic(np.linspace(grid.x_min, grid.x_max, 1025))
         ic_min, ic_max = float(np.min(samples)), float(np.max(samples))
+        jump = abs(float(samples[-1]) - float(samples[0]))
+        periodic = jump <= 1e-12 * max(abs(ic_min), abs(ic_max))
 
         def exact(x, t=0.0):
             x = np.asarray(x, dtype=float)
             if t == 0.0:
                 return ic(x)
+            if not periodic:
+                raise ValueError(f"the initial data jump by {jump:.3g} at the periodic wrap,"
+                                 f" a shock or fan from t = 0 on: no characteristic"
+                                 f" solution at t = {t}")
 
             def g(y):
                 return y + t * ic(y) - x

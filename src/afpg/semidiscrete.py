@@ -43,7 +43,10 @@ columns that carry weight (9 for a = (1, 1) adaptive) and one
 rows: it copies each column's shifted slice of the tile's rows, out of
 one wrap-padded copy of the state, into a small buffer of
 ``TILE_BYTES``, and one GEMM of W with that buffer writes those rows of
-the output.
+the output.  The padded copy and the tile are kept for the last shape
+seen, and both right-hand sides write into a caller's ``out`` buffer
+when given one, so a 2-d time loop on one grid allocates no state-sized
+buffer (``rhs_1d`` still gathers its cell dofs anew on every call).
 """
 
 from __future__ import annotations
@@ -172,8 +175,20 @@ def _blend(out, d_plus, d_minus, w_plus=1.0, w_minus=1.0):
     return out
 
 
+def _output(data, out):
+    """``out`` checked to take a right-hand side of ``data``, or a fresh buffer."""
+    if out is None:
+        return np.empty_like(data)
+    if (out.shape != data.shape or out.dtype != data.dtype or not out.flags.c_contiguous
+            or np.may_share_memory(out, data)):
+        raise ValueError("out must be a C-contiguous array of the state's shape and dtype"
+                         " that does not overlap it")
+    return out
+
+
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
-           point_update: str = "split", *, assume_finite: bool = False) -> State1D:
+           point_update: str = "split", *, assume_finite: bool = False,
+           out: np.ndarray | None = None) -> State1D:
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
     Every row is a table on the gathered cell dofs: ``_linear_rows``
@@ -187,6 +202,11 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
     harness does: ``timestep.advance`` tests every state it hands on).
+
+    The result is a fresh state, or with ``out`` (a C-contiguous array
+    of the shape and dtype of ``state.data`` that does not overlap it)
+    the state whose buffer is ``out``, overwritten.  ``state`` is left
+    untouched.
     """
     k = state.k
     if k != element.k:
@@ -204,7 +224,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
 
     dx = grid.dx
     dofs = _dof_gather_1d(state)
-    out = np.empty_like(state.data)
+    out = _output(state.data, out)
     if model.m > 1:
         rows = np.tensordot(_linear_rows(k), dofs, axes=1)
         np.matmul(rows[:-2], model.matrix.T / -dx, out=out[:-1])
@@ -285,20 +305,41 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
 TILE_BYTES = 512 * 1024
 
 
-def _apply_blocks_2d(data, columns, weights):
+# (padded shape, tile shape, padded copy, tile) of the last _apply_blocks_2d call
+_blocks_2d_last = None
+
+
+def _scratch_2d(padded_shape, tile_shape):
+    """The wrap-padded copy and the tile buffer of ``_apply_blocks_2d``.
+
+    Only the last shapes' pair is kept (1.3 MB at 160^2), so a time loop
+    on one grid reuses its pages instead of faulting fresh ones in on
+    every call.  Both are overwritten by every call and never returned,
+    so one pair shared by every caller in the process is safe.
+    """
+    global _blocks_2d_last
+    cached = _blocks_2d_last
+    if cached is None or cached[:2] != (padded_shape, tile_shape):
+        cached = _blocks_2d_last = (padded_shape, tile_shape, np.empty(padded_shape),
+                                    np.empty(tile_shape))
+    return cached[2], cached[3]
+
+
+def _apply_blocks_2d(data, columns, weights, out=None):
     """W applied to the offset columns of a (4, nx, ny) stack, by row tiles.
 
     Each tile copies the shifted slices of a few grid rows, one per
     column, out of one wrap-padded copy of ``data`` into a
     (#columns, rows * ny) buffer, and one matmul writes W times that
-    buffer straight into the same rows of the fresh output.
+    buffer straight into the same rows of the output: ``out``, or a
+    fresh buffer.
     """
     _, nx, ny = data.shape
-    padded = _wrap_pad(data)
-    out = np.empty_like(data)
+    out = _output(data, out)
     flat_out = out.reshape(len(out), nx * ny)
     rows = min(nx, max(1, TILE_BYTES // (max(1, len(columns)) * ny * out.itemsize)))
-    tile = np.empty((len(columns), rows * ny))
+    padded, tile = _scratch_2d((len(data), nx + 2, ny + 2), (len(columns), rows * ny))
+    _wrap_pad(data, padded)
     for i in range(0, nx, rows):
         t = min(rows, nx - i)
         block = tile[:, : t * ny]
@@ -310,16 +351,17 @@ def _apply_blocks_2d(data, columns, weights):
 
 
 def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwind2D,
-           *, assume_finite: bool = False) -> State2D:
+           *, assume_finite: bool = False, out: np.ndarray | None = None) -> State2D:
     """Spatial right-hand side of the 2-d semi-discrete scheme (K = 2).
 
     Supports scalar linear models.  The scheme is a periodic,
     translation-invariant map: W times the state shifted by each offset
     column of ``_compile_taps_2d``, compiled once per grid spacing,
     velocity and upwind setting.  ``_apply_blocks_2d`` applies it as one
-    GEMM per tile of grid rows.  Returns a fresh state and leaves
-    ``state`` untouched.  ``assume_finite`` skips the finiteness test of
-    the state, as in rhs_1d.
+    GEMM per tile of grid rows.  Returns a fresh state, or the state
+    whose buffer is ``out``, as in rhs_1d, and leaves ``state``
+    untouched.  ``assume_finite`` skips the finiteness test of the
+    state, as in rhs_1d.
     """
     if getattr(model, "dim", 0) != 2 or model.m != 1:
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
@@ -331,4 +373,4 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
         raise ValueError("state contains non-finite values")
 
     columns, weights = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
-    return State2D._of(_apply_blocks_2d(state.data, columns, weights))
+    return State2D._of(_apply_blocks_2d(state.data, columns, weights, out))

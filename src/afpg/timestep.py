@@ -1,19 +1,28 @@
 """Explicit method-of-lines integration of the semi-discrete system.
 
 ``step`` works on the buffer behind a state (or on a plain array).  It
-allocates its stage buffers once per call, one for Euler, two for
-SSPRK3 and three for RK4, and forms every stage with ``out=`` ufuncs in
-the same floating-point order as the textbook expressions, so the
-result is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each
-k into its weighted sum as it arrives, so one k is live at a time.
+needs one buffer for Euler, two for SSPRK3 and three for RK4, the last
+of them the result, and forms every stage with ``out=`` ufuncs in the
+same floating-point order as the textbook expressions, so the result
+is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each k into
+its weighted sum as it arrives, so one k is live at a time.
+
+Without a workspace ``step`` allocates its buffers on every call and
+the result is a fresh buffer.  ``advance`` hands every step of a call
+the same workspace instead: the stage buffers and two result buffers,
+allocated by the first step.  Each step writes into the result buffer
+that is not its input, so a time loop allocates no new state buffer
+and the state of step n stays intact through step n + 1.  Either
+way the result is never the input, a stage state handed to ``rhs_fn``
+or an array ``rhs_fn`` returned, so ``rhs_fn`` may return the same
+buffer every time, as the harness's do.
 
 Every stage is tested for finiteness once, right after it is formed;
 ``advance`` also tests its initial state.  Every state handed to
 ``rhs_fn`` has therefore passed a test, which lets the harness skip
 the right-hand side's own entry check.  A stage state handed to
 ``rhs_fn`` is valid only during that call: the next stage overwrites
-it.  The result is a fresh buffer, never the input, a stage state
-handed to ``rhs_fn`` or an array ``rhs_fn`` returned.
+it.
 """
 
 from __future__ import annotations
@@ -75,11 +84,29 @@ def _stage(out, u, c, k, stage):
     _check(out, stage)
 
 
-def step(state, t, dt, rhs_fn, scheme: str = "ssprk3"):
+def _buffers(work, u, dtype, count):
+    """``count`` buffers like ``u``, the last for the result: fresh ones, or
+    from the workspace ``work`` (a list, filled on first use with the
+    stage buffers and two result buffers) the stage buffers and the
+    result buffer that is not ``u``."""
+    if work is None:
+        return [np.empty_like(u, dtype=dtype) for _ in range(count)]
+    if not work:
+        work.extend(np.empty_like(u, dtype=dtype) for _ in range(count + 1))
+    *stages, first, second = work
+    if len(stages) != count - 1 or first.shape != u.shape or first.dtype != dtype:
+        raise ValueError("the workspace belongs to another scheme, shape or dtype")
+    return [*stages, second if first is u else first]
+
+
+def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
     """One explicit step.  Works on states and on plain arrays.
 
-    Calls ``rhs_fn(state)`` once per stage and returns a fresh buffer
-    of the input's kind; see the module docstring.
+    Calls ``rhs_fn(state)`` once per stage and returns the new state, of
+    the input's kind.  It is a fresh buffer, or with ``work`` (an empty
+    list at first, kept by the caller between steps of one scheme) the
+    workspace's result buffer that is not the input; see the module
+    docstring.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -92,27 +119,28 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3"):
         return _array(rhs_fn(wrap(buf)))
 
     k = _array(rhs_fn(state))
-    a = np.empty_like(u, dtype=np.result_type(u, k, dt))
+    dtype = np.result_type(u, k, dt)
     if scheme == "euler":
-        _stage(a, u, dt, k, "euler stage")
-        return wrap(a)
+        (r,) = _buffers(work, u, dtype, 1)
+        _stage(r, u, dt, k, "euler stage")
+        return wrap(r)
     if scheme == "ssprk3":
         # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
         # result = 1/3 u + 2/3 (u2 + dt k(u2))
-        b = np.empty_like(a)
+        a, r = _buffers(work, u, dtype, 2)
         _stage(a, u, dt, k, "stage 1")
         k = rhs(a)
-        np.multiply(np.add(a, np.multiply(k, dt, out=b), out=b), 0.25, out=b)
-        np.add(np.multiply(u, 0.75, out=a), b, out=a)
+        np.multiply(np.add(a, np.multiply(k, dt, out=r), out=r), 0.25, out=r)
+        np.add(np.multiply(u, 0.75, out=a), r, out=a)
         _check(a, "stage 2")
         k = rhs(a)
         third = 1.0 / 3.0
-        np.multiply(np.add(a, np.multiply(k, dt, out=b), out=b), 2.0 * third, out=b)
-        np.add(np.multiply(u, third, out=a), b, out=b)
-        _check(b, "stage 3")
-        return wrap(b)
+        np.multiply(np.add(a, np.multiply(k, dt, out=r), out=r), 2.0 * third, out=r)
+        np.add(np.multiply(u, third, out=a), r, out=r)
+        _check(r, "stage 3")
+        return wrap(r)
     # rk4: acc = ((k1 + 2 k2) + 2 k3) + k4, then u + dt/6 acc
-    acc, tmp = np.empty_like(a), np.empty_like(a)
+    a, tmp, acc = _buffers(work, u, dtype, 3)
     half = 0.5 * dt
     np.copyto(acc, k)
     _stage(a, u, half, k, "stage 1")
@@ -153,7 +181,9 @@ def _max_norm(u) -> float:
 def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_step=None):
     """Integrate to t_end; returns (state, t, number of steps taken).
 
-    ``on_step(state, t, n)`` is invoked after every accepted step.  A
+    ``on_step(state, t, n)`` is invoked after every accepted step.  The
+    steps share one workspace (see the module docstring), so the state
+    handed to ``on_step`` is valid until the next step.  A
     non-finite initial state raises ValueError.  A step whose state
     exceeds BLOWUP_FACTOR times max(initial max-norm, 1) in absolute
     value raises BlowUpError with its index.
@@ -162,6 +192,7 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
         raise ValueError("initial state contains non-finite values")
     t = 0.0
     n = 0
+    work = []
     bound = BLOWUP_FACTOR * max(_max_norm(state), 1.0)
     while t < t_end - 1e-14 * max(1.0, t_end):
         if integrator.dt is not None:
@@ -174,7 +205,7 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
                 )
         dt = min(dt, t_end - t)
         try:
-            state = step(state, t, dt, rhs_fn, integrator.scheme)
+            state = step(state, t, dt, rhs_fn, integrator.scheme, work=work)
         except BlowUpError as err:
             raise BlowUpError(f"{err} (step {n})", step_index=n) from None
         norm = _max_norm(state)

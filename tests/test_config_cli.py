@@ -368,10 +368,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ic.width") and len(err.splitlines()) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_burgers_jump_at_the_wrap_exit_two(self, tmp_path, capsys):
+        # an off-centre Gaussian is not periodic: ic(0) = 0.628, ic(1) = 0.5.
+        # The run used to exit 0 with error_linf = 0.101
+        cfg = self.write(tmp_path, "model.name=burgers\nic.name=gaussian\nic.center=0.2\n"
+                                   "ic.width=0.3\nic.mean=0.5\nic.amplitude=0.2\ngrid.n=40\n"
+                                   "time.t_end=0.2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no reference solution:")
+        assert "periodic wrap" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ic", ["ic.name=gaussian\nic.center=0.5\nic.width=0.2\n",
+                                    "ic.name=sine\nic.cycles=3\n"], ids=["gaussian", "sine"])
+    def test_burgers_periodic_data_still_run(self, tmp_path, capsys, ic):
+        cfg = self.write(tmp_path, "model.name=burgers\nic.mean=0.5\nic.amplitude=0.2\n"
+                                   "grid.n=40\ntime.t_end=0.1\n" + ic)
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 0
+        assert "error_linf=" in capsys.readouterr().out
+
     @pytest.mark.parametrize("dim", ["1", "2"])
     def test_non_finite_initial_data_exit_two(self, tmp_path, capsys, dim):
-        # ic.mean + ic.amplitude overflows to inf at the crest of the sine
+        # ic.mean + ic.amplitude overflows to inf at the crest of the sine;
+        # numpy's overflow warning (an error in this suite) stays silent
         cfg = self.write(tmp_path, f"dimension={dim}\nic.mean=1e308\nic.amplitude=1e308\n")
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err

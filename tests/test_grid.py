@@ -1,6 +1,7 @@
 """Grid, state storage, projection, norms and CSV export tests."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from afpg.grid import (
     write_state_csv,
 )
 from afpg.harness import run_simulation
+from afpg.models import GaussianIC, Sine2DIC, advection1d, advection2d
 
 
 class TestGrids:
@@ -214,6 +216,64 @@ class TestErrorNorms:
         l1, _, linf = error_norms(st, g, el, lambda x, y: fn(x, y) + eps)
         assert l1 == pytest.approx(eps, rel=1e-10)
         assert linf == pytest.approx(eps, rel=1e-10)
+
+
+def _hex_projection_and_norms(g, fn, exact, element=None):
+    st = project_initial(g, fn, element)
+    norms = error_norms(st, g, element, exact)
+    return [v.hex() for v in st.data.ravel().tolist()], [v.hex() for v in norms]
+
+
+class TestBlocks:
+    """Projection and norms by blocks of cells give the bits of one block."""
+
+    @staticmethod
+    def one_block_and_smallest(monkeypatch, g, fn, exact, element=None):
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 1 << 40)
+        whole = _hex_projection_and_norms(g, fn, exact, element)
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 1)
+        axes = grid_module._axes(g)
+        layout = grid_module._LAYOUTS[len(axes)]
+        assert len(grid_module._blocks(layout, axes, 2)) > 1  # precondition: several blocks
+        return whole, _hex_projection_and_norms(g, fn, exact, element)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_1d_blocks_of_64_cells_bit_identical(self, monkeypatch, k, m):
+        # n = 1000 is not a multiple of 64: 15 blocks of 64 cells and one of 40
+        g = Grid1D(1000, -0.3, 1.7)
+        ic = GaussianIC(0.2, 1.0, 0.6, 0.2)
+        fn = ic if m == 1 else (lambda x: np.stack([ic(x), 2.0 * ic(x) - 0.3], axis=-1))
+        moved = advection1d(1.0).exact_solution(fn, g)
+        whole, blocked = self.one_block_and_smallest(
+            monkeypatch, g, fn, lambda x: moved(x, 0.37), build_element(k))
+        assert blocked == whole
+
+    def test_2d_one_row_blocks_bit_identical(self, monkeypatch):
+        g = Grid2D(37, 91, -0.5, 1.0, 0.2, 1.1)
+        ic = Sine2DIC(0.2, 1.1, 1, 2, -0.5, 1.5, 0.2, 0.9)
+        moved = advection2d(1.0, -0.7).exact_solution(ic, g)
+        whole, blocked = self.one_block_and_smallest(
+            monkeypatch, g, ic, lambda x, y: moved(x, y, 0.41))
+        assert blocked == whole
+
+    def test_1d_blocks_are_multiples_of_64_cells(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 200 * 10 * 8)
+        axes = grid_module._axes(Grid1D(1000))
+        blocks = grid_module._blocks(grid_module._LAYOUTS[1], axes, 10)
+        assert [b.start for b in blocks] == [0, 192, 384, 576, 768, 960]
+
+    def test_2d_projection_memory_is_bounded(self):
+        # one 160^2 sample of the 8 x 8 Gauss points took 13 MB per temporary
+        g, ic = Grid2D(160, 160), Sine2DIC(0.1, 1.0)
+        project_initial(g, ic)
+        tracemalloc.start()
+        try:
+            project_initial(g, ic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestStateArithmetic:

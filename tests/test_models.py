@@ -92,6 +92,16 @@ class TestBurgers:
         with pytest.raises(ValueError, match="did not converge"):
             exact(np.linspace(0.0, 1.0, 33), 0.3)
 
+    def test_reference_refuses_a_jump_at_the_wrap(self):
+        # ic(0) = 0.628 and ic(1) = 0.5: a shock or fan at the wrap from t = 0 on
+        g = Grid1D(40)
+        ic = GaussianIC(base=0.5, amplitude=0.2, center=0.2, width=0.3)
+        exact = burgers1d().exact_solution(ic, g)
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(exact(x, 0.0), ic(x))
+        with pytest.raises(ValueError, match="periodic wrap"):
+            exact(x, 1e-6)
+
     def test_reference_at_time_zero(self):
         g = Grid1D(8)
         ic = GaussianIC(base=0.2, amplitude=0.5, center=0.5, width=0.15)

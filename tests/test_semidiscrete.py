@@ -752,3 +752,54 @@ class TestBlockApply2D:
         assert not np.shares_memory(first.data, st.data)
         assert not np.shares_memory(first.data, second.data)
         assert first.data.tobytes() == second.data.tobytes()
+
+
+class TestOutBuffer:
+    """rhs_1d and rhs_2d with ``out=``: the bits of a fresh call, written into ``out``."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(33)
+        g2 = Grid2D(37, 11)
+        yield "advection_1d", random_state_1d(rng, 50, 4), lambda s, **kw: rhs_1d(
+            s, Grid1D(50), build_element(4), advection1d(-0.7), Upwind1D("adaptive"), **kw)
+        yield "system_1d", random_state_1d(rng, 20, 3, m=2), lambda s, **kw: rhs_1d(
+            s, Grid1D(20), build_element(3), linear_system1d([[0.0, 1.0], [1.0, 0.0]]),
+            Upwind1D("adaptive"), **kw)
+        yield "burgers_1d", random_state_1d(rng, 30, 2), lambda s, **kw: rhs_1d(
+            s, Grid1D(30), build_element(2), burgers1d(), Upwind1D("adaptive"),
+            point_update="exact", **kw)
+        yield "advection_2d", random_state_2d(rng, 37, 11), lambda s, **kw: rhs_2d(
+            s, g2, build_element_2d(), advection2d(0.8, -0.6), Upwind2D("adaptive"), **kw)
+
+    def test_out_holds_the_fresh_result(self):
+        for name, st, rhs in self.cases():
+            before = st.data.copy()
+            fresh = rhs(st)
+            out = np.full_like(st.data, np.nan)
+            r = rhs(st, out=out)
+            assert r.data is out, name
+            assert out.tobytes() == fresh.data.tobytes(), name
+            assert st.data.tobytes() == before.tobytes(), name
+
+    def test_unfit_out_rejected(self):
+        for name, st, rhs in self.cases():
+            for bad in (st.data, np.empty(st.data.shape[:-1] + (st.data.shape[-1] + 1,)),
+                        np.empty_like(st.data, dtype=np.float32),
+                        np.empty(st.data.shape[::-1]).T):
+                with pytest.raises(ValueError, match="out must"):
+                    rhs(st, out=bad)
+
+    def test_scratch_follows_the_shape(self):
+        # _apply_blocks_2d keeps its padded copy and tile for the last shape
+        # only: alternating grids must each get their own operator's bits
+        up, rng = Upwind2D("adaptive"), np.random.default_rng(34)
+        problems = []
+        for nx, ny in ((9, 7), (5, 12)):
+            g = Grid2D(nx, ny)
+            st = random_state_2d(rng, nx, ny)
+            columns, weights = _compile_taps_2d(g.dx, g.dy, 1.0, -0.5, up)
+            problems.append((g, st, rolled_reference(st.data, columns, weights)))
+        for g, st, ref in problems + problems:
+            r = rhs_2d(st, g, build_element_2d(), advection2d(1.0, -0.5), up)
+            assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,10 +1,17 @@
 """Time integrator tests: stability polynomials, dt control, diagnostics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afpg
 from afpg.element1d import build_element
 from afpg.element2d import build_element_2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial, total_mass
@@ -118,6 +125,129 @@ class TestInPlaceStages:
         u = np.array([1.0, np.nan])
         with pytest.raises(ValueError, match="initial state"):
             advance(u, None, None, lambda s: -s, 1.0, TimeIntegrator("euler", dt=0.1))
+
+
+def _owning(rhs_fn):
+    """rhs_fn returning one buffer every call, as the harness's right-hand sides do."""
+    buf = []
+
+    def rhs(s):
+        r = _buffer(rhs_fn(s))
+        if not buf:
+            buf.append(np.empty_like(r))
+        np.copyto(buf[0], r)
+        return buf[0] if isinstance(s, np.ndarray) else type(s)._of(buf[0])
+
+    return rhs
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    def test_steps_bit_identical_to_fresh_steps(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        owning, work = _owning(rhs_fn), []
+        fresh = kept = u
+        for _ in range(3):
+            fresh = step(fresh, 0.0, dt, rhs_fn, scheme)
+            kept = step(kept, 0.0, dt, owning, scheme, work=work)
+            assert type(kept) is type(fresh)
+            assert _buffer(kept).tobytes() == _buffer(fresh).tobytes()
+
+    @pytest.mark.parametrize("case", ["array", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    def test_results_alternate_and_alias_nothing(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        before = _buffer(u).copy()
+        owning, work = _owning(rhs_fn), []
+
+        def checked_step(state):
+            # every buffer rhs_fn saw or returned, but the step's input
+            seen = []
+
+            def recording(s):
+                r = owning(s)
+                seen.extend(b for b in (_buffer(s), _buffer(r)) if b is not _buffer(state))
+                return r
+
+            out = step(state, 0.0, dt, recording, scheme, work=work)
+            assert not np.shares_memory(_buffer(out), _buffer(state))
+            assert not any(np.shares_memory(_buffer(out), b) for b in seen)
+            return out
+
+        first = checked_step(u)
+        kept = _buffer(first).copy()
+        second = checked_step(first)
+        assert _buffer(first).tobytes() == kept.tobytes()  # intact through the next step
+        third = checked_step(second)
+        assert _buffer(third) is _buffer(first)
+        assert _buffer(u).tobytes() == before.tobytes()
+
+    def test_advance_matches_fresh_steps_and_hands_on_each_state(self):
+        u, dt, rhs_fn = _problem("state_2d")
+        fresh, states = u, []
+        for _ in range(4):
+            fresh = step(fresh, 0.0, dt, rhs_fn, "rk4")
+            states.append(fresh.data.tobytes())
+        seen = []
+        final, _, n = advance(u, None, None, _owning(rhs_fn), 4 * dt,
+                              TimeIntegrator("rk4", dt=dt),
+                              on_step=lambda s, t, i: seen.append(s.data.tobytes()))
+        assert n == 4 and seen == states and final.data.tobytes() == states[-1]
+
+    def test_workspace_of_another_scheme_rejected(self):
+        u, dt, rhs_fn = _problem("array")
+        work = []
+        step(u, 0.0, dt, rhs_fn, "rk4", work=work)
+        with pytest.raises(ValueError, match="workspace"):
+            step(u, 0.0, dt, rhs_fn, "ssprk3", work=work)
+        with pytest.raises(ValueError, match="workspace"):
+            step(u[:-1], 0.0, dt, rhs_fn, "rk4", work=work)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux minor page faults")
+    def test_time_loop_faults_in_no_state_sized_buffers(self):
+        # a fresh process with no projection, whose large frees would raise
+        # glibc's mmap and trim thresholds: buffers allocated per step were
+        # unmapped and faulted back in every step (about 770 faults per
+        # SSPRK3 step at 160^2)
+        script = textwrap.dedent("""
+            import json, resource
+            import numpy as np
+            from afpg.element2d import build_element_2d
+            from afpg.grid import Grid2D, State2D
+            from afpg.models import advection2d
+            from afpg.semidiscrete import Upwind2D, rhs_2d
+            from afpg.timestep import TimeIntegrator, advance
+
+            n = 160
+            grid, element = Grid2D(n, n), build_element_2d()
+            model, upwind = advection2d(1.0, 1.0), Upwind2D("adaptive")
+            x = (np.arange(n) + 0.5) / n
+            field = np.sin(2.0 * np.pi * (x[:, None] + x[None, :]))
+            state = State2D(field, field, field, field)
+            out = np.empty_like(state.data)
+
+            def rhs_fn(s):
+                return rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out)
+
+            faults = []
+            on_step = lambda s, t, i: faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            dt = 0.2 / n
+            advance(state, grid, model, rhs_fn, 21 * dt, TimeIntegrator("ssprk3", dt=dt),
+                    on_step=on_step)
+            print(json.dumps(faults))
+        """)
+        env = dict(os.environ)
+        src = str(Path(afpg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout)
+        assert len(faults) == 21
+        assert (faults[20] - faults[0]) / 20 < 50  # steps 2..21
 
 
 class TestStep:
