@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from afpg.timestep import SCHEMES
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "serialize_config"]
 
 
@@ -126,7 +128,7 @@ _CHOICES = {
     "model_point_update": ("split", "exact"),
     "ic_name": ("sine", "gaussian", "linear", "constant"),
     "upwind_mode": ("adaptive", "fixed"),
-    "time_scheme": ("ssprk3", "rk4", "euler"),
+    "time_scheme": SCHEMES,
 }
 
 
@@ -170,6 +172,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("upwind.beta must lie in [-1/2, 1/2]")
     if len(cfg.upwind_node_alphas) != 8:
         raise ConfigError("upwind.node_alphas needs exactly 8 values")
+    if cfg.time_dt < 0:
+        raise ConfigError("time.dt must be >= 0 (0: use time.cfl)")
     if cfg.time_cfl <= 0 and cfg.time_dt <= 0:
         raise ConfigError("set a positive time.cfl or time.dt")
     if cfg.time_t_end < 0:

@@ -84,7 +84,9 @@ class Burgers1D:
         everywhere, so g is increasing and its root lies in
         [x - t max ic, x - t min ic] (extremes sampled over the grid
         domain).  Every iterate narrows this bracket, and a Newton step
-        that leaves it is replaced by bisection.  A non-positive g' at
+        that leaves it is replaced by bisection.  Each point stops at its
+        first step below 1e-14, so its value does not depend on which
+        other points are asked with it.  A non-positive g' at
         any iterate means the characteristics have crossed; that, and a
         loop that does not converge, raise ValueError.  So does any
         t > 0 when ic(x_min) and ic(x_max) differ beyond round-off
@@ -114,6 +116,7 @@ class Burgers1D:
             lo = np.where(g(lo) <= 0.0, lo, -np.inf)
             hi = np.where(g(hi) >= 0.0, hi, np.inf)
             y = x - t * ic(x)
+            active = np.ones(y.shape, dtype=bool)
             for _ in range(100):
                 df = 1.0 + t * ic.derivative(y)
                 if np.any(df <= 0.0):
@@ -124,8 +127,9 @@ class Burgers1D:
                 newton = y - gy / df
                 keep = ((newton >= lo) & (newton <= hi)) | ~(np.isfinite(lo) & np.isfinite(hi))
                 step = np.where(keep, newton, 0.5 * (lo + hi)) - y
-                y = y + step
-                if np.max(np.abs(step)) < 1e-14:
+                y = np.where(active, y + step, y)
+                active &= ~(np.abs(step) < 1e-14)
+                if not active.any():
                     return ic(y)
             raise ValueError(f"characteristic foot points did not converge at t = {t}")
 

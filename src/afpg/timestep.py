@@ -1,7 +1,7 @@
 """Explicit method-of-lines integration of the semi-discrete system.
 
 ``step`` works on the buffer behind a state (or on a plain array).  It
-needs one buffer for Euler, two for SSPRK3 and three for RK4, the last
+needs two buffers for SSPRK3 and three for RK4, the last
 of them the result, and forms every stage with ``out=`` ufuncs in the
 same floating-point order as the textbook expressions, so the result
 is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each k into
@@ -36,7 +36,7 @@ from afpg.grid import Grid2D
 
 __all__ = ["TimeIntegrator", "BlowUpError", "BLOWUP_FACTOR", "step", "compute_dt", "advance"]
 
-SCHEMES = ("ssprk3", "rk4", "euler")
+SCHEMES = ("ssprk3", "rk4")
 
 # advance stops once a dof exceeds this factor times max(initial max-norm, 1)
 BLOWUP_FACTOR = 1e6
@@ -120,10 +120,6 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
 
     k = _array(rhs_fn(state))
     dtype = np.result_type(u, k, dt)
-    if scheme == "euler":
-        (r,) = _buffers(work, u, dtype, 1)
-        _stage(r, u, dt, k, "euler stage")
-        return wrap(r)
     if scheme == "ssprk3":
         # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
         # result = 1/3 u + 2/3 (u2 + dt k(u2))

@@ -13,11 +13,14 @@ import numpy as np
 from afpg.element1d import build_element, build_point_test, reconstruct
 from afpg.element2d import build_edge_test, build_element_2d, build_node_test, reconstruct2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, error_norms, project_initial, total_mass
-from afpg.models import SineIC, advection1d, advection2d, burgers1d
+from afpg.config import parse_config
+from afpg.harness import run_simulation
+from afpg.models import Gaussian2DIC, GaussianIC, SineIC, advection1d, advection2d, burgers1d
 from afpg.poly import HALF, Poly, gauss_rule, inner
 from afpg.semidiscrete import (
     Upwind1D,
     Upwind2D,
+    _compile_taps_2d,
     _linear_rows,
     rhs_1d,
     rhs_2d,
@@ -382,3 +385,138 @@ def test_criterion_9_burgers_preshock_accuracy():
     eocs = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     ok = all(e >= 2.5 for e in eocs)
     report(9, ok, f"(EOC_L1 {['%.2f' % e for e in eocs]})")
+
+
+def _stability_polynomial(z, scheme):
+    """R(Z) = sum of Z^p / p! up to the scheme's order, on a stack of matrices."""
+    term = np.broadcast_to(np.eye(z.shape[-1]), z.shape).astype(complex)
+    total = term.copy()
+    for p in range(1, {"ssprk3": 3, "rk4": 4}[scheme] + 1):
+        term = term @ z / p
+        total = total + term
+    return total
+
+
+def _fourier_run(symbol, u_hat, dt, t_end, scheme):
+    """Modes after fixed steps of dt to t_end, the last one shortened as
+    advance shortens it: R(dt L)^N R(dt_last L) u_hat per mode."""
+    dts, t = [], 0.0
+    while t < t_end - 1e-14 * max(1.0, t_end):
+        dts.append(min(dt, t_end - t))
+        t += dts[-1]
+    full = np.linalg.matrix_power(_stability_polynomial(dt * symbol, scheme),
+                                  dts.count(dt))
+    for last in (d for d in dts if d != dt):
+        full = _stability_polynomial(last * symbol, scheme) @ full
+    return (full @ u_hat[..., None])[..., 0], len(dts)
+
+
+def _symbol_1d(k, n, dx, a, jac_plus, jac_minus):
+    """L(theta) at theta = 2 pi j / n: the (K m, K m) blocks at cell offsets
+    -1, 0, +1 of the 1-d linear scheme, assembled from _linear_rows."""
+    rows = _linear_rows(k)
+    own = np.eye(k + 1, k, -1)  # gathered dofs 1..K are the cell's K rows
+    left = np.zeros((k + 1, k))
+    left[0, -1] = 1.0  # gathered dof 0 is the left neighbour's point value
+    moment, d_plus, d_minus = (np.zeros((k, k + 1)) for _ in range(3))
+    moment[:-1], d_plus[-1], d_minus[-1] = rows[:-2], rows[-2], rows[-1]
+    blocks = {
+        -1: np.kron(moment @ left, a) + np.kron(d_plus @ left, jac_plus),
+        0: np.kron(moment @ own, a) + np.kron(d_plus @ own, jac_plus)
+        + np.kron(d_minus @ left, jac_minus),
+        1: np.kron(d_minus @ own, jac_minus),
+    }
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return sum(np.exp(1j * o * theta)[:, None, None] * b for o, b in blocks.items()) / -dx
+
+
+def _split(a):
+    """J+ and J- of a diagonalizable matrix with real eigenvalues."""
+    lam, vec = np.linalg.eig(a)
+    inv = np.linalg.inv(vec)
+    return [(vec * part(lam.real, 0.0)) @ inv for part in (np.maximum, np.minimum)]
+
+
+def _oracle_1d(cfg):
+    k, n = cfg.degree, cfg.grid_n
+    grid = Grid1D(n)
+    ic = GaussianIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_width)
+    if cfg.model_name == "linear_system":
+        a = np.array(cfg.model_matrix)
+        jac_plus, jac_minus = _split(a)
+        state = project_initial(grid, lambda x: np.repeat(ic(x)[..., None], len(a), -1),
+                                build_element(k))
+    else:
+        a = np.array([[cfg.model_a]])
+        alpha = np.sign(cfg.model_a) if cfg.upwind_mode == "adaptive" else cfg.upwind_alpha
+        jac_plus, jac_minus = 0.5 * (1.0 + alpha) * a, 0.5 * (1.0 - alpha) * a
+        state = project_initial(grid, ic, build_element(k))
+    m = len(a)
+    # (K, n[, m]) -> (n, K m), field r and component c at r m + c
+    u = state.data.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
+    symbol = _symbol_1d(k, n, grid.dx, a, jac_plus, jac_minus)
+    v_hat, steps = _fourier_run(symbol, np.fft.fft(u, axis=0), cfg.time_dt,
+                                cfg.time_t_end, cfg.time_scheme)
+    v = np.fft.ifft(v_hat, axis=0).real
+    return v.reshape(n, k, m).transpose(1, 0, 2).reshape(state.data.shape), steps
+
+
+def _oracle_2d(cfg):
+    grid = Grid2D(cfg.grid_nx, cfg.grid_ny)
+    upwind = Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta,
+                      cfg.upwind_edge_alpha1, cfg.upwind_edge_alpha2, cfg.upwind_node_alphas)
+    columns, weights = _compile_taps_2d(grid.dx, grid.dy, cfg.model_ax, cfg.model_ay, upwind)
+    tx = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
+    ty = 2.0 * np.pi * np.arange(grid.ny) / grid.ny
+    symbol = np.zeros((grid.nx, grid.ny, 4, 4), dtype=complex)
+    for (field, (ox, oy)), w in zip(columns, weights.T):
+        shift = np.exp(1j * (ox * tx[:, None] + oy * ty[None, :]))
+        symbol[..., field] += shift[..., None] * w
+    ic = Gaussian2DIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_center,
+                      cfg.ic_width)
+    u_hat = np.moveaxis(np.fft.fft2(project_initial(grid, ic).data), 0, -1)
+    v_hat, steps = _fourier_run(symbol, u_hat, cfg.time_dt, cfg.time_t_end, cfg.time_scheme)
+    return np.fft.ifft2(np.moveaxis(v_hat, -1, 0)).real, steps
+
+
+def test_criterion_10_fourier_oracle_linear_runs():
+    """Whole periodic linear runs against their Fourier prediction at rel 1e-12.
+
+    Each mode of a run's projected state evolves by R(dt L(theta)) per
+    step, R the scheme's stability polynomial and L the symbol of the
+    spatial operator, built here from the exact tables without the
+    right-hand sides, the stepper or the harness.
+    """
+    gaussian = "ic.name=gaussian\nic.mean=0.5\nic.center=0.4\nic.width=0.1\n"
+    cases = {}
+    for scheme in ("ssprk3", "rk4"):
+        for k in range(2, 7):
+            cases[f"1-d K={k} {scheme}"] = (f"k={k}\ngrid.n=24\ntime.scheme={scheme}\n"
+                                            "time.dt=0.0025\ntime.t_end=0.2\n")
+    cases["1-d K=3 a=-0.7 ssprk3"] = ("k=3\ngrid.n=20\nmodel.a=-0.7\ntime.scheme=ssprk3\n"
+                                      "time.dt=0.005\ntime.t_end=0.2013\n")
+    cases["1-d K=2 fixed alpha=0.4 rk4"] = ("grid.n=20\nupwind.mode=fixed\nupwind.alpha=0.4\n"
+                                            "time.scheme=rk4\ntime.dt=0.01\ntime.t_end=0.3\n")
+    cases["1-d K=3 2x2 system ssprk3"] = ("k=3\ngrid.n=20\nmodel.name=linear_system\n"
+                                          "model.matrix=1,2;0.5,-0.5\ntime.scheme=ssprk3\n"
+                                          "time.dt=0.004\ntime.t_end=0.2\n")
+    plane = "dimension=2\ngrid.nx=16\ngrid.ny=16\n"
+    cases["2-d a=(1,1) ssprk3"] = (plane + "time.scheme=ssprk3\ntime.dt=0.01\n"
+                                   "time.t_end=0.2537\n")
+    cases["2-d a=(0.8,-0.6) rk4"] = (plane + "model.ax=0.8\nmodel.ay=-0.6\ntime.scheme=rk4\n"
+                                     "time.dt=0.012\ntime.t_end=0.3\n")
+    cases["2-d fixed weights rk4"] = (plane + "upwind.mode=fixed\nupwind.alpha3=0.6\n"
+                                      "upwind.beta=0.3\nupwind.node_alphas=-0.1,-0.1,-0.1,"
+                                      "-0.1,-0.1,-0.1,-0.1,-0.1\ntime.scheme=rk4\n"
+                                      "time.dt=0.01\ntime.t_end=0.2\n")
+    worst = {}
+    for name, text in cases.items():
+        cfg = parse_config(gaussian + text)
+        result = run_simulation(cfg)
+        predicted, steps = (_oracle_1d if cfg.dimension == 1 else _oracle_2d)(cfg)
+        assert result.steps == steps, name
+        data = result.state.data
+        worst[name] = np.max(np.abs(data - predicted)) / np.max(np.abs(data))
+    failed = {name: f"{err:.2e}" for name, err in worst.items() if not err <= 1e-12}
+    report(10, not failed, f"(max rel difference {max(worst.values()):.2e} over"
+                           f" {len(worst)} runs; failed: {failed})")

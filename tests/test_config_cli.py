@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afpg import harness, timestep
+from afpg import config, harness, timestep
 from afpg.config import ConfigError, RunConfig, parse_config, serialize_config
 from afpg.grid import State1D, State2D
 from afpg.harness import convergence_study, run_simulation
@@ -81,6 +81,8 @@ class TestConfig:
             "ic.cycles=" + "1" * 400,
             # about 1e300 steps: ran until killed
             "time.dt=1e-300",
+            # ran on time.cfl while summary.txt echoed the negative dt
+            "time.dt=-0.5",
             "upwind.node_alphas=0,0,0,0,0,0,0,nan",
             "model.name=linear_system\nmodel.matrix=0,1;-inf,0",
         ],
@@ -127,6 +129,16 @@ class TestConfig:
                   for word in line.split("#", 1)[0].split() if "=" in word}
         parsed = {line.split("=", 1)[0] for line in serialize_config(RunConfig()).splitlines()}
         assert listed == parsed
+        # a comment "a | b (note) | c" lists the values of a key with choices
+        # (the first word of each part), in the order the parser names them
+        values = {}
+        for line in block.splitlines():
+            setting, _, comment = line.partition("#")
+            if "|" in comment:
+                attr = config._SCHEMA[setting.split("=", 1)[0].strip()][0]
+                values[attr] = tuple(part.split()[0] for part in comment.split("|"))
+        assert values == {attr: tuple(map(str, choices))
+                          for attr, choices in config._CHOICES.items()}
 
 
 class TestHarness:
@@ -248,7 +260,7 @@ class TestCli:
 
     def test_blowup_exit_three(self, tmp_path, capsys):
         cfg = self.write(
-            tmp_path, BASE_CFG + "time.scheme=euler\ntime.cfl=1000\ntime.t_end=20000\n"
+            tmp_path, BASE_CFG + "time.scheme=ssprk3\ntime.cfl=1000\ntime.t_end=20000\n"
         )
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3

@@ -72,6 +72,17 @@ class TestBurgers:
         q = exact(x, t)
         assert np.max(np.abs(q - ic(x - t * q))) <= 1e-12
 
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_reference_is_independent_of_its_batch(self, batch):
+        # each foot point stops on its own Newton step: when the loop ran
+        # until the whole batch converged, 64-point batches moved 384 of
+        # these 4097 values by up to 6.4e-16
+        exact = burgers1d().exact_solution(SineIC(0.1, 0.3), Grid1D(8))
+        x = np.linspace(0.0, 1.0, 4097)
+        one = exact(x, 0.4)
+        many = np.concatenate([exact(x[i:i + batch], 0.4) for i in range(0, len(x), batch)])
+        assert one.tobytes() == many.tobytes()
+
     def test_reference_refuses_after_shock(self):
         # breaking time t* = 1/max(-ic') = 1/(2 pi amplitude)
         g = Grid1D(8)

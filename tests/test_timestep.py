@@ -46,8 +46,6 @@ def oracle_step(state, t, dt, rhs_fn, scheme):
         return _buffer(rhs_fn(wrap(u)))
 
     u = _buffer(state)
-    if scheme == "euler":
-        return wrap(_checked(u + dt * f(u), "euler stage"))
     if scheme == "ssprk3":
         u1 = _checked(u + dt * f(u), "stage 1")
         u2 = _checked(0.75 * u + 0.25 * (u1 + dt * f(u1)), "stage 2")
@@ -85,7 +83,7 @@ def _problem(case):
 
 class TestInPlaceStages:
     @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
-    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
     def test_bit_identical_to_operator_expressions(self, scheme, case):
         u, dt, rhs_fn = _problem(case)
         new = step(u, 0.0, dt, rhs_fn, scheme)
@@ -94,7 +92,7 @@ class TestInPlaceStages:
         assert _buffer(new).tobytes() == _buffer(old).tobytes()
 
     @pytest.mark.parametrize("case", ["array", "scalar_1d", "state_2d"])
-    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
     def test_result_aliases_nothing(self, scheme, case):
         u, dt, rhs_fn = _problem(case)
         before = _buffer(u).copy()
@@ -124,7 +122,7 @@ class TestInPlaceStages:
     def test_nonfinite_initial_state_rejected(self):
         u = np.array([1.0, np.nan])
         with pytest.raises(ValueError, match="initial state"):
-            advance(u, None, None, lambda s: -s, 1.0, TimeIntegrator("euler", dt=0.1))
+            advance(u, None, None, lambda s: -s, 1.0, TimeIntegrator("ssprk3", dt=0.1))
 
 
 def _owning(rhs_fn):
@@ -143,7 +141,7 @@ def _owning(rhs_fn):
 
 class TestWorkspace:
     @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
-    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
     def test_steps_bit_identical_to_fresh_steps(self, scheme, case):
         u, dt, rhs_fn = _problem(case)
         owning, work = _owning(rhs_fn), []
@@ -155,7 +153,7 @@ class TestWorkspace:
             assert _buffer(kept).tobytes() == _buffer(fresh).tobytes()
 
     @pytest.mark.parametrize("case", ["array", "state_2d"])
-    @pytest.mark.parametrize("scheme", ["euler", "ssprk3", "rk4"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
     def test_results_alternate_and_alias_nothing(self, scheme, case):
         u, dt, rhs_fn = _problem(case)
         before = _buffer(u).copy()
@@ -253,13 +251,9 @@ class TestWorkspace:
 class TestStep:
     def test_zero_rhs_fixed_point(self):
         u = np.array([1.0, -2.0, 3.0])
-        for scheme in ("euler", "ssprk3", "rk4"):
+        for scheme in ("ssprk3", "rk4"):
             out = step(u, 0.0, 0.1, lambda s: 0.0 * s, scheme)
             assert np.allclose(out, u, atol=0)
-
-    def test_euler_unit_rhs(self):
-        out = step(np.array([1.0]), 0.0, 0.25, lambda s: np.ones_like(s), "euler")
-        assert out[0] == 1.25
 
     def test_ssprk3_amplification(self):
         # q' = lambda q: one step multiplies by 1 + z + z^2/2 + z^3/6
@@ -354,7 +348,7 @@ class TestAdvance:
         st0 = project_initial(g, SineIC(mean=1.0), el)
         model = advection1d(1.0)
         rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
-        integ = TimeIntegrator("euler", cfl=1000.0)
+        integ = TimeIntegrator("ssprk3", cfl=1000.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as info:
                 advance(st0, g, model, rhs_fn, 20000.0, integ)
@@ -390,16 +384,18 @@ class TestAdvance:
 
 
 class TestBlowUpGuard:
-    @pytest.mark.parametrize("u0, first_bad", [(0.5, 6), (-3e3, 5)])
+    @pytest.mark.parametrize("u0, first_bad", [(0.5, 2), (0.05, 3), (-3e3, 2)])
     def test_growth_past_factor_raises_at_its_step(self, u0, first_bad):
-        # euler on u' = 10 u multiplies by 11 per step; the bound is
-        # BLOWUP_FACTOR * max(|u0|, 1)
+        # ssprk3 on u' = 10 u multiplies by R(10) = 1 + 10 + 50 + 1000/6
+        # (about 227.7) per step; the bound is BLOWUP_FACTOR * max(|u0|, 1),
+        # and a bound without the floor of 1 (u0 = 0.05) or without |u0|
+        # (u0 = -3e3) would stop one step earlier
         bound = BLOWUP_FACTOR * max(abs(u0), 1.0)
-        growth = [abs(u0) * 11.0**n for n in range(1, 10)]
+        growth = [abs(u0) * (1.0 + 10.0 + 50.0 + 1000.0 / 6.0)**n for n in range(1, 10)]
         assert growth.index(next(g for g in growth if g > bound)) == first_bad
         with pytest.raises(BlowUpError, match="max-norm") as info:
             advance(np.array([u0, 0.0]), None, None, lambda s: 10.0 * s, 20.0,
-                    TimeIntegrator("euler", dt=1.0))
+                    TimeIntegrator("ssprk3", dt=1.0))
         assert info.value.step_index == first_bad
 
     @pytest.mark.parametrize("k", [4, 5])
