@@ -132,6 +132,44 @@ _CHOICES = {
 }
 
 
+# Per choice key, the keys that only some of its values read.  Under a
+# value that does not list it, such a key is never read, so only its
+# default is accepted there.
+_READ_UNDER = {
+    "dimension": {
+        1: ("grid_n", "model_a", "model_matrix", "model_point_update", "upwind_alpha"),
+        2: ("grid_nx", "grid_ny", "grid_y_min", "grid_y_max", "model_ax", "model_ay",
+            "upwind_alpha3", "upwind_beta", "upwind_edge_alpha1", "upwind_edge_alpha2",
+            "upwind_node_alphas"),
+    },
+    "model_name": {
+        "advection": ("model_a", "model_ax", "model_ay"),
+        "burgers": ("model_point_update",),
+        "linear_system": ("model_matrix",),
+    },
+    "ic_name": {
+        "sine": ("ic_mean", "ic_amplitude", "ic_cycles"),
+        "gaussian": ("ic_mean", "ic_amplitude", "ic_center", "ic_width"),
+        "linear": ("ic_slope", "ic_offset"),
+        "constant": ("ic_value",),
+    },
+    # adaptive weights follow the sign of the wave speed
+    "upwind_mode": {"fixed": ("upwind_alpha", "upwind_alpha3", "upwind_beta")},
+}
+
+
+def _check_read(cfg: RunConfig):
+    """Reject a non-default value of a key that the run never reads."""
+    defaults = RunConfig()
+    for choice, read_under in _READ_UNDER.items():
+        value = getattr(cfg, choice)
+        for attr in dict.fromkeys(a for attrs in read_under.values() for a in attrs):
+            key, default = _ATTR_TO_KEY[attr], getattr(defaults, attr)
+            if attr not in read_under.get(value, ()) and getattr(cfg, attr) != default:
+                raise ConfigError(f"{key} is not read with {_ATTR_TO_KEY[choice]}={value}:"
+                                  f" leave it out (default {key}={_fmt(default)})")
+
+
 def _finite_phase(cycles: int, width: float) -> bool:
     """Whether the sine phase 2 pi cycles (x - x_min) stays finite up to
     x - x_min = width, in the order models.SineIC forms it."""
@@ -199,6 +237,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
                           " periodic ramp jumps at the wrap, a shock or fan at t = 0")
     if cfg.model_name == "linear_system" and cfg.upwind_mode == "fixed":
         raise ConfigError("upwind.mode=fixed applies to scalar models only")
+    _check_read(cfg)
     return cfg
 
 

@@ -15,9 +15,10 @@ of the interface basis function, where a free weight alpha splits the
 unit pairing into (1+alpha)/2 on the left cell and (1-alpha)/2 on the
 right.  alpha = +1/-1 is full upwinding, alpha = 0 central.
 
-Both solves are for the monomial coefficients themselves, in exact
-rational arithmetic (a float alpha enters at its exact binary value),
-so their answer is unique whatever basis the systems are written in.
+Both systems are written for the monomial coefficients themselves and
+solved in exact rational arithmetic, one elimination per system matrix
+(every alpha shares the Gram matrix; a float alpha enters at its exact
+binary value), so their answer is unique whatever basis they are written in.
 An interface derivative is the pairing (``poly.inner``) of the two test
 pieces with the derivative of the global reconstruction, that is with
 each b_s' of the two cells meeting at the interface.  ``Element1D.dof_values`` applies every dof
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import HALF, Poly, inner, solve_exact
+from afpg.poly import HALF, Poly, gram, gram_inverse, inner, solve_exact
 
 __all__ = [
     "MomentWeight",
@@ -98,41 +99,30 @@ class PointTest1D:
     right: Poly
 
 
-def _monomials(k: int):
-    """xi^0 .. xi^k, the trial functions of both solves."""
-    return [Poly([0] * j + [1]) for j in range(k + 1)]
-
-
 @lru_cache(maxsize=None)
 def build_element(k: int) -> Element1D:
-    """Construct the degree-K element with its dual basis, exactly (cached: it is immutable)."""
+    """Construct the degree-K element, exactly (cached: it is immutable):
+    column s of the inverse of the dof functionals applied to the
+    monomials holds the coefficients of basis function s."""
     if k < 2:
         raise ValueError(f"element degree must be >= 2, got {k}")
     weights = tuple(moment_weight(kk) for kk in range(k - 1))
-    monos = _monomials(k)
-    rows = [[m(-HALF) for m in monos]]
-    rows += [[inner(w.poly, m) for m in monos] for w in weights]
-    rows.append([m(HALF) for m in monos])
     n = k + 1
-    basis = []
-    for s in range(n):
-        rhs = [Fraction(int(r == s)) for r in range(n)]
-        basis.append(Poly(solve_exact(rows, rhs)))
+    rows = [[(-HALF) ** j for j in range(n)], *gram([w.poly for w in weights], (n,)),
+            [HALF**j for j in range(n)]]
+    inverse = solve_exact(rows)
+    basis = [Poly([row[s] for row in inverse]) for s in range(n)]
     return Element1D(k, basis[0], tuple(basis[1:-1]), basis[-1], weights)
 
 
 def build_point_test(element: Element1D, alpha) -> PointTest1D:
-    """Solve for the interface test-function pieces at upwind weight alpha."""
-    k = element.k
+    """The interface test-function pieces at upwind weight alpha: each
+    pairs with one endpoint basis function only, so it is a multiple of
+    one column of the basis's cached Gram inverse."""
     af = Fraction(alpha)
-    rows = [[inner(b, m) for m in _monomials(k)] for b in element.basis()]
-    n = k + 1
-    rhs_left = [Fraction(0)] * n
-    rhs_left[-1] = HALF + af / 2  # pairing with the right-endpoint basis function
-    rhs_right = [Fraction(0)] * n
-    rhs_right[0] = HALF - af / 2  # pairing with the left-endpoint basis function
-    left = Poly(solve_exact(rows, rhs_left))
-    right = Poly(solve_exact(rows, rhs_right))
+    inverse = gram_inverse(element.basis(), (element.k + 1,))
+    left = Poly([(HALF + af / 2) * row[-1] for row in inverse])
+    right = Poly([(HALF - af / 2) * row[0] for row in inverse])
     return PointTest1D(left, right)
 
 

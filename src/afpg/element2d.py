@@ -3,10 +3,11 @@
 The nine degrees of freedom of a cell are the four corner values, the
 four edge-midpoint values and the cell average.  Dof ids are pairs
 (r, s) with r, s in {-1, 0, +1} locating the dof at (r/2, s/2) on the
-reference square; (0, 0) is the average.  The dual basis is solved
-from the 9x9 duality system over the tensor-quadratic space and
-checked coefficient by coefficient against the known closed forms
-(for instance the average basis function 9/4 (4 xi^2 - 1)(4 eta^2 - 1)).
+reference square; (0, 0) is the average.  The dual basis is the
+exact inverse of the 9x9 duality system over the tensor-quadratic
+space, checked coefficient by coefficient against the known closed
+forms (for instance the average basis function
+9/4 (4 xi^2 - 1)(4 eta^2 - 1)).
 
 Test functions attached to shared dofs are built from pairing tables.
 An edge test function lives on the two cells sharing the edge.  Its
@@ -23,7 +24,8 @@ shared edge-midpoint and node dofs around it, alpha9 splits the unit
 self-pairing between the lower and upper cell pair, and alpha10/alpha11
 redistribute it within each pair.  ``node_pairing_table`` spells out
 all 36 defining integrals; each of the four pieces is solved from its
-own nine conditions, exactly.
+own nine conditions, exactly, as one product with the cached inverse
+of the basis-by-monomial Gram matrix.
 
 Every derivative row comes from the same tables.  By biorthogonality a
 piece pairs with any polynomial of the cell space as its table row
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from afpg.poly import HALF, Poly, inner, integrate, solve_exact
+from afpg.poly import HALF, Poly, gram_inverse, integrate, solve_exact
 
 __all__ = [
     "DOF_IDS",
@@ -86,9 +88,8 @@ _MONOMIALS = tuple(Poly([[int((i, j) == (m, n)) for j in range(3)] for i in rang
                    for m in range(3) for n in range(3))
 
 
-def _solved_poly(rows, rhs) -> Poly:
-    """The polynomial whose monomial coefficients solve rows . c = rhs."""
-    c = solve_exact(rows, rhs)
+def _coeff_poly(c) -> Poly:
+    """The polynomial with monomial coefficients c, in the order of _MONOMIALS."""
     return Poly([c[3 * m : 3 * m + 3] for m in range(3)])
 
 
@@ -146,19 +147,10 @@ class NodeTest2D:
     table: dict
 
 
-def _closed_form_factors():
-    one = Poly([1])
-    lin_p = Poly([1, 2])  # 2 xi + 1
-    lin_m = Poly([-1, 2])  # 2 xi - 1
-    six_m = Poly([-1, 6])  # 6 xi - 1
-    six_p = Poly([1, 6])  # 6 xi + 1
-    sq = Poly([-1, 0, 4])  # 4 xi^2 - 1
-    return one, lin_p, lin_m, six_m, six_p, sq
-
-
 @lru_cache(maxsize=1)
 def _closed_form_basis():
-    one, lin_p, lin_m, six_m, six_p, sq = _closed_form_factors()
+    one, lin_p, lin_m = Poly([1]), Poly([1, 2]), Poly([-1, 2])  # 1, 2 xi + 1, 2 xi - 1
+    six_m, six_p, sq = Poly([-1, 6]), Poly([1, 6]), Poly([-1, 0, 4])  # 6 xi -+ 1, 4 xi^2 - 1
 
     def tx(p):
         return p.tensor(one)
@@ -168,7 +160,7 @@ def _closed_form_basis():
 
     s16 = Fraction(1, 16)
     m14 = Fraction(-1, 4)
-    forms = {
+    return {
         (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly([[-1, 2], [2, 12]]),
         (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly([[1, -2], [2, 12]]),
         (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly([[-1, -2], [-2, 12]]),
@@ -179,22 +171,19 @@ def _closed_form_basis():
         (1, 0): m14 * tx(lin_p) * tx(six_m) * ty(sq),
         (0, 0): Fraction(9, 4) * tx(sq) * ty(sq),
     }
-    return forms
 
 
 @lru_cache(maxsize=1)
 def build_element_2d() -> Element2D:
-    """Solve the 9x9 duality system over the tensor-quadratic space.
-
-    The result is compared against the closed forms exactly; a mismatch
-    would indicate a broken construction, hence the hard assert.
-    """
-    rows = [[apply_dof(dof, m) for m in _MONOMIALS] for dof in DOF_IDS]
-    basis = {dof: _solved_poly(rows, [Fraction(int(r == s)) for r in range(9)])
-             for s, dof in enumerate(DOF_IDS)}
-    expected = _closed_form_basis()
-    for dof in DOF_IDS:
-        assert basis[dof] == expected[dof], f"basis mismatch for dof {dof}"
+    """The dual basis: column s of the exact inverse of the 9x9 duality
+    system (dof functionals on the monomials) holds basis function s.
+    A mismatch with the closed forms, a broken construction, raises
+    RuntimeError."""
+    inverse = solve_exact([[apply_dof(dof, m) for m in _MONOMIALS] for dof in DOF_IDS])
+    basis = {dof: _coeff_poly([row[s] for row in inverse]) for s, dof in enumerate(DOF_IDS)}
+    for dof, form in _closed_form_basis().items():
+        if basis[dof] != form:
+            raise RuntimeError(f"solved basis function of dof {dof} differs from its closed form")
     return Element2D(basis)
 
 
@@ -271,15 +260,12 @@ def node_pairing_table(alphas):
     }
 
 
-@lru_cache(maxsize=1)
-def _test_solve_rows():
-    # pairing of every basis function with every monomial
-    element = build_element_2d()
-    return [[inner(element.basis[dof], m) for m in _MONOMIALS] for dof in DOF_IDS]
-
-
 def _solve_test_piece(pairings):
-    return _solved_poly(_test_solve_rows(), [pairings[dof] for dof in DOF_IDS])
+    """The piece with the given pairings with the basis, keyed by dof id."""
+    rhs = [pairings[dof] for dof in DOF_IDS]
+    inverse = gram_inverse(build_element_2d().basis_ordered(), (3, 3))
+    return _coeff_poly([sum((a * r for a, r in zip(row, rhs) if r), Fraction(0))
+                        for row in inverse])
 
 
 def _transpose_table(table):

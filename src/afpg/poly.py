@@ -30,6 +30,8 @@ __all__ = [
     "QuadratureRule",
     "integrate",
     "inner",
+    "gram",
+    "gram_inverse",
     "gauss_rule",
     "solve_exact",
 ]
@@ -147,16 +149,30 @@ def _mono_integral(k: int) -> Fraction:
 
 def integrate(p: Poly):
     """Integral of p over [-1/2, 1/2]^d; exact for rational coefficients."""
-    total = 0
-    for idx, c in np.ndenumerate(p.coeffs):
-        if c != 0 and not any(k % 2 for k in idx):
-            total += c * math.prod(map(_mono_integral, idx))
-    return total
+    return gram([p], (1,) * p.coeffs.ndim)[0][0]
 
 
 def inner(p: Poly, q: Poly):
     """L2 pairing of p and q over the reference cell, in xi (and eta) units."""
     return integrate(p * q)
+
+
+def gram(polys, shape):
+    """Exact pairings (as ``inner``) of each of polys with each monomial of
+    the tensor space ``shape`` (C order), from the closed-form monomial
+    moments: the coefficients times the moments, no polynomial products."""
+    return [[sum(c * math.prod(_mono_integral(i + j) for i, j in zip(idx, m))
+                 for idx, c in np.ndenumerate(p.coeffs)
+                 if c != 0 and not any((i + j) % 2 for i, j in zip(idx, m)))
+             for m in np.ndindex(*shape)] for p in polys]
+
+
+@lru_cache(maxsize=None)
+def gram_inverse(polys: tuple, shape: tuple):
+    """Exact inverse of ``gram(polys, shape)``, cached (read-only): column
+    s holds the coefficients of the polynomial of the space that pairs
+    to 1 with polys[s] and to 0 with every other of polys."""
+    return solve_exact(gram(polys, shape))
 
 
 @dataclass(frozen=True)
@@ -187,14 +203,18 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(tuple(0.5 * x), tuple(0.5 * w))
 
 
-def solve_exact(matrix, rhs):
-    """Solve a small linear system by Gaussian elimination.
+def solve_exact(matrix, rhs=None):
+    """Solve matrix . x = rhs in Fractions, exactly, by one elimination.
 
-    Entries are taken as Fractions, so the result is exact; raises on a
-    singular matrix.
+    ``rhs`` is a vector, or a matrix (list of rows) whose columns are
+    right-hand sides, solved together; None, the identity, gives the
+    exact inverse.  Raises on a singular matrix.
     """
-    n = len(rhs)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    n = len(matrix)
+    vector = rhs is not None and np.ndim(rhs) == 1
+    cols = ([[int(r == c) for c in range(n)] for r in range(n)] if rhs is None
+            else [[x] for x in rhs] if vector else rhs)
+    a = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(matrix, cols)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -205,5 +225,5 @@ def solve_exact(matrix, rhs):
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[-1] for row in a]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a] if vector else [row[n:] for row in a]

@@ -115,11 +115,12 @@ class TestConfig:
             parse_config("model.name=linear_system\nmodel.matrix=0,1,2;1,0")
 
     def test_roundtrip(self):
-        cfg = parse_config(BASE_CFG + "upwind.node_alphas=0.1,0,0,0,0,0,0,-0.2\n")
-        text = serialize_config(cfg)
-        assert parse_config(text) == cfg
-        # serialization is idempotent (normalized form)
-        assert serialize_config(parse_config(text)) == text
+        for given in (BASE_CFG, "dimension=2\nupwind.node_alphas=0.1,0,0,0,0,0,0,-0.2\n"):
+            cfg = parse_config(given)
+            text = serialize_config(cfg)
+            assert parse_config(text) == cfg
+            # serialization is idempotent (normalized form)
+            assert serialize_config(parse_config(text)) == text
 
     def test_readme_lists_exactly_the_parsed_keys(self):
         # the key of every key=value in README's "Config format" block, comments dropped
@@ -232,6 +233,51 @@ class TestCli:
         p.write_text(text)
         return str(p)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # each exited 0, and summary.txt echoed the value as if it were used
+            ("dimension=2\nmodel.a=7\nupwind.alpha=0.3\nmodel.matrix=1,2;3,4\n", "model.a"),
+            ("dimension=2\nupwind.alpha=0.3\n", "upwind.alpha"),
+            ("dimension=2\nmodel.matrix=1,2;3,4\n", "model.matrix"),
+            ("dimension=2\ngrid.n=30\n", "grid.n"),
+            ("model.name=burgers\nmodel.ax=3\n", "model.ax"),
+            ("model.name=burgers\nupwind.alpha3=0.5\n", "upwind.alpha3"),
+            ("grid.ny=30\n", "grid.ny"),
+            ("upwind.node_alphas=0,0,0,0,0,0,0,0.1\n", "upwind.node_alphas"),
+            ("model.name=burgers\nmodel.a=2\n", "model.a"),
+            ("model.matrix=1,2;3,4\n", "model.matrix"),
+            ("ic.name=gaussian\nic.cycles=2\n", "ic.cycles"),
+            ("ic.slope=2\n", "ic.slope"),
+            ("ic.name=constant\nic.amplitude=2\n", "ic.amplitude"),
+            ("ic.name=linear\nic.width=0.3\n", "ic.width"),
+            ("upwind.alpha=0.3\n", "upwind.alpha"),
+            ("dimension=2\nupwind.beta=0.2\n", "upwind.beta"),
+        ],
+    )
+    def test_unread_key_exit_two(self, tmp_path, capsys, text, key):
+        cfg = self.write(tmp_path, "time.t_end=0.01\n" + text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} is not read with")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dimension=2\nmodel.a=1.0\nupwind.alpha=0\ngrid.n=40\nmodel.matrix=\n",
+            "model.name=burgers\nmodel.ax=1\nupwind.alpha3=0.0\nic.cycles=1\n",
+            "upwind.mode=fixed\nupwind.alpha=0.3\n",
+            "dimension=2\nupwind.mode=fixed\nupwind.alpha3=0.3\nupwind.beta=0.2\n",
+            "dimension=2\nupwind.edge_alpha1=-0.1\nupwind.node_alphas=0,0,0,0,0,0,0,-0.1\n",
+            "model.name=linear_system\nmodel.matrix=0,1;1,0\nic.name=gaussian\nic.width=0.2\n",
+            "ic.name=linear\nic.slope=2\nic.offset=1\n",
+        ],
+    )
+    def test_read_keys_and_unread_defaults_accepted(self, text):
+        parse_config(text)
+
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG)
         out = tmp_path / "out"
@@ -298,22 +344,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "text",
         [
-            "model.a=0.0\n",
+            "grid.n=12\nmodel.a=0.0\n",
             "dimension=2\ngrid.nx=6\ngrid.ny=6\nmodel.ax=0.0\nmodel.ay=-0.0\n",
-            "model.name=burgers\nic.name=constant\nic.value=0.0\n",
+            "grid.n=12\nmodel.name=burgers\nic.name=constant\nic.value=0.0\n",
         ],
         ids=["1d", "2d", "burgers"],
     )
     def test_zero_wave_speed_under_cfl_exit_two(self, tmp_path, capsys, text):
         # advance raised ValueError("zero wave speed"): a traceback, exit 1
-        cfg = self.write(tmp_path, "grid.n=12\n" + text)
+        cfg = self.write(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "time.cfl" in err[0]
         assert not out.exists()
         # a fixed step still runs it
-        cfg = self.write(tmp_path, "grid.n=12\ntime.dt=0.25\n" + text)
+        cfg = self.write(tmp_path, "time.dt=0.25\n" + text)
         assert main(["run", cfg, "--output-dir", str(out)]) == 0
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

@@ -12,7 +12,7 @@ from afpg.element1d import (
     moment_weight,
     reconstruct,
 )
-from afpg.poly import HALF, Poly, gauss_rule, inner, integrate
+from afpg.poly import HALF, Poly, gauss_rule, gram, inner, integrate
 from afpg.semidiscrete import _linear_rows
 
 ALPHAS = (-1.0, 0.0, 0.37, 1.0)
@@ -151,6 +151,21 @@ def blended_row(k, alpha):
     for s, w in enumerate(d_minus):
         row[k + s] += HALF * (1 - alpha) * w
     return tuple(row)
+
+
+class TestExactSolves:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_gram_equals_poly_product_pairings(self, k):
+        el = build_element(k)
+        monos = [Poly([0] * j + [1]) for j in range(k + 1)]
+        assert gram(el.basis(), (k + 1,)) == [[inner(b, m) for m in monos] for b in el.basis()]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_element_and_upwind_pieces_take_two_eliminations(self, exact_solves, k):
+        el = build_element(k)
+        build_point_test(el, 1)
+        build_point_test(el, -1)
+        assert len(exact_solves) <= 2
 
 
 class TestDerivativeStencil:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from afpg import element2d
 from afpg.element1d import build_element, build_point_test
 from afpg.element2d import (
     DOF_IDS,
@@ -16,7 +17,7 @@ from afpg.element2d import (
     pair_row,
     reconstruct2d,
 )
-from afpg.poly import Poly, gauss_rule, inner, integrate
+from afpg.poly import Poly, gauss_rule, gram, inner, integrate
 
 
 def quad_inner(p, q, n=4):
@@ -128,6 +129,29 @@ class TestBasis:
                 expected = tens(r, s) + sixth * tens(r, 0) + sixth * tens(0, s)
                 assert el2.basis[(r, s)] == expected
         assert el2.basis[(0, 0)] == tens(0, 0)
+
+
+class TestExactSolves:
+    def test_gram_equals_poly_product_pairings(self):
+        basis = build_element_2d().basis_ordered()
+        monos = [Poly([[int((i, j) == (m, n)) for j in range(3)] for i in range(3)])
+                 for m in range(3) for n in range(3)]
+        assert gram(basis, (3, 3)) == [[inner(b, m) for m in monos] for b in basis]
+
+    def test_element_and_test_pieces_take_two_eliminations(self, exact_solves):
+        build_element_2d()
+        build_edge_test((0.0, 0.0, 1.0), "x")
+        build_edge_test((0.0, 0.0, -1.0), "y")
+        build_node_test((0.0,) * 8 + (1.0, 0.25, 0.25))
+        assert len(exact_solves) <= 2
+
+    def test_closed_form_mismatch_raises(self, monkeypatch, fresh_construction):
+        # a plain assert would vanish under python -O
+        forms = dict(element2d._closed_form_basis())
+        forms[(0, 1)] = forms[(0, 1)] + Poly([[0, 0], [0, Fraction(1, 7)]])
+        monkeypatch.setattr(element2d, "_closed_form_basis", lambda: forms)
+        with pytest.raises(RuntimeError, match=r"dof \(0, 1\)"):
+            build_element_2d()
 
 
 class TestEdgeTests:

@@ -1,12 +1,13 @@
 """Exact algebra, quadrature and exact-solve tests for the poly core."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from afpg.poly import HALF, Poly, gauss_rule, inner, integrate, solve_exact
+from afpg.poly import HALF, Poly, gauss_rule, gram, inner, integrate, solve_exact
 
 
 def rational_poly(rng, degree, den=7):
@@ -186,3 +187,37 @@ class TestSolveExact:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             solve_exact([[1, 2], [2, 4]], [1, 1])
+
+    @pytest.mark.parametrize("rhs", [[[1, 0], [0, 1], [0, 0]], None], ids=["matrix", "inverse"])
+    def test_singular_rejected_for_several_right_hand_sides(self, rhs):
+        with pytest.raises(ValueError, match="singular"):
+            solve_exact([[1, 2, 3], [2, 4, 6], [0, 1, 1]], rhs)
+
+    def test_several_right_hand_sides_equal_each_column_alone(self):
+        rng = random.Random(3)
+        n, m = 6, 4
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                  for _ in range(n)]
+        rhs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
+               for _ in range(n)]
+        together = solve_exact(matrix, rhs)
+        for j in range(m):
+            assert [row[j] for row in together] == solve_exact(matrix, [r[j] for r in rhs])
+        inverse = solve_exact(matrix)
+        for j in range(n):
+            unit = [int(i == j) for i in range(n)]
+            assert [row[j] for row in inverse] == solve_exact(matrix, unit)
+        assert all(isinstance(x, Fraction) for row in together + inverse for x in row)
+
+
+class TestGram:
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (2, 4)])
+    def test_equals_poly_product_pairings(self, shape):
+        rng = random.Random(sum(shape))
+        coeff_shape = (12,) if len(shape) == 1 else (3, 4)
+        polys = [Poly(np.array([Fraction(rng.randint(-12, 12), rng.randint(1, 7))
+                                for _ in range(12)], dtype=object).reshape(coeff_shape))
+                 for _ in range(4)]
+        monos = [Poly(np.eye(math.prod(shape), dtype=int)[i].reshape(shape))
+                 for i in range(math.prod(shape))]
+        assert gram(polys, shape) == [[inner(p, m) for m in monos] for p in polys]
