@@ -168,6 +168,10 @@ def _check_read(cfg: RunConfig):
             if attr not in read_under.get(value, ()) and getattr(cfg, attr) != default:
                 raise ConfigError(f"{key} is not read with {_ATTR_TO_KEY[choice]}={value}:"
                                   f" leave it out (default {key}={_fmt(default)})")
+    # a positive time.dt fixes every step, so time.cfl is never read
+    if cfg.time_dt > 0 and cfg.time_cfl != defaults.time_cfl:
+        raise ConfigError(f"time.cfl is not read with time.dt={_fmt(cfg.time_dt)} > 0:"
+                          f" leave it out (default time.cfl={_fmt(defaults.time_cfl)})")
 
 
 def _finite_phase(cycles: int, width: float) -> bool:
@@ -226,8 +230,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError("model.matrix must be a square matrix (rows ; separated)")
         if len(m) < 2:
             raise ConfigError("model.matrix must be at least 2x2 (use model.name=advection)")
-        if cfg.dimension != 1:
-            raise ConfigError("linear_system is one-dimensional")
+    if cfg.dimension == 2 and cfg.model_name != "advection":
+        raise ConfigError(f"model.name={cfg.model_name} is one-dimensional:"
+                          " 2-d runs support model.name=advection")
     if cfg.model_point_update == "exact" and cfg.model_name != "burgers":
         raise ConfigError("model.point_update=exact applies to burgers only")
     if cfg.model_point_update == "exact" and cfg.degree != 2:

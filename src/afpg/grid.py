@@ -237,16 +237,6 @@ def _dof_gather_1d(state: State1D) -> np.ndarray:
     return dofs
 
 
-def _wrap_pad(a, out=None):
-    """Copy of a (fields, nx, ny) stack with one periodic ghost layer on each
-    cell axis, written into ``out`` when given."""
-    p = np.empty((a.shape[0], a.shape[1] + 2, a.shape[2] + 2)) if out is None else out
-    p[:, 1:-1, 1:-1] = a
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
-    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]
-    return p
-
-
 def _dof_source_2d(r, s):
     """(field, cell offset) of the stored value that is dof (r, s) of a cell.
 
@@ -258,15 +248,33 @@ def _dof_source_2d(r, s):
     return abs(r) + 2 * abs(s), (min(r, 0), min(s, 0))
 
 
+def _shifted_copies(nx, ny, i, t, columns):
+    """(destination, source) index pairs that fill a (#columns, t, ny)
+    buffer with grid rows i .. i+t-1 of each column (field, (ox, oy)) of
+    a (fields, nx, ny) stack, shifted periodically: entry (j, r, c) is
+    the field's row i + r + ox, column c + oy (mod nx, ny).  The copies
+    do the wrap, so nothing is padded.
+    """
+    copies = []
+    for j, (f, (ox, oy)) in enumerate(columns):
+        r, c = (i + ox) % nx, oy % ny
+        h = min(t, nx - r)  # rows before the wrap
+        for dr, sr in ((slice(0, h), slice(r, r + h)), (slice(h, t), slice(0, t - h))):
+            for dc, sc in ((slice(0, ny - c), slice(c, ny)), (slice(ny - c, ny), slice(0, c))):
+                if dr.start < dr.stop and dc.start < dc.stop:
+                    copies.append(((j, dr, dc), (f, sr, sc)))
+    return copies
+
+
 def _dof_gather_2d(state: State2D) -> np.ndarray:
     """(9, nx, ny): each cell's nine dofs in the element2d dof order, each
-    a shifted slice of one wrap-padded copy of the state, where
-    ``_dof_source_2d`` says it is stored."""
-    padded = _wrap_pad(state.data)
-    _, nx, ny = state.data.shape
-    sources = (_dof_source_2d(r, s) for r, s in DOF_IDS)
-    return np.stack([padded[f, 1 + ox : 1 + ox + nx, 1 + oy : 1 + oy + ny]
-                     for f, (ox, oy) in sources])
+    the field that ``_dof_source_2d`` names, shifted by its offset."""
+    data = state.data
+    _, nx, ny = data.shape
+    dofs = np.empty((len(DOF_IDS), nx, ny))
+    for dest, src in _shifted_copies(nx, ny, 0, nx, [_dof_source_2d(*d) for d in DOF_IDS]):
+        dofs[dest] = data[src]
+    return dofs
 
 
 class _Layout(NamedTuple):

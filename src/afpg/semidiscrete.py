@@ -40,13 +40,14 @@ is then an offset-block operator, compiled once per grid spacing,
 velocity and upwind setting: the distinct (source field, 2-d offset)
 columns that carry weight (9 for a = (1, 1) adaptive) and one
 (4, #columns) float matrix W.  ``rhs_2d`` applies it by tiles of grid
-rows: it copies each column's shifted slice of the tile's rows, out of
-one wrap-padded copy of the state, into a small buffer of
-``TILE_BYTES``, and one GEMM of W with that buffer writes those rows of
-the output.  The padded copy and the tile are kept for the last shape
-seen, and both right-hand sides write into a caller's ``out`` buffer
-when given one, so a 2-d time loop on one grid allocates no state-sized
-buffer (``rhs_1d`` still gathers its cell dofs anew on every call).
+rows: it copies each column's shifted rows straight from the state,
+wrapping at the periodic edges in the copies themselves
+(``grid._shifted_copies``), into a small buffer of ``TILE_BYTES``, and
+one GEMM of W with that buffer writes those rows of the output.  The
+tile is kept for the last shape seen, and both right-hand sides write
+into a caller's ``out`` buffer when given one, so a 2-d time loop on
+one grid allocates no state-sized buffer (``rhs_1d`` still gathers its
+cell dofs anew on every call).
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ from afpg.element2d import (
     node_pairing_table,
     pair_row,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_source_2d, _wrap_pad
+from afpg.grid import (Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_source_2d,
+                       _shifted_copies)
 from afpg.poly import HALF, inner
 
 __all__ = [
@@ -298,55 +300,53 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
 
 
 # Byte budget of the tile buffer rhs_2d fills before each GEMM; the rows
-# per tile follow from it (45 at ny = 160 with 9 columns).  Chosen from
-# whole 160^2 adv2d runs (1 BLAS thread) at 4 to 64 rows per tile: 4 and
-# 8 rows were 1.2-2x slower, 16 to 64 rows within the noise of this
-# budget, which also keeps the buffer at or below half a MiB.
+# per tile follow from it (45 at ny = 160 with 9 columns).  Whole 160^2
+# adv2d runs (1 BLAS thread, 2-CPU host, median of 5 interleaved) took
+# 1.59, 1.48, 1.46 and 1.59 s at 256 KiB, 512 KiB, 1 MiB and 2 MiB:
+# 512 KiB and 1 MiB lie within the noise, and the smaller one is kept.
 TILE_BYTES = 512 * 1024
 
 
-# (padded shape, tile shape, padded copy, tile) of the last _apply_blocks_2d call
+# (key, tile, copy plan) of the last _apply_blocks_2d call
 _blocks_2d_last = None
 
 
-def _scratch_2d(padded_shape, tile_shape):
-    """The wrap-padded copy and the tile buffer of ``_apply_blocks_2d``.
-
-    Only the last shapes' pair is kept (1.3 MB at 160^2), so a time loop
-    on one grid reuses its pages instead of faulting fresh ones in on
-    every call.  Both are overwritten by every call and never returned,
-    so one pair shared by every caller in the process is safe.
+def _scratch_2d(nx, ny, rows, columns):
+    """The (#columns, rows, ny) tile of ``_apply_blocks_2d`` and its copy
+    plan, one (first row, rows, ``grid._shifted_copies``) per tile, kept
+    for the last key only (at most ``TILE_BYTES``, 0.5 MiB at 160^2), so
+    a time loop on one grid reuses both.  The tile is overwritten by
+    every call and never returned, so one shared by every caller in the
+    process is safe.
     """
     global _blocks_2d_last
-    cached = _blocks_2d_last
-    if cached is None or cached[:2] != (padded_shape, tile_shape):
-        cached = _blocks_2d_last = (padded_shape, tile_shape, np.empty(padded_shape),
-                                    np.empty(tile_shape))
-    return cached[2], cached[3]
+    key = (nx, ny, rows, columns)
+    if _blocks_2d_last is None or _blocks_2d_last[0] != key:
+        tiles = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
+        _blocks_2d_last = (key, np.empty((len(columns), rows, ny)),
+                           [(i, t, _shifted_copies(nx, ny, i, t, columns)) for i, t in tiles])
+    return _blocks_2d_last[1:]
 
 
 def _apply_blocks_2d(data, columns, weights, out=None):
     """W applied to the offset columns of a (4, nx, ny) stack, by row tiles.
 
-    Each tile copies the shifted slices of a few grid rows, one per
-    column, out of one wrap-padded copy of ``data`` into a
-    (#columns, rows * ny) buffer, and one matmul writes W times that
-    buffer straight into the same rows of the output: ``out``, or a
-    fresh buffer.
+    Each tile copies the shifted rows of a few grid rows, one per
+    column, straight from ``data`` into the tile, and one matmul writes
+    W times the tile straight into the same rows of the output: ``out``,
+    or a fresh buffer.
     """
     _, nx, ny = data.shape
     out = _output(data, out)
     flat_out = out.reshape(len(out), nx * ny)
     rows = min(nx, max(1, TILE_BYTES // (max(1, len(columns)) * ny * out.itemsize)))
-    padded, tile = _scratch_2d((len(data), nx + 2, ny + 2), (len(columns), rows * ny))
-    _wrap_pad(data, padded)
-    for i in range(0, nx, rows):
-        t = min(rows, nx - i)
-        block = tile[:, : t * ny]
-        for dest, (field, (ox, oy)) in zip(block, columns):
-            # dest is one contiguous row of the tile, so this reshape is a view
-            dest.reshape(t, ny)[...] = padded[field, 1 + ox + i : 1 + ox + i + t, 1 + oy : 1 + oy + ny]
-        np.matmul(weights, block, out=flat_out[:, i * ny : (i + t) * ny])
+    tile, plan = _scratch_2d(nx, ny, rows, columns)
+    for i, t, copies in plan:
+        for dest, src in copies:
+            tile[dest] = data[src]
+        # tile[:, :t] holds t * ny contiguous values per column, so this reshape is a view
+        np.matmul(weights, tile[:, :t].reshape(len(columns), t * ny),
+                  out=flat_out[:, i * ny : (i + t) * ny])
     return out
 
 

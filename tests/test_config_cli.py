@@ -253,6 +253,8 @@ class TestCli:
             ("ic.name=linear\nic.width=0.3\n", "ic.width"),
             ("upwind.alpha=0.3\n", "upwind.alpha"),
             ("dimension=2\nupwind.beta=0.2\n", "upwind.beta"),
+            # ran 2 steps of dt = 0.01 while summary.txt echoed time.cfl=0.9
+            ("grid.n=8\ntime.cfl=0.9\ntime.dt=0.01\n", "time.cfl"),
         ],
     )
     def test_unread_key_exit_two(self, tmp_path, capsys, text, key):
@@ -273,6 +275,7 @@ class TestCli:
             "dimension=2\nupwind.edge_alpha1=-0.1\nupwind.node_alphas=0,0,0,0,0,0,0,-0.1\n",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nic.name=gaussian\nic.width=0.2\n",
             "ic.name=linear\nic.slope=2\nic.offset=1\n",
+            "time.dt=0.01\ntime.cfl=0.2\n",
         ],
     )
     def test_read_keys_and_unread_defaults_accepted(self, text):
@@ -300,6 +303,20 @@ class TestCli:
             assert main(["run", cfg, "--output-dir", str(out)]) == 2
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_2d_burgers_exit_two(self, tmp_path, capsys):
+        # parse_config accepted this; only harness.build_model refused it, at run time
+        text = "dimension=2\nmodel.name=burgers\ntime.t_end=0.01\n"
+        with pytest.raises(ConfigError, match="model.name=burgers is one-dimensional"):
+            parse_config(text)
+        out = tmp_path / "out"
+        assert main(["run", self.write(tmp_path, text), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: model.name=burgers")
+        assert not out.exists()
+        # a hand-built RunConfig skips the parser's checks: the harness still refuses it
+        with pytest.raises(ConfigError, match="2-d runs support model.name=advection"):
+            harness.build_model(RunConfig(dimension=2, model_name="burgers"))
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "/does/not/exist.cfg"]) == 2

@@ -1,5 +1,6 @@
 """RHS assembly tests: closed forms, quadrature oracles, conservation."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -536,6 +537,14 @@ class TestDofGather2D:
                 q = cell_poly_2d(st, el, i, j)
                 assert [apply_dof(dof, q) for dof in DOF_IDS] == [Fraction(v) for v in dofs[:, i, j]]
 
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 11), (11, 3), (5, 4)])
+    def test_gather_is_the_rolled_fields(self, nx, ny):
+        # each dof row is its storing field shifted by np.roll, bit for bit
+        st = random_state_2d(np.random.default_rng(35), nx, ny)
+        ref = np.stack([np.roll(st.data[f], (-ox, -oy), axis=(0, 1))
+                        for f, (ox, oy) in map(DOF_STORAGE_2D.get, DOF_IDS)])
+        assert _dof_gather_2d(st).tobytes() == ref.tobytes()
+
 
 class TestRhs2D:
     def test_constant_state_zero(self):
@@ -791,7 +800,7 @@ class TestOutBuffer:
                     rhs(st, out=bad)
 
     def test_scratch_follows_the_shape(self):
-        # _apply_blocks_2d keeps its padded copy and tile for the last shape
+        # _apply_blocks_2d keeps its tile and copy plan for the last shape
         # only: alternating grids must each get their own operator's bits
         up, rng = Upwind2D("adaptive"), np.random.default_rng(34)
         problems = []
@@ -803,3 +812,49 @@ class TestOutBuffer:
         for g, st, ref in problems + problems:
             r = rhs_2d(st, g, build_element_2d(), advection2d(1.0, -0.5), up)
             assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestWrapEdges:
+    """The periodic wrap is done by the tile copies themselves: on grids of
+    3 rows or columns, every tile holds wrapped rows or columns."""
+
+    @pytest.mark.parametrize(
+        "ax, ay, upwind",
+        [
+            pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
+            pytest.param(0.8, -0.6, STABILIZED_2D, id="fixed-stabilized"),
+        ],
+    )
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 11), (11, 3)])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_small_grids_match_rolled_reference(self, monkeypatch, rows, nx, ny, ax, ay, upwind):
+        g = Grid2D(nx, ny)
+        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
+        if upwind is STABILIZED_2D:  # it reads every offset of {-1, 0, 1}^2
+            assert {o for _, o in columns} == {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
+        monkeypatch.setattr(semidiscrete, "TILE_BYTES", rows * len(columns) * ny * 8)
+        st = random_state_2d(np.random.default_rng(36), nx, ny)
+        r = rhs_2d(st, g, build_element_2d(), advection2d(ax, ay), upwind)
+        assert [t for _, t, _ in semidiscrete._blocks_2d_last[2]] == [
+            min(rows, nx - i) for i in range(0, nx, rows)]
+        ref = rolled_reference(st.data, columns, weights)
+        assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_cold_rhs_2d_holds_only_its_tile(monkeypatch):
+    # with out=, a cold call at 160^2 allocates the tile and nothing
+    # state-sized: a copy of the state (800 KB) does not fit the 64 KiB slack
+    g, up, el = Grid2D(160, 160), Upwind2D("adaptive"), build_element_2d()
+    st = random_state_2d(np.random.default_rng(37), 160, 160)
+    out = np.empty_like(st.data)
+    _compile_taps_2d(g.dx, g.dy, 1.0, 1.0, up)  # the exact taps are a cache, not scratch
+    monkeypatch.setattr(semidiscrete, "_blocks_2d_last", None)
+    tracemalloc.start()
+    try:
+        rhs_2d(st, g, el, advection2d(1.0, 1.0), up, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= semidiscrete.TILE_BYTES + 64 * 1024
+    kept = [a for a in semidiscrete._blocks_2d_last if isinstance(a, np.ndarray)]
+    assert kept and sum(a.nbytes for a in kept) <= semidiscrete.TILE_BYTES
