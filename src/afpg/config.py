@@ -44,12 +44,6 @@ def _parse_float(s):
     return value
 
 
-def _parse_floats(s):
-    if not s.strip():
-        return ()
-    return tuple(_parse_float(part) for part in s.split(","))
-
-
 def _parse_matrix(s):
     if not s.strip():
         return ()
@@ -61,10 +55,8 @@ def _fmt(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ";".join(",".join(repr(float(x)) for x in row) for row in value)
-        return ",".join(repr(float(x)) for x in value)
+    if isinstance(value, tuple):  # model.matrix
+        return ";".join(",".join(repr(float(x)) for x in row) for row in value)
     return str(value)
 
 
@@ -98,9 +90,6 @@ class RunConfig:
     upwind_alpha: float = 0.0
     upwind_alpha3: float = 0.0
     upwind_beta: float = 0.0
-    upwind_edge_alpha1: float = 0.0
-    upwind_edge_alpha2: float = 0.0
-    upwind_node_alphas: tuple = field(default=(0.0,) * 8, metadata={"parser": _parse_floats})
     time_scheme: str = "ssprk3"
     time_cfl: float = 0.2
     time_dt: float = 0.0
@@ -139,8 +128,7 @@ _READ_UNDER = {
     "dimension": {
         1: ("grid_n", "model_a", "model_matrix", "model_point_update", "upwind_alpha"),
         2: ("grid_nx", "grid_ny", "grid_y_min", "grid_y_max", "model_ax", "model_ay",
-            "upwind_alpha3", "upwind_beta", "upwind_edge_alpha1", "upwind_edge_alpha2",
-            "upwind_node_alphas"),
+            "upwind_alpha3", "upwind_beta"),
     },
     "model_name": {
         "advection": ("model_a", "model_ax", "model_ay"),
@@ -212,8 +200,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("upwind alpha weights must lie in [-1, 1]")
     if abs(cfg.upwind_beta) > 0.5:
         raise ConfigError("upwind.beta must lie in [-1/2, 1/2]")
-    if len(cfg.upwind_node_alphas) != 8:
-        raise ConfigError("upwind.node_alphas needs exactly 8 values")
     if cfg.time_dt < 0:
         raise ConfigError("time.dt must be >= 0 (0: use time.cfl)")
     if cfg.time_cfl <= 0 and cfg.time_dt <= 0:

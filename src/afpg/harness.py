@@ -108,9 +108,7 @@ def build_upwind(cfg: RunConfig):
     try:
         if cfg.dimension == 1:
             return Upwind1D(cfg.upwind_mode, cfg.upwind_alpha)
-        return Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta,
-                        cfg.upwind_edge_alpha1, cfg.upwind_edge_alpha2,
-                        tuple(cfg.upwind_node_alphas))
+        return Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 

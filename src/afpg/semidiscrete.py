@@ -90,39 +90,36 @@ class Upwind1D:
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed"):
             raise ValueError(f"unknown upwind mode {self.mode!r}")
-        if abs(self.alpha) > 1.0:
+        if not abs(self.alpha) <= 1.0:  # a NaN fails too
             raise ValueError("alpha must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
 class Upwind2D:
-    """Edge and node upwinding policy plus the extra stabilization weights.
+    """Edge and node upwinding policy.
 
     In adaptive mode the edge weight alpha3 follows the sign of the
     normal wave speed and the node weight beta follows sign/2 per
     direction; fixed mode uses the stored values for both directions.
-    The stabilization weights (alpha1/alpha2 on edges, the eight node
-    weights) default to zero and are exposed for experiments.
+    The other free weights of element2d's family (alpha1/alpha2 on
+    edges, the eight node weights) are zero, as in the paper's choice
+    of test functions: no setting of them raised the SSPRK3 limit in
+    every direction, and some made the scheme unstable (README, "Notes
+    on stability").
     """
 
     mode: str = "adaptive"
     alpha3: float = 0.0
     beta: float = 0.0
-    edge_alpha1: float = 0.0
-    edge_alpha2: float = 0.0
-    node_alphas: tuple = (0.0,) * 8
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed"):
             raise ValueError(f"unknown upwind mode {self.mode!r}")
-        if abs(self.alpha3) > 1.0:
+        # a NaN fails these too
+        if not abs(self.alpha3) <= 1.0:
             raise ValueError("alpha3 must lie in [-1, 1]")
-        if abs(self.beta) > 0.5:
+        if not abs(self.beta) <= 0.5:
             raise ValueError("beta must lie in [-1/2, 1/2]")
-        if len(self.node_alphas) != 8:
-            raise ValueError("node_alphas must hold 8 values")
-        # a tuple keeps the policy hashable, as the rhs_2d tap cache needs
-        object.__setattr__(self, "node_alphas", tuple(self.node_alphas))
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +258,8 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     j = (g, o) of W[f, j] times field g at cell i + o (periodic, every
     offset in {-1, 0, 1}^2).  Fields are ordered averages, edge_x,
     edge_y, nodes; their tables are the cell indicator (the average's
-    test function) and the edge and node pairing tables.  Dof (r, s) of
+    test function) and the edge and node pairing tables, whose weights
+    are all zero but alpha3 and beta (see Upwind2D).  Dof (r, s) of
     the support cell at offset o weighs -pair_row(row, ax/dx d_xi b +
     ay/dy d_eta b), b its basis function and row the table's row at o,
     and is stored where ``grid._dof_source_2d`` says, shifted by o.
@@ -273,12 +271,11 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     else:
         a3x = a3y = upwind.alpha3
         beta_x = beta_y = Fraction(upwind.beta)
-    edge = (upwind.edge_alpha1, upwind.edge_alpha2)
     tables = (
         {(0, 0): {(0, 0): Fraction(1)}},
-        edge_pairing_table((*edge, a3x)),
-        _transpose_table(edge_pairing_table((*edge, a3y))),
-        node_pairing_table((*upwind.node_alphas, 2 * beta_y, beta_x / 2, beta_x / 2)),
+        edge_pairing_table((0, 0, a3x)),
+        _transpose_table(edge_pairing_table((0, 0, a3y))),
+        node_pairing_table((0,) * 8 + (2 * beta_y, beta_x / 2, beta_x / 2)),
     )
     cx, cy = Fraction(ax) / Fraction(dx), Fraction(ay) / Fraction(dy)
     basis = build_element_2d().basis
@@ -307,10 +304,7 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
 TILE_BYTES = 512 * 1024
 
 
-# (key, tile, copy plan) of the last _apply_blocks_2d call
-_blocks_2d_last = None
-
-
+@lru_cache(maxsize=1)
 def _scratch_2d(nx, ny, rows, columns):
     """The (#columns, rows, ny) tile of ``_apply_blocks_2d`` and its copy
     plan, one (first row, rows, ``grid._shifted_copies``) per tile, kept
@@ -319,13 +313,9 @@ def _scratch_2d(nx, ny, rows, columns):
     every call and never returned, so one shared by every caller in the
     process is safe.
     """
-    global _blocks_2d_last
-    key = (nx, ny, rows, columns)
-    if _blocks_2d_last is None or _blocks_2d_last[0] != key:
-        tiles = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
-        _blocks_2d_last = (key, np.empty((len(columns), rows, ny)),
-                           [(i, t, _shifted_copies(nx, ny, i, t, columns)) for i, t in tiles])
-    return _blocks_2d_last[1:]
+    tiles = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
+    return (np.empty((len(columns), rows, ny)),
+            [(i, t, _shifted_copies(nx, ny, i, t, columns)) for i, t in tiles])
 
 
 def _apply_blocks_2d(data, columns, weights, out=None):

@@ -216,8 +216,9 @@ def test_criterion_6_2d_derivative_oracles():
     Every output entry of rhs_2d must equal the quadrature oracle: minus
     the exact pairing of the solved test pieces (the cell indicator for
     the average, the edge and node pieces) with ax d/dx + ay d/dy of the
-    reconstruction.  The free weights are drawn through Upwind2D in fixed
-    mode, which ties the node weights to beta as the runtime does.
+    reconstruction.  alpha3 and beta are drawn through Upwind2D in fixed
+    mode, which ties the node weights to beta as the runtime does; the
+    family's other free weights are zero there.
     """
     rng = np.random.default_rng(99)
     nx = ny = 4
@@ -227,19 +228,13 @@ def test_criterion_6_2d_derivative_oracles():
     worst = 0.0
     for ax, ay in ((1.0, 0.0), (0.0, 1.0), tuple(rng.uniform(-1.5, 1.5, 2))):
         st = State2D(*rng.standard_normal((4, nx, ny)))
-        upwind = Upwind2D(
-            "fixed",
-            alpha3=rng.uniform(-1, 1),
-            beta=rng.uniform(-0.5, 0.5),
-            edge_alpha1=rng.uniform(-1, 1),
-            edge_alpha2=rng.uniform(-1, 1),
-            node_alphas=tuple(rng.uniform(-0.5, 0.5, 8)),
-        )
+        upwind = Upwind2D("fixed", alpha3=rng.uniform(-1, 1), beta=rng.uniform(-0.5, 0.5))
         got = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
 
-        edge = (upwind.edge_alpha1, upwind.edge_alpha2, upwind.alpha3)
+        # the family's other free weights are zero
+        edge = (0, 0, upwind.alpha3)
         beta = Fraction(upwind.beta)
-        node = (*upwind.node_alphas, 2 * beta, beta / 2, beta / 2)
+        node = (0,) * 8 + (2 * beta, beta / 2, beta / 2)
         pieces = (
             {(0, 0): Poly([[1]])},
             build_edge_test(edge, "x").pieces,
@@ -463,8 +458,7 @@ def _oracle_1d(cfg):
 
 def _oracle_2d(cfg):
     grid = Grid2D(cfg.grid_nx, cfg.grid_ny)
-    upwind = Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta,
-                      cfg.upwind_edge_alpha1, cfg.upwind_edge_alpha2, cfg.upwind_node_alphas)
+    upwind = Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta)
     columns, weights = _compile_taps_2d(grid.dx, grid.dy, cfg.model_ax, cfg.model_ay, upwind)
     tx = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
     ty = 2.0 * np.pi * np.arange(grid.ny) / grid.ny
@@ -506,9 +500,8 @@ def test_criterion_10_fourier_oracle_linear_runs():
     cases["2-d a=(0.8,-0.6) rk4"] = (plane + "model.ax=0.8\nmodel.ay=-0.6\ntime.scheme=rk4\n"
                                      "time.dt=0.012\ntime.t_end=0.3\n")
     cases["2-d fixed weights rk4"] = (plane + "upwind.mode=fixed\nupwind.alpha3=0.6\n"
-                                      "upwind.beta=0.3\nupwind.node_alphas=-0.1,-0.1,-0.1,"
-                                      "-0.1,-0.1,-0.1,-0.1,-0.1\ntime.scheme=rk4\n"
-                                      "time.dt=0.01\ntime.t_end=0.2\n")
+                                      "upwind.beta=0.3\ntime.scheme=rk4\ntime.dt=0.01\n"
+                                      "time.t_end=0.2\n")
     worst = {}
     for name, text in cases.items():
         cfg = parse_config(gaussian + text)

@@ -60,7 +60,9 @@ class TestConfig:
             "time.scheme=ab3",
             "time.t_end=-1",
             "model.point_update=exact",  # not burgers
+            # the 2-d stabilization weights are fixed at zero: unknown keys
             "upwind.node_alphas=1,2,3",
+            "upwind.node_alphas=0,0,0,0,0,0,0,nan",
             "model.name=burgers\nmodel.point_update=exact\nk=3",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed",
             "model.name=linear_system\nmodel.matrix=0.8",  # one field: use advection
@@ -83,7 +85,6 @@ class TestConfig:
             "time.dt=1e-300",
             # ran on time.cfl while summary.txt echoed the negative dt
             "time.dt=-0.5",
-            "upwind.node_alphas=0,0,0,0,0,0,0,nan",
             "model.name=linear_system\nmodel.matrix=0,1;-inf,0",
         ],
     )
@@ -115,7 +116,8 @@ class TestConfig:
             parse_config("model.name=linear_system\nmodel.matrix=0,1,2;1,0")
 
     def test_roundtrip(self):
-        for given in (BASE_CFG, "dimension=2\nupwind.node_alphas=0.1,0,0,0,0,0,0,-0.2\n"):
+        for given in (BASE_CFG, "dimension=2\nupwind.mode=fixed\nupwind.alpha3=0.5\n",
+                      "model.name=linear_system\nmodel.matrix=0,1;1,-0.5\n"):
             cfg = parse_config(given)
             text = serialize_config(cfg)
             assert parse_config(text) == cfg
@@ -244,7 +246,6 @@ class TestCli:
             ("model.name=burgers\nmodel.ax=3\n", "model.ax"),
             ("model.name=burgers\nupwind.alpha3=0.5\n", "upwind.alpha3"),
             ("grid.ny=30\n", "grid.ny"),
-            ("upwind.node_alphas=0,0,0,0,0,0,0,0.1\n", "upwind.node_alphas"),
             ("model.name=burgers\nmodel.a=2\n", "model.a"),
             ("model.matrix=1,2;3,4\n", "model.matrix"),
             ("ic.name=gaussian\nic.cycles=2\n", "ic.cycles"),
@@ -272,7 +273,6 @@ class TestCli:
             "model.name=burgers\nmodel.ax=1\nupwind.alpha3=0.0\nic.cycles=1\n",
             "upwind.mode=fixed\nupwind.alpha=0.3\n",
             "dimension=2\nupwind.mode=fixed\nupwind.alpha3=0.3\nupwind.beta=0.2\n",
-            "dimension=2\nupwind.edge_alpha1=-0.1\nupwind.node_alphas=0,0,0,0,0,0,0,-0.1\n",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nic.name=gaussian\nic.width=0.2\n",
             "ic.name=linear\nic.slope=2\nic.offset=1\n",
             "time.dt=0.01\ntime.cfl=0.2\n",
@@ -280,6 +280,18 @@ class TestCli:
     )
     def test_read_keys_and_unread_defaults_accepted(self, text):
         parse_config(text)
+
+    @pytest.mark.parametrize("line", ["upwind.edge_alpha1=0.0", "upwind.edge_alpha2=0.1",
+                                      "upwind.node_alphas=0,0,0,0,0,0,0,-0.1"])
+    def test_deleted_stabilization_keys_exit_two(self, tmp_path, capsys, line):
+        # the 2-d stabilization weights are fixed at zero: no key sets them
+        cfg = self.write(tmp_path, f"dimension=2\nupwind.mode=fixed\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        key = line.split("=", 1)[0]
+        assert err == [f"config error: line 3: unknown key {key!r}"]
+        assert not out.exists()
 
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = self.write(tmp_path, BASE_CFG)

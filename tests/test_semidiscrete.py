@@ -1,5 +1,6 @@
 """RHS assembly tests: closed forms, quadrature oracles, conservation."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -82,6 +83,10 @@ class TestChooseAlpha:
 
 
 class TestUpwindConfigs:
+    def test_2d_policy_fields(self):
+        # the family's other free weights are fixed at zero, not settable
+        assert [f.name for f in dataclasses.fields(Upwind2D)] == ["mode", "alpha3", "beta"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Upwind1D("sideways")
@@ -89,8 +94,12 @@ class TestUpwindConfigs:
             Upwind1D("fixed", 1.5)
         with pytest.raises(ValueError):
             Upwind2D("fixed", beta=0.75)
-        with pytest.raises(ValueError):
-            Upwind2D(node_alphas=(0.0,) * 5)
+        # a NaN compares False with any bound, so the range checks must still refuse it
+        for bad in (lambda: Upwind1D("fixed", float("nan")),
+                    lambda: Upwind2D("fixed", alpha3=float("nan")),
+                    lambda: Upwind2D("fixed", beta=float("nan"))):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestRhs1D:
@@ -494,28 +503,20 @@ def pieces_2d(ax, ay, upwind):
     else:
         a3x = a3y = Fraction(upwind.alpha3)
         beta_x = beta_y = Fraction(upwind.beta)
-    edge_alphas = (Fraction(upwind.edge_alpha1), Fraction(upwind.edge_alpha2))
-    node_alphas = tuple(Fraction(a) for a in upwind.node_alphas) + (2 * beta_y, beta_x / 2, beta_x / 2)
+    # the other free weights of the family are zero (see Upwind2D)
     return (
         {(0, 0): Poly([[1]])},  # the average's test function: the cell indicator
-        build_edge_test((*edge_alphas, a3x), "x").pieces,
-        build_edge_test((*edge_alphas, a3y), "y").pieces,
-        build_node_test(node_alphas).pieces,
+        build_edge_test((0, 0, a3x), "x").pieces,
+        build_edge_test((0, 0, a3y), "y").pieces,
+        build_node_test((0,) * 8 + (2 * beta_y, beta_x / 2, beta_x / 2)).pieces,
     )
 
 
-STABILIZED_2D = Upwind2D(
-    "fixed",
-    alpha3=0.5,
-    beta=-0.25,
-    edge_alpha1=0.2,
-    edge_alpha2=-0.3,
-    node_alphas=(0.1, -0.2, 0.05, 0.15, -0.1, 0.2, -0.05, 0.1),
-)
+FIXED_2D = Upwind2D("fixed", alpha3=0.5, beta=-0.25)
 
 CASES_2D = [
-    pytest.param(4, 4, 0.8, -0.6, STABILIZED_2D, id="fixed-4x4"),
-    pytest.param(5, 4, 0.8, -0.6, STABILIZED_2D, id="fixed-5x4"),
+    pytest.param(4, 4, 0.8, -0.6, FIXED_2D, id="fixed-4x4"),
+    pytest.param(5, 4, 0.8, -0.6, FIXED_2D, id="fixed-5x4"),
     pytest.param(5, 4, 0.8, -0.6, Upwind2D("adaptive"), id="adaptive-5x4-a(0.8,-0.6)"),
     pytest.param(5, 4, -0.7, 1.1, Upwind2D("adaptive"), id="adaptive-5x4-a(-0.7,1.1)"),
     pytest.param(5, 4, 1.0, 0.0, Upwind2D("adaptive"), id="adaptive-5x4-a(1,0)"),
@@ -714,7 +715,7 @@ class TestBlockApply2D:
         "ax, ay, upwind",
         [
             pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
-            pytest.param(0.8, -0.6, STABILIZED_2D, id="fixed-stabilized"),
+            pytest.param(0.8, -0.6, FIXED_2D, id="fixed"),
         ],
     )
     @pytest.mark.parametrize(
@@ -822,7 +823,7 @@ class TestWrapEdges:
         "ax, ay, upwind",
         [
             pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
-            pytest.param(0.8, -0.6, STABILIZED_2D, id="fixed-stabilized"),
+            pytest.param(0.8, -0.6, FIXED_2D, id="fixed"),
         ],
     )
     @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 11), (11, 3)])
@@ -830,25 +831,29 @@ class TestWrapEdges:
     def test_small_grids_match_rolled_reference(self, monkeypatch, rows, nx, ny, ax, ay, upwind):
         g = Grid2D(nx, ny)
         columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
-        if upwind is STABILIZED_2D:  # it reads every offset of {-1, 0, 1}^2
-            assert {o for _, o in columns} == {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
+        if upwind is FIXED_2D:  # it reads offsets -1 and +1 along both axes
+            assert len(columns) == 21
+            for axis in (0, 1):
+                assert {o[axis] for _, o in columns} == {-1, 0, 1}
         monkeypatch.setattr(semidiscrete, "TILE_BYTES", rows * len(columns) * ny * 8)
         st = random_state_2d(np.random.default_rng(36), nx, ny)
         r = rhs_2d(st, g, build_element_2d(), advection2d(ax, ay), upwind)
-        assert [t for _, t, _ in semidiscrete._blocks_2d_last[2]] == [
-            min(rows, nx - i) for i in range(0, nx, rows)]
+        hits = semidiscrete._scratch_2d.cache_info().hits
+        _, plan = semidiscrete._scratch_2d(nx, ny, min(rows, nx), columns)
+        assert semidiscrete._scratch_2d.cache_info().hits == hits + 1  # the plan rhs_2d used
+        assert [t for _, t, _ in plan] == [min(rows, nx - i) for i in range(0, nx, rows)]
         ref = rolled_reference(st.data, columns, weights)
         assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_cold_rhs_2d_holds_only_its_tile(monkeypatch):
+def test_cold_rhs_2d_holds_only_its_tile():
     # with out=, a cold call at 160^2 allocates the tile and nothing
     # state-sized: a copy of the state (800 KB) does not fit the 64 KiB slack
     g, up, el = Grid2D(160, 160), Upwind2D("adaptive"), build_element_2d()
     st = random_state_2d(np.random.default_rng(37), 160, 160)
     out = np.empty_like(st.data)
-    _compile_taps_2d(g.dx, g.dy, 1.0, 1.0, up)  # the exact taps are a cache, not scratch
-    monkeypatch.setattr(semidiscrete, "_blocks_2d_last", None)
+    columns, _ = _compile_taps_2d(g.dx, g.dy, 1.0, 1.0, up)  # a cache, not scratch
+    semidiscrete._scratch_2d.cache_clear()
     tracemalloc.start()
     try:
         rhs_2d(st, g, el, advection2d(1.0, 1.0), up, out=out)
@@ -856,5 +861,7 @@ def test_cold_rhs_2d_holds_only_its_tile(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= semidiscrete.TILE_BYTES + 64 * 1024
-    kept = [a for a in semidiscrete._blocks_2d_last if isinstance(a, np.ndarray)]
+    kept = semidiscrete._scratch_2d(160, 160, tile_rows(columns, 160), columns)
+    assert semidiscrete._scratch_2d.cache_info()[:2] == (1, 1)  # (hits, misses): the call's own
+    kept = [a for a in kept if isinstance(a, np.ndarray)]
     assert kept and sum(a.nbytes for a in kept) <= semidiscrete.TILE_BYTES
