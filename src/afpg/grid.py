@@ -23,12 +23,14 @@ dimensions.  All index arithmetic is modulo the grid size.
 
 Projection and error norms sample and integrate by blocks of whole
 cells along the first grid axis, each holding at most ``BLOCK_BYTES``
-of Gauss-point values per component, so their memory does not grow
-with the grid.  A 1-d block is a multiple of 64 cells: the 1-d sums go
-through BLAS, whose order for a row of a matrix product depends on the
-row's place, and blocks of 64 cells leave every row where it was, so
-the results are bit for bit those of one block.  The 2-d sums are
-``einsum`` loops, the same at any number of rows per block.
+of Gauss-point values per component, and the norms gather the dofs of
+one block at a time, so beyond the state and one value per cell and
+norm their memory does not grow with the grid.  A 1-d block is a
+multiple of 64 cells: the 1-d sums go through BLAS, whose order for a
+row of a matrix product depends on the row's place, and blocks of 64
+cells leave every row where it was, so the results are bit for bit
+those of one block.  The 2-d sums are ``einsum`` loops, the same at
+any number of rows per block.
 """
 
 from __future__ import annotations
@@ -63,9 +65,17 @@ _PROJECT_RULE_MARGIN = 6
 # Gauss points per axis used for error norms.
 _NORM_RULE_MARGIN = 2
 # Byte budget of the Gauss-point values (per component) that projection
-# and error norms hold at once.  Sampling a whole 160^2 grid at once took
-# 13 MB per temporary; 1 MiB blocks were no slower at 320^2.
-BLOCK_BYTES = 1 << 20
+# and error norms hold at once; each holds three or four such arrays (the
+# samples, the reconstruction, the exact values' temporaries).  Sampling a
+# whole 160^2 grid at once took 13 MB per temporary.  Sweep, one process
+# calling every budget in turn, 25 rounds, median ms at 64 KiB / 256 KiB
+# / 1 MiB, 2-CPU host: 160^2 projection 43 / 33 / 35 and norms 19 / 14 /
+# 15; 320^2 projection 140 / 149 / 121 and norms 114 / 70 / 62; 1-d K=4
+# at n=10240 projection 3.8 / 2.9 / 2.9 and norms 4.0 / 3.4 / 3.3.  At
+# 160^2 the tracemalloc peak of a norms call is 1.4 MB at 256 KiB and 3.6
+# MB at 1 MiB.  256 KiB is the smallest budget as fast as 1 MiB at 160^2
+# and in 1-d; at 320^2 it costs about 20%.
+BLOCK_BYTES = 1 << 18
 # Lines formatted and handed to one write.  The formatter's numpy calls
 # cost the same per block whatever its size, so larger blocks are faster,
 # while its arrays hold about 180 B per line (tracemalloc).  1-d K=4 at
@@ -227,13 +237,15 @@ def _gauss_basis_2d(n: int) -> np.ndarray:
                      for p in build_element_2d().basis_ordered()])
 
 
-def _dof_gather_1d(state: State1D) -> np.ndarray:
-    """(K+1, N[, m]): each cell's dofs in the element1d dof order, the left
-    neighbour's interface value first."""
+def _dof_gather_1d(state: State1D, block: slice = slice(None)) -> np.ndarray:
+    """(K+1, cells[, m]): the dofs of each cell of ``block`` (a slice of the
+    cells, all of them by default) in the element1d dof order, the left
+    neighbour's interface value first (cell 0's from cell N-1)."""
     data = state.data
-    dofs = np.empty((len(data) + 1,) + data.shape[1:])
-    dofs[1:] = data
-    dofs[0, 1:], dofs[0, 0] = data[-1, :-1], data[-1, -1]
+    i, j, _ = block.indices(data.shape[1])
+    dofs = np.empty((len(data) + 1, j - i) + data.shape[2:])
+    dofs[1:] = data[:, i:j]
+    dofs[0, 1:], dofs[0, 0] = data[-1, i:j - 1], data[-1, i - 1]
     return dofs
 
 
@@ -266,13 +278,16 @@ def _shifted_copies(nx, ny, i, t, columns):
     return copies
 
 
-def _dof_gather_2d(state: State2D) -> np.ndarray:
-    """(9, nx, ny): each cell's nine dofs in the element2d dof order, each
-    the field that ``_dof_source_2d`` names, shifted by its offset."""
+def _dof_gather_2d(state: State2D, block: slice = slice(None)) -> np.ndarray:
+    """(9, rows, ny): the nine dofs of each cell in the grid rows of
+    ``block`` (a slice of the rows, all of them by default) in the
+    element2d dof order, each the field that ``_dof_source_2d`` names,
+    shifted by its offset."""
     data = state.data
     _, nx, ny = data.shape
-    dofs = np.empty((len(DOF_IDS), nx, ny))
-    for dest, src in _shifted_copies(nx, ny, 0, nx, [_dof_source_2d(*d) for d in DOF_IDS]):
+    i, j, _ = block.indices(nx)
+    dofs = np.empty((len(DOF_IDS), j - i, ny))
+    for dest, src in _shifted_copies(nx, ny, i, j - i, [_dof_source_2d(*d) for d in DOF_IDS]):
         dofs[dest] = data[src]
     return dofs
 
@@ -283,12 +298,15 @@ class _Layout(NamedTuple):
     ``degree`` is the element degree where the dimension fixes it, and a
     block of cells is a multiple of ``block_cells``.  ``integrate(values,
     weights)`` sums values at (cells..., Gauss per axis...[, m]) against
-    one weight vector per axis; ``gather(state)`` stacks each cell's dofs
-    in the element's dof order, and ``at_gauss(dofs, n)`` is the
-    reconstruction of each cell of such a stack at its n-point Gauss
-    nodes, in that layout.  Their summation orders differ by dimension
-    and are part of the output: a run's CSV bytes follow the
-    projection's last bits.
+    one weight vector per axis; ``gather(state, block)`` stacks the dofs
+    of each cell of a block (a slice of the first axis) in the element's
+    dof order, and ``at_gauss(dofs, n)`` is the reconstruction of each
+    cell of such a stack at its n-point Gauss nodes, in that layout, as
+    a C-contiguous array: the norms subtract the exact values from it in
+    place, and the memory order of what ``integrate`` sums sets BLAS's
+    summation order.  Their summation orders differ by dimension and are
+    part of the output: a run's CSV bytes follow the projection's last
+    bits.
     """
 
     state: type
@@ -306,8 +324,8 @@ _LAYOUTS = {
         State1D, None, 64, lambda k: [(j, (j,)) for j in range(k - 1)], ((-1, (1,)),),
         lambda vals, ws: np.tensordot(vals, ws[0], axes=([1], [0])),
         _dof_gather_1d,
-        lambda dofs, n: np.moveaxis(np.tensordot(
-            _gauss_basis_1d(len(dofs) - 1, n), dofs, axes=([0], [0])), 0, 1)),
+        lambda dofs, n: np.ascontiguousarray(np.moveaxis(np.tensordot(
+            _gauss_basis_1d(len(dofs) - 1, n), dofs, axes=([0], [0])), 0, 1))),
     # cell-major products: Gauss-major ones were 3x slower at 160^2
     2: _Layout(
         State2D, 2, 1, lambda k: [(0, (0, 0))], ((1, (1, 0)), (2, (0, 1)), (3, (1, 1))),
@@ -408,11 +426,11 @@ def error_norms(state, grid, element, exact):
     layout = _LAYOUTS[len(axes)]
     rule = gauss_rule((layout.degree or state.k) + _NORM_RULE_MARGIN)
     xi, weights = rule.nodes_array, [rule.weights_array] * len(axes)
-    dofs = layout.gather(state)
     l1, l2 = np.empty(state.data.shape[1:]), np.empty(state.data.shape[1:])
     peaks = []
     for block in _blocks(layout, axes, len(xi)):
-        err = layout.at_gauss(dofs[:, block], len(xi)) - exact(*_gauss_coords(axes, xi, block))
+        err = layout.at_gauss(layout.gather(state, block), len(xi))
+        err -= exact(*_gauss_coords(axes, xi, block))
         np.abs(err, out=err)
         peaks.append(err.max())
         l1[block] = layout.integrate(err, weights)

@@ -160,14 +160,38 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
         ic = _vectorize_ic(ic, model.m) if model.m > 1 else ic
     else:
         element = build_element_2d()
-    try:
-        state = project_initial(grid, ic, element)
-    except ValueError as err:  # non-finite initial data
-        raise ConfigError(str(err)) from None
+    out = exact = None
+    mass_log = []
 
-    # one output buffer for every right-hand side: advance consumes each
-    # result before it asks for the next
-    out = np.empty_like(state.data)
+    def reference(*xs, t):
+        try:
+            return exact(*xs, t)
+        except ValueError as err:  # e.g. Burgers past the shock
+            raise ConfigError(f"no reference solution: {err}") from None
+
+    def initial_state():
+        """The projected state, checked before the first step; also sets
+        ``exact`` and ``out``, makes the output directory and logs the
+        initial mass.  It goes straight into ``advance``, so no name here
+        keeps it alive past step 1."""
+        nonlocal out, exact
+        try:
+            state = project_initial(grid, ic, element)
+        except ValueError as err:  # non-finite initial data
+            raise ConfigError(str(err)) from None
+        exact = model.exact_solution(ic, grid)
+        _check_cfl_steps(cfg, state, grid, model)
+        if exact is not None:  # refuse before the first step, at the grid's centres and interfaces
+            reference(*np.ix_(*(np.concatenate((c, f)) for c, f, _ in _axes(grid))),
+                      t=cfg.time_t_end)
+        if output_dir is not None:
+            os.makedirs(output_dir, exist_ok=True)
+        # one output buffer for every right-hand side: advance consumes
+        # each result before it asks for the next
+        out = np.empty_like(state.data)
+        mass_log.append((0.0, total_mass(state, grid)))
+        return state
+
     if cfg.dimension == 1:
 
         def rhs_fn(s):
@@ -177,20 +201,6 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
 
         def rhs_fn(s):
             return rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out)
-    exact = model.exact_solution(ic, grid)
-
-    def reference(*xs, t):
-        try:
-            return exact(*xs, t)
-        except ValueError as err:  # e.g. Burgers past the shock
-            raise ConfigError(f"no reference solution: {err}") from None
-
-    _check_cfl_steps(cfg, state, grid, model)
-    if exact is not None:  # refuse before the first step, at the grid's centres and interfaces
-        reference(*np.ix_(*(np.concatenate((c, f)) for c, f, _ in _axes(grid))), t=cfg.time_t_end)
-    if output_dir is not None:
-        os.makedirs(output_dir, exist_ok=True)
-    mass_log = [(0.0, total_mass(state, grid))]
     cadence = cfg.output_snapshot_every
 
     def on_step(s, t, nstep):
@@ -199,7 +209,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
             if output_dir is not None:
                 write_state_csv(s, grid, os.path.join(output_dir, f"state_{nstep:06d}.csv"))
 
-    state, t, steps = advance(state, grid, model, rhs_fn, cfg.time_t_end,
+    state, t, steps = advance(initial_state(), grid, model, rhs_fn, cfg.time_t_end,
                               integrator, on_step=on_step)
     mass_log.append((t, total_mass(state, grid)))
     norms = None if exact is None else error_norms(state, grid, element,

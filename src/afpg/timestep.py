@@ -9,13 +9,18 @@ its weighted sum as it arrives, so one k is live at a time.
 
 Without a workspace ``step`` allocates its buffers on every call and
 the result is a fresh buffer.  ``advance`` hands every step of a call
-the same workspace instead: the stage buffers and two result buffers,
-allocated by the first step.  Each step writes into the result buffer
-that is not its input, so a time loop allocates no new state buffer
-and the state of step n stays intact through step n + 1.  Either
-way the result is never the input, a stage state handed to ``rhs_fn``
-or an array ``rhs_fn`` returned, so ``rhs_fn`` may return the same
-buffer every time, as the harness's do.
+the same workspace instead: the stage buffers and two result buffers.
+The first step allocates the stage buffers and one result buffer; the
+second result buffer comes at step 2, the first step whose input is a
+result.  Each step writes into the result buffer that is not its
+input, so a time loop allocates no new state buffer after step 2 and
+the state of step n stays intact through step n + 1.  ``advance``
+keeps no reference to its initial state past step 1, so a caller that
+keeps none either (the harness) frees that buffer before the second
+result buffer is allocated, and the loop holds one state-sized buffer
+fewer.  Either way the result is never the input, a stage state
+handed to ``rhs_fn`` or an array ``rhs_fn`` returned, so ``rhs_fn``
+may return the same buffer every time, as the harness's do.
 
 Every stage is tested for finiteness once, right after it is formed;
 ``advance`` also tests its initial state.  Every state handed to
@@ -86,17 +91,23 @@ def _stage(out, u, c, k, stage):
 
 def _buffers(work, u, dtype, count):
     """``count`` buffers like ``u``, the last for the result: fresh ones, or
-    from the workspace ``work`` (a list, filled on first use with the
-    stage buffers and two result buffers) the stage buffers and the
-    result buffer that is not ``u``."""
+    from the workspace ``work`` (a list: the stage buffers and two result
+    slots) the stage buffers and the result buffer that is not ``u``.
+    The first use fills the stage buffers and the first result slot; the
+    second result buffer is allocated when the first becomes ``u``."""
     if work is None:
         return [np.empty_like(u, dtype=dtype) for _ in range(count)]
     if not work:
-        work.extend(np.empty_like(u, dtype=dtype) for _ in range(count + 1))
+        work.extend(np.empty_like(u, dtype=dtype) for _ in range(count))
+        work.append(None)
     *stages, first, second = work
     if len(stages) != count - 1 or first.shape != u.shape or first.dtype != dtype:
         raise ValueError("the workspace belongs to another scheme, shape or dtype")
-    return [*stages, second if first is u else first]
+    if first is not u:
+        return [*stages, first]
+    if second is None:
+        second = work[-1] = np.empty_like(u, dtype=dtype)
+    return [*stages, second]
 
 
 def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
@@ -179,7 +190,10 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
 
     ``on_step(state, t, n)`` is invoked after every accepted step.  The
     steps share one workspace (see the module docstring), so the state
-    handed to ``on_step`` is valid until the next step.  A
+    handed to ``on_step`` is valid until the next step.  No reference
+    to ``state`` is kept past step 1, and the workspace's second result
+    buffer is allocated at step 2, so a caller that hands over its only
+    reference has the initial buffer freed first.  A
     non-finite initial state raises ValueError.  A step whose state
     exceeds BLOWUP_FACTOR times max(initial max-norm, 1) in absolute
     value raises BlowUpError with its index.

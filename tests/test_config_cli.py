@@ -4,6 +4,7 @@ import csv
 import hashlib
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,27 @@ class TestHarness:
         projected = project_initial(build_grid(cfg), build_ic(cfg), build_element(2))
         assert np.array_equal(result.state.points, projected.points)
         assert np.array_equal(result.state.moments, projected.moments)
+
+    def test_projected_state_is_freed_after_step_1(self, monkeypatch):
+        # run_simulation hands the projected state to advance and keeps no
+        # name for it, so its buffer is gone once step 1 has a result
+        refs, alive = [], []
+        project, mass = harness.project_initial, harness.total_mass
+
+        def recording_project(*args):
+            state = project(*args)
+            refs.append(weakref.ref(state.data))
+            return state
+
+        def recording_mass(state, grid):
+            alive.append(refs[0]() is not None)
+            return mass(state, grid)
+
+        monkeypatch.setattr(harness, "project_initial", recording_project)
+        monkeypatch.setattr(harness, "total_mass", recording_mass)
+        result = run_simulation(parse_config(BASE_CFG + "output.snapshot_every=1\n"))
+        assert result.steps >= 2
+        assert alive == [True] + [False] * (result.steps + 1)
 
     def test_outputs_written_and_deterministic(self, tmp_path):
         cfg = parse_config(BASE_CFG + "output.snapshot_every=10\n")

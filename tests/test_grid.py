@@ -263,17 +263,31 @@ class TestBlocks:
         blocks = grid_module._blocks(grid_module._LAYOUTS[1], axes, 10)
         assert [b.start for b in blocks] == [0, 192, 384, 576, 768, 960]
 
-    def test_2d_projection_memory_is_bounded(self):
-        # one 160^2 sample of the 8 x 8 Gauss points took 13 MB per temporary
-        g, ic = Grid2D(160, 160), Sine2DIC(0.1, 1.0)
-        project_initial(g, ic)
+    @staticmethod
+    def warm_peak(call):
+        call()
         tracemalloc.start()
         try:
-            project_initial(g, ic)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+
+    def test_2d_projection_memory_is_bounded(self):
+        # one 160^2 sample of the 8 x 8 Gauss points took 13 MB per
+        # temporary; now the (4, 160, 160) state and a few blocks
+        g, ic = Grid2D(160, 160), Sine2DIC(0.1, 1.0)
+        peak = self.warm_peak(lambda: project_initial(g, ic))
+        assert peak < 4 * 160 * 160 * 8 + 5 * grid_module.BLOCK_BYTES
+
+    def test_2d_norms_memory_is_bounded(self):
+        # a few blocks and the (nx, ny) per-cell l1 and l2 arrays: the
+        # whole (9, 160, 160) dof gather alone took 1.84 MB
+        g, ic = Grid2D(160, 160), Sine2DIC(0.1, 1.0)
+        st = project_initial(g, ic)
+        moved = advection2d(1.0, 1.0).exact_solution(ic, g)
+        peak = self.warm_peak(lambda: error_norms(st, g, None, lambda x, y: moved(x, y, 0.5)))
+        assert peak < 2 * 160 * 160 * 8 + 5 * grid_module.BLOCK_BYTES
 
 
 class TestStateArithmetic:

@@ -20,7 +20,8 @@ from afpg.element2d import (
     build_node_test,
     reconstruct2d,
 )
-from afpg.grid import Grid1D, Grid2D, State1D, State2D, _dof_gather_2d, project_initial
+from afpg.grid import (Grid1D, Grid2D, State1D, State2D, _dof_gather_1d, _dof_gather_2d,
+                       project_initial)
 from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg import semidiscrete
 from afpg.poly import Poly, inner
@@ -545,6 +546,43 @@ class TestDofGather2D:
         ref = np.stack([np.roll(st.data[f], (-ox, -oy), axis=(0, 1))
                         for f, (ox, oy) in map(DOF_STORAGE_2D.get, DOF_IDS)])
         assert _dof_gather_2d(st).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("nx, ny, rows", [
+        (11, 3, slice(0, 4)),  # touches row 0: wraps to row nx - 1
+        (11, 3, slice(4, 8)),
+        (11, 3, slice(8, 12)),  # partial, touches row nx - 1: wraps to row 0
+        (11, 3, slice(10, 11)),
+        (3, 11, slice(0, 3)),
+        (5, 4, slice(0, 1)),
+    ])
+    def test_block_gather_is_rows_of_the_whole(self, nx, ny, rows):
+        # a block of grid rows gathers, bit for bit, those rows of the
+        # rolled fields (and so of the whole-grid gather)
+        st = random_state_2d(np.random.default_rng(36), nx, ny)
+        ref = np.stack([np.roll(st.data[f], (-ox, -oy), axis=(0, 1))
+                        for f, (ox, oy) in map(DOF_STORAGE_2D.get, DOF_IDS)])
+        block = _dof_gather_2d(st, rows)
+        assert block.shape == (len(DOF_IDS), len(range(nx)[rows]), ny)
+        assert block.tobytes() == ref[:, rows].tobytes()
+        assert block.tobytes() == _dof_gather_2d(st)[:, rows].tobytes()
+
+
+class TestDofGather1D:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_block_gather_is_cells_of_the_whole(self, k, m):
+        # the whole gather is the left neighbours' interface values over
+        # the state's K rows; a block of cells (the first, a middle one
+        # and a partial last one) gathers those cells of it, bit for bit
+        n = 1000
+        st = random_state_1d(np.random.default_rng(40 + k), n, k, 0 if m == 1 else m)
+        whole = _dof_gather_1d(st)
+        ref = np.concatenate([np.roll(st.data[-1:], 1, axis=1), st.data])
+        assert whole.tobytes() == ref.tobytes()
+        for cells in (slice(0, 192), slice(384, 576), slice(960, 1152)):
+            block = _dof_gather_1d(st, cells)
+            assert block.shape == (k + 1, len(range(n)[cells])) + st.data.shape[2:]
+            assert block.tobytes() == whole[:, cells].tobytes()
 
 
 class TestRhs2D:

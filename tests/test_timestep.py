@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import afpg
 from afpg.element1d import build_element
 from afpg.element2d import build_element_2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial, total_mass
-from afpg.models import SineIC, advection1d, advection2d, burgers1d, linear_system1d
+from afpg.models import Sine2DIC, SineIC, advection1d, advection2d, burgers1d, linear_system1d
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
 from afpg.timestep import (
     BLOWUP_FACTOR,
@@ -201,6 +203,46 @@ class TestWorkspace:
             step(u, 0.0, dt, rhs_fn, "ssprk3", work=work)
         with pytest.raises(ValueError, match="workspace"):
             step(u[:-1], 0.0, dt, rhs_fn, "rk4", work=work)
+
+    def test_second_result_buffer_comes_at_step_2(self):
+        u, dt, rhs_fn = _problem("array")
+        work = []
+        first = step(u, 0.0, dt, rhs_fn, "ssprk3", work=work)
+        assert len(work) == 3 and work[1] is first and work[2] is None
+        second = step(first, 0.0, dt, rhs_fn, "ssprk3", work=work)
+        assert work[2] is second and step(second, 0.0, dt, rhs_fn, "ssprk3", work=work) is first
+
+    def test_time_loop_frees_an_unreferenced_initial_state(self):
+        # advance keeps no reference to its input past step 1 and allocates
+        # the second result buffer at step 2, so from the moment the initial
+        # state exists a 160^2 SSPRK3 loop holds three state-sized buffers
+        # (the initial state or a result, one stage, one result), not four
+        n = 160
+        grid, element = Grid2D(n, n), build_element_2d()
+        model, upwind = advection2d(1.0, 1.0), Upwind2D("adaptive")
+        ic = Sine2DIC(0.1, 1.0)
+        out = np.empty((4, n, n))
+        rhs_2d(project_initial(grid, ic), grid, element, model, upwind, out=out)  # its tile
+        refs, freed = [], []
+
+        def initial_state():
+            state = project_initial(grid, ic)
+            refs.append(weakref.ref(state.data))
+            tracemalloc.reset_peak()
+            return state
+
+        dt = 0.2 / n
+        tracemalloc.start()
+        try:
+            advance(initial_state(), grid, model,
+                    lambda s: rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out),
+                    3 * dt, TimeIntegrator("ssprk3", dt=dt),
+                    on_step=lambda s, t, i: freed.append(refs[0]() is None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert freed == [True, True, True]
+        assert peak < 3.5 * out.nbytes
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux minor page faults")
