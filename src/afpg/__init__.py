@@ -4,8 +4,12 @@ The scheme evolves cell averages (and higher moments) together with
 point values shared at cell interfaces, giving a globally continuous
 reconstruction.  The update equations come from a Petrov-Galerkin
 formulation whose test functions are biorthogonal to the basis, so the
-mass matrix is the identity; discontinuities of the test functions at
-interfaces carry a free upwind weight per interface.
+mass matrix is the identity.  The test functions, discontinuous at
+interfaces, carry a free upwind weight at each interface; the runtime
+runs the one member whose weights follow the sign of the wave speed,
+and ``build_point_test``, ``build_edge_test`` and ``build_node_test``
+(``afpg dump-element --alpha``, ``afpg dump-element-2d --alphas``)
+still build any member of the family.
 """
 
 from afpg.element1d import (

@@ -87,9 +87,6 @@ class RunConfig:
     ic_offset: float = 0.0
     ic_value: float = 1.0
     upwind_mode: str = "adaptive"
-    upwind_alpha: float = 0.0
-    upwind_alpha3: float = 0.0
-    upwind_beta: float = 0.0
     time_scheme: str = "ssprk3"
     time_cfl: float = 0.2
     time_dt: float = 0.0
@@ -116,7 +113,9 @@ _CHOICES = {
     "model_name": ("advection", "burgers", "linear_system"),
     "model_point_update": ("split", "exact"),
     "ic_name": ("sine", "gaussian", "linear", "constant"),
-    "upwind_mode": ("adaptive", "fixed"),
+    # one value: every interface weight follows the sign of the wave
+    # speed; the key stays so that configs which name it still parse
+    "upwind_mode": ("adaptive",),
     "time_scheme": SCHEMES,
 }
 
@@ -126,9 +125,8 @@ _CHOICES = {
 # default is accepted there.
 _READ_UNDER = {
     "dimension": {
-        1: ("grid_n", "model_a", "model_matrix", "model_point_update", "upwind_alpha"),
-        2: ("grid_nx", "grid_ny", "grid_y_min", "grid_y_max", "model_ax", "model_ay",
-            "upwind_alpha3", "upwind_beta"),
+        1: ("grid_n", "model_a", "model_matrix", "model_point_update"),
+        2: ("grid_nx", "grid_ny", "grid_y_min", "grid_y_max", "model_ax", "model_ay"),
     },
     "model_name": {
         "advection": ("model_a", "model_ax", "model_ay"),
@@ -141,8 +139,6 @@ _READ_UNDER = {
         "linear": ("ic_slope", "ic_offset"),
         "constant": ("ic_value",),
     },
-    # adaptive weights follow the sign of the wave speed
-    "upwind_mode": {"fixed": ("upwind_alpha", "upwind_alpha3", "upwind_beta")},
 }
 
 
@@ -196,10 +192,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
             )
     if cfg.ic_name == "gaussian" and not cfg.ic_width > 0:
         raise ConfigError("ic.width must be > 0 for ic.name=gaussian")
-    if abs(cfg.upwind_alpha) > 1 or abs(cfg.upwind_alpha3) > 1:
-        raise ConfigError("upwind alpha weights must lie in [-1, 1]")
-    if abs(cfg.upwind_beta) > 0.5:
-        raise ConfigError("upwind.beta must lie in [-1/2, 1/2]")
     if cfg.time_dt < 0:
         raise ConfigError("time.dt must be >= 0 (0: use time.cfl)")
     if cfg.time_cfl <= 0 and cfg.time_dt <= 0:
@@ -226,8 +218,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.model_name == "burgers" and cfg.ic_name == "linear" and cfg.ic_slope != 0:
         raise ConfigError("model.name=burgers needs ic.slope=0 with ic.name=linear: the"
                           " periodic ramp jumps at the wrap, a shock or fan at t = 0")
-    if cfg.model_name == "linear_system" and cfg.upwind_mode == "fixed":
-        raise ConfigError("upwind.mode=fixed applies to scalar models only")
     _check_read(cfg)
     return cfg
 

@@ -1,10 +1,9 @@
 """Run driver shared by the command line and the test-suites.
 
-Builds grids, models, initial data and upwind settings from a
-RunConfig, integrates to the final time, writes CSV outputs and, when
-an exact solution is available, reports error norms.  The convergence
-study reruns a config over a list of resolutions and tabulates the
-experimental orders.
+Builds grids, models and initial data from a RunConfig, integrates to
+the final time, writes CSV outputs and, when an exact solution is
+available, reports error norms.  The convergence study reruns a config
+over a list of resolutions and tabulates the experimental orders.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "build_grid",
     "build_model",
     "build_ic",
-    "build_upwind",
     "build_integrator",
     "run_simulation",
     "convergence_study",
@@ -104,15 +102,6 @@ def build_ic(cfg: RunConfig):
     return _models.Constant2DIC(cfg.ic_value)
 
 
-def build_upwind(cfg: RunConfig):
-    try:
-        if cfg.dimension == 1:
-            return Upwind1D(cfg.upwind_mode, cfg.upwind_alpha)
-        return Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
 def build_integrator(cfg: RunConfig) -> TimeIntegrator:
     dt = cfg.time_dt if cfg.time_dt > 0 else None
     return TimeIntegrator(cfg.time_scheme, cfg.time_cfl, dt)
@@ -152,14 +141,13 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
     grid = build_grid(cfg, n=n)
     model = build_model(cfg)
     ic = build_ic(cfg)
-    upwind = build_upwind(cfg)
     integrator = build_integrator(cfg)
 
     if cfg.dimension == 1:
-        element = build_element(cfg.degree)
+        element, upwind = build_element(cfg.degree), Upwind1D()
         ic = _vectorize_ic(ic, model.m) if model.m > 1 else ic
     else:
-        element = build_element_2d()
+        element, upwind = build_element_2d(), Upwind2D()
     out = exact = None
     mass_log = []
 

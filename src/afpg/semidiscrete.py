@@ -24,22 +24,29 @@ values:
 - scalar models, linear (q_t + a q_x = 0) and Burgers (f = q^2/2):
   the moment rows times -a/dx, or for Burgers exact quadratic forms in
   the cell's dofs (``_burgers_forms``, the moments of (b_s b_t)'/2)
-  over -dx.  Each interface value blends two one-sided pairings by
-  (1+alpha)/2 (-c/dx) and (1-alpha)/2 (-c/dx), c the wave speed (a, or
-  the interface value for Burgers) and alpha = sgn(c) when adaptive or
-  the stored alpha when fixed.  The pairings are D+ and D- ("split"),
-  or for Burgers at K = 2 the forms' exact one-sided pairings with
-  q q' ("exact"), which carry the speed themselves (c = 1 there).
+  over -dx.  The interface values are the 1x1 case of the system
+  split: max(c, 0)/-dx on D+ and min(c, 0)/-dx on D- ("split"), c the
+  wave speed (a, or the interface value for Burgers), so every weight
+  follows the sign of c.  For Burgers at K = 2 the "exact" update
+  takes instead the forms' exact one-sided pairings with q q', which
+  carry the speed themselves, blended by (1 +- sgn q)/2 over -dx.
+
+The paper gives each interface test function a free weight alpha in
+[-1, 1] (alpha = +1 reads the left cell only); the runtime runs the
+member alpha = sgn(c) only, and ``afpg dump-element --alpha`` still
+builds any other member.
 
 In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
 indicator for the average, then the edge-x, edge-y and node tables of
 element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
 every basis function b of every support cell, by ``element2d.pair_row``,
-with each dof read where ``grid._dof_source_2d`` stores it.  The scheme
-is then an offset-block operator, compiled once per grid spacing,
-velocity and upwind setting: the distinct (source field, 2-d offset)
-columns that carry weight (9 for a = (1, 1) adaptive) and one
-(4, #columns) float matrix W.  ``rhs_2d`` applies it by tiles of grid
+with each dof read where ``grid._dof_source_2d`` stores it.  The edge
+and node weights follow the sign of the velocity per axis, as in 1-d;
+``afpg dump-element-2d --alphas`` still builds any member of the
+family.  The scheme is then an offset-block operator, compiled once per
+grid spacing and velocity: the distinct (source field, 2-d offset)
+columns that carry weight (9 for a = (1, 1)) and one (4, #columns)
+float matrix W.  ``rhs_2d`` applies it by tiles of grid
 rows: it copies each column's shifted rows straight from the state,
 wrapping at the periodic edges in the copies themselves
 (``grid._shifted_copies``), into a small buffer of ``TILE_BYTES``, and
@@ -82,44 +89,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Upwind1D:
-    """Interface upwinding policy: sign-adaptive, or a fixed alpha."""
+    """Upwind policy of rhs_1d.  Its one mode, "adaptive", sets every
+    interface weight by the sign of the wave speed; it carries no
+    weight.  rhs_1d does not read it."""
 
     mode: str = "adaptive"
-    alpha: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("adaptive", "fixed"):
+        if self.mode != "adaptive":
             raise ValueError(f"unknown upwind mode {self.mode!r}")
-        if not abs(self.alpha) <= 1.0:  # a NaN fails too
-            raise ValueError("alpha must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class Upwind2D:
-    """Edge and node upwinding policy.
-
-    In adaptive mode the edge weight alpha3 follows the sign of the
-    normal wave speed and the node weight beta follows sign/2 per
-    direction; fixed mode uses the stored values for both directions.
-    The other free weights of element2d's family (alpha1/alpha2 on
-    edges, the eight node weights) are zero, as in the paper's choice
-    of test functions: no setting of them raised the SSPRK3 limit in
-    every direction, and some made the scheme unstable (README, "Notes
-    on stability").
-    """
-
-    mode: str = "adaptive"
-    alpha3: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown upwind mode {self.mode!r}")
-        # a NaN fails these too
-        if not abs(self.alpha3) <= 1.0:
-            raise ValueError("alpha3 must lie in [-1, 1]")
-        if not abs(self.beta) <= 0.5:
-            raise ValueError("beta must lie in [-1/2, 1/2]")
+class Upwind2D(Upwind1D):
+    """Upwind policy of rhs_2d, as Upwind1D: the edge weight alpha3
+    follows the sign of the normal wave speed and the node weight beta
+    follows sign/2 per axis (see _compile_taps_2d).  The other free
+    weights of element2d's family (alpha1/alpha2 on edges, the eight
+    node weights) are zero, as in the paper's choice of test functions:
+    no setting of them raised the SSPRK3 limit in every direction, and
+    some made the scheme unstable (README, "Notes on stability").
+    ``afpg dump-element-2d --alphas`` still builds any member."""
 
 
 @lru_cache(maxsize=None)
@@ -194,9 +183,11 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     for the linear rows and D+/D-, ``_burgers_forms`` for Burgers'
     moment rows and exact one-sided pairings; ``_blend`` joins the two
     cells of each interface.  ``point_update`` selects the one-sided
-    pairings: "split" takes D+/D- (alpha-blended for scalar models,
-    Jacobian-split for systems), "exact" the exact pairing of the test
-    function with d/dx (q^2/2) (Burgers only, K = 2).
+    pairings: "split" takes D+/D- weighted by J+ and J- (max(c, 0) and
+    min(c, 0) for a scalar speed c), "exact" the exact pairing of the
+    test function with d/dx (q^2/2) (Burgers only, K = 2).  Every
+    interface weight follows the sign of the wave speed; ``upwind`` is
+    not read, and stays for callers that pass it by position.
 
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
@@ -218,8 +209,6 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         raise ValueError(f"unknown point update {point_update!r}")
     if point_update == "exact" and (model.name != "burgers" or k != 2):
         raise ValueError("the exact-integration point update needs Burgers at K = 2")
-    if model.is_linear and model.m > 1 and upwind.mode == "fixed":
-        raise ValueError("fixed-alpha updates apply to scalar models only")
 
     dx = grid.dx
     dofs = _dof_gather_1d(state)
@@ -237,19 +226,20 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
     else:
         speed = model.jac(state.points)
         np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out[:-1])
-    alpha = np.sign(speed) if upwind.mode == "adaptive" else upwind.alpha
     if point_update == "exact":
-        speed = 1.0
+        # the exact pairings carry the speed: blend them by (1 +- sgn q)/2
+        alpha = np.sign(speed)
         d_plus, d_minus = _cell_forms(dofs, _burgers_forms(k)[-2:])
+        w_plus, w_minus = 0.5 * (1.0 + alpha) / -dx, 0.5 * (1.0 - alpha) / -dx
     else:
         d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
-    c = speed / -dx
-    _blend(out[-1], d_plus, d_minus, 0.5 * (1.0 + alpha) * c, 0.5 * (1.0 - alpha) * c)
+        w_plus, w_minus = np.maximum(speed, 0.0) / -dx, np.minimum(speed, 0.0) / -dx
+    _blend(out[-1], d_plus, d_minus, w_plus, w_minus)
     return State1D._of(out)
 
 
 @lru_cache(maxsize=64)
-def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
+def _compile_taps_2d(dx, dy, ax, ay, alpha3, beta):
     """Exact taps of rhs_2d as one offset-block operator: ``(columns, weights)``.
 
     ``columns`` lists the distinct (source field, (ox, oy)) pairs that
@@ -259,18 +249,18 @@ def _compile_taps_2d(dx, dy, ax, ay, upwind: Upwind2D):
     offset in {-1, 0, 1}^2).  Fields are ordered averages, edge_x,
     edge_y, nodes; their tables are the cell indicator (the average's
     test function) and the edge and node pairing tables, whose weights
-    are all zero but alpha3 and beta (see Upwind2D).  Dof (r, s) of
+    are all zero but the given ones (see Upwind2D): ``alpha3`` = (x, y)
+    holds the alpha3 of the x-edge and y-edge tables, and ``beta`` =
+    (x, y) the node table's blend of its x-derivative (1/2 +- beta_x,
+    alpha10 = alpha11 = beta_x/2) and y-derivative (1/2 +- beta_y,
+    alpha9 = 2 beta_y).  rhs_2d passes the sign-following weights
+    alpha3 = sgn(a) and beta = sgn(a)/2 per axis.  Dof (r, s) of
     the support cell at offset o weighs -pair_row(row, ax/dx d_xi b +
     ay/dy d_eta b), b its basis function and row the table's row at o,
     and is stored where ``grid._dof_source_2d`` says, shifted by o.
     Each weight is exact and rounded once.
     """
-    if upwind.mode == "adaptive":
-        a3x, a3y = np.sign(ax), np.sign(ay)
-        beta_x, beta_y = Fraction(a3x) / 2, Fraction(a3y) / 2
-    else:
-        a3x = a3y = upwind.alpha3
-        beta_x = beta_y = Fraction(upwind.beta)
+    (a3x, a3y), (beta_x, beta_y) = alpha3, map(Fraction, beta)
     tables = (
         {(0, 0): {(0, 0): Fraction(1)}},
         edge_pairing_table((0, 0, a3x)),
@@ -346,12 +336,13 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
 
     Supports scalar linear models.  The scheme is a periodic,
     translation-invariant map: W times the state shifted by each offset
-    column of ``_compile_taps_2d``, compiled once per grid spacing,
-    velocity and upwind setting.  ``_apply_blocks_2d`` applies it as one
-    GEMM per tile of grid rows.  Returns a fresh state, or the state
-    whose buffer is ``out``, as in rhs_1d, and leaves ``state``
-    untouched.  ``assume_finite`` skips the finiteness test of the
-    state, as in rhs_1d.
+    column of ``_compile_taps_2d``, compiled once per grid spacing and
+    velocity, with the edge and node weights that follow the sign of
+    the velocity per axis; ``upwind`` is not read, as in rhs_1d.
+    ``_apply_blocks_2d`` applies it as one GEMM per tile of grid rows.
+    Returns a fresh state, or the state whose buffer is ``out``, as in
+    rhs_1d, and leaves ``state`` untouched.  ``assume_finite`` skips
+    the finiteness test of the state, as in rhs_1d.
     """
     if getattr(model, "dim", 0) != 2 or model.m != 1:
         raise ValueError("rhs_2d needs a two-dimensional scalar model")
@@ -362,5 +353,7 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
     if not assume_finite and not state.all_finite():
         raise ValueError("state contains non-finite values")
 
-    columns, weights = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, upwind)
+    sx, sy = np.sign(model.ax), np.sign(model.ay)
+    columns, weights = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, (sx, sy),
+                                        (sx / 2, sy / 2))
     return State2D._of(_apply_blocks_2d(state.data, columns, weights, out))

@@ -20,6 +20,7 @@ from afpg.poly import HALF, Poly, gauss_rule, inner
 from afpg.semidiscrete import (
     Upwind1D,
     Upwind2D,
+    _apply_blocks_2d,
     _compile_taps_2d,
     _linear_rows,
     rhs_1d,
@@ -86,11 +87,12 @@ def test_criterion_2_biorthogonality_suite():
 def test_criterion_3_stencil_identities():
     """Full-upwind and central interface rows, coefficientwise exact.
 
-    The rows are the ones rhs_1d applies: ``_linear_rows(2)``'s D+ on the
-    left cell's dofs (q_left, avg_i, q_mid) and D- on the right cell's
-    (q_mid, avg_i+1, q_right), blended by (1+alpha)/2 and (1-alpha)/2.
-    Each must also equal its oracle, the exact pairing of the solved test
-    pieces with the basis derivatives b_s'.
+    The rows are built from the ones rhs_1d applies: ``_linear_rows(2)``'s
+    D+ on the left cell's dofs (q_left, avg_i, q_mid) and D- on the right
+    cell's (q_mid, avg_i+1, q_right), blended by (1+alpha)/2 and
+    (1-alpha)/2 (rhs_1d runs alpha = sgn(a)).  Each must also equal its
+    oracle, the exact pairing of the solved test pieces with the basis
+    derivatives b_s'.
     """
     el = build_element(2)
     d_plus, d_minus = ([Fraction(w) for w in row] for row in _linear_rows(2)[-2:])
@@ -123,26 +125,31 @@ def test_criterion_3_stencil_identities():
 
 
 def test_criterion_4_burgers_closed_form():
-    """Exact-integration Burgers update vs formula and quadrature oracle."""
+    """Exact-integration Burgers update vs formula and quadrature oracle.
+
+    The update blends the two one-sided brackets by (1 +- alpha)/2 with
+    alpha = sgn q at each interface.  Some point values are exactly 0, so
+    alpha = -1, 0 and +1 are all checked.
+    """
     rng = np.random.default_rng(2024)
     n = 100
     g = Grid1D(n)
     st = State1D(2, rng.standard_normal(n), rng.standard_normal((n, 1)))
+    st.points[::9] = 0.0
     el = build_element(2)
 
-    def exact_update(state, grid, alpha):
-        return rhs_1d(state, grid, el, burgers1d(), Upwind1D("fixed", alpha), "exact").points
+    def exact_update(state, grid):
+        return rhs_1d(state, grid, el, burgers1d(), Upwind1D(), "exact").points
 
     ql, qc, qr = np.roll(st.points, 1), st.points, np.roll(st.points, -1)
     al, ar = st.moments[:, 0], np.roll(st.moments[:, 0], -1)
-    worst_formula = 0.0
-    for alpha in (-1.0, 0.0, 1.0):
-        got = exact_update(st, g, alpha)
-        left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
-        right = (9 * (qr - 2 * ar) ** 2 - 2 * (qr - 12 * ar) * qc - 31 * qc**2) / (10 * g.dx)
-        expected = -(0.5 * (1 + alpha) * left + 0.5 * (1 - alpha) * right)
-        scale = max(np.max(np.abs(expected)), 1.0)
-        worst_formula = max(worst_formula, np.max(np.abs(got - expected)) / scale)
+    alpha = np.sign(qc)
+    got = exact_update(st, g)
+    left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
+    right = (9 * (qr - 2 * ar) ** 2 - 2 * (qr - 12 * ar) * qc - 31 * qc**2) / (10 * g.dx)
+    expected = -(0.5 * (1 + alpha) * left + 0.5 * (1 - alpha) * right)
+    scale = max(np.max(np.abs(expected)), 1.0)
+    worst_formula = np.max(np.abs(got - expected)) / scale
 
     # independent quadrature oracle on a small grid
     from afpg.poly import inner
@@ -150,24 +157,26 @@ def test_criterion_4_burgers_closed_form():
     n2 = 6
     g2 = Grid1D(n2)
     st2 = State1D(2, rng.standard_normal(n2), rng.standard_normal((n2, 1)))
+    st2.points[2] = 0.0
     worst_quad = 0.0
-    for alpha in (-1.0, 0.0, 1.0, 0.4):
-        got = exact_update(st2, g2, alpha)
-        t = build_point_test(el, Fraction(alpha))
-        for i in range(n2):
-            dofs_i = [Fraction(st2.points[i - 1]), Fraction(st2.moments[i, 0]), Fraction(st2.points[i])]
-            dofs_n = [
-                Fraction(st2.points[i]),
-                Fraction(st2.moments[(i + 1) % n2, 0]),
-                Fraction(st2.points[(i + 1) % n2]),
-            ]
-            qi = reconstruct(el, dofs_i)
-            qn = reconstruct(el, dofs_n)
-            val = inner(t.left, qi * qi.deriv()) + inner(t.right, qn * qn.deriv())
-            oracle = -float(val / Fraction(1, n2))
-            worst_quad = max(worst_quad, abs(got[i] - oracle) / max(abs(oracle), 1.0))
-    ok = worst_formula <= 1e-12 and worst_quad <= 1e-12
-    report(4, ok, f"(formula defect {worst_formula:.2e}, quadrature defect {worst_quad:.2e})")
+    got = exact_update(st2, g2)
+    for i in range(n2):
+        t = build_point_test(el, int(np.sign(st2.points[i])))
+        dofs_i = [Fraction(st2.points[i - 1]), Fraction(st2.moments[i, 0]), Fraction(st2.points[i])]
+        dofs_n = [
+            Fraction(st2.points[i]),
+            Fraction(st2.moments[(i + 1) % n2, 0]),
+            Fraction(st2.points[(i + 1) % n2]),
+        ]
+        qi = reconstruct(el, dofs_i)
+        qn = reconstruct(el, dofs_n)
+        val = inner(t.left, qi * qi.deriv()) + inner(t.right, qn * qn.deriv())
+        oracle = -float(val / Fraction(1, n2))
+        worst_quad = max(worst_quad, abs(got[i] - oracle) / max(abs(oracle), 1.0))
+    all_alphas = set(alpha) == set(np.sign(st2.points)) == {-1.0, 0.0, 1.0}
+    ok = all_alphas and worst_formula <= 1e-12 and worst_quad <= 1e-12
+    report(4, ok, f"(formula defect {worst_formula:.2e}, quadrature defect {worst_quad:.2e},"
+                  f" alpha = -1, 0 and +1 each met: {all_alphas})")
 
 
 def test_criterion_5_2d_structure_theorems():
@@ -216,9 +225,11 @@ def test_criterion_6_2d_derivative_oracles():
     Every output entry of rhs_2d must equal the quadrature oracle: minus
     the exact pairing of the solved test pieces (the cell indicator for
     the average, the edge and node pieces) with ax d/dx + ay d/dy of the
-    reconstruction.  alpha3 and beta are drawn through Upwind2D in fixed
-    mode, which ties the node weights to beta as the runtime does; the
-    family's other free weights are zero there.
+    reconstruction.  Each velocity runs twice: through rhs_2d, whose edge
+    weight alpha3 is sgn(a) and node weight beta is sgn(a)/2 per axis,
+    and through ``_compile_taps_2d`` and ``_apply_blocks_2d`` at random
+    alpha3 and beta per axis, which the node weights tie to beta as the
+    runtime does.  The family's other free weights are zero in both.
     """
     rng = np.random.default_rng(99)
     nx = ny = 4
@@ -228,19 +239,6 @@ def test_criterion_6_2d_derivative_oracles():
     worst = 0.0
     for ax, ay in ((1.0, 0.0), (0.0, 1.0), tuple(rng.uniform(-1.5, 1.5, 2))):
         st = State2D(*rng.standard_normal((4, nx, ny)))
-        upwind = Upwind2D("fixed", alpha3=rng.uniform(-1, 1), beta=rng.uniform(-0.5, 0.5))
-        got = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
-
-        # the family's other free weights are zero
-        edge = (0, 0, upwind.alpha3)
-        beta = Fraction(upwind.beta)
-        node = (0,) * 8 + (2 * beta, beta / 2, beta / 2)
-        pieces = (
-            {(0, 0): Poly([[1]])},
-            build_edge_test(edge, "x").pieces,
-            build_edge_test(edge, "y").pieces,
-            build_node_test(node).pieces,
-        )
 
         def cell_dofs(i, j):
             return {
@@ -262,16 +260,33 @@ def test_criterion_6_2d_derivative_oracles():
                 flux[i, j] = (
                     Fraction(ax) / dx * recon.deriv(0) + Fraction(ay) / dy * recon.deriv(1)
                 )
-        for out, field_pieces in zip(got.data, pieces):
-            for i in range(nx):
-                for j in range(ny):
-                    oracle = -float(
-                        sum(
-                            inner(piece, flux[(i + ox) % nx, (j + oy) % ny])
-                            for (ox, oy), piece in field_pieces.items()
+
+        signs = (np.sign(ax), np.sign(ay))
+        drawn = (tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-0.5, 0.5, 2)))
+        runs = [
+            ((signs, tuple(a / 2 for a in signs)),
+             rhs_2d(st, g, el, advection2d(ax, ay), Upwind2D()).data),
+            (drawn, _apply_blocks_2d(st.data, *_compile_taps_2d(g.dx, g.dy, ax, ay, *drawn))),
+        ]
+        for (alpha3, beta), got in runs:
+            (a3x, a3y), (beta_x, beta_y) = ([Fraction(w) for w in pair] for pair in (alpha3, beta))
+            # the family's other free weights are zero
+            pieces = (
+                {(0, 0): Poly([[1]])},
+                build_edge_test((0, 0, a3x), "x").pieces,
+                build_edge_test((0, 0, a3y), "y").pieces,
+                build_node_test((0,) * 8 + (2 * beta_y, beta_x / 2, beta_x / 2)).pieces,
+            )
+            for out, field_pieces in zip(got, pieces):
+                for i in range(nx):
+                    for j in range(ny):
+                        oracle = -float(
+                            sum(
+                                inner(piece, flux[(i + ox) % nx, (j + oy) % ny])
+                                for (ox, oy), piece in field_pieces.items()
+                            )
                         )
-                    )
-                    worst = max(worst, abs(out[i, j] - oracle) / max(abs(oracle), 1.0))
+                        worst = max(worst, abs(out[i, j] - oracle) / max(abs(oracle), 1.0))
     report(6, worst <= 1e-11, f"(max relative defect {worst:.2e})")
 
 
@@ -438,14 +453,12 @@ def _oracle_1d(cfg):
     ic = GaussianIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_width)
     if cfg.model_name == "linear_system":
         a = np.array(cfg.model_matrix)
-        jac_plus, jac_minus = _split(a)
         state = project_initial(grid, lambda x: np.repeat(ic(x)[..., None], len(a), -1),
                                 build_element(k))
-    else:
+    else:  # a scalar is the 1x1 system
         a = np.array([[cfg.model_a]])
-        alpha = np.sign(cfg.model_a) if cfg.upwind_mode == "adaptive" else cfg.upwind_alpha
-        jac_plus, jac_minus = 0.5 * (1.0 + alpha) * a, 0.5 * (1.0 - alpha) * a
         state = project_initial(grid, ic, build_element(k))
+    jac_plus, jac_minus = _split(a)
     m = len(a)
     # (K, n[, m]) -> (n, K m), field r and component c at r m + c
     u = state.data.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
@@ -458,8 +471,10 @@ def _oracle_1d(cfg):
 
 def _oracle_2d(cfg):
     grid = Grid2D(cfg.grid_nx, cfg.grid_ny)
-    upwind = Upwind2D(cfg.upwind_mode, cfg.upwind_alpha3, cfg.upwind_beta)
-    columns, weights = _compile_taps_2d(grid.dx, grid.dy, cfg.model_ax, cfg.model_ay, upwind)
+    # the edge and node weights follow the sign of the velocity per axis
+    signs = np.sign(cfg.model_ax), np.sign(cfg.model_ay)
+    columns, weights = _compile_taps_2d(grid.dx, grid.dy, cfg.model_ax, cfg.model_ay, signs,
+                                        tuple(a / 2 for a in signs))
     tx = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
     ty = 2.0 * np.pi * np.arange(grid.ny) / grid.ny
     symbol = np.zeros((grid.nx, grid.ny, 4, 4), dtype=complex)
@@ -489,8 +504,8 @@ def test_criterion_10_fourier_oracle_linear_runs():
                                             "time.dt=0.0025\ntime.t_end=0.2\n")
     cases["1-d K=3 a=-0.7 ssprk3"] = ("k=3\ngrid.n=20\nmodel.a=-0.7\ntime.scheme=ssprk3\n"
                                       "time.dt=0.005\ntime.t_end=0.2013\n")
-    cases["1-d K=2 fixed alpha=0.4 rk4"] = ("grid.n=20\nupwind.mode=fixed\nupwind.alpha=0.4\n"
-                                            "time.scheme=rk4\ntime.dt=0.01\ntime.t_end=0.3\n")
+    cases["1-d K=2 a=-1.3 rk4"] = ("grid.n=20\nmodel.a=-1.3\ntime.scheme=rk4\ntime.dt=0.01\n"
+                                   "time.t_end=0.3\n")
     cases["1-d K=3 2x2 system ssprk3"] = ("k=3\ngrid.n=20\nmodel.name=linear_system\n"
                                           "model.matrix=1,2;0.5,-0.5\ntime.scheme=ssprk3\n"
                                           "time.dt=0.004\ntime.t_end=0.2\n")
@@ -499,9 +514,8 @@ def test_criterion_10_fourier_oracle_linear_runs():
                                    "time.t_end=0.2537\n")
     cases["2-d a=(0.8,-0.6) rk4"] = (plane + "model.ax=0.8\nmodel.ay=-0.6\ntime.scheme=rk4\n"
                                      "time.dt=0.012\ntime.t_end=0.3\n")
-    cases["2-d fixed weights rk4"] = (plane + "upwind.mode=fixed\nupwind.alpha3=0.6\n"
-                                      "upwind.beta=0.3\ntime.scheme=rk4\ntime.dt=0.01\n"
-                                      "time.t_end=0.2\n")
+    cases["2-d a=(-0.7,1.1) rk4"] = (plane + "model.ax=-0.7\nmodel.ay=1.1\ntime.scheme=rk4\n"
+                                     "time.dt=0.01\ntime.t_end=0.2\n")
     worst = {}
     for name, text in cases.items():
         cfg = parse_config(gaussian + text)

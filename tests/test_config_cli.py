@@ -54,6 +54,8 @@ class TestConfig:
             "grid.n=2",
             "k=1",
             "k=9",
+            # every interface weight follows the sign of the wave speed:
+            # the fixed weights are unknown keys, and fixed is no mode
             "upwind.alpha=1.5",
             "upwind.beta=0.9",
             "ic.name=step",
@@ -117,7 +119,7 @@ class TestConfig:
             parse_config("model.name=linear_system\nmodel.matrix=0,1,2;1,0")
 
     def test_roundtrip(self):
-        for given in (BASE_CFG, "dimension=2\nupwind.mode=fixed\nupwind.alpha3=0.5\n",
+        for given in (BASE_CFG, "dimension=2\nmodel.ax=0.8\nmodel.ay=-0.6\nupwind.mode=adaptive\n",
                       "model.name=linear_system\nmodel.matrix=0,1;1,-0.5\n"):
             cfg = parse_config(given)
             text = serialize_config(cfg)
@@ -133,13 +135,14 @@ class TestConfig:
                   for word in line.split("#", 1)[0].split() if "=" in word}
         parsed = {line.split("=", 1)[0] for line in serialize_config(RunConfig()).splitlines()}
         assert listed == parsed
-        # a comment "a | b (note) | c" lists the values of a key with choices
-        # (the first word of each part), in the order the parser names them
+        # the comment "a | b (note) | c" of a key with choices lists its
+        # values (the first word of each part), in the order the parser
+        # names them; a key with one value lists it alone
         values = {}
         for line in block.splitlines():
             setting, _, comment = line.partition("#")
-            if "|" in comment:
-                attr = config._SCHEMA[setting.split("=", 1)[0].strip()][0]
+            attr = config._SCHEMA.get(setting.split("=", 1)[0].strip(), (None,))[0]
+            if attr in config._CHOICES:
                 values[attr] = tuple(part.split()[0] for part in comment.split("|"))
         assert values == {attr: tuple(map(str, choices))
                           for attr, choices in config._CHOICES.items()}
@@ -261,12 +264,12 @@ class TestCli:
         "text, key",
         [
             # each exited 0, and summary.txt echoed the value as if it were used
-            ("dimension=2\nmodel.a=7\nupwind.alpha=0.3\nmodel.matrix=1,2;3,4\n", "model.a"),
-            ("dimension=2\nupwind.alpha=0.3\n", "upwind.alpha"),
+            ("dimension=2\nmodel.a=7\nmodel.matrix=1,2;3,4\n", "model.a"),
+            ("model.ay=0.5\n", "model.ay"),
             ("dimension=2\nmodel.matrix=1,2;3,4\n", "model.matrix"),
             ("dimension=2\ngrid.n=30\n", "grid.n"),
             ("model.name=burgers\nmodel.ax=3\n", "model.ax"),
-            ("model.name=burgers\nupwind.alpha3=0.5\n", "upwind.alpha3"),
+            ("model.name=linear_system\nmodel.matrix=0,1;1,0\nmodel.a=2\n", "model.a"),
             ("grid.ny=30\n", "grid.ny"),
             ("model.name=burgers\nmodel.a=2\n", "model.a"),
             ("model.matrix=1,2;3,4\n", "model.matrix"),
@@ -274,8 +277,8 @@ class TestCli:
             ("ic.slope=2\n", "ic.slope"),
             ("ic.name=constant\nic.amplitude=2\n", "ic.amplitude"),
             ("ic.name=linear\nic.width=0.3\n", "ic.width"),
-            ("upwind.alpha=0.3\n", "upwind.alpha"),
-            ("dimension=2\nupwind.beta=0.2\n", "upwind.beta"),
+            ("ic.name=gaussian\nic.value=2\n", "ic.value"),
+            ("grid.y_min=-1\n", "grid.y_min"),
             # ran 2 steps of dt = 0.01 while summary.txt echoed time.cfl=0.9
             ("grid.n=8\ntime.cfl=0.9\ntime.dt=0.01\n", "time.cfl"),
         ],
@@ -291,10 +294,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "text",
         [
-            "dimension=2\nmodel.a=1.0\nupwind.alpha=0\ngrid.n=40\nmodel.matrix=\n",
-            "model.name=burgers\nmodel.ax=1\nupwind.alpha3=0.0\nic.cycles=1\n",
-            "upwind.mode=fixed\nupwind.alpha=0.3\n",
-            "dimension=2\nupwind.mode=fixed\nupwind.alpha3=0.3\nupwind.beta=0.2\n",
+            "dimension=2\nmodel.a=1.0\ngrid.n=40\nmodel.matrix=\n",
+            "model.name=burgers\nmodel.ax=1\nic.cycles=1\n",
+            "upwind.mode=adaptive\n",
+            "dimension=2\nupwind.mode=adaptive\nmodel.ax=0.8\nmodel.ay=-0.6\n",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nic.name=gaussian\nic.width=0.2\n",
             "ic.name=linear\nic.slope=2\nic.offset=1\n",
             "time.dt=0.01\ntime.cfl=0.2\n",
@@ -307,7 +310,7 @@ class TestCli:
                                       "upwind.node_alphas=0,0,0,0,0,0,0,-0.1"])
     def test_deleted_stabilization_keys_exit_two(self, tmp_path, capsys, line):
         # the 2-d stabilization weights are fixed at zero: no key sets them
-        cfg = self.write(tmp_path, f"dimension=2\nupwind.mode=fixed\n{line}\n")
+        cfg = self.write(tmp_path, f"dimension=2\nupwind.mode=adaptive\n{line}\n")
         out = tmp_path / "out"
         assert main(["run", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -329,13 +332,21 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_unsupported_combinations_exit_two(self, tmp_path, capsys):
-        # both parse as keys but no solver path runs them
-        for extra in ("model.name=burgers\nmodel.point_update=exact\nk=3\n",
-                      "model.name=linear_system\nmodel.matrix=0,1;1,0\nupwind.mode=fixed\n"):
-            cfg = self.write(tmp_path, BASE_CFG + extra)
+        # each parses as keys but no solver path runs it
+        for text in (BASE_CFG + "model.name=burgers\nmodel.point_update=exact\nk=3\n",
+                     BASE_CFG + "model.name=linear_system\nmodel.matrix=0,1;1,0\n"
+                     "upwind.mode=fixed\n",
+                     "upwind.mode=fixed\n",
+                     # wrong-sign fixed weights: both ran to the end and exited 0,
+                     # with L2 errors of 25.5 and 157.8 on a unit sine
+                     "upwind.mode=fixed\nupwind.alpha=-0.05\n",
+                     "dimension=2\ngrid.nx=24\ngrid.ny=20\nmodel.ax=0.8\nmodel.ay=-0.6\n"
+                     "upwind.mode=fixed\nupwind.alpha3=0.6\nupwind.beta=0.3\ntime.t_end=0.3\n"):
+            cfg = self.write(tmp_path, text)
             out = tmp_path / "out"
             assert main(["run", cfg, "--output-dir", str(out)]) == 2
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), (text, err)
             assert not out.exists()
 
     def test_2d_burgers_exit_two(self, tmp_path, capsys):

@@ -26,6 +26,8 @@ from afpg.models import advection1d, advection2d, burgers1d, linear_system1d
 from afpg import semidiscrete
 from afpg.poly import Poly, inner
 from afpg.semidiscrete import (
+    _apply_blocks_2d,
+    _blend,
     _burgers_forms,
     _compile_taps_2d,
     _linear_rows,
@@ -50,57 +52,82 @@ def cell_poly(state, el, i):
     return reconstruct(el, dofs)
 
 
-def exact_points(state, grid, upwind):
+def exact_points(state, grid):
     """Interface values of the exact-integration Burgers update."""
-    return rhs_1d(state, grid, build_element(state.k), burgers1d(), upwind, "exact").points
+    return rhs_1d(state, grid, build_element(state.k), burgers1d(), Upwind1D(), "exact").points
+
+
+def exact_brackets(state, grid):
+    """The K = 2 exact Burgers update's two one-sided brackets, re-coded
+    literally: the left cell's (alpha = +1) and the right cell's (alpha = -1)."""
+    ql, qc, qr = np.roll(state.points, 1), state.points, np.roll(state.points, -1)
+    al, ar = state.moments[:, 0], np.roll(state.moments[:, 0], -1)
+    left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * grid.dx)
+    right = (9 * (qr - 2 * ar) ** 2 - 2 * (qr - 12 * ar) * qc - 31 * qc**2) / (10 * grid.dx)
+    return left, right
+
+
+def family_points(state, grid, a, alpha):
+    """Interface values of linear advection at any member alpha of the
+    paper's family: the runtime's one-sided rows D+ and D- (alpha = +1
+    and -1), joined by ``_blend`` at (1 +- alpha)/2 (-a/dx)."""
+    c = -a / grid.dx
+    d_plus, d_minus = _linear_rows(state.k)[-2:] @ _dof_gather_1d(state)
+    return _blend(np.empty(grid.n), d_plus, d_minus, 0.5 * (1 + alpha) * c,
+                  0.5 * (1 - alpha) * c)
 
 
 class TestChooseAlpha:
-    # the adaptive alpha is sgn of the wave speed, with sgn(0) = 0
+    # every interface weight follows sgn of the wave speed, with sgn(0) = 0
     def test_burgers_positive(self):
         g = Grid1D(7)
         st = random_state_1d(np.random.default_rng(12), 7, 3)
         st.points[:] = np.abs(st.points) + 0.1  # all positive
-        adaptive = rhs_1d(st, g, build_element(3), burgers1d(), Upwind1D("adaptive"))
-        fixed = rhs_1d(st, g, build_element(3), burgers1d(), Upwind1D("fixed", 1.0))
-        assert adaptive.data.tobytes() == fixed.data.tobytes()
+        r = rhs_1d(st, g, build_element(3), burgers1d(), Upwind1D("adaptive"))
+        # D+ of the cell left of each interface only
+        d_plus = _linear_rows(3)[-2] @ _dof_gather_1d(st)
+        expected = -st.points / g.dx * d_plus
+        assert np.max(np.abs(r.points - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_sonic_point(self):
+        # at q = 0 the exact update takes both brackets by half, elsewhere
+        # (q > 0) the left one only
         g = Grid1D(6)
         st = random_state_1d(np.random.default_rng(13), 6, 2)
         st.points[:] = np.abs(st.points) + 0.1
         st.points[2] = 0.0
-        adaptive = exact_points(st, g, Upwind1D("adaptive"))
-        assert adaptive[2] == exact_points(st, g, Upwind1D("fixed", 0.0))[2]
-        assert adaptive[2] != exact_points(st, g, Upwind1D("fixed", 1.0))[2]
+        got = exact_points(st, g)
+        left, right = exact_brackets(st, g)
+        assert got[2] == pytest.approx(-0.5 * (left[2] + right[2]), rel=1e-13)
+        assert got[2] != pytest.approx(-left[2], rel=1e-3)
+        assert np.allclose(np.delete(got, 2), -np.delete(left, 2), rtol=1e-13, atol=0)
 
     def test_negative_advection(self):
         g = Grid1D(7)
         st = random_state_1d(np.random.default_rng(14), 7, 4)
-        model = advection1d(-1.0)
-        adaptive = rhs_1d(st, g, build_element(4), model, Upwind1D("adaptive"))
-        fixed = rhs_1d(st, g, build_element(4), model, Upwind1D("fixed", -1.0))
-        assert adaptive.data.tobytes() == fixed.data.tobytes()
+        r = rhs_1d(st, g, build_element(4), advection1d(-1.0), Upwind1D("adaptive"))
+        # D- of the cell right of each interface only
+        d_minus = _linear_rows(4)[-1] @ _dof_gather_1d(st)
+        expected = np.roll(d_minus, -1) / g.dx
+        assert np.max(np.abs(r.points - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestUpwindConfigs:
     def test_2d_policy_fields(self):
-        # the family's other free weights are fixed at zero, not settable
-        assert [f.name for f in dataclasses.fields(Upwind2D)] == ["mode", "alpha3", "beta"]
+        # every weight follows the sign of the wave speed: none is settable
+        assert [f.name for f in dataclasses.fields(Upwind1D)] == ["mode"]
+        assert [f.name for f in dataclasses.fields(Upwind2D)] == ["mode"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Upwind1D("sideways")
-        with pytest.raises(ValueError):
-            Upwind1D("fixed", 1.5)
-        with pytest.raises(ValueError):
-            Upwind2D("fixed", beta=0.75)
-        # a NaN compares False with any bound, so the range checks must still refuse it
-        for bad in (lambda: Upwind1D("fixed", float("nan")),
-                    lambda: Upwind2D("fixed", alpha3=float("nan")),
-                    lambda: Upwind2D("fixed", beta=float("nan"))):
-            with pytest.raises(ValueError):
-                bad()
+        for policy in (Upwind1D, Upwind2D):
+            assert policy() == policy("adaptive")
+            for mode in ("sideways", "fixed"):
+                with pytest.raises(ValueError, match="unknown upwind mode"):
+                    policy(mode)
+        with pytest.raises(TypeError):
+            Upwind1D("adaptive", 0.5)
+        with pytest.raises(TypeError):
+            Upwind2D(alpha3=0.5)
 
 
 class TestRhs1D:
@@ -164,15 +191,16 @@ class TestRhs1D:
     @pytest.mark.parametrize("a", [1.0, -0.7])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_oracle_equivalence_advection(self, k, a, alpha):
-        # every rhs entry equals the direct pairing with the test functions
+        # every rhs entry equals the direct pairing with the test functions;
+        # rhs_1d runs alpha = sgn(a), and another member of the family
+        # is its one-sided rows blended at that alpha
         rng = np.random.default_rng(2 + k)
         n = 6
         g = Grid1D(n)
         el = build_element(k)
         st = random_state_1d(rng, n, k)
-        model = advection1d(a)
-        upwind = Upwind1D("adaptive") if alpha is None else Upwind1D("fixed", alpha)
-        r = rhs_1d(st, g, el, model, upwind)
+        r = rhs_1d(st, g, el, advection1d(a), Upwind1D("adaptive"))
+        points = r.points if alpha is None else family_points(st, g, a, alpha)
         dxf = Fraction(1, n)
         polys = [cell_poly(st, el, i) for i in range(n)]
         test = build_point_test(el, np.sign(a) if alpha is None else alpha)
@@ -184,7 +212,7 @@ class TestRhs1D:
                 test.right, polys[(i + 1) % n].deriv()
             )
             oracle = -float(a * pairing / dxf)
-            assert r.points[i] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
+            assert points[i] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_oracle_equivalence_system(self, k):
@@ -230,27 +258,21 @@ class TestRhs1D:
                 assert r.moments[i, kk] == pytest.approx(oracle, rel=1e-11, abs=1e-11)
 
     def test_alpha_consistency(self):
-        # fixed alpha equals the blend of the two full-upwind right sides
+        # the scalar weights are the 1x1 case of the system split: each
+        # component of a diagonal system, J+ = max(a, 0) and J- = min(a, 0)
+        # per speed, equals the scalar run at its own speed
         rng = np.random.default_rng(5)
         g = Grid1D(7)
-        el = build_element(2)
-        st = random_state_1d(rng, 7, 2)
-        model = advection1d(1.0)
-        r_plus = rhs_1d(st, g, el, model, Upwind1D("fixed", 1.0))
-        r_minus = rhs_1d(st, g, el, model, Upwind1D("fixed", -1.0))
-        for alpha in (-0.6, 0.0, 0.37, 1.0):
-            r = rhs_1d(st, g, el, model, Upwind1D("fixed", alpha))
-            blend = 0.5 * (1 + alpha) * r_plus.points + 0.5 * (1 - alpha) * r_minus.points
-            assert np.allclose(r.points, blend, atol=1e-13)
-
-    def test_fixed_alpha_rejected_for_systems(self):
-        g = Grid1D(6)
-        el = build_element(2)
-        rng = np.random.default_rng(6)
-        st = random_state_1d(rng, 6, 2, m=2)
-        model = linear_system1d([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            rhs_1d(st, g, el, model, Upwind1D("fixed", 0.5))
+        speeds = (1.3, -0.7, 0.0)
+        for k in (2, 4):
+            el = build_element(k)
+            st = random_state_1d(rng, 7, k, m=3)
+            system = rhs_1d(st, g, el, linear_system1d(np.diag(speeds)), Upwind1D()).data
+            for c, a in enumerate(speeds):
+                sub = State1D._of(np.ascontiguousarray(st.data[..., c]))
+                scalar = rhs_1d(sub, g, el, advection1d(a), Upwind1D()).data
+                scale = max(np.max(np.abs(scalar)), 1.0)
+                assert np.max(np.abs(system[..., c] - scalar)) <= 1e-14 * scale
 
     def test_shape_mismatch_rejected(self):
         g = Grid1D(6)
@@ -300,9 +322,11 @@ class TestCompiledTaps1D:
     def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
         # the taps rhs_1d applies, read off one unit dof at a time: the
         # moment rows, then the interface row at alpha, each weight times
-        # -a/dx in exact arithmetic.  The table entry is rounded once; the
-        # scale and the D+/D- blend add at most a few half-ulp roundings,
-        # so each tap lies within 2 eps of its row's largest weight.
+        # -a/dx in exact arithmetic (rhs_1d runs alpha = sgn(a); the
+        # family member at another alpha is its rows blended by
+        # family_points).  The table entry is rounded once; the scale and
+        # the D+/D- blend add at most a few half-ulp roundings, so each
+        # tap lies within 2 eps of its row's largest weight.
         g = Grid1D(7)
         el = build_element(k)
         rows = (*by_parts_rows(el), interface_row(el, alpha))
@@ -315,7 +339,10 @@ class TestCompiledTaps1D:
                 data = np.zeros((k, g.n))
                 data[c, j] = 1.0
                 st = State1D(k, data[-1], data[:-1].T)
-                taps[:, j, c] = rhs_1d(st, g, el, advection1d(a), Upwind1D("fixed", alpha)).data[:, i]
+                r = rhs_1d(st, g, el, advection1d(a), Upwind1D()).data
+                if alpha != np.sign(a):
+                    r[-1] = family_points(st, g, a, alpha)
+                taps[:, j, c] = r[:, i]
         for got, row in zip(taps, rows):
             exact = {((i + o) % g.n, c): w * scale for (c, o), w in zip(window, row)}
             bound = 2 * np.finfo(float).eps * max(abs(float(w)) for w in exact.values())
@@ -382,40 +409,39 @@ class TestBurgersForms:
 class TestBurgersPointUpdate:
     def test_constant_zero(self):
         g = Grid1D(5)
-        st = State1D(2, np.full(5, 1.7), np.full((5, 1), 1.7))
-        r = exact_points(st, g, Upwind1D("fixed", 0.3))
-        assert np.max(np.abs(r)) <= 1e-13
+        for value in (1.7, -1.7, 0.0):
+            st = State1D(2, np.full(5, value), np.full((5, 1), value))
+            assert np.max(np.abs(exact_points(st, g))) <= 1e-13
 
     def test_closed_form_frozen_expression(self):
-        # literal re-coding of the two one-sided brackets
+        # literal re-coding of the two one-sided brackets, blended by
+        # (1 +- alpha)/2 with alpha = sgn q: some interface values are
+        # set to exactly 0, so alpha = -1, 0 and +1 all occur
         rng = np.random.default_rng(7)
         g = Grid1D(100)
         st = random_state_1d(rng, 100, 2)
-        ql = np.roll(st.points, 1)
-        qc = st.points
-        qr = np.roll(st.points, -1)
-        al = st.moments[:, 0]
-        ar = np.roll(al, -1)
-        for alpha in (-1.0, 0.0, 1.0):
-            got = exact_points(st, g, Upwind1D("fixed", alpha))
-            left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
-            right = (9 * (qr - 2 * ar) ** 2 - 2 * (qr - 12 * ar) * qc - 31 * qc**2) / (10 * g.dx)
-            expected = -(0.5 * (1 + alpha) * left + 0.5 * (1 - alpha) * right)
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        st.points[::7] = 0.0
+        alpha = np.sign(st.points)
+        assert set(alpha) == {-1.0, 0.0, 1.0}
+        got = exact_points(st, g)
+        left, right = exact_brackets(st, g)
+        expected = -(0.5 * (1 + alpha) * left + 0.5 * (1 - alpha) * right)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
     def test_quadrature_oracle(self):
-        # -(test fn, d/dx(q^2/2)) integrated exactly cell by cell
+        # -(test fn, d/dx(q^2/2)) integrated exactly cell by cell, with the
+        # test function at alpha = sgn q of each interface
         rng = np.random.default_rng(8)
         n = 6
         g = Grid1D(n)
         el = build_element(2)
         st = random_state_1d(rng, n, 2)
-        alpha = 0.4
-        got = exact_points(st, g, Upwind1D("fixed", alpha))
-        t = build_point_test(el, Fraction(alpha))
+        st.points[3] = 0.0
+        got = exact_points(st, g)
         polys = [cell_poly(st, el, i) for i in range(n)]
         for i in range(n):
+            t = build_point_test(el, int(np.sign(st.points[i])))
             qi, qn = polys[i], polys[(i + 1) % n]
             val = inner(t.left, qi * qi.deriv()) + inner(t.right, qn * qn.deriv())
             oracle = -float(val / Fraction(1, n))
@@ -425,26 +451,23 @@ class TestBurgersPointUpdate:
         rng = np.random.default_rng(9)
         g = Grid1D(6)
         st = random_state_1d(rng, 6, 2)
-        got = exact_points(st, g, Upwind1D("fixed", 1.0))
-        ql, qc = np.roll(st.points, 1), st.points
-        al = st.moments[:, 0]
-        left = (-9 * (ql - 2 * al) ** 2 + 2 * (ql - 12 * al) * qc + 31 * qc**2) / (10 * g.dx)
-        assert np.allclose(got, -left, atol=1e-13)
+        st.points[:] = np.abs(st.points) + 0.1  # all positive
+        left, _ = exact_brackets(st, g)
+        assert np.allclose(exact_points(st, g), -left, atol=1e-13)
 
     def test_adaptive_alpha_follows_sign(self):
         g = Grid1D(6)
         rng = np.random.default_rng(10)
         st = random_state_1d(rng, 6, 2)
-        st.points[:] = np.abs(st.points) + 0.1  # all positive
-        adaptive = exact_points(st, g, Upwind1D("adaptive"))
-        fixed = exact_points(st, g, Upwind1D("fixed", 1.0))
-        assert np.allclose(adaptive, fixed, atol=1e-14)
+        st.points[:] = -np.abs(st.points) - 0.1  # all negative
+        _, right = exact_brackets(st, g)
+        assert np.allclose(exact_points(st, g), -right, atol=1e-13)
 
     def test_wrong_degree_rejected(self):
         g = Grid1D(6)
         st = State1D(3, np.zeros(6), np.zeros((6, 2)))
         with pytest.raises(ValueError):
-            exact_points(st, g, Upwind1D())
+            exact_points(st, g)
 
     def test_exact_update_through_rhs_1d(self):
         g = Grid1D(6)
@@ -495,15 +518,13 @@ def cell_poly_2d(state, el, i, j):
     return reconstruct2d(el, dofs)
 
 
-def pieces_2d(ax, ay, upwind):
+def pieces_2d(ax, ay, weights):
     """Pieces of the four output fields' test functions, keyed by support-cell offset."""
-    # adaptive mode: edge weight sgn(a), node weight sgn(a)/2 per direction
-    if upwind.mode == "adaptive":
+    if weights is None:  # rhs_2d's: edge weight sgn(a), node weight sgn(a)/2 per axis
         a3x, a3y = Fraction(int(np.sign(ax))), Fraction(int(np.sign(ay)))
         beta_x, beta_y = a3x / 2, a3y / 2
     else:
-        a3x = a3y = Fraction(upwind.alpha3)
-        beta_x = beta_y = Fraction(upwind.beta)
+        (a3x, a3y), (beta_x, beta_y) = ([Fraction(w) for w in pair] for pair in weights)
     # the other free weights of the family are zero (see Upwind2D)
     return (
         {(0, 0): Poly([[1]])},  # the average's test function: the cell indicator
@@ -513,15 +534,33 @@ def pieces_2d(ax, ay, upwind):
     )
 
 
-FIXED_2D = Upwind2D("fixed", alpha3=0.5, beta=-0.25)
+def taps_2d(grid, ax, ay, weights):
+    """``_compile_taps_2d`` at the (alpha3, beta) pairs ``weights``, or at
+    the sign-following ones rhs_2d passes when ``weights`` is None."""
+    if weights is None:
+        sx, sy = np.sign(ax), np.sign(ay)
+        weights = (sx, sy), (sx / 2, sy / 2)
+    return _compile_taps_2d(grid.dx, grid.dy, ax, ay, *weights)
+
+
+def apply_2d(state, grid, ax, ay, weights):
+    """rhs_2d's output array, or with ``weights`` its operator at those weights."""
+    if weights is None:
+        return rhs_2d(state, grid, build_element_2d(), advection2d(ax, ay), Upwind2D()).data
+    return _apply_blocks_2d(state.data, *taps_2d(grid, ax, ay, weights))
+
+
+# weights that no velocity signs give: x- and y-edges at alpha3 = 0.5,
+# nodes at beta = -0.25 on both axes, so every offset in {-1, 0, 1}^2 is read
+FIXED_2D = ((0.5, 0.5), (-0.25, -0.25))
 
 CASES_2D = [
     pytest.param(4, 4, 0.8, -0.6, FIXED_2D, id="fixed-4x4"),
     pytest.param(5, 4, 0.8, -0.6, FIXED_2D, id="fixed-5x4"),
-    pytest.param(5, 4, 0.8, -0.6, Upwind2D("adaptive"), id="adaptive-5x4-a(0.8,-0.6)"),
-    pytest.param(5, 4, -0.7, 1.1, Upwind2D("adaptive"), id="adaptive-5x4-a(-0.7,1.1)"),
-    pytest.param(5, 4, 1.0, 0.0, Upwind2D("adaptive"), id="adaptive-5x4-a(1,0)"),
-    pytest.param(5, 4, 0.0, -1.3, Upwind2D("adaptive"), id="adaptive-5x4-a(0,-1.3)"),
+    pytest.param(5, 4, 0.8, -0.6, None, id="adaptive-5x4-a(0.8,-0.6)"),
+    pytest.param(5, 4, -0.7, 1.1, None, id="adaptive-5x4-a(-0.7,1.1)"),
+    pytest.param(5, 4, 1.0, 0.0, None, id="adaptive-5x4-a(1,0)"),
+    pytest.param(5, 4, 0.0, -1.3, None, id="adaptive-5x4-a(0,-1.3)"),
 ]
 
 
@@ -637,18 +676,16 @@ class TestRhs2D:
             rhs_2d(st, g, el, burgers1d(), Upwind2D())
 
     def test_node_upwind_picks_left_cells(self):
-        # for ax > 0 the adaptive node row reads x-derivatives from the
-        # left-side cells only
+        # for ax > 0 the node row reads x-derivatives from the left-side
+        # cells only: full left upwinding, alpha3 = 1 and beta = 1/2
         rng = np.random.default_rng(13)
         g = Grid2D(4, 4)
         el = build_element_2d()
         st = random_state_2d(rng, 4, 4)
         r_adaptive = rhs_2d(st, g, el, advection2d(1.0, 0.0), Upwind2D("adaptive"))
-        r_fixed = rhs_2d(
-            st, g, el, advection2d(1.0, 0.0), Upwind2D("fixed", alpha3=1.0, beta=0.5)
-        )
-        assert np.allclose(r_adaptive.nodes, r_fixed.nodes, atol=1e-13)
-        assert np.allclose(r_adaptive.edge_x, r_fixed.edge_x, atol=1e-13)
+        r_left = State2D._of(apply_2d(st, g, 1.0, 0.0, ((1.0, 1.0), (0.5, 0.5))))
+        assert np.allclose(r_adaptive.nodes, r_left.nodes, atol=1e-13)
+        assert np.allclose(r_adaptive.edge_x, r_left.edge_x, atol=1e-13)
 
     @pytest.mark.parametrize("field", ["averages", "edge_x", "edge_y", "nodes"])
     def test_field_shape_mismatch_rejected(self, field):
@@ -665,15 +702,15 @@ class TestRhs2D:
         with pytest.raises(ValueError):
             rhs_2d(st, Grid2D(5, 4), build_element_2d(), advection2d(1.0, 1.0), Upwind2D())
 
-    @pytest.mark.parametrize("nx, ny, ax, ay, upwind", CASES_2D)
-    def test_oracle_equivalence_random_alphas(self, nx, ny, ax, ay, upwind):
+    @pytest.mark.parametrize("nx, ny, ax, ay, weights", CASES_2D)
+    def test_oracle_equivalence_random_alphas(self, nx, ny, ax, ay, weights):
         # every rhs entry equals the direct pairing of the assembled test
         # function with -(ax dq/dx + ay dq/dy), integrated exactly
         rng = np.random.default_rng(14)
         g = Grid2D(nx, ny)
         el = build_element_2d()
         st = random_state_2d(rng, nx, ny)
-        r = rhs_2d(st, g, el, advection2d(ax, ay), upwind)
+        r = State2D._of(apply_2d(st, g, ax, ay, weights))
 
         cells = {(i, j): cell_poly_2d(st, el, i, j) for i in range(nx) for j in range(ny)}
         dxf = Fraction(1, nx)
@@ -683,7 +720,7 @@ class TestRhs2D:
         def pair(piece, poly):
             return axf * inner(piece, poly.deriv(0)) / dxf + ayf * inner(piece, poly.deriv(1)) / dyf
 
-        pieces = pieces_2d(ax, ay, upwind)
+        pieces = pieces_2d(ax, ay, weights)
         for out, field_pieces in zip((r.averages, r.edge_x, r.edge_y, r.nodes), pieces):
             for i in range(nx):
                 for j in range(ny):
@@ -699,13 +736,13 @@ class TestRhs2D:
 
 class TestCompiledTaps2D:
     @pytest.mark.parametrize(
-        "nx, ny, ax, ay, upwind",
+        "nx, ny, ax, ay, weights",
         [
             *CASES_2D,
-            pytest.param(160, 160, 1.0, 1.0, Upwind2D("adaptive"), id="adv2d-160x160-a(1,1)"),
+            pytest.param(160, 160, 1.0, 1.0, None, id="adv2d-160x160-a(1,1)"),
         ],
     )
-    def test_taps_are_exact_pairings_rounded_once(self, nx, ny, ax, ay, upwind):
+    def test_taps_are_exact_pairings_rounded_once(self, nx, ny, ax, ay, weights):
         # the weight of an output field on the dof stored at (field, offset) is
         # -sum over the field's test-function pieces of
         # inner(piece, ax/dx d_xi b + ay/dy d_eta b), b the basis function
@@ -715,12 +752,12 @@ class TestCompiledTaps2D:
         cx, cy = Fraction(ax) / Fraction(g.dx), Fraction(ay) / Fraction(g.dy)
         el = build_element_2d()
         flux = {dof: cx * b.deriv(0) + cy * b.deriv(1) for dof, b in el.basis.items()}
-        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
-        assert weights.shape == (4, len(columns))
-        assert not weights.flags.writeable  # shared by every call through the cache
+        columns, w = taps_2d(g, ax, ay, weights)
+        assert w.shape == (4, len(columns))
+        assert not w.flags.writeable  # shared by every call through the cache
         assert len(set(columns)) == len(columns)
         carried = set()
-        for field_pieces, row in zip(pieces_2d(ax, ay, upwind), weights, strict=True):
+        for field_pieces, row in zip(pieces_2d(ax, ay, weights), w, strict=True):
             exact = {}
             for (px, py), piece in field_pieces.items():
                 for dof, f in flux.items():
@@ -750,9 +787,9 @@ def tile_rows(columns, ny):
 
 class TestBlockApply2D:
     @pytest.mark.parametrize(
-        "ax, ay, upwind",
+        "ax, ay, weights",
         [
-            pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
+            pytest.param(0.8, -0.6, None, id="adaptive-a(0.8,-0.6)"),
             pytest.param(0.8, -0.6, FIXED_2D, id="fixed"),
         ],
     )
@@ -769,22 +806,21 @@ class TestBlockApply2D:
         ],
     )
     def test_tiles_match_rolled_reference(
-        self, monkeypatch, grid_rows, budget_rows, full_tiles_and_rest, ax, ay, upwind
+        self, monkeypatch, grid_rows, budget_rows, full_tiles_and_rest, ax, ay, weights
     ):
         # every tile, the last partial one included, must land in its own
         # rows: compare with the untiled sum of np.roll-shifted fields
         probe = Grid2D(4, 4)
-        columns, _ = _compile_taps_2d(probe.dx, probe.dy, ax, ay, upwind)
+        columns, _ = taps_2d(probe, ax, ay, weights)
         if budget_rows is not None:
             monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget_rows * len(columns) * 11 * 8)
         nx, ny = grid_rows(tile_rows(columns, 160))
         assert divmod(nx, max(1, tile_rows(columns, ny))) == full_tiles_and_rest
         g = Grid2D(nx, ny)
         st = random_state_2d(np.random.default_rng(31), nx, ny)
-        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
-        r = rhs_2d(st, g, build_element_2d(), advection2d(ax, ay), upwind)
-        ref = rolled_reference(st.data, columns, weights)
-        assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+        r = apply_2d(st, g, ax, ay, weights)
+        ref = rolled_reference(st.data, *taps_2d(g, ax, ay, weights))
+        assert np.max(np.abs(r - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_fresh_output_and_untouched_input(self):
         # timestep.step hands rhs_2d a stage buffer it overwrites later and
@@ -846,7 +882,7 @@ class TestOutBuffer:
         for nx, ny in ((9, 7), (5, 12)):
             g = Grid2D(nx, ny)
             st = random_state_2d(rng, nx, ny)
-            columns, weights = _compile_taps_2d(g.dx, g.dy, 1.0, -0.5, up)
+            columns, weights = taps_2d(g, 1.0, -0.5, None)
             problems.append((g, st, rolled_reference(st.data, columns, weights)))
         for g, st, ref in problems + problems:
             r = rhs_2d(st, g, build_element_2d(), advection2d(1.0, -0.5), up)
@@ -858,30 +894,30 @@ class TestWrapEdges:
     3 rows or columns, every tile holds wrapped rows or columns."""
 
     @pytest.mark.parametrize(
-        "ax, ay, upwind",
+        "ax, ay, weights",
         [
-            pytest.param(0.8, -0.6, Upwind2D("adaptive"), id="adaptive-a(0.8,-0.6)"),
+            pytest.param(0.8, -0.6, None, id="adaptive-a(0.8,-0.6)"),
             pytest.param(0.8, -0.6, FIXED_2D, id="fixed"),
         ],
     )
     @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 11), (11, 3)])
     @pytest.mark.parametrize("rows", [1, 2])
-    def test_small_grids_match_rolled_reference(self, monkeypatch, rows, nx, ny, ax, ay, upwind):
+    def test_small_grids_match_rolled_reference(self, monkeypatch, rows, nx, ny, ax, ay, weights):
         g = Grid2D(nx, ny)
-        columns, weights = _compile_taps_2d(g.dx, g.dy, ax, ay, upwind)
-        if upwind is FIXED_2D:  # it reads offsets -1 and +1 along both axes
+        columns, w = taps_2d(g, ax, ay, weights)
+        if weights is FIXED_2D:  # it reads offsets -1 and +1 along both axes
             assert len(columns) == 21
             for axis in (0, 1):
                 assert {o[axis] for _, o in columns} == {-1, 0, 1}
         monkeypatch.setattr(semidiscrete, "TILE_BYTES", rows * len(columns) * ny * 8)
         st = random_state_2d(np.random.default_rng(36), nx, ny)
-        r = rhs_2d(st, g, build_element_2d(), advection2d(ax, ay), upwind)
+        r = apply_2d(st, g, ax, ay, weights)
         hits = semidiscrete._scratch_2d.cache_info().hits
         _, plan = semidiscrete._scratch_2d(nx, ny, min(rows, nx), columns)
         assert semidiscrete._scratch_2d.cache_info().hits == hits + 1  # the plan rhs_2d used
         assert [t for _, t, _ in plan] == [min(rows, nx - i) for i in range(0, nx, rows)]
-        ref = rolled_reference(st.data, columns, weights)
-        assert np.max(np.abs(r.data - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = rolled_reference(st.data, columns, w)
+        assert np.max(np.abs(r - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cold_rhs_2d_holds_only_its_tile():
@@ -890,7 +926,7 @@ def test_cold_rhs_2d_holds_only_its_tile():
     g, up, el = Grid2D(160, 160), Upwind2D("adaptive"), build_element_2d()
     st = random_state_2d(np.random.default_rng(37), 160, 160)
     out = np.empty_like(st.data)
-    columns, _ = _compile_taps_2d(g.dx, g.dy, 1.0, 1.0, up)  # a cache, not scratch
+    columns, _ = taps_2d(g, 1.0, 1.0, None)  # a cache, not scratch
     semidiscrete._scratch_2d.cache_clear()
     tracemalloc.start()
     try:
