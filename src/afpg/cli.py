@@ -20,6 +20,7 @@ from afpg.config import ConfigError, load_config
 from afpg.element1d import build_element, build_point_test
 from afpg.element2d import DOF_IDS, build_edge_test, build_element_2d, build_node_test
 from afpg.harness import convergence_study, run_simulation, write_convergence_csv
+from afpg.poly import Poly
 from afpg.timestep import BlowUpError
 
 
@@ -33,6 +34,13 @@ def _number(text, convert, option):
         return convert(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{option}: cannot read {text!r} as {convert.__name__}") from None
+
+
+def _coeff_row(name, poly, shape):
+    """name, then the coefficients of poly zero-padded to shape, in C order."""
+    padded = np.zeros(shape, dtype=object)
+    padded[tuple(map(slice, poly.coeffs.shape))] = poly.coeffs
+    return [name] + [_frac_str(c) for c in padded.flat]
 
 
 def _dump_rows(rows, path):
@@ -80,26 +88,21 @@ def _cmd_dump_element(args) -> int:
         element = build_element(args.k)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    width = args.k + 1
-    rows = [["function"] + [f"xi^{p}" for p in range(width)]]
-
-    def poly_row(name, poly):
-        coeffs = list(poly.coeffs) + [0] * (width - len(poly.coeffs))
-        return [name] + [_frac_str(c) for c in coeffs]
-
-    rows.append(poly_row("basis_left_point", element.basis_left))
+    shape = (args.k + 1,)
+    rows = [["function"] + [f"xi^{p}" for p in range(args.k + 1)]]
+    rows.append(_coeff_row("basis_left_point", element.basis_left, shape))
     for mw, basis in zip(element.moment_weights, element.basis_moments):
-        rows.append(poly_row(f"basis_moment_{mw.k}", basis))
-    rows.append(poly_row("basis_right_point", element.basis_right))
+        rows.append(_coeff_row(f"basis_moment_{mw.k}", basis, shape))
+    rows.append(_coeff_row("basis_right_point", element.basis_right, shape))
     for mw in element.moment_weights:
-        rows.append(poly_row(f"moment_weight_{mw.k}", mw.poly))
+        rows.append(_coeff_row(f"moment_weight_{mw.k}", mw.poly, shape))
     if args.alpha is not None:
         alpha = _number(args.alpha, Fraction, "--alpha")
         if abs(alpha) > 1:
             raise ConfigError("--alpha must lie in [-1, 1]")
         test = build_point_test(element, alpha)
-        rows.append(poly_row("test_left_cell", test.left))
-        rows.append(poly_row("test_right_cell", test.right))
+        rows.append(_coeff_row("test_left_cell", test.left, shape))
+        rows.append(_coeff_row("test_right_cell", test.right, shape))
     _dump_rows(rows, args.output)
     return 0
 
@@ -121,16 +124,8 @@ def _cmd_dump_element_2d(args) -> int:
     element = build_element_2d()
     header = ["function"] + [f"xi^{k}*eta^{l}" for k in range(3) for l in range(3)]
     rows = [header]
-
-    def poly_row(name, poly):
-        grid = [[0] * 3 for _ in range(3)]
-        for k, row in enumerate(poly.coeffs):
-            for l, c in enumerate(row):
-                grid[k][l] = c
-        return [name] + [_frac_str(grid[k][l]) for k in range(3) for l in range(3)]
-
     for dof in DOF_IDS:
-        rows.append(poly_row(f"basis_{_DOF_NAMES[dof]}", element.basis[dof]))
+        rows.append(_coeff_row(f"basis_{_DOF_NAMES[dof]}", element.basis[dof], (3, 3)))
 
     alphas = [_number(a, Fraction, "--alphas") for a in (args.alphas or "").split(",") if a]
     if len(alphas) not in (0, 3, 14):
@@ -140,18 +135,17 @@ def _cmd_dump_element_2d(args) -> int:
     if alphas:
         edge = build_edge_test(tuple(alphas[:3]), orientation="x")
         for off, name in (((0, 0), "edge_test_left_cell"), ((1, 0), "edge_test_right_cell")):
-            rows.append(poly_row(name, edge.pieces[off]))
+            rows.append(_coeff_row(name, edge.pieces[off], (3, 3)))
         edge_y = build_edge_test(tuple(alphas[:3]), orientation="y")
         for off, name in (((0, 0), "edge_test_bottom_cell"), ((0, 1), "edge_test_top_cell")):
-            rows.append(poly_row(name, edge_y.pieces[off]))
+            rows.append(_coeff_row(name, edge_y.pieces[off], (3, 3)))
         if len(alphas) == 14:
             node = build_node_test(tuple(alphas[3:]))
             names = {(0, 0): "node_test_ll", (1, 0): "node_test_lr",
                      (0, 1): "node_test_ul", (1, 1): "node_test_ur"}
             for off, name in names.items():
-                rows.append(poly_row(name, node.pieces[off]))
-        rows.append(["avg_test"] + [_frac_str(int(k == 0 and l == 0))
-                                    for k in range(3) for l in range(3)])
+                rows.append(_coeff_row(name, node.pieces[off], (3, 3)))
+        rows.append(_coeff_row("avg_test", Poly([[1]]), (3, 3)))
     _dump_rows(rows, args.output)
     return 0
 

@@ -84,8 +84,6 @@ class RunConfig:
     ic_center: float = 0.5
     ic_width: float = 0.1
     ic_slope: float = 1.0
-    ic_offset: float = 0.0
-    ic_value: float = 1.0
     upwind_mode: str = "adaptive"
     time_scheme: str = "ssprk3"
     time_cfl: float = 0.2
@@ -112,7 +110,7 @@ _CHOICES = {
     "dimension": (1, 2),
     "model_name": ("advection", "burgers", "linear_system"),
     "model_point_update": ("split", "exact"),
-    "ic_name": ("sine", "gaussian", "linear", "constant"),
+    "ic_name": ("sine", "gaussian", "linear"),
     # one value: every interface weight follows the sign of the wave
     # speed; the key stays so that configs which name it still parse
     "upwind_mode": ("adaptive",),
@@ -136,8 +134,7 @@ _READ_UNDER = {
     "ic_name": {
         "sine": ("ic_mean", "ic_amplitude", "ic_cycles"),
         "gaussian": ("ic_mean", "ic_amplitude", "ic_center", "ic_width"),
-        "linear": ("ic_slope", "ic_offset"),
-        "constant": ("ic_value",),
+        "linear": ("ic_mean", "ic_slope"),
     },
 }
 

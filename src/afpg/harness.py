@@ -78,28 +78,17 @@ def build_model(cfg: RunConfig):
 
 
 def build_ic(cfg: RunConfig):
-    if cfg.dimension == 1:
-        lx = cfg.grid_x_max - cfg.grid_x_min
-        if cfg.ic_name == "sine":
-            return _models.SineIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_cycles,
-                                  cfg.grid_x_min, lx)
-        if cfg.ic_name == "gaussian":
-            return _models.GaussianIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center,
-                                      cfg.ic_width)
-        if cfg.ic_name == "linear":
-            return _models.LinearIC(cfg.ic_slope, cfg.ic_offset)
-        return _models.ConstantIC(cfg.ic_value)
-    lx = cfg.grid_x_max - cfg.grid_x_min
-    ly = cfg.grid_y_max - cfg.grid_y_min
-    if cfg.ic_name == "sine":
-        return _models.Sine2DIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_cycles,
-                                cfg.ic_cycles, cfg.grid_x_min, lx, cfg.grid_y_min, ly)
+    """The scalar initial data of a run; a system repeats it per component."""
     if cfg.ic_name == "gaussian":
-        return _models.Gaussian2DIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center,
-                                    cfg.ic_center, cfg.ic_width)
+        return _models.GaussianIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_width)
     if cfg.ic_name == "linear":
-        return lambda x, y: cfg.ic_slope * (np.asarray(x) + np.asarray(y)) + cfg.ic_offset
-    return _models.Constant2DIC(cfg.ic_value)
+        return _models.LinearIC(cfg.ic_slope, cfg.ic_mean)
+    lx = cfg.grid_x_max - cfg.grid_x_min
+    if cfg.dimension == 1:
+        return _models.SineIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_cycles, cfg.grid_x_min, lx)
+    ly = cfg.grid_y_max - cfg.grid_y_min
+    return _models.Sine2DIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_cycles, cfg.ic_cycles,
+                            cfg.grid_x_min, lx, cfg.grid_y_min, ly)
 
 
 def build_integrator(cfg: RunConfig) -> TimeIntegrator:
@@ -232,6 +221,9 @@ def convergence_study(cfg: RunConfig, grid_sizes):
     grid_sizes = list(grid_sizes)
     if len(grid_sizes) < 2 or min(grid_sizes) < 3:
         raise ConfigError(f"a convergence study needs 2+ grids of 3+ cells, got {grid_sizes}")
+    if any(a == b for a, b in zip(grid_sizes, grid_sizes[1:])):
+        raise ConfigError(f"consecutive grids must differ in size, got {grid_sizes}:"
+                          " an order needs a refinement ratio other than 1")
     cfg = replace(cfg, output_dir="", output_snapshot_every=0)
 
     all_norms = []

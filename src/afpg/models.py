@@ -8,6 +8,11 @@ the Jacobian; scalar models split sign by sign at evaluation time.
 Where an exact solution is cheap (translation for linear advection,
 characteristic tracing for pre-shock Burgers) the model provides one
 for error measurement.
+
+Initial data come in three shapes, each one class for both dimensions:
+the Gaussian and the ramp take one coordinate array or two.  The sine
+keeps SineIC (1-d) and Sine2DIC (2-d), whose phases are summed in
+different orders.  A constant is the sine at amplitude 0.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ __all__ = [
     "advection2d",
     "burgers1d",
     "linear_system1d",
-    "ConstantIC",
     "LinearIC",
     "SineIC",
     "GaussianIC",
     "Sine2DIC",
-    "Constant2DIC",
-    "Gaussian2DIC",
 ]
 
 
@@ -229,28 +231,27 @@ def linear_system1d(matrix) -> LinearSystem1D:
 
 
 # ---------------------------------------------------------------------------
-# Initial data.  Callables with an analytic derivative where the Burgers
-# reference needs one; all are globally defined so periodic wrapping is safe.
-
-
-@dataclass(frozen=True)
-class ConstantIC:
-    value: float = 1.0
-
-    def __call__(self, x):
-        return self.value * np.ones_like(np.asarray(x, dtype=float))
-
-    def derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+# Initial data.  Callables with a 1-d analytic derivative where the
+# Burgers reference needs one; all are globally defined so periodic
+# wrapping is safe.
 
 
 @dataclass(frozen=True)
 class LinearIC:
+    """slope * (x [+ y]) + offset: the ramp along the diagonal in 2-d.
+
+    A run config sets offset from ic.mean, as it sets the other shapes'
+    additive constants.
+    """
+
     slope: float = 1.0
     offset: float = 0.0
 
-    def __call__(self, x):
-        return self.slope * np.asarray(x, dtype=float) + self.offset
+    def __call__(self, x, *rest):
+        total = np.asarray(x, dtype=float)
+        for y in rest:
+            total = total + np.asarray(y, dtype=float)
+        return self.slope * total + self.offset
 
     def derivative(self, x):
         return self.slope * np.ones_like(np.asarray(x, dtype=float))
@@ -279,14 +280,24 @@ class SineIC:
 
 @dataclass(frozen=True)
 class GaussianIC:
+    """base + amplitude * exp(-(z_x^2) [- z_y^2]), z = (coordinate - center) / width.
+
+    One center serves every axis, so in 2-d the bump sits at
+    (center, center) and is round.  A run config sets base from ic.mean.
+    """
+
     base: float = 0.0
     amplitude: float = 1.0
     center: float = 0.5
     width: float = 0.1
 
-    def __call__(self, x):
+    def __call__(self, x, *rest):
         z = (np.asarray(x, dtype=float) - self.center) / self.width
-        return self.base + self.amplitude * np.exp(-(z**2))
+        exponent = -(z**2)
+        for y in rest:
+            z = (np.asarray(y, dtype=float) - self.center) / self.width
+            exponent = exponent - z**2
+        return self.base + self.amplitude * np.exp(exponent)
 
     def derivative(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.width
@@ -312,25 +323,3 @@ class Sine2DIC:
             + self.cycles_y * (np.asarray(y, dtype=float) - self.y_min) / self.length_y
         )
         return self.mean + self.amplitude * np.sin(phase)
-
-
-@dataclass(frozen=True)
-class Constant2DIC:
-    value: float = 1.0
-
-    def __call__(self, x, y):
-        return self.value * np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-
-
-@dataclass(frozen=True)
-class Gaussian2DIC:
-    base: float = 0.0
-    amplitude: float = 1.0
-    center_x: float = 0.5
-    center_y: float = 0.5
-    width: float = 0.1
-
-    def __call__(self, x, y):
-        zx = (np.asarray(x, dtype=float) - self.center_x) / self.width
-        zy = (np.asarray(y, dtype=float) - self.center_y) / self.width
-        return self.base + self.amplitude * np.exp(-(zx**2) - (zy**2))

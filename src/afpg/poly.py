@@ -203,18 +203,12 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(tuple(0.5 * x), tuple(0.5 * w))
 
 
-def solve_exact(matrix, rhs=None):
-    """Solve matrix . x = rhs in Fractions, exactly, by one elimination.
-
-    ``rhs`` is a vector, or a matrix (list of rows) whose columns are
-    right-hand sides, solved together; None, the identity, gives the
-    exact inverse.  Raises on a singular matrix.
-    """
+def solve_exact(matrix):
+    """Exact inverse of a square matrix (list of rows) in Fractions, by
+    one Gauss-Jordan elimination.  Raises on a singular matrix."""
     n = len(matrix)
-    vector = rhs is not None and np.ndim(rhs) == 1
-    cols = ([[int(r == c) for c in range(n)] for r in range(n)] if rhs is None
-            else [[x] for x in rhs] if vector else rhs)
-    a = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(matrix, cols)]
+    a = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -226,4 +220,4 @@ def solve_exact(matrix, rhs=None):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-    return [row[n] for row in a] if vector else [row[n:] for row in a]
+    return [row[n:] for row in a]

@@ -15,7 +15,7 @@ from afpg.element2d import build_edge_test, build_element_2d, build_node_test, r
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, error_norms, project_initial, total_mass
 from afpg.config import parse_config
 from afpg.harness import run_simulation
-from afpg.models import Gaussian2DIC, GaussianIC, SineIC, advection1d, advection2d, burgers1d
+from afpg.models import GaussianIC, SineIC, advection1d, advection2d, burgers1d
 from afpg.poly import HALF, Poly, gauss_rule, inner
 from afpg.semidiscrete import (
     Upwind1D,
@@ -481,8 +481,7 @@ def _oracle_2d(cfg):
     for (field, (ox, oy)), w in zip(columns, weights.T):
         shift = np.exp(1j * (ox * tx[:, None] + oy * ty[None, :]))
         symbol[..., field] += shift[..., None] * w
-    ic = Gaussian2DIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_center,
-                      cfg.ic_width)
+    ic = GaussianIC(cfg.ic_mean, cfg.ic_amplitude, cfg.ic_center, cfg.ic_width)
     u_hat = np.moveaxis(np.fft.fft2(project_initial(grid, ic).data), 0, -1)
     v_hat, steps = _fourier_run(symbol, u_hat, cfg.time_dt, cfg.time_t_end, cfg.time_scheme)
     return np.fft.ifft2(np.moveaxis(v_hat, -1, 0)).real, steps

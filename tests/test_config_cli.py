@@ -103,7 +103,7 @@ class TestConfig:
             parse_config(f"model.name=burgers\nic.name=linear\nic.slope={slope}\n")
 
     def test_burgers_flat_linear_ic_accepted(self):
-        cfg = parse_config("model.name=burgers\nic.name=linear\nic.slope=0\nic.offset=0.5\n"
+        cfg = parse_config("model.name=burgers\nic.name=linear\nic.slope=0\nic.mean=0.5\n"
                            "grid.n=12\ntime.t_end=0.1\n")
         assert run_simulation(cfg).norms[2] <= 1e-14
 
@@ -150,7 +150,7 @@ class TestConfig:
 
 class TestHarness:
     def test_constant_run_is_exact(self, tmp_path):
-        cfg = parse_config("ic.name=constant\nic.value=2.0\ntime.t_end=0.25\ngrid.n=12")
+        cfg = parse_config("ic.mean=2.0\nic.amplitude=0\ntime.t_end=0.25\ngrid.n=12")
         result = run_simulation(cfg)
         l1, l2, linf = result.norms
         assert linf <= 1e-13
@@ -207,6 +207,25 @@ class TestHarness:
         cfg = parse_config(BASE_CFG)
         with pytest.raises(ConfigError):
             convergence_study(cfg, [16])
+
+    @pytest.mark.parametrize("model", [
+        "model.name=advection\ngrid.n=8\n",
+        "model.name=burgers\ngrid.n=8\n",
+        "model.name=linear_system\nmodel.matrix=0,1;1,0\ngrid.n=8\n",
+        "dimension=2\ngrid.nx=6\ngrid.ny=5\nmodel.ax=0.8\nmodel.ay=-0.6\n",
+    ], ids=["advection", "burgers", "linear_system", "advection_2d"])
+    @pytest.mark.parametrize("ic", ["sine", "gaussian", "linear"])
+    def test_every_ic_refused_or_run(self, model, ic):
+        # the one refusal is the sloped ramp under Burgers, which jumps at the wrap
+        text = f"{model}ic.name={ic}\nic.mean=0.5\ntime.t_end=0.05\n"
+        if "burgers" in model and ic == "linear":
+            with pytest.raises(ConfigError, match="jumps at the wrap"):
+                parse_config(text)
+            return
+        result = run_simulation(parse_config(text))
+        assert result.steps > 0 and np.all(np.isfinite(result.state.data))
+        m0, m1 = (float(np.sum(mass)) for _, mass in (result.mass_log[0], result.mass_log[-1]))
+        assert abs(m1 - m0) <= 1e-12 * abs(m0)
 
     def test_linear_system_run(self):
         cfg = parse_config(
@@ -275,9 +294,9 @@ class TestCli:
             ("model.matrix=1,2;3,4\n", "model.matrix"),
             ("ic.name=gaussian\nic.cycles=2\n", "ic.cycles"),
             ("ic.slope=2\n", "ic.slope"),
-            ("ic.name=constant\nic.amplitude=2\n", "ic.amplitude"),
+            ("ic.name=linear\nic.amplitude=2\n", "ic.amplitude"),
             ("ic.name=linear\nic.width=0.3\n", "ic.width"),
-            ("ic.name=gaussian\nic.value=2\n", "ic.value"),
+            ("ic.name=sine\nic.center=0.3\n", "ic.center"),
             ("grid.y_min=-1\n", "grid.y_min"),
             # ran 2 steps of dt = 0.01 while summary.txt echoed time.cfl=0.9
             ("grid.n=8\ntime.cfl=0.9\ntime.dt=0.01\n", "time.cfl"),
@@ -299,7 +318,7 @@ class TestCli:
             "upwind.mode=adaptive\n",
             "dimension=2\nupwind.mode=adaptive\nmodel.ax=0.8\nmodel.ay=-0.6\n",
             "model.name=linear_system\nmodel.matrix=0,1;1,0\nic.name=gaussian\nic.width=0.2\n",
-            "ic.name=linear\nic.slope=2\nic.offset=1\n",
+            "ic.name=linear\nic.slope=2\nic.mean=1\n",
             "time.dt=0.01\ntime.cfl=0.2\n",
         ],
     )
@@ -316,6 +335,16 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         key = line.split("=", 1)[0]
         assert err == [f"config error: line 3: unknown key {key!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["ic.name=constant", "ic.value=2.0", "ic.offset=0.5"])
+    def test_deleted_ic_keys_exit_two(self, tmp_path, capsys, line):
+        # a constant is the sine at ic.amplitude=0; the ramp's offset is ic.mean
+        cfg = self.write(tmp_path, f"time.t_end=0.01\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and line.split("=")[0] in err[0]
         assert not out.exists()
 
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -408,7 +437,7 @@ class TestCli:
         [
             "grid.n=12\nmodel.a=0.0\n",
             "dimension=2\ngrid.nx=6\ngrid.ny=6\nmodel.ax=0.0\nmodel.ay=-0.0\n",
-            "grid.n=12\nmodel.name=burgers\nic.name=constant\nic.value=0.0\n",
+            "grid.n=12\nmodel.name=burgers\nic.amplitude=0\n",
         ],
         ids=["1d", "2d", "burgers"],
     )
@@ -531,6 +560,15 @@ class TestCli:
     def test_converge_rejects_single_grid(self, tmp_path):
         cfg = self.write(tmp_path, BASE_CFG)
         assert main(["converge", cfg, "--grids", "16"]) == 2
+
+    def test_converge_equal_grids_exit_two(self, tmp_path, capsys):
+        # exited 1 with a ZeroDivisionError traceback from the order of 20 over 20
+        cfg = self.write(tmp_path, BASE_CFG)
+        assert main(["converge", cfg, "--grids", "20,20"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: consecutive grids")
+        assert captured.out == ""
 
     def test_dump_element_golden_rows(self, tmp_path):
         out = tmp_path / "el.csv"

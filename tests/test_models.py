@@ -5,6 +5,7 @@ import pytest
 
 from afpg.models import (
     GaussianIC,
+    LinearIC,
     SineIC,
     advection1d,
     advection2d,
@@ -12,6 +13,31 @@ from afpg.models import (
     linear_system1d,
 )
 from afpg.grid import Grid1D
+
+
+class TestInitialData:
+    """One class per shape serves both dimensions, in the float order of
+    the per-dimension expressions, so the projected state is bit for bit
+    what they gave."""
+
+    @staticmethod
+    def points():
+        return np.random.default_rng(5).uniform(-0.3, 1.4, (2, 7, 5))
+
+    def test_gaussian_float_order(self):
+        base, amp, center, width = 0.3, -1.7, 0.45, 0.13
+        ic = GaussianIC(base, amp, center, width)
+        x, y = self.points()
+        zx, zy = (x - center) / width, (y - center) / width
+        assert ic(x, y).tobytes() == (base + amp * np.exp(-(zx**2) - (zy**2))).tobytes()
+        assert ic(x).tobytes() == (base + amp * np.exp(-(zx**2))).tobytes()
+
+    def test_linear_float_order(self):
+        slope, offset = -0.7, 0.35
+        ic = LinearIC(slope, offset)
+        x, y = self.points()
+        assert ic(x, y).tobytes() == (slope * (x + y) + offset).tobytes()
+        assert ic(x).tobytes() == (slope * x + offset).tobytes()
 
 
 class TestAdvection:
