@@ -1,9 +1,10 @@
-"""Python's float ``repr``, computed for a whole array at once.
+"""Python's float ``repr``, computed for a whole array at once, as ASCII.
 
-``repr_floats(values)`` equals ``[repr(v) for v in
-np.asarray(values, dtype=float).ravel().tolist()]``, string for string.
-Most values are formatted by numpy arithmetic; every value off the fast
-path below goes through ``repr`` itself.
+``repr_bytes(values)`` is an (n, WIDTH) uint8 array whose row i, with
+its NUL bytes dropped, is ``repr(v).encode()`` for the i-th of
+``np.asarray(values, dtype=float).ravel().tolist()``.  No Python string
+is made for a value on the fast path below, which numpy arithmetic
+formats; every value off it goes through ``repr`` itself.
 
 The fast path takes finite x with 1e-6 <= |x| < 1e16 that is not a
 power of two (whose rounding interval is asymmetric).  With
@@ -26,20 +27,27 @@ when the rounded distance equals half an ulp is the answer unknown, and
 the value leaves the fast path, as does one whose rounding carries into
 a new leading digit.
 
-The strings follow ``repr``'s layout: fixed notation for -4 <= E < 16,
-with ``.0`` after an integer, and ``d.ddde-XX`` below 1e-4.
+The text follows ``repr``'s layout: fixed notation for -4 <= E < 16,
+with ``.0`` after an integer, and ``d.ddde-XX`` below 1e-4.  A fast-path
+row is a head of ``_HEAD`` bytes (the sign, and between 1e-4 and 0.1 the
+"0." and zeros before the first digit) and a body of ``_BODY`` bytes,
+each NUL-padded; a row off the fast path holds the whole ``repr``, at
+most 24 bytes, then NULs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HEADS", "repr_floats", "repr_parts"]
+__all__ = ["WIDTH", "repr_bytes"]
 
-# What precedes the body of a fast-path value: its sign, and between
-# 1e-4 and 0.1 the "0." and zeros before the first digit.  Index:
-# 2 * (-E) + (x < 0) for -4 <= E < 0, else (x < 0).
-HEADS = ("", "-", "0.", "-0.", "0.0", "-0.0", "0.00", "-0.00", "0.000", "-0.000")
+_HEAD = 6  # the longest head, "-0.000"
+_BODY = 22  # 17 digits, the point and "e-0d"
+WIDTH = _HEAD + _BODY
+# the head of a fast-path value, by index 2 * (-E) + (x < 0) for
+# -4 <= E < 0, else (x < 0)
+_HEADS = np.array([b"", b"-", b"0.", b"-0.", b"0.0", b"-0.0", b"0.00", b"-0.00", b"0.000",
+                   b"-0.000"], f"S{_HEAD}").view(np.uint8).reshape(-1, _HEAD)
 
 _POW10 = np.array([float(10**s) for s in range(23)])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
@@ -57,12 +65,11 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 # (built in uint16, which keeps the import's peak memory 1 MB lower)
 _DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
             % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
-_WIDTH = 22  # 17 digits, the point and "e-0d"
 # character positions down a column: the bodies are laid out one per
 # column, so that every step below runs along contiguous rows
-_POS = np.arange(_WIDTH, dtype=np.uint8)[:, None]
+_POS = np.arange(_BODY, dtype=np.uint8)[:, None]
 _MANTISSA = np.uint64(2**52 - 1)
-# repr_parts holds about 180 B of arrays per value: repr_floats formats at
+# formatting holds about 180 B of arrays per value: repr_bytes formats at
 # most this many values at once
 _CHUNK = 2048
 
@@ -109,10 +116,10 @@ def _shortest(v):
     return g, exp, fast
 
 
-def _text(g, exp, sci):
-    """(n, _WIDTH) uint32 characters, NUL-padded: each value's body, from
-    its digits ``g`` and exponent ``exp``; ``sci`` marks the values
-    written in scientific notation."""
+def _body(g, exp, sci):
+    """(_BODY, n) uint8 characters, NUL-padded: each value's body down a
+    column, from its digits ``g`` and exponent ``exp``; ``sci`` marks the
+    values written in scientific notation."""
     n = len(g)
     # the 17 digits of g, then how many of them precede the trailing zeros
     digits = np.empty((17, n), np.uint8)
@@ -132,7 +139,7 @@ def _text(g, exp, sci):
     dot = np.where(fixed_int, exp + 1, np.where(sci, 1, 17)).astype(np.uint8)
     end = np.where(fixed_int, np.maximum(ndig, exp + 2) + 1,
                    ndig + (sci & (ndig > 1))).astype(np.uint8)
-    body = np.zeros((_WIDTH, n), np.uint8)
+    body = np.zeros((_BODY, n), np.uint8)
     body[:17] = digits
     body[1:18] += (digits - body[1:18]) * (_POS[1:18] > dot)
     body += (46 - body) * (_POS == dot)
@@ -143,36 +150,27 @@ def _text(g, exp, sci):
         marks[:3] = np.array([[101], [45], [48]])  # "e-0"
         marks[3] = 48 - exp[cols]
         body[end[cols] + _POS[:4], cols] = marks
-    text = np.empty((n, _WIDTH), np.uint32)
-    text[:] = body.T
-    return text
+    return body
 
 
-def repr_parts(values):
-    """(heads, bodies) with ``repr(v) == HEADS[head] + body`` for each value.
-
-    ``heads`` is an int array and ``bodies`` a list of str; a value off
-    the fast path has head 0 and its whole ``repr`` as body.  The head is
-    apart so that a caller can fold it into the text written before it.
-    """
-    v = np.asarray(values, dtype=float).ravel()
+def _format(v, out):
+    """Fill the (len(v), WIDTH) rows ``out`` with the float64 values ``v``."""
     g, exp, fast = _shortest(v)
     sci = exp < -4
-    bodies = _text(g, exp, sci & fast).view(f"U{_WIDTH}").ravel().tolist()
-    heads = (v < 0) + np.where((exp < 0) & ~sci, -2 * exp, 0)
+    out[:, :_HEAD] = _HEADS[(v < 0) + np.where((exp < 0) & ~sci, -2 * exp, 0)]
+    out[:, _HEAD:] = _body(g, exp, sci & fast).T
     slow = np.flatnonzero(~fast)
-    heads[slow] = 0
-    for i, x in zip(slow.tolist(), v[slow].tolist()):
-        bodies[i] = repr(x)
-    return heads, bodies
+    out[slow] = np.array([repr(x).encode() for x in v[slow].tolist()],
+                         f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
 
 
-def repr_floats(values):
-    """``[repr(v) for v in values]`` over the values as float64, in order,
-    formatted ``_CHUNK`` values at a time."""
+def repr_bytes(values):
+    """(n, WIDTH) uint8: row i is the ``repr`` of the i-th value as
+    float64, in ASCII, NUL-padded (the NULs can sit inside the row, so
+    drop them rather than strip them), formatted ``_CHUNK`` values at a
+    time."""
     v = np.asarray(values, dtype=float).ravel()
-    out = []
+    out = np.empty((len(v), WIDTH), np.uint8)
     for i in range(0, len(v), _CHUNK):
-        heads, bodies = repr_parts(v[i:i + _CHUNK])
-        out += [HEADS[h] + body for h, body in zip(heads.tolist(), bodies)]
+        _format(v[i:i + _CHUNK], out[i:i + _CHUNK])
     return out

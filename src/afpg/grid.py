@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from afpg._floatrepr import HEADS, repr_floats, repr_parts
+from afpg._floatrepr import WIDTH, repr_bytes
 from afpg.element1d import Element1D, build_element, moment_weight
 from afpg.element2d import DOF_IDS, build_element_2d
 from afpg.poly import gauss_rule
@@ -78,10 +78,11 @@ _NORM_RULE_MARGIN = 2
 BLOCK_BYTES = 1 << 18
 # Lines formatted and handed to one write.  The formatter's numpy calls
 # cost the same per block whatever its size, so larger blocks are faster,
-# while its arrays hold about 180 B per line (tracemalloc).  1-d K=4 at
-# n=10240, medians over 5 processes of 21 writes each, on a 2-CPU host:
-# 35.5 ms per file at 1024 lines, 28.8 at 2048, 26.4 at 4096 (55.8 with
-# ``repr`` at 1024); 2048 lines keep the arrays near 0.4 MB.
+# while a block's arrays hold about 290 B per line (tracemalloc).  1-d K=4
+# at n=10240, medians over 5 processes of 21 writes each, on a 2-CPU host,
+# per file and warm tracemalloc peak: 30.6 ms and 0.30 MB at 1024 lines,
+# 23.9 ms and 0.59 MB at 2048, 21.9 ms and 0.80 MB at 4096.  2048 lines
+# are within 10% of 4096's time at three quarters of its memory.
 _CSV_BLOCK_LINES = 2048
 
 
@@ -459,34 +460,36 @@ def write_state_csv(state, grid, path):
     blocks, each row-major (x index outer), at the cell center, right
     edge midpoint, top edge midpoint and top-right corner.
 
-    The strings come from ``_floatrepr``, a numpy formatter equal to
-    ``repr`` string for string.  Each line is joined from four strings:
-    the coordinate text, a label shared by the file with the value's
-    sign and leading "0." folded in, the rest of the value and the line
-    end.  The lines go out in sections (the 1-d moments and points; each
-    2-d field, one x string per grid row) and each section in blocks of
-    whole x strings, at most ``_CSV_BLOCK_LINES`` lines unless one x
-    string heads more.  The 1-d coordinate strings are kept for the last
-    grid written (one grid at most, see ``_csv_x_1d``), so the snapshots
-    of a run format their x values once; the values are formatted anew
-    in every file.
+    The text comes from ``_floatrepr.repr_bytes``, a numpy formatter
+    equal to ``repr``, as NUL-padded ASCII rows, and no Python string is
+    made per value.  The lines go out in sections (the 1-d moments and
+    points; each 2-d field, one x per grid row) and each section in
+    blocks of whole x values, at most ``_CSV_BLOCK_LINES`` lines unless
+    one x heads more.  A block is one (lines, width) uint8 matrix of four
+    parts per line, the x bytes, a label shared by the file (in 2-d the
+    y bytes and the field name), the value bytes and ``\\r\\n``, written
+    without its NULs.  The 1-d x bytes are kept for the last grid
+    written (one grid at most, see ``_csv_x_1d``), so the snapshots of a
+    run format their x values once; the values are formatted anew in
+    every file.
     """
     if isinstance(grid, Grid1D) and state.data.shape[1:2] == (grid.n,):
         comps = [""] if state.data.ndim == 2 else [f"[{c}]" for c in range(state.data.shape[2])]
         centers, interfaces = _csv_x_1d(grid)
-        header = "x,dof_class,value\r\n"
+        header = b"x,dof_class,value\r\n"
         sections = [
-            (centers, [f",moment{k}{c}," for k in range(state.k - 1) for c in comps],
+            (centers, _ascii_rows([f",moment{k}{c}," for k in range(state.k - 1) for c in comps]),
              state.moments),
-            (interfaces, [f",point{c}," for c in comps], state.points),
+            (interfaces, _ascii_rows([f",point{c}," for c in comps]), state.points),
         ]
     elif isinstance(grid, Grid2D) and state.data.shape[1:] == (grid.nx, grid.ny):
-        # only 2 (nx + ny) coordinate strings, so they are not cached
-        xc, yc, xf, yf = (repr_floats(coords) for coords in (
+        # only 2 (nx + ny) coordinates, so their bytes are not cached
+        xc, yc, xf, yf = (repr_bytes(coords) for coords in (
             grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces()))
-        header = "x,y,dof_class,value\r\n"
+        header = b"x,y,dof_class,value\r\n"
         sections = [
-            (xs, [f",{y},{name}," for y in ys], field)
+            (xs, np.hstack([np.full((len(ys), 1), ord(","), np.uint8), ys,
+                            np.repeat(_ascii_rows([f",{name},"]), len(ys), axis=0)]), field)
             for name, field, xs, ys in (
                 ("average", state.averages, xc, yc),
                 ("edge_x", state.edge_x, xf, yc),
@@ -498,48 +501,47 @@ def write_state_csv(state, grid, path):
         raise ValueError("state size does not match grid")
     else:
         raise TypeError(f"unsupported grid type {type(grid)!r}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
-        for xs, tails, values in sections:
-            step = max(1, _CSV_BLOCK_LINES // len(tails))
-            labels = np.array([[t + h for h in HEADS] for t in tails], dtype=object)
+        for xs, labels, values in sections:
+            # the columns where the label and the value of a line start
+            lab, val = xs.shape[1], xs.shape[1] + labels.shape[1]
+            step = max(1, _CSV_BLOCK_LINES // len(labels))
             for i in range(0, len(xs), step):
-                block = slice(i, i + step)
-                fh.write(_csv_join(xs[block], labels, values[block]))
+                x = xs[i:i + step]
+                lines = np.empty((len(x), len(labels), val + WIDTH + 2), np.uint8)
+                lines[:, :, :lab] = x[:, None]
+                lines[:, :, lab:val] = labels
+                lines[:, :, val:-2] = repr_bytes(values[i:i + step]).reshape(
+                    len(x), len(labels), WIDTH)
+                lines[:, :, -2:] = _CRLF
+                fh.write(lines[lines != 0])
 
 
-def _csv_join(xs, labels, values):
-    """The lines ``{x}{tail}{v!r}\\r\\n`` as one string: each string of
-    ``xs`` heads len(labels) consecutive lines, which take the tails in
-    order, and ``values`` holds one number per line.  Row t of
-    ``labels`` is tail t followed by each head of ``_floatrepr.HEADS``,
-    so a line's label carries its value's head.  One join over a flat
-    list of four references per line."""
-    heads, bodies = repr_parts(values)
-    per_x = range(len(labels))
-    parts = ["\r\n"] * (4 * len(bodies))
-    parts[0::4] = [x for x in xs for _ in per_x]
-    parts[1::4] = labels[np.arange(len(bodies)) % len(labels), heads].tolist()
-    parts[2::4] = bodies
-    return "".join(parts)
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 
-# (grid, center strings, interface strings) of the last 1-d grid written
+def _ascii_rows(texts):
+    """(len(texts), longest) uint8: the ASCII of each text, NUL-padded."""
+    return np.array([t.encode() for t in texts], bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+# (grid, center bytes, interface bytes) of the last 1-d grid written
 _csv_x_last = None
 
 
 def _csv_x_1d(grid: Grid1D):
-    """The ``repr`` strings of the grid's cell centers and interfaces.
+    """The ``repr_bytes`` rows of the grid's cell centers and interfaces.
 
-    Only the last grid's strings are kept (1.5 MB at n=10240), and the
-    grid is matched by identity, not equality: equal grids need not give
-    equal coordinates, e.g. ``Grid1D(3, 0.5, 1.0)`` and the same grid
-    with float32 bounds.  The strings depend on the grid alone, so one
-    cache shared by every caller in the process is safe.
+    Only the last grid's rows are kept (2 n WIDTH bytes, 0.57 MB at
+    n=10240), and the grid is matched by identity, not equality: equal
+    grids need not give equal coordinates, e.g. ``Grid1D(3, 0.5, 1.0)``
+    and the same grid with float32 bounds.  The rows depend on the grid
+    alone, so one cache shared by every caller in the process is safe.
     """
     global _csv_x_last
     cached = _csv_x_last
     if cached is None or cached[0] is not grid:
-        cached = _csv_x_last = (grid, repr_floats(grid.centers()),
-                                repr_floats(grid.interfaces()))
+        cached = _csv_x_last = (grid, repr_bytes(grid.centers()),
+                                repr_bytes(grid.interfaces()))
     return cached[1], cached[2]

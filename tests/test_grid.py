@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from afpg import grid as grid_module
+from afpg._floatrepr import WIDTH
 from afpg.config import parse_config
 from afpg.element1d import build_element, reconstruct
 from afpg.element2d import DOF_IDS, build_element_2d, reconstruct2d
@@ -561,6 +562,24 @@ class TestCsvExport:
             assert cached_grid is grid and len(centers) == len(interfaces) == grid.n
             held.append(centers)
         assert held[1] is held[0] and held[2] is not held[0] and held[3] is not held[0]
+
+    def test_1d_write_memory_is_bounded(self, tmp_path, monkeypatch):
+        # a cold write of a K=4 run's state: the x rows (2 n WIDTH bytes) are
+        # formatted in the call, and one block's matrix and formatter arrays
+        # took about 290 B per line.  With a Python string per value and x,
+        # the same write peaked at 1.95 MB.
+        n = 10240
+        g = Grid1D(n)
+        st = project_initial(g, GaussianIC(0.2, 1.0, 0.5, 0.1), build_element(4))
+        monkeypatch.setattr(grid_module, "_csv_x_last", None)
+        tracemalloc.start()
+        try:
+            write_state_csv(st, g, tmp_path / "state.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid_module._csv_x_last[0] is g
+        assert peak < 2 * n * WIDTH + 400 * grid_module._CSV_BLOCK_LINES
 
     def test_x_cache_matches_grids_by_identity(self, tmp_path):
         # equal as dataclasses, but float32 bounds give other coordinates
