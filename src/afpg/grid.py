@@ -2,10 +2,12 @@
 
 Active Flux has two kinds of dofs in every dimension: integrals over a
 cell and point values, which neighbouring cells share and which are
-stored once.  A state keeps all of them in one contiguous float64
-array, ``data``, field first and then cells; the named fields are views
-into it, and the time integrators act on ``data`` alone.  Constant-
-coefficient linear systems append a trailing component axis.
+stored once.  A state is all of them in one array, ``data``, field
+first and then cells: ``State1D(data)`` and ``State2D(data)`` wrap the
+C-contiguous array they are given without copying it, the named
+fields are views into it, and the time integrators act on ``data``
+alone.  Constant-coefficient linear systems append a trailing
+component axis.
 
 - 1-d, (K, N[, m]): rows 0..K-2 are the moments (moment 0 the average)
   and row K-1 is ``points``, the value at each cell's right interface;
@@ -148,36 +150,39 @@ class Grid2D:
 
 class _FlatState:
     """What the states share: one ``data`` buffer, which the solver steps
-    in place (``timestep.step``); the field names are views of it."""
+    in place (``timestep.step``); the field names are views of it.
+
+    The constructor wraps the array it is given, never a copy.  It checks
+    the shape against the subclass's ``layout``, and that the array is
+    C-contiguous: the harness's right-hand sides write into ``out``
+    buffers made like the state, and those must be C-contiguous.  Any
+    dtype passes (the CSV writer takes float32 states as well)."""
 
     __slots__ = ("data",)
 
-    @classmethod
-    def _of(cls, data):
-        """The state whose buffer is ``data`` itself, not a copy."""
-        state = object.__new__(cls)
-        state.data = data
-        return state
+    def __init__(self, data: np.ndarray):
+        if not isinstance(data, np.ndarray):
+            got = type(data).__name__
+        elif not self._fits(data.shape):
+            got = data.shape
+        elif not data.flags.c_contiguous:
+            got = f"{data.shape} not in C order"
+        else:
+            self.data = data
+            return
+        raise ValueError(f"{type(self).__name__} needs a C-contiguous {self.layout}, got {got}")
 
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))
 
 
 class State1D(_FlatState):
-    """Cell moments plus interface values, as views of one (K, N[, m]) buffer."""
+    """Cell moments plus interface values, as views of one C-contiguous
+    (K, N[, m]) buffer: rows 0..K-2 the moments, row K-1 the points."""
 
     __slots__ = ()
-
-    def __init__(self, k: int, points, moments):
-        points = np.asarray(points, dtype=float)
-        moments = np.asarray(moments, dtype=float)
-        if moments.ndim < 2 or moments.shape[1] != k - 1:
-            raise ValueError(f"degree {k} needs {k - 1} moments per cell")
-        if points.shape != moments.shape[:1] + moments.shape[2:]:
-            raise ValueError("points and moments disagree in shape")
-        self.data = np.empty((k,) + points.shape)
-        self.data[:-1] = moments.swapaxes(0, 1)
-        self.data[-1] = points
+    layout = "(K, N[, m]) array with K >= 2"
+    _fits = staticmethod(lambda shape: len(shape) in (2, 3) and shape[0] >= 2)
 
     @property
     def k(self) -> int:
@@ -194,15 +199,11 @@ class State1D(_FlatState):
 
 class State2D(_FlatState):
     """Averages plus the shared edge-midpoint and node values, as views of
-    one (4, Nx, Ny) buffer."""
+    one C-contiguous (4, Nx, Ny) buffer in that field order."""
 
     __slots__ = ()
-
-    def __init__(self, averages, edge_x, edge_y, nodes):
-        fields = [np.asarray(f, dtype=float) for f in (averages, edge_x, edge_y, nodes)]
-        if fields[0].ndim != 2 or any(f.shape != fields[0].shape for f in fields):
-            raise ValueError("the four 2-d fields must share one (nx, ny) shape")
-        self.data = np.stack(fields)
+    layout = "(4, Nx, Ny) array"
+    _fits = staticmethod(lambda shape: len(shape) == 3 and shape[0] == 4)
 
     @property
     def averages(self) -> np.ndarray:
@@ -399,7 +400,7 @@ def project_initial(grid, fn, element: Element1D | None = None):
                     data[(row, block) + c] = layout.integrate(vals[(...,) + c], weights)
         for row, places in layout.points:
             data[row] = fn(*np.ix_(*(axes[a][p] for a, p in enumerate(places))))
-    state = layout.state._of(data)
+    state = layout.state(data)
     if not state.all_finite():
         raise ValueError("initial data produced non-finite samples")
     return state

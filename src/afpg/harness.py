@@ -224,7 +224,7 @@ def convergence_study(cfg: RunConfig, grid_sizes):
     if any(a == b for a, b in zip(grid_sizes, grid_sizes[1:])):
         raise ConfigError(f"consecutive grids must differ in size, got {grid_sizes}:"
                           " an order needs a refinement ratio other than 1")
-    cfg = replace(cfg, output_dir="", output_snapshot_every=0)
+    cfg = replace(cfg, output_snapshot_every=0)
 
     all_norms = []
     for n in grid_sizes:

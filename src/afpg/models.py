@@ -1,8 +1,8 @@
 """Flux models and reference data for the desk-scale benchmark problems.
 
 Every model exposes its dimension, system size m and the maximum wave
-speed used for time-step control; the 1-d models also give their
-Jacobian.
+speed used for time-step control; Burgers also gives its Jacobian (the
+wave speed at each point), the one speed that varies in space.
 Constant-coefficient linear systems precompute the eigenvalue split of
 the Jacobian; scalar models split sign by sign at evaluation time.
 Where an exact solution is cheap (translation for linear advection,
@@ -47,9 +47,6 @@ class Advection1D:
 
     def __init__(self, a):
         self.a = float(a)
-
-    def jac(self, q):
-        return self.a * np.ones_like(np.asarray(q, dtype=float))
 
     def max_speed(self, points) -> float:
         return abs(self.a)
@@ -163,9 +160,6 @@ class LinearSystem1D:
         self.eigvecs_inv = np.linalg.inv(eigvecs)
         self.jac_plus = eigvecs @ np.diag(np.maximum(eigvals, 0.0)) @ self.eigvecs_inv
         self.jac_minus = eigvecs @ np.diag(np.minimum(eigvals, 0.0)) @ self.eigvecs_inv
-
-    def jac(self, q):
-        return self.matrix
 
     def max_speed(self, points) -> float:
         return float(np.max(np.abs(self.eigvals)))

@@ -123,9 +123,6 @@ class Poly:
         """Reverse the order of the variables (swap xi and eta in 2-d)."""
         return Poly(self.coeffs.T)
 
-    def as_float(self) -> "Poly":
-        return Poly(self.float_coeffs)
-
     @property
     def float_coeffs(self) -> np.ndarray:
         return self.coeffs.astype(float)
@@ -189,9 +186,6 @@ class QuadratureRule:
     @property
     def weights_array(self) -> np.ndarray:
         return np.array(self.weights)
-
-    def integrate(self, f) -> float:
-        return float(sum(w * f(x) for x, w in zip(self.nodes, self.weights)))
 
 
 @lru_cache(maxsize=None)

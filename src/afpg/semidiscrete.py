@@ -164,9 +164,10 @@ def _blend(out, d_plus, d_minus, w_plus=1.0, w_minus=1.0):
 
 
 def _output(data, out):
-    """``out`` checked to take a right-hand side of ``data``, or a fresh buffer."""
+    """``out`` checked to take a right-hand side of ``data``, or a fresh
+    buffer; C-contiguous either way, so flat reshapes of it are views."""
     if out is None:
-        return np.empty_like(data)
+        return np.empty(data.shape, data.dtype)
     if (out.shape != data.shape or out.dtype != data.dtype or not out.flags.c_contiguous
             or np.may_share_memory(out, data)):
         raise ValueError("out must be a C-contiguous array of the state's shape and dtype"
@@ -218,7 +219,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         np.matmul(rows[:-2], model.matrix.T / -dx, out=out[:-1])
         jac_plus, jac_minus = model.jac_plus.T / -dx, model.jac_minus.T / -dx
         _blend(out[-1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
-        return State1D._of(out)
+        return State1D(out)
 
     if model.is_linear:
         speed = model.a
@@ -235,7 +236,7 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         d_plus, d_minus = _linear_rows(k)[-2:] @ dofs
         w_plus, w_minus = np.maximum(speed, 0.0) / -dx, np.minimum(speed, 0.0) / -dx
     _blend(out[-1], d_plus, d_minus, w_plus, w_minus)
-    return State1D._of(out)
+    return State1D(out)
 
 
 @lru_cache(maxsize=64)
@@ -314,7 +315,8 @@ def _apply_blocks_2d(data, columns, weights, out=None):
     Each tile copies the shifted rows of a few grid rows, one per
     column, straight from ``data`` into the tile, and one matmul writes
     W times the tile straight into the same rows of the output: ``out``,
-    or a fresh buffer.
+    or a fresh buffer.  ``_output`` makes the output C-contiguous, so
+    ``flat_out`` is a view of it.
     """
     _, nx, ny = data.shape
     out = _output(data, out)
@@ -356,4 +358,4 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
     sx, sy = np.sign(model.ax), np.sign(model.ay)
     columns, weights = _compile_taps_2d(grid.dx, grid.dy, model.ax, model.ay, (sx, sy),
                                         (sx / 2, sy / 2))
-    return State2D._of(_apply_blocks_2d(state.data, columns, weights, out))
+    return State2D(_apply_blocks_2d(state.data, columns, weights, out))

@@ -7,9 +7,10 @@ same floating-point order as the textbook expressions, so the result
 is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each k into
 its weighted sum as it arrives, so one k is live at a time.
 
-Without a workspace ``step`` allocates its buffers on every call and
-the result is a fresh buffer.  ``advance`` hands every step of a call
-the same workspace instead: the stage buffers and two result buffers.
+Without a workspace ``step`` starts an empty one of its own, so each
+call allocates its stage buffers and result afresh and the result is
+a fresh buffer.  ``advance`` hands every step of a call the same
+workspace instead: the stage buffers and two result buffers.
 The first step allocates the stage buffers and one result buffer; the
 second result buffer comes at step 2, the first step whose input is a
 result.  Each step writes into the result buffer that is not its
@@ -90,13 +91,11 @@ def _stage(out, u, c, k, stage):
 
 
 def _buffers(work, u, dtype, count):
-    """``count`` buffers like ``u``, the last for the result: fresh ones, or
-    from the workspace ``work`` (a list: the stage buffers and two result
-    slots) the stage buffers and the result buffer that is not ``u``.
-    The first use fills the stage buffers and the first result slot; the
-    second result buffer is allocated when the first becomes ``u``."""
-    if work is None:
-        return [np.empty_like(u, dtype=dtype) for _ in range(count)]
+    """``count`` buffers like ``u``, the last for the result, from the
+    workspace ``work`` (a list: the stage buffers and two result slots):
+    the stage buffers and the result buffer that is not ``u``.  The first
+    use fills the stage buffers and the first result slot; the second
+    result buffer is allocated when the first becomes ``u``."""
     if not work:
         work.extend(np.empty_like(u, dtype=dtype) for _ in range(count))
         work.append(None)
@@ -124,7 +123,9 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     u = _array(state)
-    wrap = (lambda buf: buf) if u is state else state._of
+    wrap = (lambda buf: buf) if u is state else type(state)
+    if work is None:
+        work = []
 
     def rhs(buf):
         return _array(rhs_fn(wrap(buf)))

@@ -134,7 +134,8 @@ def test_criterion_4_burgers_closed_form():
     rng = np.random.default_rng(2024)
     n = 100
     g = Grid1D(n)
-    st = State1D(2, rng.standard_normal(n), rng.standard_normal((n, 1)))
+    points, averages = rng.standard_normal(n), rng.standard_normal(n)
+    st = State1D(np.stack((averages, points)))
     st.points[::9] = 0.0
     el = build_element(2)
 
@@ -156,7 +157,8 @@ def test_criterion_4_burgers_closed_form():
 
     n2 = 6
     g2 = Grid1D(n2)
-    st2 = State1D(2, rng.standard_normal(n2), rng.standard_normal((n2, 1)))
+    points, averages = rng.standard_normal(n2), rng.standard_normal(n2)
+    st2 = State1D(np.stack((averages, points)))
     st2.points[2] = 0.0
     worst_quad = 0.0
     got = exact_update(st2, g2)
@@ -238,7 +240,7 @@ def test_criterion_6_2d_derivative_oracles():
     dx, dy = Fraction(g.dx), Fraction(g.dy)
     worst = 0.0
     for ax, ay in ((1.0, 0.0), (0.0, 1.0), tuple(rng.uniform(-1.5, 1.5, 2))):
-        st = State2D(*rng.standard_normal((4, nx, ny)))
+        st = State2D(rng.standard_normal((4, nx, ny)))
 
         def cell_dofs(i, j):
             return {

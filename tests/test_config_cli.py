@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import subprocess
 import sys
 import weakref
@@ -27,6 +28,14 @@ ic.mean=1.0
 ic.amplitude=0.5
 time.t_end=0.5
 """
+
+
+def _assert_runs_conserving_mass(cfg):
+    """The run takes steps to a finite state, its mass kept to round-off."""
+    result = run_simulation(cfg)
+    assert result.steps > 0 and np.all(np.isfinite(result.state.data))
+    m0, m1 = (float(np.sum(mass)) for _, mass in (result.mass_log[0], result.mass_log[-1]))
+    assert abs(m1 - m0) <= 1e-12 * abs(m0)
 
 
 class TestConfig:
@@ -222,10 +231,47 @@ class TestHarness:
             with pytest.raises(ConfigError, match="jumps at the wrap"):
                 parse_config(text)
             return
-        result = run_simulation(parse_config(text))
-        assert result.steps > 0 and np.all(np.isfinite(result.state.data))
-        m0, m1 = (float(np.sum(mass)) for _, mass in (result.mass_log[0], result.mass_log[-1]))
-        assert abs(m1 - m0) <= 1e-12 * abs(m0)
+        _assert_runs_conserving_mass(parse_config(text))
+
+    @pytest.fixture(scope="class")
+    def cfl_limits(self):
+        """README's "Notes on stability" table: (dimension, K) -> the largest
+        stable time.cfl per scheme (in 2-d at the default a = (1, 1))."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = r"^\| (\d)-d K=(\d)(?:, a = \(1, 1\))? \| [\d.]+ \| ([\d.]+) \| ([\d.]+) \|$"
+        rows = re.findall(row, readme, re.M)
+        return {(int(d), int(k)): dict(zip(timestep.SCHEMES, map(float, lims)))
+                for d, k, *lims in rows}
+
+    @pytest.mark.parametrize("point_update", ["split", "exact"])
+    @pytest.mark.parametrize("scheme", timestep.SCHEMES)
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("dimension, model", [
+        (d, m) for d in (1, 2) for m in ("advection", "burgers", "linear_system")])
+    def test_every_combination_refused_run_or_blown_up(self, cfl_limits, dimension, model, k,
+                                                        scheme, point_update):
+        # tiny grids at the default time.cfl=0.2.  A unit mean with a small
+        # amplitude puts Burgers' shock at t = 1/(2 pi 0.05) = 3.2, far past
+        # t_end, and t_end still leaves about 50 steps in 1-d, twice what an
+        # over-limit K = 4 run takes to blow up on 40 cells
+        text = (f"dimension={dimension}\nk={k}\nmodel.name={model}\ntime.scheme={scheme}\n"
+                f"model.point_update={point_update}\nic.mean=1.0\nic.amplitude=0.05\n"
+                "time.t_end=0.25\n"
+                + ("grid.n=40\n" if dimension == 1 else "grid.nx=6\ngrid.ny=5\n")
+                + ("model.matrix=0,1;1,0\n" if model == "linear_system" else ""))
+        if (dimension == 2 and (k != 2 or model != "advection" or point_update == "exact")
+                or point_update == "exact" and (model != "burgers" or k != 2)):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+            return
+        cfg = parse_config(text)
+        if cfg.time_cfl > cfl_limits[dimension, k][scheme]:
+            # accepted although past its limit (K >= 4): until a stability gate
+            # refuses such a run, it must blow up rather than finish
+            with pytest.raises(timestep.BlowUpError):
+                run_simulation(cfg)
+            return
+        _assert_runs_conserving_mass(cfg)
 
     def test_linear_system_run(self):
         cfg = parse_config(

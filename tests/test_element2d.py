@@ -24,7 +24,7 @@ def quad_inner(p, q, n=4):
     """Independent 2-d pairing oracle via tensor Gauss quadrature."""
     rule = gauss_rule(n)
     total = 0.0
-    pf, qf = p.as_float(), q.as_float()
+    pf, qf = Poly(p.float_coeffs), Poly(q.float_coeffs)
     for xa, wa in zip(rule.nodes, rule.weights):
         for xb, wb in zip(rule.nodes, rule.weights):
             total += wa * wb * pf(xa, xb) * qf(xa, xb)

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from afpg.grid import (
 )
 from afpg.harness import run_simulation
 from afpg.models import GaussianIC, Sine2DIC, advection1d, advection2d
+from afpg.poly import Poly
+from test_semidiscrete import random_state_1d
 
 
 class TestGrids:
@@ -109,8 +112,8 @@ class TestProjection:
         for i in range(g.n):
             dofs_i = [st.points[i - 1], *st.moments[i], st.points[i]]
             dofs_n = [st.points[i], *st.moments[(i + 1) % g.n], st.points[(i + 1) % g.n]]
-            left = reconstruct(el, [float(v) for v in dofs_i]).as_float()(0.5)
-            right = reconstruct(el, [float(v) for v in dofs_n]).as_float()(-0.5)
+            left = Poly(reconstruct(el, [float(v) for v in dofs_i]).float_coeffs)(0.5)
+            right = Poly(reconstruct(el, [float(v) for v in dofs_n]).float_coeffs)(-0.5)
             assert abs(left - right) <= 1e-14
 
 
@@ -124,7 +127,7 @@ class TestTotalMass:
     def test_direct_sum(self):
         g = Grid1D(6)
         rng = np.random.default_rng(0)
-        st = State1D(2, rng.standard_normal(6), rng.standard_normal((6, 1)))
+        st = State1D(rng.standard_normal((2, 6)))
         assert total_mass(st, g) == pytest.approx(np.sum(st.moments[:, 0]) * g.dx)
 
     def test_2d(self):
@@ -151,7 +154,7 @@ class TestErrorNorms:
                 ci = flat_i[idx]
                 dofs = [st.points[ci - 1], st.moments[ci, 0], st.points[ci]]
                 xi = (flat_x[idx] - (g.x_min + (ci + 0.5) * g.dx)) / g.dx
-                out[idx] = reconstruct(el, [float(v) for v in dofs]).as_float()(xi)
+                out[idx] = Poly(reconstruct(el, [float(v) for v in dofs]).float_coeffs)(xi)
             return vals
 
         l1, l2, linf = error_norms(st, g, el, own)
@@ -293,56 +296,75 @@ class TestBlocks:
 
 class TestStateArithmetic:
     def test_finite_check(self):
-        st = State1D(2, np.array([1.0, np.inf, 0.0]), np.zeros((3, 1)))
+        st = State1D(np.array([[0.0, 0.0, 0.0], [1.0, np.inf, 0.0]]))
         assert not st.all_finite()
 
 
 class TestStateBuffer:
     def test_1d_scalar_views(self):
-        st = State1D(3, np.arange(4.0), np.arange(8.0).reshape(4, 2))
-        assert st.data.shape == (3, 4) and st.data.flags.c_contiguous
+        st = State1D(np.arange(12.0).reshape(3, 4))
         assert st.k == 3
+        assert np.array_equal(st.moments, [[0.0, 4.0], [1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
+        assert np.array_equal(st.points, [8.0, 9.0, 10.0, 11.0])
         st.points[1] = -7.0
         st.moments[2, 1] = -9.0
         assert st.data[2, 1] == -7.0 and st.data[1, 2] == -9.0
         assert np.shares_memory(st.points, st.data)
 
     def test_1d_system_views(self):
-        st = State1D(2, np.zeros((5, 2)), np.ones((5, 1, 2)))
-        assert st.data.shape == (2, 5, 2) and st.data.flags.c_contiguous
+        st = State1D(np.stack([np.ones((5, 2)), np.zeros((5, 2))]))
         st.points[3, 1] = 4.0
         assert st.data[1, 3, 1] == 4.0
         assert np.array_equal(st.moments, np.ones((5, 1, 2)))
 
     def test_2d_views(self):
-        fields = [np.full((3, 4), float(f)) for f in range(4)]
-        st = State2D(*fields)
-        assert st.data.shape == (4, 3, 4) and st.data.flags.c_contiguous
+        st = State2D(np.stack([np.full((3, 4), float(f)) for f in range(4)]))
         st.edge_y[2, 3] = -1.0
         assert st.data[2, 2, 3] == -1.0
         for f, view in enumerate((st.averages, st.edge_x, st.edge_y, st.nodes)):
             assert np.shares_memory(view, st.data)
             assert view[0, 0] == f
 
-    def test_constructors_copy(self):
-        points, moments = np.zeros(4), np.zeros((4, 1))
-        st = State1D(2, points, moments)
-        st.points[0] = 1.0
-        assert points[0] == 0.0
+    def test_constructor_wraps_the_buffer(self):
+        # no copy: the buffer is the state's data, and field writes land in it
+        scalar, system, plane = np.zeros((3, 5)), np.zeros((2, 5, 2)), np.zeros((4, 3, 5))
+        assert State1D(scalar).data is scalar and State2D(plane).data is plane
+        State1D(scalar).points[0] = 1.0
+        State1D(system).moments[4, 0, 1] = 2.0
+        State2D(plane).nodes[2, 4] = 3.0
+        assert scalar[-1, 0] == 1.0 and system[0, 4, 1] == 2.0 and plane[3, 2, 4] == 3.0
 
-    def test_1d_constructor_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            State1D(2, np.zeros(5), np.zeros((4, 1)))  # cell counts disagree
-        with pytest.raises(ValueError):
-            State1D(2, np.zeros((4, 2)), np.zeros((4, 1)))  # component axis on points only
-        with pytest.raises(ValueError):
-            State1D(3, np.zeros(4), np.zeros((4, 1)))  # k = 3 needs two moments
-        with pytest.raises(ValueError):
-            State1D(2, np.zeros(4), np.zeros(4))  # moments without a moment axis
+    @pytest.mark.parametrize("buf", [
+        np.zeros(5),  # no cell axis
+        np.zeros((3, 5, 2, 2)),  # two component axes
+        np.zeros((1, 5)),  # K = 1: no moment
+        np.zeros((3, 5)).tolist(),  # not an array
+        np.asfortranarray(np.zeros((3, 5))),  # Fortran order
+        np.zeros((3, 2, 5)).transpose(0, 2, 1),  # cell and component axes swapped
+        np.zeros((3, 10))[:, ::2],  # every other cell of a wider buffer
+    ], ids=["1-axis", "4-axes", "k1", "list", "fortran", "transposed", "strided"])
+    def test_1d_constructor_rejects_other_layouts(self, buf):
+        with pytest.raises(ValueError, match=r"State1D needs a C-contiguous \(K, N\[, m\]\)"
+                                             r" array with K >= 2, got "):
+            State1D(buf)
 
-    def test_2d_constructor_rejects_non_2d_fields(self):
-        with pytest.raises(ValueError):
-            State2D(*[np.zeros((2, 3, 4))] * 4)
+    @pytest.mark.parametrize("buf", [
+        np.zeros((4, 5)),  # no y axis
+        np.zeros((4, 5, 4, 1)),  # a component axis
+        np.zeros((3, 5, 4)),  # a field missing
+        np.zeros((4, 5, 4)).tolist(),  # not an array
+        np.asfortranarray(np.zeros((4, 5, 4))),  # Fortran order
+        np.zeros((4, 4, 5)).transpose(0, 2, 1),  # x and y swapped
+    ], ids=["2-axes", "4-axes", "3-fields", "list", "fortran", "transposed"])
+    def test_2d_constructor_rejects_other_layouts(self, buf):
+        with pytest.raises(ValueError,
+                           match=r"State2D needs a C-contiguous \(4, Nx, Ny\) array, got "):
+            State2D(buf)
+
+    def test_float32_buffer_accepted(self):
+        buf = np.zeros((4, 3, 5), dtype=np.float32)
+        assert State2D(buf).data is buf and State1D(buf).points.dtype == np.float32
+
 
 def _oracle_value_rows(value):
     v = np.asarray(value)
@@ -394,6 +416,7 @@ def _random_with_specials(rng, shape):
     return values
 
 
+
 def _assert_same_bytes(state, grid, tmp_path):
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     write_state_csv(state, grid, ours)
@@ -406,13 +429,12 @@ def _read_state(path, grid, k=None, m=1):
     with open(path, newline="") as fh:
         values = np.array([float(row[-1]) for row in list(csv.reader(fh))[1:]])
     if isinstance(grid, Grid2D):
-        return State2D(*values.reshape(4, grid.nx, grid.ny))
+        return State2D(values.reshape(4, grid.nx, grid.ny))
     split = grid.n * (k - 1) * m
-    moments = values[:split].reshape(grid.n, k - 1, m)
-    points = values[split:].reshape(grid.n, m)
-    if m == 1:
-        return State1D(k, points[:, 0], moments[..., 0])
-    return State1D(k, points, moments)
+    data = np.empty((k, grid.n, m))
+    data[:-1] = values[:split].reshape(grid.n, k - 1, m).swapaxes(0, 1)
+    data[-1] = values[split:].reshape(grid.n, m)
+    return State1D(data.squeeze(2) if m == 1 else data)
 
 
 class TestCsvExport:
@@ -450,18 +472,17 @@ class TestCsvExport:
             assert 2500 > cells_per_block and 2500 % cells_per_block
         rng = np.random.default_rng(k)
         g = Grid1D(2500, -0.3, 1.7)
-        st = State1D(k, _random_with_specials(rng, 2500), _random_with_specials(rng, (2500, k - 1)))
+        st = random_state_1d(rng, 2500, k, draw=partial(_random_with_specials, rng))
         _assert_same_bytes(st, g, tmp_path)
         # a float32 buffer writes its exact float64 values
-        _assert_same_bytes(State1D._of(st.data.astype(np.float32)), g, tmp_path)
+        _assert_same_bytes(State1D(st.data.astype(np.float32)), g, tmp_path)
 
     def test_1d_system_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(7)
         g = Grid1D(1100)
-        st = State1D(3, _random_with_specials(rng, (1100, 2)),
-                     _random_with_specials(rng, (1100, 2, 2)))
+        st = random_state_1d(rng, 1100, 3, 2, draw=partial(_random_with_specials, rng))
         _assert_same_bytes(st, g, tmp_path)
-        _assert_same_bytes(State1D._of(st.data.astype(np.float32)), g, tmp_path)
+        _assert_same_bytes(State1D(st.data.astype(np.float32)), g, tmp_path)
 
     def test_2d_bytes_match_csv_writer(self, tmp_path):
         # 7 x 300: each field spans several write blocks, the last one partial
@@ -470,13 +491,13 @@ class TestCsvExport:
         rng = np.random.default_rng(8)
         for nx, ny in ((7, 5), (7, 300)):
             g = Grid2D(nx, ny, -1.0, 0.3, 0.0, 2.5)
-            st = State2D(*_random_with_specials(rng, (4, nx, ny)))
+            st = State2D(_random_with_specials(rng, (4, nx, ny)))
             _assert_same_bytes(st, g, tmp_path)
-            _assert_same_bytes(State2D._of(st.data.astype(np.float32)), g, tmp_path)
+            _assert_same_bytes(State2D(st.data.astype(np.float32)), g, tmp_path)
 
     def test_1d_literal_bytes(self, tmp_path):
         g = Grid1D(3, 0.0, 3.0)
-        st = State1D(2, [0.1, -0.0, 1e16], [[1.0], [np.nan], [-np.inf]])
+        st = State1D(np.array([[1.0, np.nan, -np.inf], [0.1, -0.0, 1e16]]))
         path = tmp_path / "state.csv"
         write_state_csv(st, g, path)
         assert path.read_bytes() == (
@@ -490,7 +511,7 @@ class TestCsvExport:
         )
 
     def test_unsupported_grid_rejected(self, tmp_path):
-        st = State1D(2, np.zeros(4), np.zeros((4, 1)))
+        st = State1D(np.zeros((2, 4)))
         path = tmp_path / "state.csv"
         with pytest.raises(TypeError):
             write_state_csv(st, object(), path)
@@ -499,10 +520,10 @@ class TestCsvExport:
     @pytest.mark.parametrize(
         "state, grid",
         [
-            (State1D(2, np.zeros(4), np.zeros((4, 1))), Grid1D(5)),
-            (State1D(2, np.zeros(6), np.zeros((6, 1))), Grid1D(5)),
-            (State2D(*np.zeros((4, 3, 4))), Grid2D(3, 5)),
-            (State2D(*np.zeros((4, 4, 4))), Grid2D(3, 4)),
+            (State1D(np.zeros((2, 4))), Grid1D(5)),
+            (State1D(np.zeros((2, 6))), Grid1D(5)),
+            (State2D(np.zeros((4, 3, 4))), Grid2D(3, 5)),
+            (State2D(np.zeros((4, 4, 4))), Grid2D(3, 4)),
         ],
         ids=["1d-fewer", "1d-more", "2d-fewer", "2d-more"],
     )
@@ -544,15 +565,15 @@ class TestCsvExport:
         assert 1500 > cells_per_block and 1500 % cells_per_block
         rng = np.random.default_rng(9)
         first = Grid1D(1500, -0.3, 1.7)
-        scalar = State1D(4, _random_with_specials(rng, 1500), _random_with_specials(rng, (1500, 3)))
-        system = State1D(3, _random_with_specials(rng, (1500, 2)),
-                         _random_with_specials(rng, (1500, 2, 2)))
+        specials = partial(_random_with_specials, rng)
+        scalar = random_state_1d(rng, 1500, 4, draw=specials)
+        system = random_state_1d(rng, 1500, 3, 2, draw=specials)
         writes = [
             (scalar, first),
             (scalar, first),  # a cache hit
             (scalar, Grid1D(1500, 0.25, 0.75)),  # same n, other extent
             (system, first),  # m = 2, back on the first grid
-            (State1D(2, rng.standard_normal(7), rng.standard_normal((7, 1))), Grid1D(7)),
+            (State1D(rng.standard_normal((2, 7))), Grid1D(7)),
         ]
         held = []
         for state, grid in writes:
@@ -586,6 +607,6 @@ class TestCsvExport:
         wide = Grid1D(3, np.float32(0.5), np.float32(1.0))
         plain = Grid1D(3, 0.5, 1.0)
         assert wide == plain and not np.array_equal(wide.centers(), plain.centers())
-        st = State1D(2, [0.1, 0.2, 0.3], [[1.0], [2.0], [3.0]])
+        st = State1D(np.array([[1.0, 2.0, 3.0], [0.1, 0.2, 0.3]]))
         for grid in (wide, plain, wide):
             _assert_same_bytes(st, grid, tmp_path)

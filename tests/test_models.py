@@ -41,18 +41,6 @@ class TestInitialData:
 
 
 class TestAdvection:
-    def test_positive_speed_split(self):
-        m = advection1d(1.0)
-        j = m.jac(np.array([0.3, -2.0]))
-        assert np.all(np.maximum(j, 0) == 1.0)
-        assert np.all(np.minimum(j, 0) == 0.0)
-
-    def test_negative_speed_split(self):
-        m = advection1d(-2.0)
-        j = m.jac(np.array([5.0]))
-        assert np.maximum(j, 0)[0] == 0.0
-        assert np.minimum(j, 0)[0] == -2.0
-
     def test_zero_speed(self):
         m = advection1d(0.0)
         assert m.max_speed(np.array([1.0, 2.0])) == 0.0
