@@ -48,7 +48,7 @@ import numpy as np
 from afpg._floatrepr import WIDTH, repr_bytes
 from afpg.element1d import Element1D, build_element, moment_weight
 from afpg.element2d import DOF_IDS, build_element_2d
-from afpg.poly import gauss_rule
+from afpg.poly import Poly, gauss_rule
 
 __all__ = [
     "Grid1D",
@@ -226,9 +226,7 @@ class State2D(_FlatState):
 def _gauss_basis_1d(k: int, n: int) -> np.ndarray:
     """(K+1, n): the degree-K basis, in dof order, at the n-point Gauss nodes."""
     xi = gauss_rule(n).nodes_array
-    return np.array(
-        [np.polynomial.polynomial.polyval(xi, b.float_coeffs) for b in build_element(k).basis()]
-    )
+    return np.array([Poly(b.float_coeffs)(xi) for b in build_element(k).basis()])
 
 
 @lru_cache(maxsize=None)
@@ -383,9 +381,8 @@ def project_initial(grid, fn, element: Element1D | None = None):
         raise ValueError("1-d projection needs the element (its degree)")
     rule = gauss_rule(min(16, k + _PROJECT_RULE_MARGIN))
     xi, w = rule.nodes_array, rule.weights_array
-    integrals = [(row, [w * np.polynomial.polynomial.polyval(
-        xi, moment_weight(j).poly.float_coeffs) for j in moments])
-        for row, moments in layout.integrals(k)]
+    integrals = [(row, [w * Poly(moment_weight(j).poly.float_coeffs)(xi) for j in moments])
+                 for row, moments in layout.integrals(k)]
     cells, data = tuple(len(c) for c, _, _ in axes), None
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(layout, axes, len(xi)):

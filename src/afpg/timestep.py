@@ -1,27 +1,31 @@
 """Explicit method-of-lines integration of the semi-discrete system.
 
-``step`` works on the buffer behind a state (or on a plain array).  It
-needs two buffers for SSPRK3 and three for RK4, the last
-of them the result, and forms every stage with ``out=`` ufuncs in the
-same floating-point order as the textbook expressions, so the result
-is bit for bit that of ``u + dt*k`` and friends.  RK4 adds each k into
-its weighted sum as it arrives, so one k is live at a time.
+``step`` works on the buffer behind a state (or on a plain array).  Both
+schemes need two buffers, a stage buffer and the result, and form every
+stage with ``out=`` ufuncs in the same floating-point order as the
+textbook expressions, so the result is bit for bit that of ``u + dt*k``
+and friends.  RK4 adds each k into its weighted sum, held in the result
+buffer, as it arrives, so one k is live at a time; it forms ``2 k`` in
+the stage buffer, which ``rhs_fn`` has finished reading and the next
+stage overwrites, and allocates a temporary for it only when k shares
+memory with the stage buffer.
 
 Without a workspace ``step`` starts an empty one of its own, so each
-call allocates its stage buffers and result afresh and the result is
-a fresh buffer.  ``advance`` hands every step of a call the same
-workspace instead: the stage buffers and two result buffers.
-The first step allocates the stage buffers and one result buffer; the
-second result buffer comes at step 2, the first step whose input is a
-result.  Each step writes into the result buffer that is not its
-input, so a time loop allocates no new state buffer after step 2 and
-the state of step n stays intact through step n + 1.  ``advance``
-keeps no reference to its initial state past step 1, so a caller that
-keeps none either (the harness) frees that buffer before the second
-result buffer is allocated, and the loop holds one state-sized buffer
-fewer.  Either way the result is never the input, a stage state
-handed to ``rhs_fn`` or an array ``rhs_fn`` returned, so ``rhs_fn``
-may return the same buffer every time, as the harness's do.
+call allocates its stage buffer and result afresh and the result is a
+fresh buffer.  ``advance`` hands every step of a call the same
+workspace instead: the stage buffer, tagged with its scheme because
+both schemes use one layout, and two result buffers.  The first step
+allocates the stage buffer and one result buffer; the second result
+buffer comes at step 2, the first step whose input is a result.  Each
+step writes into the result buffer that is not its input, so a time
+loop allocates no new state buffer after step 2 and the state of step
+n stays intact through step n + 1.  ``advance`` keeps no reference to
+its initial state past step 1, so a caller that keeps none either (the
+harness) frees that buffer before the second result buffer is
+allocated, and the loop holds one state-sized buffer fewer.  Either
+way the result is never the input, a stage state handed to ``rhs_fn``
+or an array ``rhs_fn`` returned, so ``rhs_fn`` may return the same
+buffer every time, as the harness's do.
 
 Every stage is tested for finiteness once, right after it is formed;
 ``advance`` also tests its initial state.  Every state handed to
@@ -90,23 +94,22 @@ def _stage(out, u, c, k, stage):
     _check(out, stage)
 
 
-def _buffers(work, u, dtype, count):
-    """``count`` buffers like ``u``, the last for the result, from the
-    workspace ``work`` (a list: the stage buffers and two result slots):
-    the stage buffers and the result buffer that is not ``u``.  The first
-    use fills the stage buffers and the first result slot; the second
-    result buffer is allocated when the first becomes ``u``."""
+def _buffers(work, u, dtype, scheme):
+    """The stage buffer and the result buffer that is not ``u``, from the
+    workspace ``work`` (a list: the scheme with its stage buffer, then two
+    result slots).  The first use fills the stage buffer and the first
+    result slot; the second result buffer is allocated when the first
+    becomes ``u``."""
     if not work:
-        work.extend(np.empty_like(u, dtype=dtype) for _ in range(count))
-        work.append(None)
-    *stages, first, second = work
-    if len(stages) != count - 1 or first.shape != u.shape or first.dtype != dtype:
+        work += [(scheme, np.empty_like(u, dtype=dtype)), np.empty_like(u, dtype=dtype), None]
+    (owner, stage), first, second = work
+    if owner != scheme or first.shape != u.shape or first.dtype != dtype:
         raise ValueError("the workspace belongs to another scheme, shape or dtype")
     if first is not u:
-        return [*stages, first]
+        return stage, first
     if second is None:
         second = work[-1] = np.empty_like(u, dtype=dtype)
-    return [*stages, second]
+    return stage, second
 
 
 def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
@@ -131,11 +134,10 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
         return _array(rhs_fn(wrap(buf)))
 
     k = _array(rhs_fn(state))
-    dtype = np.result_type(u, k, dt)
+    a, r = _buffers(work, u, np.result_type(u, k, dt), scheme)
     if scheme == "ssprk3":
         # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
         # result = 1/3 u + 2/3 (u2 + dt k(u2))
-        a, r = _buffers(work, u, dtype, 2)
         _stage(a, u, dt, k, "stage 1")
         k = rhs(a)
         np.multiply(np.add(a, np.multiply(k, dt, out=r), out=r), 0.25, out=r)
@@ -147,21 +149,19 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
         np.add(np.multiply(u, third, out=a), r, out=r)
         _check(r, "stage 3")
         return wrap(r)
-    # rk4: acc = ((k1 + 2 k2) + 2 k3) + k4, then u + dt/6 acc
-    a, tmp, acc = _buffers(work, u, dtype, 3)
+    # rk4: r accumulates ((k1 + 2 k2) + 2 k3) + k4, then becomes u + dt/6 r
     half = 0.5 * dt
-    np.copyto(acc, k)
-    _stage(a, u, half, k, "stage 1")
-    k = rhs(a)
-    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
-    _stage(a, u, half, k, "stage 2")
-    k = rhs(a)
-    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+    np.copyto(r, k)
+    for stage in ("stage 1", "stage 2"):
+        _stage(a, u, half, k, stage)
+        k = rhs(a)
+        # rhs_fn is done with a, so 2 k goes there, unless k lives in a
+        np.add(r, np.multiply(k, 2.0, out=None if np.may_share_memory(k, a) else a), out=r)
     _stage(a, u, dt, k, "stage 3")
     k = rhs(a)
-    np.add(acc, k, out=acc)
-    _stage(acc, u, dt / 6.0, acc, "stage 4")
-    return wrap(acc)
+    np.add(r, k, out=r)
+    _stage(r, u, dt / 6.0, r, "stage 4")
+    return wrap(r)
 
 
 def compute_dt(state, grid, model, cfl: float) -> float:

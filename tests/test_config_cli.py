@@ -2,15 +2,18 @@
 
 import csv
 import hashlib
+import os
 import re
 import subprocess
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afpg
 from afpg import config, harness, timestep
 from afpg.config import ConfigError, RunConfig, parse_config, serialize_config
 from afpg.grid import State1D, State2D
@@ -175,6 +178,29 @@ class TestHarness:
         projected = project_initial(build_grid(cfg), build_ic(cfg), build_element(2))
         assert np.array_equal(result.state.points, projected.points)
         assert np.array_equal(result.state.moments, projected.moments)
+
+    def test_runs_never_import_numpy_polynomial(self, tmp_path):
+        # gauss_rule and the float basis evaluation are done in house: a run
+        # loads none of numpy.polynomial's nine modules
+        script = textwrap.dedent(f"""
+            import sys
+            from afpg.config import parse_config
+            from afpg.harness import run_simulation
+
+            for text in ("k=4\\ngrid.n=16\\ntime.scheme=rk4\\ntime.cfl=0.05\\n"
+                         "time.t_end=0.01\\noutput.snapshot_every=2\\n",
+                         "dimension=2\\ngrid.nx=6\\ngrid.ny=5\\ntime.t_end=0.05\\n"):
+                run_simulation(parse_config(text), {str(tmp_path)!r})
+            print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+        """)
+        env = dict(os.environ)
+        src = str(Path(afpg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "state_000002.csv").exists()
 
     def test_projected_state_is_freed_after_step_1(self, monkeypatch):
         # run_simulation hands the projected state to advance and keeps no

@@ -10,7 +10,7 @@ import pytest
 from afpg import grid as grid_module
 from afpg._floatrepr import WIDTH
 from afpg.config import parse_config
-from afpg.element1d import build_element, reconstruct
+from afpg.element1d import build_element, moment_weight, reconstruct
 from afpg.element2d import DOF_IDS, build_element_2d, reconstruct2d
 from afpg.grid import (
     Grid1D,
@@ -24,7 +24,7 @@ from afpg.grid import (
 )
 from afpg.harness import run_simulation
 from afpg.models import GaussianIC, Sine2DIC, advection1d, advection2d
-from afpg.poly import Poly
+from afpg.poly import Poly, gauss_rule
 from test_semidiscrete import random_state_1d
 
 
@@ -90,6 +90,18 @@ class TestProjection:
         st = project_initial(g, lambda x: np.stack([p(x) for p in parts], axis=-1), el)
         for c, part in enumerate(parts):
             assert st.data[..., c].tobytes() == project_initial(g, part, el).data.tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_float_basis_evaluation_is_polyval_bit_for_bit(self, k):
+        from numpy.polynomial.polynomial import polyval
+
+        for n in range(1, 17):
+            xi = gauss_rule(n).nodes_array
+            expected = [polyval(xi, b.float_coeffs) for b in build_element(k).basis()]
+            assert grid_module._gauss_basis_1d(k, n).tobytes() == np.array(expected).tobytes()
+            for j in range(k - 1):
+                p = moment_weight(j).poly
+                assert Poly(p.float_coeffs)(xi).tobytes() == polyval(xi, p.float_coeffs).tobytes()
 
     def test_nonfinite_rejected(self):
         g = Grid1D(4)

@@ -172,6 +172,15 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_rule(n)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bits_are_half_of_numpys_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(n)
+        rule = gauss_rule(n)
+        assert rule.nodes_array.tobytes() == (0.5 * x).tobytes()
+        assert rule.weights_array.tobytes() == (0.5 * w).tobytes()
+
     def test_weights_positive_sum_one(self):
         for n in range(1, 17):
             rule = gauss_rule(n)

@@ -111,6 +111,13 @@ class TestInPlaceStages:
             assert not np.shares_memory(out, _buffer(u))
             assert not any(np.shares_memory(out, r) for r in returned)
 
+    @pytest.mark.parametrize("view", [lambda s: s, lambda s: s[::-1]], ids=["same", "reversed"])
+    def test_rk4_k_in_the_stage_buffer(self, view):
+        # 2 k cannot go to the stage buffer when k is a view of it
+        u, dt, _ = _problem("array")
+        new = step(u, 0.0, dt, view, "rk4")
+        assert new.tobytes() == oracle_step(u, 0.0, dt, view, "rk4").tobytes()
+
     def test_consecutive_advance_results_independent(self):
         u, dt, rhs_fn = _problem("state_2d")
         integ = TimeIntegrator("ssprk3", dt=dt)
@@ -237,6 +244,37 @@ class TestWorkspace:
             advance(initial_state(), grid, model,
                     lambda s: rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out),
                     3 * dt, TimeIntegrator("ssprk3", dt=dt),
+                    on_step=lambda s, t, i: freed.append(refs[0]() is None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert freed == [True, True, True]
+        assert peak < 3.5 * out.nbytes
+
+    def test_rk4_time_loop_holds_three_state_sized_buffers(self):
+        # RK4 forms 2 k in its stage buffer, so a K=4 loop holds the initial
+        # state or a result, one stage and one result, not a fourth buffer for
+        # 2 k; the right-hand side writes into its preallocated out and
+        # allocates nothing, so the peak is the loop's own (rhs_1d's gathered
+        # dofs would add about two state sizes)
+        n = 2048
+        grid, element = Grid1D(n), build_element(4)
+        ic = SineIC(0.1, 1.0)
+        out = np.empty_like(project_initial(grid, ic, element).data)  # caches filled
+        refs, freed = [], []
+
+        def initial_state():
+            state = project_initial(grid, ic, element)
+            refs.append(weakref.ref(state.data))
+            tracemalloc.reset_peak()
+            return state
+
+        dt = 0.05 / n
+        tracemalloc.start()
+        try:
+            advance(initial_state(), grid, None,
+                    lambda s: State1D(np.multiply(s.data, -1.0, out=out)),
+                    3 * dt, TimeIntegrator("rk4", dt=dt),
                     on_step=lambda s, t, i: freed.append(refs[0]() is None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
