@@ -23,9 +23,8 @@ from afpg.element1d import (
 )
 from afpg.element2d import (
     DOF_IDS,
-    EdgeTest2D,
     Element2D,
-    NodeTest2D,
+    PointTest2D,
     build_edge_test,
     build_element_2d,
     build_node_test,
@@ -52,7 +51,7 @@ __all__ = [
     "Poly", "QuadratureRule", "gauss_rule", "integrate", "inner",
     "MomentWeight", "Element1D", "PointTest1D",
     "moment_weight", "build_element", "build_point_test", "reconstruct",
-    "DOF_IDS", "Element2D", "EdgeTest2D", "NodeTest2D",
+    "DOF_IDS", "Element2D", "PointTest2D",
     "build_element_2d", "build_edge_test", "build_node_test", "reconstruct2d",
     "Grid1D", "Grid2D", "State1D", "State2D",
     "project_initial", "total_mass", "error_norms", "write_state_csv",

@@ -51,8 +51,6 @@ def _parse_matrix(s):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):  # model.matrix

@@ -5,9 +5,9 @@ four edge-midpoint values and the cell average.  Dof ids are pairs
 (r, s) with r, s in {-1, 0, +1} locating the dof at (r/2, s/2) on the
 reference square; (0, 0) is the average.  The dual basis is the
 exact inverse of the 9x9 duality system over the tensor-quadratic
-space, checked coefficient by coefficient against the known closed
-forms (for instance the average basis function
-9/4 (4 xi^2 - 1)(4 eta^2 - 1)).
+space, solved once per process; its known closed forms (for instance
+the average basis function 9/4 (4 xi^2 - 1)(4 eta^2 - 1)) are asserted
+by ``tests/test_element2d.py::TestBasis``.
 
 Test functions attached to shared dofs are built from pairing tables.
 An edge test function lives on the two cells sharing the edge.  Its
@@ -55,8 +55,7 @@ from afpg.poly import HALF, Poly, gram_inverse, integrate, solve_exact
 __all__ = [
     "DOF_IDS",
     "Element2D",
-    "EdgeTest2D",
-    "NodeTest2D",
+    "PointTest2D",
     "dof_point",
     "apply_dof",
     "pair_row",
@@ -127,64 +126,27 @@ class Element2D:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeTest2D:
-    """Edge-midpoint test function: one polynomial piece per support cell.
+class PointTest2D:
+    """Edge-midpoint or node test function: one polynomial piece per
+    support cell.
 
-    ``pieces`` maps the cell offset (relative to the cell on the
-    lower/left side of the edge) to the local polynomial; ``table``
-    holds the defining pairings of each piece with the cell basis.
+    ``pieces`` maps the cell offset (relative to the lower-left support
+    cell) to the local polynomial; ``table`` holds the defining pairings
+    of each piece with the cell basis.
     """
 
     pieces: dict
     table: dict
 
 
-@dataclass(frozen=True, eq=False)
-class NodeTest2D:
-    """Node test function: four polynomial pieces around the node."""
-
-    pieces: dict
-    table: dict
-
-
-@lru_cache(maxsize=1)
-def _closed_form_basis():
-    one, lin_p, lin_m = Poly([1]), Poly([1, 2]), Poly([-1, 2])  # 1, 2 xi + 1, 2 xi - 1
-    six_m, six_p, sq = Poly([-1, 6]), Poly([1, 6]), Poly([-1, 0, 4])  # 6 xi -+ 1, 4 xi^2 - 1
-
-    def tx(p):
-        return p.tensor(one)
-
-    def ty(p):
-        return one.tensor(p)
-
-    s16 = Fraction(1, 16)
-    m14 = Fraction(-1, 4)
-    return {
-        (1, 1): s16 * tx(lin_p) * ty(lin_p) * Poly([[-1, 2], [2, 12]]),
-        (-1, 1): s16 * tx(lin_m) * ty(lin_p) * Poly([[1, -2], [2, 12]]),
-        (-1, -1): s16 * tx(lin_m) * ty(lin_m) * Poly([[-1, -2], [-2, 12]]),
-        (1, -1): s16 * tx(lin_p) * ty(lin_m) * Poly([[1, 2], [-2, 12]]),
-        (0, 1): m14 * tx(sq) * ty(lin_p) * ty(six_m),
-        (0, -1): m14 * tx(sq) * ty(lin_m) * ty(six_p),
-        (-1, 0): m14 * tx(lin_m) * tx(six_p) * ty(sq),
-        (1, 0): m14 * tx(lin_p) * tx(six_m) * ty(sq),
-        (0, 0): Fraction(9, 4) * tx(sq) * ty(sq),
-    }
-
-
 @lru_cache(maxsize=1)
 def build_element_2d() -> Element2D:
-    """The dual basis: column s of the exact inverse of the 9x9 duality
-    system (dof functionals on the monomials) holds basis function s.
-    A mismatch with the closed forms, a broken construction, raises
-    RuntimeError."""
+    """Construct the dual basis, exactly (cached: it is immutable):
+    column s of the exact inverse of the 9x9 duality system (dof
+    functionals on the monomials) holds basis function s."""
     inverse = solve_exact([[apply_dof(dof, m) for m in _MONOMIALS] for dof in DOF_IDS])
-    basis = {dof: _coeff_poly([row[s] for row in inverse]) for s, dof in enumerate(DOF_IDS)}
-    for dof, form in _closed_form_basis().items():
-        if basis[dof] != form:
-            raise RuntimeError(f"solved basis function of dof {dof} differs from its closed form")
-    return Element2D(basis)
+    return Element2D({dof: _coeff_poly([row[s] for row in inverse])
+                      for s, dof in enumerate(DOF_IDS)})
 
 
 def _zero_row():
@@ -275,7 +237,7 @@ def _transpose_table(table):
     }
 
 
-def build_edge_test(alphas, orientation="x") -> EdgeTest2D:
+def build_edge_test(alphas, orientation="x") -> PointTest2D:
     """Test function of an edge midpoint for the given free weights.
 
     ``orientation`` 'x' means a vertical edge (normal along x); the
@@ -290,14 +252,14 @@ def build_edge_test(alphas, orientation="x") -> EdgeTest2D:
         pieces = {
             (oy, ox): p.transpose() for (ox, oy), p in pieces.items()
         }
-    return EdgeTest2D(pieces, table)
+    return PointTest2D(pieces, table)
 
 
-def build_node_test(alphas) -> NodeTest2D:
+def build_node_test(alphas) -> PointTest2D:
     """Test function of a node for the given eleven free weights."""
     table = node_pairing_table(alphas)
     pieces = {off: _solve_test_piece(row) for off, row in table.items()}
-    return NodeTest2D(pieces, table)
+    return PointTest2D(pieces, table)
 
 
 def reconstruct2d(element: Element2D, dofs) -> Poly:

@@ -223,18 +223,15 @@ class State2D(_FlatState):
 
 
 @lru_cache(maxsize=None)
-def _gauss_basis_1d(k: int, n: int) -> np.ndarray:
-    """(K+1, n): the degree-K basis, in dof order, at the n-point Gauss nodes."""
-    xi = gauss_rule(n).nodes_array
-    return np.array([Poly(b.float_coeffs)(xi) for b in build_element(k).basis()])
-
-
-@lru_cache(maxsize=None)
-def _gauss_basis_2d(n: int) -> np.ndarray:
-    """(9, n, n): the 2-d basis, in dof order, at the n x n Gauss points."""
-    xi = gauss_rule(n).nodes_array
-    return np.array([[[float(p(a, b)) for b in xi] for a in xi]
-                     for p in build_element_2d().basis_ordered()])
+def _gauss_basis(dim: int, k: int, n: int) -> np.ndarray:
+    """(k+1, n) in 1-d, (9, n, n) in 2-d: the basis of the degree-k element
+    of dimension ``dim``, in dof order, at the n-point Gauss nodes of each
+    axis.  Each basis function's coefficients are rounded to float once
+    and evaluated by ``Poly.__call__`` (Horner's rule) on the tensor grid
+    of nodes, all points at once."""
+    basis = build_element(k).basis() if dim == 1 else build_element_2d().basis_ordered()
+    nodes = np.ix_(*[gauss_rule(n).nodes_array] * dim)
+    return np.array([Poly(b.float_coeffs)(*nodes) for b in basis])
 
 
 def _dof_gather_1d(state: State1D, block: slice = slice(None)) -> np.ndarray:
@@ -325,13 +322,13 @@ _LAYOUTS = {
         lambda vals, ws: np.tensordot(vals, ws[0], axes=([1], [0])),
         _dof_gather_1d,
         lambda dofs, n: np.ascontiguousarray(np.moveaxis(np.tensordot(
-            _gauss_basis_1d(len(dofs) - 1, n), dofs, axes=([0], [0])), 0, 1))),
+            _gauss_basis(1, len(dofs) - 1, n), dofs, axes=([0], [0])), 0, 1))),
     # cell-major products: Gauss-major ones were 3x slower at 160^2
     2: _Layout(
         State2D, 2, 1, lambda k: [(0, (0, 0))], ((1, (1, 0)), (2, (0, 1)), (3, (1, 1))),
         lambda vals, ws: np.einsum("ijab,a,b->ij", vals, *ws),
         _dof_gather_2d,
-        lambda dofs, n: np.einsum("sij,sab->ijab", dofs, _gauss_basis_2d(n))),
+        lambda dofs, n: np.einsum("sij,sab->ijab", dofs, _gauss_basis(2, 2, n))),
 }
 
 

@@ -4,8 +4,8 @@ A polynomial in d variables is stored by its monomial coefficients in
 the dimensionless cell coordinates, xi = x/dx and then eta = y/dy, each
 running over [-1/2, 1/2]: one array axis per variable, so
 ``coeffs[k, l]`` multiplies xi**k eta**l.  A 1-d cell's polynomials
-have one axis and a 2-d cell's two; the 2-d basis is built from
-``tensor`` products of 1-d pieces.  Coefficients may be ints, Fractions
+have one axis and a 2-d cell's two, and ``tensor`` multiplies 1-d
+pieces into a 2-d one.  Coefficients may be ints, Fractions
 or floats.  With rational coefficients every operation here is exact,
 which is what the element construction relies on; float coefficients
 give ordinary floating-point arithmetic for runtime use.
@@ -97,9 +97,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):

@@ -13,13 +13,13 @@ memory with the stage buffer.
 Without a workspace ``step`` starts an empty one of its own, so each
 call allocates its stage buffer and result afresh and the result is a
 fresh buffer.  ``advance`` hands every step of a call the same
-workspace instead: the stage buffer, tagged with its scheme because
-both schemes use one layout, and two result buffers.  The first step
-allocates the stage buffer and one result buffer; the second result
-buffer comes at step 2, the first step whose input is a result.  Each
-step writes into the result buffer that is not its input, so a time
-loop allocates no new state buffer after step 2 and the state of step
-n stays intact through step n + 1.  ``advance`` keeps no reference to
+workspace instead: the stage buffer and two result buffers, which
+serve either scheme.  The first step allocates the stage buffer and
+one result buffer; the second result buffer comes at step 2, the
+first step whose input is a result.  Each step writes into the result
+buffer that is not its input, so a time loop allocates no new state
+buffer after step 2 and the state of step n stays intact through step
+n + 1.  ``advance`` keeps no reference to
 its initial state past step 1, so a caller that keeps none either (the
 harness) frees that buffer before the second result buffer is
 allocated, and the loop holds one state-sized buffer fewer.  Either
@@ -94,17 +94,16 @@ def _stage(out, u, c, k, stage):
     _check(out, stage)
 
 
-def _buffers(work, u, dtype, scheme):
+def _buffers(work, u, dtype):
     """The stage buffer and the result buffer that is not ``u``, from the
-    workspace ``work`` (a list: the scheme with its stage buffer, then two
-    result slots).  The first use fills the stage buffer and the first
-    result slot; the second result buffer is allocated when the first
-    becomes ``u``."""
+    workspace ``work`` (a list: the stage buffer, then two result slots).
+    The first use fills the stage buffer and the first result slot; the
+    second result buffer is allocated when the first becomes ``u``."""
     if not work:
-        work += [(scheme, np.empty_like(u, dtype=dtype)), np.empty_like(u, dtype=dtype), None]
-    (owner, stage), first, second = work
-    if owner != scheme or first.shape != u.shape or first.dtype != dtype:
-        raise ValueError("the workspace belongs to another scheme, shape or dtype")
+        work += [np.empty_like(u, dtype=dtype), np.empty_like(u, dtype=dtype), None]
+    stage, first, second = work
+    if first.shape != u.shape or first.dtype != dtype:
+        raise ValueError("the workspace belongs to another shape or dtype")
     if first is not u:
         return stage, first
     if second is None:
@@ -117,7 +116,7 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
 
     Calls ``rhs_fn(state)`` once per stage and returns the new state, of
     the input's kind.  It is a fresh buffer, or with ``work`` (an empty
-    list at first, kept by the caller between steps of one scheme) the
+    list at first, kept by the caller between steps) the
     workspace's result buffer that is not the input; see the module
     docstring.
     """
@@ -134,7 +133,7 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
         return _array(rhs_fn(wrap(buf)))
 
     k = _array(rhs_fn(state))
-    a, r = _buffers(work, u, np.result_type(u, k, dt), scheme)
+    a, r = _buffers(work, u, np.result_type(u, k, dt))
     if scheme == "ssprk3":
         # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
         # result = 1/3 u + 2/3 (u2 + dt k(u2))

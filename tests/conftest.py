@@ -6,8 +6,7 @@ from afpg import element1d, element2d, poly
 
 
 # taken at import, so that a test may patch the module attributes
-_CACHES = (element1d.build_element, element2d.build_element_2d,
-           element2d._closed_form_basis, poly.gram_inverse)
+_CACHES = (element1d.build_element, element2d.build_element_2d, poly.gram_inverse)
 
 
 def _clear_construction_caches():

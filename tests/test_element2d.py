@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from afpg import element2d
 from afpg.element1d import build_element, build_point_test
 from afpg.element2d import (
     DOF_IDS,
@@ -144,14 +143,6 @@ class TestExactSolves:
         build_edge_test((0.0, 0.0, -1.0), "y")
         build_node_test((0.0,) * 8 + (1.0, 0.25, 0.25))
         assert len(exact_solves) <= 2
-
-    def test_closed_form_mismatch_raises(self, monkeypatch, fresh_construction):
-        # a plain assert would vanish under python -O
-        forms = dict(element2d._closed_form_basis())
-        forms[(0, 1)] = forms[(0, 1)] + Poly([[0, 0], [0, Fraction(1, 7)]])
-        monkeypatch.setattr(element2d, "_closed_form_basis", lambda: forms)
-        with pytest.raises(RuntimeError, match=r"dof \(0, 1\)"):
-            build_element_2d()
 
 
 class TestEdgeTests:

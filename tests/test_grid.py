@@ -91,14 +91,21 @@ class TestProjection:
         for c, part in enumerate(parts):
             assert st.data[..., c].tobytes() == project_initial(g, part, el).data.tobytes()
 
-    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("k", [*range(2, 7), pytest.param(None, id="2d")])
     def test_float_basis_evaluation_is_polyval_bit_for_bit(self, k):
         from numpy.polynomial.polynomial import polyval
 
         for n in range(1, 17):
             xi = gauss_rule(n).nodes_array
+            if k is None:
+                # reference: each exact basis function called at one float
+                # Gauss point at a time
+                expected = [[[float(p(a, b)) for b in xi] for a in xi]
+                            for p in build_element_2d().basis_ordered()]
+                assert grid_module._gauss_basis(2, 2, n).tobytes() == np.array(expected).tobytes()
+                continue
             expected = [polyval(xi, b.float_coeffs) for b in build_element(k).basis()]
-            assert grid_module._gauss_basis_1d(k, n).tobytes() == np.array(expected).tobytes()
+            assert grid_module._gauss_basis(1, k, n).tobytes() == np.array(expected).tobytes()
             for j in range(k - 1):
                 p = moment_weight(j).poly
                 assert Poly(p.float_coeffs)(xi).tobytes() == polyval(xi, p.float_coeffs).tobytes()

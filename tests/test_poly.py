@@ -126,8 +126,8 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("nvars", [1, 2])
     def test_float_call_is_nested_horner_bit_for_bit(self, nvars):
-        # grid._gauss_basis_2d evaluates the exact bases at float Gauss
-        # nodes, so the last bits of the 2-d norms depend on this order
+        # grid._gauss_basis evaluates the float bases at float Gauss
+        # nodes, so the last bits of the norms depend on this order
         rng = random.Random(40 + nvars)
         nodes = list(gauss_rule(5).nodes_array)
         for _ in range(30):

@@ -82,7 +82,7 @@ def family_points(state, grid, a, alpha):
                   0.5 * (1 - alpha) * c)
 
 
-class TestChooseAlpha:
+class TestUpwindFollowsSpeedSign:
     # every interface weight follows sgn of the wave speed, with sgn(0) = 0
     def test_burgers_positive(self):
         g = Grid1D(7)
@@ -322,7 +322,7 @@ def interface_row(el, alpha):
     return row
 
 
-class TestCompiledTaps1D:
+class TestAppliedTaps1D:
     @pytest.mark.parametrize("a, alpha", [(1.0, 1.0), (-0.7, -1.0), (1.3, 0.37)])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
