@@ -33,7 +33,8 @@ def study(k, grids, scheme, cfl):
     for n in grids:
         g = Grid1D(n)
         st = project_initial(g, ic, el)
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        # advance hands each call a free buffer of the state's shape for k
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
         st, t, _ = advance(st, g, model, rhs_fn, 1.0, TimeIntegrator(scheme, cfl=cfl))
         exact = model.exact_solution(ic, g)
         l1, _, linf = error_norms(st, g, el, lambda x: exact(x, t))

@@ -41,8 +41,9 @@ def main():
         for n in (20, 40, 80, 160):
             g = Grid1D(n)
             st = project_initial(g, ic, el)
-            rhs_fn = lambda s: rhs_1d(
-                s, g, el, model, Upwind1D("adaptive"), point_update=variant
+            # advance hands each call a free buffer of the state's shape for k
+            rhs_fn = lambda s, out: rhs_1d(
+                s, g, el, model, Upwind1D("adaptive"), point_update=variant, out=out
             )
             st, t, _ = advance(st, g, model, rhs_fn, t_end, TimeIntegrator("ssprk3", cfl=0.2))
             exact = model.exact_solution(ic, g)

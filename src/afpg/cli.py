@@ -60,9 +60,8 @@ def _cmd_run(args) -> int:
     m0 = float(np.sum(result.mass_log[0][1]))
     m1 = float(np.sum(result.mass_log[-1][1]))
     print(f"mass_initial={m0!r} mass_final={m1!r}")
-    if result.norms is not None:
-        l1, l2, linf = result.norms
-        print(f"error_l1={l1!r} error_l2={l2!r} error_linf={linf!r}")
+    l1, l2, linf = result.norms
+    print(f"error_l1={l1!r} error_l2={l2!r} error_linf={linf!r}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Run driver shared by the command line and the test-suites.
 
 Builds grids, models and initial data from a RunConfig, integrates to
-the final time, writes CSV outputs and, when an exact solution is
-available, reports error norms.  The convergence study reruns a config
+the final time, writes CSV outputs and reports the error norms against
+the model's exact solution.  The convergence study reruns a config
 over a list of resolutions and tabulates the experimental orders.
 """
 
@@ -51,7 +51,7 @@ class RunResult:
     t: float
     steps: int
     mass_log: list
-    norms: tuple | None
+    norms: tuple
 
 
 def build_grid(cfg: RunConfig, n=None):
@@ -137,7 +137,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
         ic = _vectorize_ic(ic, model.m) if model.m > 1 else ic
     else:
         element, upwind = build_element_2d(), Upwind2D()
-    out = exact = None
+    exact = None
     mass_log = []
 
     def reference(*xs, t):
@@ -148,35 +148,33 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
 
     def initial_state():
         """The projected state, checked before the first step; also sets
-        ``exact`` and ``out``, makes the output directory and logs the
-        initial mass.  It goes straight into ``advance``, so no name here
-        keeps it alive past step 1."""
-        nonlocal out, exact
+        ``exact``, makes the output directory and logs the initial mass.
+        It goes straight into ``advance``, so no name here keeps it alive
+        past step 1."""
+        nonlocal exact
         try:
             state = project_initial(grid, ic, element)
         except ValueError as err:  # non-finite initial data
             raise ConfigError(str(err)) from None
         exact = model.exact_solution(ic, grid)
         _check_cfl_steps(cfg, state, grid, model)
-        if exact is not None:  # refuse before the first step, at the grid's centres and interfaces
-            reference(*np.ix_(*(np.concatenate((c, f)) for c, f, _ in _axes(grid))),
-                      t=cfg.time_t_end)
+        # refuse before the first step, at the grid's centres and interfaces
+        reference(*np.ix_(*(np.concatenate((c, f)) for c, f, _ in _axes(grid))),
+                  t=cfg.time_t_end)
         if output_dir is not None:
             os.makedirs(output_dir, exist_ok=True)
-        # one output buffer for every right-hand side: advance consumes
-        # each result before it asks for the next
-        out = np.empty_like(state.data)
         mass_log.append((0.0, total_mass(state, grid)))
         return state
 
+    # each right-hand side writes into the free buffer advance hands it
     if cfg.dimension == 1:
 
-        def rhs_fn(s):
+        def rhs_fn(s, out):
             return rhs_1d(s, grid, element, model, upwind, point_update=cfg.model_point_update,
                           assume_finite=True, out=out)
     else:
 
-        def rhs_fn(s):
+        def rhs_fn(s, out):
             return rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out)
     cadence = cfg.output_snapshot_every
 
@@ -189,8 +187,7 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
     state, t, steps = advance(initial_state(), grid, model, rhs_fn, cfg.time_t_end,
                               integrator, on_step=on_step)
     mass_log.append((t, total_mass(state, grid)))
-    norms = None if exact is None else error_norms(state, grid, element,
-                                                   lambda *xs: reference(*xs, t=t))
+    norms = error_norms(state, grid, element, lambda *xs: reference(*xs, t=t))
 
     if output_dir is not None:
         write_state_csv(state, grid, os.path.join(output_dir, "final_state.csv"))
@@ -203,9 +200,8 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
             fh.write(serialize_config(cfg))
             fh.write(f"steps={steps}\n")
             fh.write(f"t_final={t!r}\n")
-            if norms is not None:
-                l1, l2, linf = norms
-                fh.write(f"error.l1={l1!r}\nerror.l2={l2!r}\nerror.linf={linf!r}\n")
+            l1, l2, linf = norms
+            fh.write(f"error.l1={l1!r}\nerror.l2={l2!r}\nerror.linf={linf!r}\n")
 
     return RunResult(cfg, grid, state, t, steps, mass_log, norms)
 

@@ -4,8 +4,7 @@ A polynomial in d variables is stored by its monomial coefficients in
 the dimensionless cell coordinates, xi = x/dx and then eta = y/dy, each
 running over [-1/2, 1/2]: one array axis per variable, so
 ``coeffs[k, l]`` multiplies xi**k eta**l.  A 1-d cell's polynomials
-have one axis and a 2-d cell's two, and ``tensor`` multiplies 1-d
-pieces into a 2-d one.  Coefficients may be ints, Fractions
+have one axis and a 2-d cell's two.  Coefficients may be ints, Fractions
 or floats.  With rational coefficients every operation here is exact,
 which is what the element construction relies on; float coefficients
 give ordinary floating-point arithmetic for runtime use.
@@ -72,10 +71,6 @@ class Poly:
         if other.coeffs.ndim != self.coeffs.ndim:
             raise ValueError("polynomials in different numbers of variables")
         return other
-
-    def tensor(self, other: "Poly") -> "Poly":
-        """The product of self in the leading variables and other in the rest."""
-        return Poly(np.multiply.outer(self.coeffs, other.coeffs))
 
     def __call__(self, *xs):
         """Horner's rule, the last variable innermost."""

@@ -22,10 +22,19 @@ buffer after step 2 and the state of step n stays intact through step
 n + 1.  ``advance`` keeps no reference to
 its initial state past step 1, so a caller that keeps none either (the
 harness) frees that buffer before the second result buffer is
-allocated, and the loop holds one state-sized buffer fewer.  Either
-way the result is never the input, a stage state handed to ``rhs_fn``
-or an array ``rhs_fn`` returned, so ``rhs_fn`` may return the same
-buffer every time, as the harness's do.
+allocated, and the loop holds one state-sized buffer fewer.  The
+result of ``step`` is never the input or a stage state handed to
+``rhs_fn``, and never an array ``rhs_fn`` returned, except the one
+buffer ``advance`` hands over.
+
+``advance`` calls ``rhs_fn(state, out)``: ``out`` is a free buffer
+of the state's shape into which ``rhs_fn`` may write k and return
+it, so a right-hand side needs no buffer of its own.  SSPRK3 reads
+each k fully before it writes its result buffer, so ``out`` is the
+result buffer the step will pick, and k turns into the result in
+place.  RK4 holds its running sum in the result buffer, so
+``advance`` keeps one k buffer of its own for it.  ``step`` itself
+calls ``rhs_fn(state)``, with the same arithmetic either way.
 
 Every stage is tested for finiteness once, right after it is formed;
 ``advance`` also tests its initial state.  Every state handed to
@@ -185,8 +194,31 @@ def _max_norm(u) -> float:
     return max(float(data.max()), -float(data.min()))
 
 
+def _free_buffer(work, spare, state, dt, scheme):
+    """The buffer ``advance`` hands ``rhs_fn`` in the step from ``state``:
+    for SSPRK3 the result buffer ``_buffers`` picks for that step, for
+    RK4 the k buffer in ``spare`` (a list), allocated at the first call.
+    Its dtype is the state's with dt's.  It holds no name for ``state``
+    past the call."""
+    u = _array(state)
+    dtype = np.result_type(u, dt)
+    if scheme == "ssprk3":
+        return _buffers(work, u, dtype)[1]
+    if not spare:
+        spare.append(np.empty_like(u, dtype=dtype))
+    return spare[0]
+
+
 def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_step=None):
     """Integrate to t_end; returns (state, t, number of steps taken).
+
+    Calls ``rhs_fn(state, out)`` once per stage, where ``out`` is a
+    free buffer of the state's shape and of the dtype of the state
+    with dt (see the module docstring); ``rhs_fn`` may write k into it
+    and return it, as the harness's right-hand sides do.  Under SSPRK3
+    the state a step returns then lives in that array, and a k of a
+    wider dtype than ``out``'s raises ValueError, since ``out`` is that
+    step's result buffer.
 
     ``on_step(state, t, n)`` is invoked after every accepted step.  The
     steps share one workspace (see the module docstring), so the state
@@ -202,7 +234,7 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
         raise ValueError("initial state contains non-finite values")
     t = 0.0
     n = 0
-    work = []
+    work, spare = [], []
     bound = BLOWUP_FACTOR * max(_max_norm(state), 1.0)
     while t < t_end - 1e-14 * max(1.0, t_end):
         if integrator.dt is not None:
@@ -214,8 +246,9 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
                     "zero wave speed: set a fixed dt to integrate this problem"
                 )
         dt = min(dt, t_end - t)
+        out = _free_buffer(work, spare, state, dt, integrator.scheme)
         try:
-            state = step(state, t, dt, rhs_fn, integrator.scheme, work=work)
+            state = step(state, t, dt, lambda s: rhs_fn(s, out), integrator.scheme, work=work)
         except BlowUpError as err:
             raise BlowUpError(f"{err} (step {n})", step_index=n) from None
         norm = _max_norm(state)

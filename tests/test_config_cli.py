@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -222,6 +223,31 @@ class TestHarness:
         result = run_simulation(parse_config(BASE_CFG + "output.snapshot_every=1\n"))
         assert result.steps >= 2
         assert alive == [True] + [False] * (result.steps + 1)
+
+    def test_2d_time_loop_holds_three_state_sized_buffers(self, monkeypatch):
+        # from the initial mass log to the final one, a 160^2 SSPRK3 run
+        # holds the initial state or a result, the stage buffer and the
+        # result buffer, with k written into the result buffer, and no
+        # right-hand-side buffer of its own; the second run reuses the
+        # first run's element, taps and rhs_2d tile
+        cfg = parse_config("dimension=2\ngrid.nx=160\ngrid.ny=160\ntime.t_end=0.005\n")
+        run_simulation(cfg)
+        peaks, mass = [], harness.total_mass
+
+        def recording_mass(state, grid):
+            # called at the end of initial_state and after advance
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return mass(state, grid)
+
+        monkeypatch.setattr(harness, "total_mass", recording_mass)
+        tracemalloc.start()
+        try:
+            result = run_simulation(cfg)
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 4 and len(peaks) == 2
+        assert peaks[1] < 3.5 * result.state.data.nbytes
 
     def test_outputs_written_and_deterministic(self, tmp_path):
         cfg = parse_config(BASE_CFG + "output.snapshot_every=10\n")

@@ -15,7 +15,7 @@ def one_period_l1(k, n, scheme, cfl):
     ic = SineIC()
     g = Grid1D(n)
     st = project_initial(g, ic, el)
-    rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+    rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
     st, t, _ = advance(st, g, model, rhs_fn, 1.0, TimeIntegrator(scheme, cfl=cfl))
     exact = model.exact_solution(ic, g)
     return error_norms(st, g, el, lambda x: exact(x, t))

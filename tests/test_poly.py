@@ -10,6 +10,11 @@ import pytest
 from afpg.poly import HALF, Poly, gauss_rule, gram, inner, integrate, solve_exact
 
 
+def tensor_product(p, q):
+    """The product of p in the leading variables and q in the rest."""
+    return Poly(np.multiply.outer(p.coeffs, q.coeffs))
+
+
 def rational_poly(rng, degree, den=7):
     return Poly([Fraction(rng.randint(-12, 12), den) for _ in range(degree + 1)])
 
@@ -73,18 +78,18 @@ class TestPoly2:
         for _ in range(8):
             p = rational_poly(rng, 3)
             q = rational_poly(rng, 2)
-            assert integrate(Poly.tensor(p, q)) == integrate(p) * integrate(q)
+            assert integrate(tensor_product(p, q)) == integrate(p) * integrate(q)
 
     def test_average_basis_2d_normalized(self):
-        p = Fraction(9, 4) * Poly.tensor(Poly([-1, 0, 4]), Poly([-1, 0, 4]))
+        p = Fraction(9, 4) * tensor_product(Poly([-1, 0, 4]), Poly([-1, 0, 4]))
         assert integrate(p) == 1
 
     def test_corner_basis_has_zero_mean(self):
         # 1/16 (2xi+1)(2eta+1)(-1 + 2eta + 2xi + 12 xi eta)
         p = (
             Fraction(1, 16)
-            * Poly.tensor(Poly([1, 2]), Poly([1]))
-            * Poly.tensor(Poly([1]), Poly([1, 2]))
+            * tensor_product(Poly([1, 2]), Poly([1]))
+            * tensor_product(Poly([1]), Poly([1, 2]))
             * Poly([[-1, 2], [2, 12]])
         )
         assert inner(Poly([[1]]), p) == 0

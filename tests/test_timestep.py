@@ -121,9 +121,9 @@ class TestInPlaceStages:
     def test_consecutive_advance_results_independent(self):
         u, dt, rhs_fn = _problem("state_2d")
         integ = TimeIntegrator("ssprk3", dt=dt)
-        first, _, _ = advance(u, None, None, rhs_fn, 2 * dt, integ)
+        first, _, _ = advance(u, None, None, lambda s, out: rhs_fn(s), 2 * dt, integ)
         kept = first.data.copy()
-        second, _, _ = advance(first, None, None, rhs_fn, 2 * dt, integ)
+        second, _, _ = advance(first, None, None, lambda s, out: rhs_fn(s), 2 * dt, integ)
         assert np.array_equal(first.data, kept)
         assert not np.shares_memory(first.data, second.data)
         assert not np.shares_memory(first.data, u.data)
@@ -131,7 +131,7 @@ class TestInPlaceStages:
     def test_nonfinite_initial_state_rejected(self):
         u = np.array([1.0, np.nan])
         with pytest.raises(ValueError, match="initial state"):
-            advance(u, None, None, lambda s: -s, 1.0, TimeIntegrator("ssprk3", dt=0.1))
+            advance(u, None, None, lambda s, out: -s, 1.0, TimeIntegrator("ssprk3", dt=0.1))
 
 
 def _owning(rhs_fn):
@@ -144,6 +144,18 @@ def _owning(rhs_fn):
             buf.append(np.empty_like(r))
         np.copyto(buf[0], r)
         return buf[0] if isinstance(s, np.ndarray) else type(s)(buf[0])
+
+    return rhs
+
+
+def _into_out(rhs_fn, handed):
+    """rhs_fn(state) as advance's rhs_fn(state, out): k goes into the handed
+    out, which is returned; every out is recorded in ``handed``."""
+
+    def rhs(s, out):
+        handed.append(out)
+        np.copyto(out, _buffer(rhs_fn(s)))
+        return out if isinstance(s, np.ndarray) else type(s)(out)
 
     return rhs
 
@@ -196,11 +208,37 @@ class TestWorkspace:
         for _ in range(4):
             fresh = step(fresh, 0.0, dt, rhs_fn, "rk4")
             states.append(fresh.data.tobytes())
-        seen = []
-        final, _, n = advance(u, None, None, _owning(rhs_fn), 4 * dt,
+        seen, owning = [], _owning(rhs_fn)
+        final, _, n = advance(u, None, None, lambda s, out: owning(s), 4 * dt,
                               TimeIntegrator("rk4", dt=dt),
                               on_step=lambda s, t, i: seen.append(s.data.tobytes()))
         assert n == 4 and seen == states and final.data.tobytes() == states[-1]
+
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
+    def test_advance_with_k_in_the_handed_buffer_matches_fresh_steps(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        fresh, states, t = u, [], 0.0
+        for _ in range(3):  # the steps of advance, the last one to 3 dt exactly
+            h = min(dt, 3 * dt - t)
+            fresh = step(fresh, t, h, rhs_fn, scheme)
+            states.append(_buffer(fresh).tobytes())
+            t += h
+        handed, seen = [], []
+
+        def on_step(s, t, i):
+            seen.append(_buffer(s).tobytes())
+            if scheme == "rk4":  # the running sum never shares the k buffer
+                assert not any(np.shares_memory(_buffer(s), out) for out in handed)
+
+        final, _, n = advance(u, None, None, _into_out(rhs_fn, handed), 3 * dt,
+                              TimeIntegrator(scheme, dt=dt), on_step=on_step)
+        assert n == 3 and seen == states and _buffer(final).tobytes() == states[-1]
+        assert len(handed) == 3 * (3 if scheme == "ssprk3" else 4)
+        if scheme == "ssprk3":  # k turned into the result in place
+            assert _buffer(final) is handed[-1]
+        else:
+            assert all(out is handed[0] for out in handed)
 
     def test_workspace_serves_either_scheme_and_rejects_another_shape(self):
         u, dt, rhs_fn = _problem("array")
@@ -223,7 +261,8 @@ class TestWorkspace:
         # advance keeps no reference to its input past step 1 and allocates
         # the second result buffer at step 2, so from the moment the initial
         # state exists a 160^2 SSPRK3 loop holds three state-sized buffers
-        # (the initial state or a result, one stage, one result), not four
+        # (the initial state or a result, one stage, one result), not four;
+        # k lives in the result buffer, which advance hands the rhs as out
         n = 160
         grid, element = Grid2D(n, n), build_element_2d()
         model, upwind = advection2d(1.0, 1.0), Upwind2D("adaptive")
@@ -242,7 +281,8 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             advance(initial_state(), grid, model,
-                    lambda s: rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out),
+                    lambda s, out: rhs_2d(s, grid, element, model, upwind, assume_finite=True,
+                                          out=out),
                     3 * dt, TimeIntegrator("ssprk3", dt=dt),
                     on_step=lambda s, t, i: freed.append(refs[0]() is None))
             peak = tracemalloc.get_traced_memory()[1]
@@ -252,11 +292,12 @@ class TestWorkspace:
         assert peak < 3.5 * out.nbytes
 
     def test_rk4_time_loop_holds_three_state_sized_buffers(self):
-        # RK4 forms 2 k in its stage buffer, so a K=4 loop holds the initial
-        # state or a result, one stage and one result, not a fourth buffer for
-        # 2 k; the right-hand side writes into its preallocated out and
-        # allocates nothing, so the peak is the loop's own (rhs_1d's gathered
-        # dofs would add about two state sizes)
+        # RK4 forms 2 k in its stage buffer, so a K=4 loop holds three
+        # state-sized buffers (the initial state or a result, one stage, one
+        # result) and not a fourth for 2 k, besides the k buffer advance
+        # hands the right-hand side; it writes into that buffer and allocates
+        # nothing, so the peak is the loop's own (rhs_1d's gathered dofs
+        # would add about two state sizes)
         n = 2048
         grid, element = Grid1D(n), build_element(4)
         ic = SineIC(0.1, 1.0)
@@ -273,14 +314,14 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             advance(initial_state(), grid, None,
-                    lambda s: State1D(np.multiply(s.data, -1.0, out=out)),
+                    lambda s, out: State1D(np.multiply(s.data, -1.0, out=out)),
                     3 * dt, TimeIntegrator("rk4", dt=dt),
                     on_step=lambda s, t, i: freed.append(refs[0]() is None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert freed == [True, True, True]
-        assert peak < 3.5 * out.nbytes
+        assert peak < 4.5 * out.nbytes
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux minor page faults")
@@ -304,9 +345,8 @@ class TestWorkspace:
             x = (np.arange(n) + 0.5) / n
             field = np.sin(2.0 * np.pi * (x[:, None] + x[None, :]))
             state = State2D(np.stack([field] * 4))
-            out = np.empty_like(state.data)
 
-            def rhs_fn(s):
+            def rhs_fn(s, out):
                 return rhs_2d(s, grid, element, model, upwind, assume_finite=True, out=out)
 
             faults = []
@@ -414,7 +454,7 @@ class TestAdvance:
         st0 = project_initial(g, ic, el)
         model = advection1d(1.0)
         up = Upwind1D("adaptive")
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, up)
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, up, out=out)
         dt = compute_dt(st0, g, model, 0.2)
         integ = TimeIntegrator("ssprk3", dt=dt)
         st, t, n = advance(st0, g, model, rhs_fn, 1000 * dt, integ)
@@ -427,7 +467,7 @@ class TestAdvance:
         el = build_element(2)
         st0 = project_initial(g, SineIC(mean=1.0), el)
         model = advection1d(1.0)
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
         integ = TimeIntegrator("ssprk3", cfl=1000.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as info:
@@ -439,7 +479,7 @@ class TestAdvance:
         el = build_element(2)
         st0 = project_initial(g, SineIC(), el)
         model = advection1d(1.0)
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
         st, t, n = advance(st0, g, model, rhs_fn, 0.1003, TimeIntegrator("ssprk3", cfl=0.2))
         assert t == pytest.approx(0.1003, abs=1e-14)
 
@@ -458,7 +498,7 @@ class TestAdvance:
 
         el = build_element_2d()
         model = advection2d(1.0, 1.0)
-        rhs_fn = lambda s: rhs_2d(s, g, el, model, Upwind2D("adaptive"))
+        rhs_fn = lambda s, out: rhs_2d(s, g, el, model, Upwind2D("adaptive"), out=out)
         st, t, n = advance(st0, g, model, rhs_fn, 0.5, TimeIntegrator("ssprk3", cfl=0.2))
         assert abs(total_mass(st, g) - total_mass(st0, g)) <= 1e-13
 
@@ -474,7 +514,7 @@ class TestBlowUpGuard:
         growth = [abs(u0) * (1.0 + 10.0 + 50.0 + 1000.0 / 6.0)**n for n in range(1, 10)]
         assert growth.index(next(g for g in growth if g > bound)) == first_bad
         with pytest.raises(BlowUpError, match="max-norm") as info:
-            advance(np.array([u0, 0.0]), None, None, lambda s: 10.0 * s, 20.0,
+            advance(np.array([u0, 0.0]), None, None, lambda s, out: 10.0 * s, 20.0,
                     TimeIntegrator("ssprk3", dt=1.0))
         assert info.value.step_index == first_bad
 
@@ -486,7 +526,7 @@ class TestBlowUpGuard:
         el = build_element(k)
         st0 = project_initial(g, SineIC(), el)
         model = advection1d(1.0)
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
         with pytest.raises(BlowUpError, match="max-norm") as info:
             advance(st0, g, model, rhs_fn, 1.0, TimeIntegrator("ssprk3", cfl=0.2))
         assert 0 < info.value.step_index < 200
@@ -498,7 +538,7 @@ class TestBlowUpGuard:
         ic = SineIC()
         st0 = project_initial(g, ic, el)
         model = advection1d(1.0)
-        rhs_fn = lambda s: rhs_1d(s, g, el, model, Upwind1D("adaptive"))
+        rhs_fn = lambda s, out: rhs_1d(s, g, el, model, Upwind1D("adaptive"), out=out)
         st, t, n = advance(st0, g, model, rhs_fn, 1.0, TimeIntegrator("rk4", cfl=0.1))
         assert n >= 400 and t == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(st.data - st0.data)) < 1e-6
