@@ -46,15 +46,16 @@ and node weights follow the sign of the velocity per axis, as in 1-d;
 family.  The scheme is then an offset-block operator, compiled once per
 grid spacing and velocity: the distinct (source field, 2-d offset)
 columns that carry weight (9 for a = (1, 1)) and one (4, #columns)
-float matrix W.  ``rhs_2d`` applies it by tiles of grid
-rows: it copies each column's shifted rows straight from the state,
-wrapping at the periodic edges in the copies themselves
-(``grid._shifted_copies``), into a small buffer of ``TILE_BYTES``, and
-one GEMM of W with that buffer writes those rows of the output.  The
-tile is kept for the last shape seen, and both right-hand sides write
-into a caller's ``out`` buffer when given one, so a 2-d time loop on
-one grid allocates no state-sized buffer (``rhs_1d`` still gathers its
-cell dofs anew on every call).
+float matrix W.  ``rhs_2d`` applies it by tiles of grid rows: it
+copies each column's shifted rows straight from the state, wrapping at
+the periodic edges in the copies themselves (``grid._shifted_copies``),
+into a float64 tile of at most ``TILE_BYTES`` (256 KiB: 22 rows and
+253 440 B at 160^2), and one GEMM of W with that tile writes those rows
+of the output.  The tile and its copy plan, every index and view of it
+bound once, are kept for the last grid seen, and both right-hand sides
+write into a caller's ``out`` buffer when given one, so a 2-d time loop
+on one grid allocates no state-sized buffer (``rhs_1d`` still gathers
+its cell dofs anew on every call).
 """
 
 from __future__ import annotations
@@ -287,26 +288,43 @@ def _compile_taps_2d(dx, dy, ax, ay, alpha3, beta):
     return columns, weights
 
 
-# Byte budget of the tile buffer rhs_2d fills before each GEMM; the rows
-# per tile follow from it (45 at ny = 160 with 9 columns).  Whole 160^2
-# adv2d runs (1 BLAS thread, 2-CPU host, median of 5 interleaved) took
-# 1.59, 1.48, 1.46 and 1.59 s at 256 KiB, 512 KiB, 1 MiB and 2 MiB:
-# 512 KiB and 1 MiB lie within the noise, and the smaller one is kept.
-TILE_BYTES = 512 * 1024
+# Byte budget of the float64 tile rhs_2d fills before each GEMM; the rows
+# per tile follow from it and the tile's own itemsize (22 at ny = 160 with
+# 9 columns, so 8 tiles).  perfbench adv2d (160^2, 40 s runs, 1 BLAS
+# thread, 2-CPU host), 10 alternating pairs of 256 KiB with the bound plan
+# against 512 KiB with per-call indexing: median peak RSS 36.61 -> 35.99 MB
+# (10/10 pairs lower), wall time 0.980 -> 0.954 s (6/10).  Against the
+# kept tile in 6 rotated runs each, 128 KiB read peak RSS 0.10 MB lower but
+# wall time x1.056, and 256 KiB without the bound plan x1.066 (0/6 faster).
+TILE_BYTES = 256 * 1024
 
 
 @lru_cache(maxsize=1)
-def _scratch_2d(nx, ny, rows, columns):
-    """The (#columns, rows, ny) tile of ``_apply_blocks_2d`` and its copy
-    plan, one (first row, rows, ``grid._shifted_copies``) per tile, kept
-    for the last key only (at most ``TILE_BYTES``, 0.5 MiB at 160^2), so
-    a time loop on one grid reuses both.  The tile is overwritten by
-    every call and never returned, so one shared by every caller in the
-    process is safe.
+def _scratch_2d(nx, ny, columns, budget):
+    """The float64 (#columns, rows, ny) tile of ``_apply_blocks_2d`` and its
+    plan, bound once per key and kept for the last key only, so a time
+    loop on one grid reuses both.  ``rows`` is the most grid rows whose
+    tile fits ``budget`` bytes (at least one, at most nx): ``TILE_BYTES``
+    gives 22 rows and 253 440 B at 160^2.  The plan holds one
+    (copies, operand, span) entry per tile: its copies as
+    (destination view into the tile, source index into the state) pairs
+    from ``grid._shifted_copies``, the tile's first t rows as the flat
+    (#columns, t * ny) GEMM operand (a view), and the span, the slice of
+    the output's flat (4, nx * ny) columns those rows fill.  Every view is
+    of the tile, none of a state, so the cache pins no caller's buffer.
+    The tile is overwritten by every call and never returned, so one
+    shared by every caller in the process is safe.
     """
-    tiles = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
-    return (np.empty((len(columns), rows, ny)),
-            [(i, t, _shifted_copies(nx, ny, i, t, columns)) for i, t in tiles])
+    c = len(columns)
+    rows = min(nx, max(1, budget // (max(1, c) * ny * np.dtype(float).itemsize)))
+    tile = np.empty((c, rows, ny))
+    plan = []
+    for i in range(0, nx, rows):
+        t = min(rows, nx - i)
+        copies = tuple((tile[dest], src) for dest, src in _shifted_copies(nx, ny, i, t, columns))
+        # tile[:, :t] holds t * ny contiguous values per column, so this reshape is a view
+        plan.append((copies, tile[:, :t].reshape(c, t * ny), slice(i * ny, (i + t) * ny)))
+    return tile, tuple(plan)
 
 
 def _apply_blocks_2d(data, columns, weights, out=None):
@@ -315,20 +333,17 @@ def _apply_blocks_2d(data, columns, weights, out=None):
     Each tile copies the shifted rows of a few grid rows, one per
     column, straight from ``data`` into the tile, and one matmul writes
     W times the tile straight into the same rows of the output: ``out``,
-    or a fresh buffer.  ``_output`` makes the output C-contiguous, so
-    ``flat_out`` is a view of it.
+    or a fresh buffer.  ``_scratch_2d`` binds every index and view of
+    the tiles once per grid; ``_output`` makes the output C-contiguous,
+    so ``flat_out`` is a view of it.
     """
     _, nx, ny = data.shape
     out = _output(data, out)
     flat_out = out.reshape(len(out), nx * ny)
-    rows = min(nx, max(1, TILE_BYTES // (max(1, len(columns)) * ny * out.itemsize)))
-    tile, plan = _scratch_2d(nx, ny, rows, columns)
-    for i, t, copies in plan:
+    for copies, operand, span in _scratch_2d(nx, ny, columns, TILE_BYTES)[1]:
         for dest, src in copies:
-            tile[dest] = data[src]
-        # tile[:, :t] holds t * ny contiguous values per column, so this reshape is a view
-        np.matmul(weights, tile[:, :t].reshape(len(columns), t * ny),
-                  out=flat_out[:, i * ny : (i + t) * ny])
+            dest[...] = data[src]
+        np.matmul(weights, operand, out=flat_out[:, span])
     return out
 
 

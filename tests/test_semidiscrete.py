@@ -1,7 +1,9 @@
 """RHS assembly tests: closed forms, quadrature oracles, conservation."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -904,9 +906,13 @@ class TestWrapEdges:
         st = random_state_2d(np.random.default_rng(36), nx, ny)
         r = apply_2d(st, g, ax, ay, weights)
         hits = semidiscrete._scratch_2d.cache_info().hits
-        _, plan = semidiscrete._scratch_2d(nx, ny, min(rows, nx), columns)
+        tile, plan = semidiscrete._scratch_2d(nx, ny, columns, semidiscrete.TILE_BYTES)
         assert semidiscrete._scratch_2d.cache_info().hits == hits + 1  # the plan rhs_2d used
-        assert [t for _, t, _ in plan] == [min(rows, nx - i) for i in range(0, nx, rows)]
+        assert tile.shape == (len(columns), min(rows, nx), ny)
+        spans = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
+        assert [(span.start, span.stop) for _, _, span in plan] == [
+            (i * ny, (i + t) * ny) for i, t in spans]
+        assert [op.shape for _, op, _ in plan] == [(len(columns), t * ny) for _, t in spans]
         ref = rolled_reference(st.data, columns, w)
         assert np.max(np.abs(r - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -926,7 +932,75 @@ def test_cold_rhs_2d_holds_only_its_tile():
     finally:
         tracemalloc.stop()
     assert peak <= semidiscrete.TILE_BYTES + 64 * 1024
-    kept = semidiscrete._scratch_2d(160, 160, tile_rows(columns, 160), columns)
+    tile, plan = semidiscrete._scratch_2d(160, 160, columns, semidiscrete.TILE_BYTES)
     assert semidiscrete._scratch_2d.cache_info()[:2] == (1, 1)  # (hits, misses): the call's own
-    kept = [a for a in kept if isinstance(a, np.ndarray)]
-    assert kept and sum(a.nbytes for a in kept) <= semidiscrete.TILE_BYTES
+    assert tile.shape == (len(columns), tile_rows(columns, 160), 160)
+    assert tile.nbytes <= semidiscrete.TILE_BYTES
+    # every other array the plan keeps is a view of the tile: it owns no memory
+    views = [op for _, op, _ in plan] + [dest for copies, _, _ in plan for dest, _ in copies]
+    assert views and all(v.base is tile for v in views)
+
+
+def test_float32_state_gets_the_float64_tile_budget():
+    # the tile is float64 whatever the state's dtype: its rows follow from
+    # its own itemsize, and the float32 output is the float64 one rounded
+    g, up, el = Grid2D(160, 160), Upwind2D("adaptive"), build_element_2d()
+    model = advection2d(1.0, 1.0)
+    st = random_state_2d(np.random.default_rng(38), 160, 160)
+    st32 = State2D(st.data.astype(np.float32))
+    out = np.empty_like(st32.data)
+    semidiscrete._scratch_2d.cache_clear()
+    tracemalloc.start()
+    try:
+        rhs_2d(st32, g, el, model, up, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns, _ = taps_2d(g, 1.0, 1.0, None)
+    # matmul writes each tile's float32 rows through a float64 temporary
+    gemm_out = 4 * tile_rows(columns, 160) * 160 * 8
+    assert peak <= semidiscrete.TILE_BYTES + gemm_out + 64 * 1024
+    tile, _ = semidiscrete._scratch_2d(160, 160, columns, semidiscrete.TILE_BYTES)
+    assert semidiscrete._scratch_2d.cache_info()[:2] == (1, 1)  # the plan of the float32 call
+    assert tile.dtype == np.float64 and tile.nbytes <= semidiscrete.TILE_BYTES
+    wide = rhs_2d(State2D(st32.data.astype(np.float64)), g, el, model, up)
+    assert out.dtype == np.float32
+    assert out.tobytes() == wide.data.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize(
+    "nx, ny, ax, ay",
+    [pytest.param(160, 160, 1.0, 1.0, id="160x160-a(1,1)"),
+     pytest.param(37, 91, 0.8, -0.6, id="37x91-a(0.8,-0.6)")],
+)
+def test_rhs_2d_bytes_do_not_depend_on_the_tile(monkeypatch, nx, ny, ax, ay):
+    # each output value is one GEMM over the same columns in the same
+    # order, however many rows a tile holds
+    g = Grid2D(nx, ny)
+    columns, _ = taps_2d(g, ax, ay, None)
+    st = random_state_2d(np.random.default_rng(39), nx, ny)
+    # (budget, rows per tile): one row, the default, the whole grid
+    budgets = [(len(columns) * ny * 8, 1),
+               (semidiscrete.TILE_BYTES, min(nx, tile_rows(columns, ny))),
+               (len(columns) * nx * ny * 8, nx)]
+    results = []
+    for budget, rows in budgets:
+        monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget)
+        results.append(apply_2d(st, g, ax, ay, None).tobytes())
+        tile, _ = semidiscrete._scratch_2d(nx, ny, columns, budget)
+        assert tile.shape[1] == rows
+    assert results[0] == results[1] == results[2]
+
+
+def test_cached_plan_pins_no_state():
+    # the plan binds views of its tile only: a state and an out buffer
+    # rhs_2d has read or written die with their last reference
+    g, up, el = Grid2D(37, 91), Upwind2D("adaptive"), build_element_2d()
+    st = random_state_2d(np.random.default_rng(40), 37, 91)
+    out = np.empty_like(st.data)
+    fresh = rhs_2d(st, g, el, advection2d(0.8, -0.6), up)
+    rhs_2d(st, g, el, advection2d(0.8, -0.6), up, out=out)
+    refs = [weakref.ref(a) for a in (st.data, out, fresh.data)]
+    del st, out, fresh
+    gc.collect()
+    assert [r() is None for r in refs] == [True, True, True]
