@@ -78,14 +78,18 @@ _NORM_RULE_MARGIN = 2
 # MB at 1 MiB.  256 KiB is the smallest budget as fast as 1 MiB at 160^2
 # and in 1-d; at 320^2 it costs about 20%.
 BLOCK_BYTES = 1 << 18
-# Lines formatted and handed to one write.  The formatter's numpy calls
-# cost the same per block whatever its size, so larger blocks are faster,
-# while a block's arrays hold about 290 B per line (tracemalloc).  1-d K=4
-# at n=10240, medians over 5 processes of 21 writes each, on a 2-CPU host,
-# per file and warm tracemalloc peak: 30.6 ms and 0.30 MB at 1024 lines,
-# 23.9 ms and 0.59 MB at 2048, 21.9 ms and 0.80 MB at 4096.  2048 lines
-# are within 10% of 4096's time at three quarters of its memory.
-_CSV_BLOCK_LINES = 2048
+# Lines formatted and handed to one write, their values formatted in one
+# chunk (_floatrepr._CHUNK is as long).  Sweep on a 1-d K=4 snapshot at
+# n=10240, five processes of 40 rounds calling each size in turn, 2-CPU
+# host: median ms per file, then the tracemalloc peak of a cold write (x
+# rows formatted in the call) and of a warm one.  2048 lines: 14.3 ms,
+# 1.00 and 0.42 MB; 3072: 11.9 ms (the fastest in all five processes),
+# 1.20 and 0.62 MB; 4096: 14.1 ms, 1.41 and 0.83 MB.  End to end, 12
+# rotated fresh snap1d runs of each: median wall_s 0.559 s at 3072, 0.696
+# at 2048 (3072 faster in 9 of 12) and 0.568 at 4096 (in 5 of 12), peak
+# RSS within 0.03 MB.  4096 lines break the 1 392 640 B bound of
+# test_1d_write_memory_is_bounded on the cold write.
+_CSV_BLOCK_LINES = 3072
 
 
 @dataclass(frozen=True)
@@ -342,6 +346,22 @@ def _axes(grid):
     raise TypeError(f"unsupported grid type {type(grid)!r}")
 
 
+def _check_state(state, grid):
+    """The grid's layout, once ``state`` is checked to be the kind of
+    state the layout holds and to have the grid's cells: a ValueError if
+    not, a TypeError for a grid of no supported type."""
+    if isinstance(grid, Grid1D):
+        layout, cells = _LAYOUTS[1], (grid.n,)
+    elif isinstance(grid, Grid2D):
+        layout, cells = _LAYOUTS[2], (grid.nx, grid.ny)
+    else:
+        raise TypeError(f"unsupported grid type {type(grid)!r}")
+    if not isinstance(state, layout.state) or state.data.shape[1:1 + len(cells)] != cells:
+        raise ValueError(f"state size does not match grid: a {type(state).__name__} of shape "
+                         f"{state.data.shape} on {cells} cells")
+    return layout
+
+
 def _blocks(layout, axes, n):
     """Slices of the first axis's cells whose values at n Gauss points per
     axis take at most BLOCK_BYTES per component, in multiples of the
@@ -401,7 +421,9 @@ def project_initial(grid, fn, element: Element1D | None = None):
 
 
 def total_mass(state, grid):
-    """Sum of the cell averages times the cell volume (per component for systems)."""
+    """Sum of the cell averages times the cell volume (per component for
+    systems); ValueError for a state that does not fit the grid."""
+    _check_state(state, grid)
     axes = _axes(grid)
     mass = np.sum(state.data[0], axis=tuple(range(len(axes))))
     for _, _, h in axes:
@@ -418,8 +440,8 @@ def error_norms(state, grid, element, exact):
     per-cell integrals of every block fill one array per norm, summed
     once, so the norms do not depend on the blocks.
     """
+    layout = _check_state(state, grid)
     axes = _axes(grid)
-    layout = _LAYOUTS[len(axes)]
     rule = gauss_rule((layout.degree or state.k) + _NORM_RULE_MARGIN)
     xi, weights = rule.nodes_array, [rule.weights_array] * len(axes)
     l1, l2 = np.empty(state.data.shape[1:]), np.empty(state.data.shape[1:])
@@ -462,13 +484,17 @@ def write_state_csv(state, grid, path):
     blocks of whole x values, at most ``_CSV_BLOCK_LINES`` lines unless
     one x heads more.  A block is one (lines, width) uint8 matrix of four
     parts per line, the x bytes, a label shared by the file (in 2-d the
-    y bytes and the field name), the value bytes and ``\\r\\n``, written
-    without its NULs.  The 1-d x bytes are kept for the last grid
-    written (one grid at most, see ``_csv_x_1d``), so the snapshots of a
-    run format their x values once; the values are formatted anew in
-    every file.
+    y bytes and the field name), the value bytes, which ``repr_bytes``
+    writes into the matrix itself, and ``\\r\\n``; it is written without
+    its NULs.  The 1-d x bytes are kept for the last grid written (one
+    grid at most, see ``_csv_x_1d``), so the snapshots of a run format
+    their x values once; the values are formatted anew in every file.
+
+    A state of the other dimension, or of other cells than the grid's,
+    raises ValueError before the file is opened, as in ``total_mass`` and
+    ``error_norms``.
     """
-    if isinstance(grid, Grid1D) and state.data.shape[1:2] == (grid.n,):
+    if _check_state(state, grid) is _LAYOUTS[1]:
         comps = [""] if state.data.ndim == 2 else [f"[{c}]" for c in range(state.data.shape[2])]
         centers, interfaces = _csv_x_1d(grid)
         header = b"x,dof_class,value\r\n"
@@ -477,7 +503,7 @@ def write_state_csv(state, grid, path):
              state.moments),
             (interfaces, _ascii_rows([f",point{c}," for c in comps]), state.points),
         ]
-    elif isinstance(grid, Grid2D) and state.data.shape[1:] == (grid.nx, grid.ny):
+    else:
         # only 2 (nx + ny) coordinates, so their bytes are not cached
         xc, yc, xf, yf = (repr_bytes(coords) for coords in (
             grid.x_centers(), grid.y_centers(), grid.x_interfaces(), grid.y_interfaces()))
@@ -492,10 +518,6 @@ def write_state_csv(state, grid, path):
                 ("node", state.nodes, xf, yf),
             )
         ]
-    elif isinstance(grid, (Grid1D, Grid2D)):
-        raise ValueError("state size does not match grid")
-    else:
-        raise TypeError(f"unsupported grid type {type(grid)!r}")
     with open(path, "wb") as fh:
         fh.write(header)
         for xs, labels, values in sections:
@@ -504,13 +526,14 @@ def write_state_csv(state, grid, path):
             step = max(1, _CSV_BLOCK_LINES // len(labels))
             for i in range(0, len(xs), step):
                 x = xs[i:i + step]
-                lines = np.empty((len(x), len(labels), val + WIDTH + 2), np.uint8)
-                lines[:, :, :lab] = x[:, None]
-                lines[:, :, lab:val] = labels
-                lines[:, :, val:-2] = repr_bytes(values[i:i + step]).reshape(
-                    len(x), len(labels), WIDTH)
-                lines[:, :, -2:] = _CRLF
-                fh.write(lines[lines != 0])
+                lines = np.empty((len(x) * len(labels), val + WIDTH + 2), np.uint8)
+                per_x = lines.reshape(len(x), len(labels), -1)
+                per_x[:, :, :lab] = x[:, None]
+                per_x[:, :, lab:val] = labels
+                # the values are formatted into the lines themselves
+                repr_bytes(values[i:i + step], lines[:, val:-2])
+                lines[:, -2:] = _CRLF
+                fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 _CRLF = np.frombuffer(b"\r\n", np.uint8)

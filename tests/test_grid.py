@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from afpg import _floatrepr
 from afpg import grid as grid_module
 from afpg._floatrepr import WIDTH
 from afpg.config import parse_config
@@ -136,7 +137,26 @@ class TestProjection:
             assert abs(left - right) <= 1e-14
 
 
+# a state and a grid it does not fit: too few or too many cells, or the
+# state of the other dimension
+_MISMATCHED = [
+    (State1D(np.zeros((2, 4))), Grid1D(5)),
+    (State1D(np.zeros((2, 6))), Grid1D(5)),
+    (State2D(np.zeros((4, 3, 4))), Grid2D(3, 5)),
+    (State2D(np.zeros((4, 4, 4))), Grid2D(3, 4)),
+    (State2D(np.zeros((4, 5, 6))), Grid1D(5)),
+    (State1D(np.zeros((3, 5, 6))), Grid2D(5, 6)),
+]
+_MISMATCHED_IDS = ["1d-fewer", "1d-more", "2d-fewer", "2d-more", "2d-state-1d-grid",
+                   "1d-system-2d-grid"]
+
+
 class TestTotalMass:
+    @pytest.mark.parametrize("state, grid", _MISMATCHED, ids=_MISMATCHED_IDS)
+    def test_state_grid_mismatch_rejected(self, state, grid):
+        with pytest.raises(ValueError, match="does not match grid"):
+            total_mass(state, grid)
+
     def test_constant(self):
         g = Grid1D(10)
         el = build_element(2)
@@ -156,6 +176,12 @@ class TestTotalMass:
 
 
 class TestErrorNorms:
+    @pytest.mark.parametrize("state, grid", _MISMATCHED, ids=_MISMATCHED_IDS)
+    def test_state_grid_mismatch_rejected(self, state, grid):
+        element = build_element(state.k) if isinstance(state, State1D) else None
+        with pytest.raises(ValueError, match="does not match grid"):
+            error_norms(state, grid, element, lambda *xs: 0.0 * xs[0])
+
     def test_zero_against_own_reconstruction(self):
         g = Grid1D(6)
         el = build_element(2)
@@ -484,14 +510,15 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_1d_scalar_bytes_match_csv_writer(self, tmp_path, k):
-        # 2500 cells: each section (k - 1 moment lines per cell, then one
-        # point line) spans two or more write blocks, the last one partial
+        # each section (k - 1 moment lines per cell, then one point line)
+        # spans two or more write blocks, the last one partial
+        n = grid_module._CSV_BLOCK_LINES * 4 // 3 + 1
         for lines_per_cell in (k - 1, 1):
             cells_per_block = grid_module._CSV_BLOCK_LINES // lines_per_cell
-            assert 2500 > cells_per_block and 2500 % cells_per_block
+            assert n > cells_per_block and n % cells_per_block
         rng = np.random.default_rng(k)
-        g = Grid1D(2500, -0.3, 1.7)
-        st = random_state_1d(rng, 2500, k, draw=partial(_random_with_specials, rng))
+        g = Grid1D(n, -0.3, 1.7)
+        st = random_state_1d(rng, n, k, draw=partial(_random_with_specials, rng))
         _assert_same_bytes(st, g, tmp_path)
         # a float32 buffer writes its exact float64 values
         _assert_same_bytes(State1D(st.data.astype(np.float32)), g, tmp_path)
@@ -504,11 +531,10 @@ class TestCsvExport:
         _assert_same_bytes(State1D(st.data.astype(np.float32)), g, tmp_path)
 
     def test_2d_bytes_match_csv_writer(self, tmp_path):
-        # 7 x 300: each field spans several write blocks, the last one partial
-        rows_per_block = max(1, grid_module._CSV_BLOCK_LINES // 300)
-        assert 7 > rows_per_block and 7 % rows_per_block
+        # nx x 300: each field spans several write blocks, the last one partial
+        rows = 2 * max(1, grid_module._CSV_BLOCK_LINES // 300) + 1
         rng = np.random.default_rng(8)
-        for nx, ny in ((7, 5), (7, 300)):
+        for nx, ny in ((7, 5), (rows, 300)):
             g = Grid2D(nx, ny, -1.0, 0.3, 0.0, 2.5)
             st = State2D(_random_with_specials(rng, (4, nx, ny)))
             _assert_same_bytes(st, g, tmp_path)
@@ -536,16 +562,7 @@ class TestCsvExport:
             write_state_csv(st, object(), path)
         assert not path.exists()
 
-    @pytest.mark.parametrize(
-        "state, grid",
-        [
-            (State1D(np.zeros((2, 4))), Grid1D(5)),
-            (State1D(np.zeros((2, 6))), Grid1D(5)),
-            (State2D(np.zeros((4, 3, 4))), Grid2D(3, 5)),
-            (State2D(np.zeros((4, 4, 4))), Grid2D(3, 4)),
-        ],
-        ids=["1d-fewer", "1d-more", "2d-fewer", "2d-more"],
-    )
+    @pytest.mark.parametrize("state, grid", _MISMATCHED, ids=_MISMATCHED_IDS)
     def test_state_grid_mismatch_rejected(self, tmp_path, state, grid):
         path = tmp_path / "state.csv"
         with pytest.raises(ValueError):
@@ -605,9 +622,11 @@ class TestCsvExport:
 
     def test_1d_write_memory_is_bounded(self, tmp_path, monkeypatch):
         # a cold write of a K=4 run's state: the x rows (2 n WIDTH bytes) are
-        # formatted in the call, and one block's matrix and formatter arrays
-        # took about 290 B per line.  With a Python string per value and x,
-        # the same write peaked at 1.95 MB.
+        # formatted in the call, then one block at a time is formatted and
+        # written without its NULs.  The bound is fixed in bytes, 800 KiB
+        # over the x rows (1 392 640 B at n = 10240), so that a larger block
+        # cannot loosen it.  With a Python string per value and x, the same
+        # write peaked at 1.95 MB.
         n = 10240
         g = Grid1D(n)
         st = project_initial(g, GaussianIC(0.2, 1.0, 0.5, 0.1), build_element(4))
@@ -619,7 +638,44 @@ class TestCsvExport:
         finally:
             tracemalloc.stop()
         assert grid_module._csv_x_last[0] is g
-        assert peak < 2 * n * WIDTH + 400 * grid_module._CSV_BLOCK_LINES
+        assert peak < 2 * n * WIDTH + 819_200
+
+    @pytest.mark.parametrize("case", ["1d-k4", "1d-system", "2d"])
+    def test_bytes_do_not_depend_on_block_or_chunk(self, tmp_path, monkeypatch, case):
+        rng = np.random.default_rng(12)
+        specials = partial(_random_with_specials, rng)
+        state, grid = {
+            "1d-k4": lambda: (random_state_1d(rng, 300, 4, draw=specials), Grid1D(300, -0.3, 1.7)),
+            "1d-system": lambda: (random_state_1d(rng, 200, 3, 2, draw=specials), Grid1D(200)),
+            "2d": lambda: (State2D(specials((4, 23, 31))), Grid2D(23, 31, -1.0, 0.3, 0.0, 2.5)),
+        }[case]()
+        _assert_same_bytes(state, grid, tmp_path)
+        default = (tmp_path / "ours.csv").read_bytes()
+        for size in (1, 7, state.data.size):
+            monkeypatch.setattr(grid_module, "_CSV_BLOCK_LINES", size)
+            monkeypatch.setattr(_floatrepr, "_CHUNK", size)
+            monkeypatch.setattr(grid_module, "_csv_x_last", None)  # x formatted anew
+            write_state_csv(state, grid, tmp_path / "sized.csv")
+            assert (tmp_path / "sized.csv").read_bytes() == default, size
+
+    def test_formatter_holds_under_125_bytes_per_value(self):
+        # one chunk of every layout: signs, fixed and scientific notation,
+        # 1 to 17 digits, and values off the fast path
+        chunk = _floatrepr._CHUNK
+        rng = np.random.default_rng(14)
+        digits = rng.integers(1, 18, chunk)
+        values = rng.integers(1, 10**digits) * 10.0 ** (rng.integers(-7, 17, chunk) - digits)
+        values[::2] = rng.standard_normal(chunk // 2) * 10.0 ** rng.integers(-7, 17, chunk // 2)
+        values[::5] *= -1
+        rows = np.empty((chunk, WIDTH), np.uint8)
+        _floatrepr._format(values, rows)
+        tracemalloc.start()
+        try:
+            _floatrepr._format(values, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 125 * chunk
 
     def test_x_cache_matches_grids_by_identity(self, tmp_path):
         # equal as dataclasses, but float32 bounds give other coordinates
