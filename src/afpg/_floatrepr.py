@@ -129,8 +129,8 @@ def _layouts():
 _LAYOUTS = _layouts()
 # Values formatted at once.  A chunk takes about 100 numpy calls of about
 # 1 us overhead each, and _format holds about 115 B of arrays per value.
-# The CSV writer hands it blocks of _CSV_BLOCK_LINES values, and the chunk
-# is as long (see grid.py for the sweep of both).
+# The CSV writer hands it blocks of as many lines (see grid.py for the
+# sweep).
 _CHUNK = 3072
 
 

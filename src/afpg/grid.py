@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from afpg._floatrepr import WIDTH, repr_bytes
+from afpg._floatrepr import _CHUNK, WIDTH, repr_bytes
 from afpg.element1d import Element1D, build_element, moment_weight
 from afpg.element2d import DOF_IDS, build_element_2d
 from afpg.poly import Poly, gauss_rule
@@ -78,18 +78,18 @@ _NORM_RULE_MARGIN = 2
 # MB at 1 MiB.  256 KiB is the smallest budget as fast as 1 MiB at 160^2
 # and in 1-d; at 320^2 it costs about 20%.
 BLOCK_BYTES = 1 << 18
-# Lines formatted and handed to one write, their values formatted in one
-# chunk (_floatrepr._CHUNK is as long).  Sweep on a 1-d K=4 snapshot at
-# n=10240, five processes of 40 rounds calling each size in turn, 2-CPU
-# host: median ms per file, then the tracemalloc peak of a cold write (x
-# rows formatted in the call) and of a warm one.  2048 lines: 14.3 ms,
-# 1.00 and 0.42 MB; 3072: 11.9 ms (the fastest in all five processes),
-# 1.20 and 0.62 MB; 4096: 14.1 ms, 1.41 and 0.83 MB.  End to end, 12
-# rotated fresh snap1d runs of each: median wall_s 0.559 s at 3072, 0.696
-# at 2048 (3072 faster in 9 of 12) and 0.568 at 4096 (in 5 of 12), peak
-# RSS within 0.03 MB.  4096 lines break the 1 392 640 B bound of
-# test_1d_write_memory_is_bounded on the cold write.
-_CSV_BLOCK_LINES = 3072
+# Lines formatted and handed to one write: as many as the formatter takes
+# at once, so the values of a full block are one chunk.  Sweep of both on
+# a 1-d K=4 snapshot at n=10240, five processes of 40 rounds calling each
+# size in turn, 2-CPU host: median ms per file, then the tracemalloc peak
+# of a cold write (x rows formatted in the call) and of a warm one.  2048
+# lines: 14.3 ms, 1.00 and 0.42 MB; 3072: 11.9 ms (the fastest in all
+# five processes), 1.20 and 0.62 MB; 4096: 14.1 ms, 1.41 and 0.83 MB.
+# End to end, 12 rotated fresh snap1d runs of each: median wall_s 0.559 s
+# at 3072, 0.696 at 2048 (3072 faster in 9 of 12) and 0.568 at 4096 (in 5
+# of 12), peak RSS within 0.03 MB.  4096 lines break the 1 392 640 B
+# bound of test_1d_write_memory_is_bounded on the cold write.
+_CSV_BLOCK_LINES = _CHUNK
 
 
 @dataclass(frozen=True)
@@ -346,16 +346,11 @@ def _axes(grid):
     raise TypeError(f"unsupported grid type {type(grid)!r}")
 
 
-def _check_state(state, grid):
-    """The grid's layout, once ``state`` is checked to be the kind of
-    state the layout holds and to have the grid's cells: a ValueError if
-    not, a TypeError for a grid of no supported type."""
-    if isinstance(grid, Grid1D):
-        layout, cells = _LAYOUTS[1], (grid.n,)
-    elif isinstance(grid, Grid2D):
-        layout, cells = _LAYOUTS[2], (grid.nx, grid.ny)
-    else:
-        raise TypeError(f"unsupported grid type {type(grid)!r}")
+def _check_state(state, axes):
+    """The layout of a grid of these ``axes`` (see ``_axes``), once
+    ``state`` is checked to be the kind of state it holds and to have the
+    grid's cells: a ValueError if not."""
+    layout, cells = _LAYOUTS[len(axes)], tuple(len(centres) for centres, _, _ in axes)
     if not isinstance(state, layout.state) or state.data.shape[1:1 + len(cells)] != cells:
         raise ValueError(f"state size does not match grid: a {type(state).__name__} of shape "
                          f"{state.data.shape} on {cells} cells")
@@ -423,8 +418,8 @@ def project_initial(grid, fn, element: Element1D | None = None):
 def total_mass(state, grid):
     """Sum of the cell averages times the cell volume (per component for
     systems); ValueError for a state that does not fit the grid."""
-    _check_state(state, grid)
     axes = _axes(grid)
+    _check_state(state, axes)
     mass = np.sum(state.data[0], axis=tuple(range(len(axes))))
     for _, _, h in axes:
         mass = mass * h
@@ -440,8 +435,8 @@ def error_norms(state, grid, element, exact):
     per-cell integrals of every block fill one array per norm, summed
     once, so the norms do not depend on the blocks.
     """
-    layout = _check_state(state, grid)
     axes = _axes(grid)
+    layout = _check_state(state, axes)
     rule = gauss_rule((layout.degree or state.k) + _NORM_RULE_MARGIN)
     xi, weights = rule.nodes_array, [rule.weights_array] * len(axes)
     l1, l2 = np.empty(state.data.shape[1:]), np.empty(state.data.shape[1:])
@@ -494,7 +489,7 @@ def write_state_csv(state, grid, path):
     raises ValueError before the file is opened, as in ``total_mass`` and
     ``error_norms``.
     """
-    if _check_state(state, grid) is _LAYOUTS[1]:
+    if _check_state(state, _axes(grid)) is _LAYOUTS[1]:
         comps = [""] if state.data.ndim == 2 else [f"[{c}]" for c in range(state.data.shape[2])]
         centers, interfaces = _csv_x_1d(grid)
         header = b"x,dof_class,value\r\n"

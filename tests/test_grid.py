@@ -531,8 +531,10 @@ class TestCsvExport:
         _assert_same_bytes(State1D(st.data.astype(np.float32)), g, tmp_path)
 
     def test_2d_bytes_match_csv_writer(self, tmp_path):
-        # nx x 300: each field spans several write blocks, the last one partial
-        rows = 2 * max(1, grid_module._CSV_BLOCK_LINES // 300) + 1
+        # rows x 300: each field spans several write blocks, the last one partial
+        rows_per_block = max(1, grid_module._CSV_BLOCK_LINES // 300)
+        rows = 2 * rows_per_block + 1
+        assert rows > rows_per_block and rows % rows_per_block
         rng = np.random.default_rng(8)
         for nx, ny in ((7, 5), (rows, 300)):
             g = Grid2D(nx, ny, -1.0, 0.3, 0.0, 2.5)
@@ -653,7 +655,6 @@ class TestCsvExport:
         default = (tmp_path / "ours.csv").read_bytes()
         for size in (1, 7, state.data.size):
             monkeypatch.setattr(grid_module, "_CSV_BLOCK_LINES", size)
-            monkeypatch.setattr(_floatrepr, "_CHUNK", size)
             monkeypatch.setattr(grid_module, "_csv_x_last", None)  # x formatted anew
             write_state_csv(state, grid, tmp_path / "sized.csv")
             assert (tmp_path / "sized.csv").read_bytes() == default, size
