@@ -206,14 +206,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.dimension == 2 and cfg.model_name != "advection":
         raise ConfigError(f"model.name={cfg.model_name} is one-dimensional:"
                           " 2-d runs support model.name=advection")
-    if cfg.model_point_update == "exact" and cfg.model_name != "burgers":
-        raise ConfigError("model.point_update=exact applies to burgers only")
-    if cfg.model_point_update == "exact" and cfg.degree != 2:
-        raise ConfigError("model.point_update=exact needs k = 2")
     if cfg.model_name == "burgers" and cfg.ic_name == "linear" and cfg.ic_slope != 0:
         raise ConfigError("model.name=burgers needs ic.slope=0 with ic.name=linear: the"
                           " periodic ramp jumps at the wrap, a shock or fan at t = 0")
     _check_read(cfg)
+    if cfg.model_point_update == "exact" and cfg.degree != 2:
+        raise ConfigError("model.point_update=exact needs k = 2")
     return cfg
 
 

@@ -181,8 +181,8 @@ class TestHarness:
         assert np.array_equal(result.state.moments, projected.moments)
 
     def test_runs_never_import_numpy_polynomial(self, tmp_path):
-        # gauss_rule and the float basis evaluation are done in house: a run
-        # loads none of numpy.polynomial's nine modules
+        # gauss_rule (Newton in decimal) and the float basis evaluation need
+        # no numpy.polynomial: a run loads none of its nine modules
         script = textwrap.dedent(f"""
             import sys
             from afpg.config import parse_config
@@ -396,6 +396,8 @@ class TestCli:
             ("ic.name=linear\nic.width=0.3\n", "ic.width"),
             ("ic.name=sine\nic.center=0.3\n", "ic.center"),
             ("grid.y_min=-1\n", "grid.y_min"),
+            ("model.point_update=exact\n", "model.point_update"),
+            ("k=3\nmodel.point_update=exact\n", "model.point_update"),
             # ran 2 steps of dt = 0.01 while summary.txt echoed time.cfl=0.9
             ("grid.n=8\ntime.cfl=0.9\ntime.dt=0.01\n", "time.cfl"),
         ],

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -178,19 +179,33 @@ class TestGaussRule:
             gauss_rule(n)
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_bits_are_half_of_numpys_leggauss(self, n):
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = leggauss(n)
+    def test_nodes_and_weights_are_correctly_rounded(self, n):
+        # 2^n P_n = sum over k of (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k),
+        # integer coefficients
+        p = Poly([(-1) ** ((n - j) // 2) * math.comb(n, (n - j) // 2) * math.comb(n + j, n)
+                  if (n - j) % 2 == 0 else 0 for j in range(n + 1)])
+        dp = p.deriv()
         rule = gauss_rule(n)
-        assert rule.nodes_array.tobytes() == (0.5 * x).tobytes()
-        assert rule.weights_array.tobytes() == (0.5 * w).tobytes()
+        for t, w in zip(rule.nodes, rule.weights):
+            # P_n changes sign between the midpoints of the node and its two
+            # float neighbours (each doubled, exact in Fraction), so the node
+            # is the float nearest half the root
+            ends = [Fraction(t) + Fraction(math.nextafter(t, s)) for s in (-math.inf, math.inf)]
+            assert p(ends[0]) * p(ends[1]) < 0
+            with localcontext() as ctx:
+                ctx.prec = 60
+                x = Decimal(2 * t)
+                for _ in range(4):
+                    x -= p(x) / dp(x)
+                assert float(4**n / ((1 - x * x) * dp(x) ** 2)) == w
 
     def test_weights_positive_sum_one(self):
         for n in range(1, 17):
             rule = gauss_rule(n)
             assert all(w > 0 for w in rule.weights)
             assert sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
+            assert (rule.nodes == tuple(-x for x in rule.nodes[::-1])
+                    and rule.weights == rule.weights[::-1])
 
 
 class TestSolveExact:
