@@ -10,6 +10,18 @@ the stage buffer, which ``rhs_fn`` has finished reading and the next
 stage overwrites, and allocates a temporary for it only when k shares
 memory with the stage buffer.
 
+For a linear, time-invariant right-hand side L (``linear=True``, which
+``advance`` sets from ``model.is_linear``) one step of either scheme
+is its stability polynomial applied to the state, R(dt L) u, with R
+the Taylor polynomial of e^z of degree s = 3 (SSPRK3) or 4 (RK4).
+``step`` then evaluates it by Horner: v = u, then v = u + (dt/j) L(v)
+for j = s, ..., 1.  Each stage is one ``u + c*k``, the last written
+into the result buffer, so a step makes 2s state-sized passes
+instead of 12 (SSPRK3) or 18 (RK4), and its result differs from the
+general stages' in the last bits only.  For a nonlinear right-hand
+side the Horner form is only second order, so Burgers keeps the
+general stages.
+
 Without a workspace ``step`` starts an empty one of its own, so each
 call allocates its stage buffer and result afresh and the result is a
 fresh buffer.  ``advance`` hands every step of a call the same
@@ -27,14 +39,14 @@ result of ``step`` is never the input or a stage state handed to
 ``rhs_fn``, and never an array ``rhs_fn`` returned, except the one
 buffer ``advance`` hands over.
 
-``advance`` calls ``rhs_fn(state, out)``: ``out`` is a free buffer
-of the state's shape into which ``rhs_fn`` may write k and return
-it, so a right-hand side needs no buffer of its own.  SSPRK3 reads
-each k fully before it writes its result buffer, so ``out`` is the
-result buffer the step will pick, and k turns into the result in
-place.  RK4 holds its running sum in the result buffer, so
-``advance`` keeps one k buffer of its own for it.  ``step`` itself
-calls ``rhs_fn(state)``, with the same arithmetic either way.
+``advance`` calls ``rhs_fn(state, out)``: ``out`` is a free buffer of
+the state's shape into which ``rhs_fn`` may write k and return it, so
+a right-hand side needs no buffer of its own.  SSPRK3 and every linear
+step read each k fully before they write their result buffer, so
+``out`` is the result buffer the step will pick, and k turns into the
+result in place.  Nonlinear RK4 holds its running sum in the result
+buffer, so ``advance`` keeps one k buffer of its own for it.  ``step``
+itself calls ``rhs_fn(state)``, with the same arithmetic either way.
 
 Every stage is tested for finiteness once, right after it is formed;
 ``advance`` also tests its initial state.  Every state handed to
@@ -55,7 +67,10 @@ from afpg.grid import Grid2D
 
 __all__ = ["TimeIntegrator", "BlowUpError", "BLOWUP_FACTOR", "step", "compute_dt", "advance"]
 
-SCHEMES = ("ssprk3", "rk4")
+# each scheme's stage count, which is also its order: its stability
+# polynomial is the Taylor polynomial of e^z of that degree
+STAGES = {"ssprk3": 3, "rk4": 4}
+SCHEMES = tuple(STAGES)
 
 # advance stops once a dof exceeds this factor times max(initial max-norm, 1)
 BLOWUP_FACTOR = 1e6
@@ -120,14 +135,16 @@ def _buffers(work, u, dtype):
     return stage, second
 
 
-def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
+def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None, linear=False):
     """One explicit step.  Works on states and on plain arrays.
 
     Calls ``rhs_fn(state)`` once per stage and returns the new state, of
     the input's kind.  It is a fresh buffer, or with ``work`` (an empty
     list at first, kept by the caller between steps) the
     workspace's result buffer that is not the input; see the module
-    docstring.
+    docstring.  ``linear`` says that ``rhs_fn`` is a fixed linear map L,
+    and steps by Horner's form of the scheme's stability polynomial
+    (see the module docstring).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -143,6 +160,14 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None):
 
     k = _array(rhs_fn(state))
     a, r = _buffers(work, u, np.result_type(u, k, dt))
+    if linear:
+        # v = u + (dt/j) L(v) for j = s, ..., 1, from v = u: R(dt L) u
+        order = STAGES[scheme]
+        for j in range(order, 1, -1):
+            _stage(a, u, dt / j, k, f"stage {order + 1 - j}")
+            k = rhs(a)
+        _stage(r, u, dt, k, f"stage {order}")
+        return wrap(r)
     if scheme == "ssprk3":
         # u1 = u + dt k(u), u2 = 0.75 u + 0.25 (u1 + dt k(u1)),
         # result = 1/3 u + 2/3 (u2 + dt k(u2))
@@ -194,15 +219,15 @@ def _max_norm(u) -> float:
     return max(float(data.max()), -float(data.min()))
 
 
-def _free_buffer(work, spare, state, dt, scheme):
+def _free_buffer(work, spare, state, dt, scheme, linear):
     """The buffer ``advance`` hands ``rhs_fn`` in the step from ``state``:
-    for SSPRK3 the result buffer ``_buffers`` picks for that step, for
-    RK4 the k buffer in ``spare`` (a list), allocated at the first call.
-    Its dtype is the state's with dt's.  It holds no name for ``state``
-    past the call."""
+    for SSPRK3 and linear steps the result buffer ``_buffers`` picks for
+    that step, for nonlinear RK4 the k buffer in ``spare`` (a list),
+    allocated at the first call.  Its dtype is the state's with dt's.
+    It holds no name for ``state`` past the call."""
     u = _array(state)
     dtype = np.result_type(u, dt)
-    if scheme == "ssprk3":
+    if scheme == "ssprk3" or linear:
         return _buffers(work, u, dtype)[1]
     if not spare:
         spare.append(np.empty_like(u, dtype=dtype))
@@ -215,10 +240,14 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
     Calls ``rhs_fn(state, out)`` once per stage, where ``out`` is a
     free buffer of the state's shape and of the dtype of the state
     with dt (see the module docstring); ``rhs_fn`` may write k into it
-    and return it, as the harness's right-hand sides do.  Under SSPRK3
-    the state a step returns then lives in that array, and a k of a
-    wider dtype than ``out``'s raises ValueError, since ``out`` is that
-    step's result buffer.
+    and return it, as the harness's right-hand sides do.  Under SSPRK3,
+    and under either scheme for a linear model, the state a step
+    returns then lives in that array, and a k of a wider dtype than
+    ``out``'s raises ValueError, since ``out`` is that step's result
+    buffer.
+
+    A model whose ``is_linear`` is true is stepped with ``linear=True``
+    (see ``step``); any other model, or none, with the general stages.
 
     ``on_step(state, t, n)`` is invoked after every accepted step.  The
     steps share one workspace (see the module docstring), so the state
@@ -235,6 +264,7 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
     t = 0.0
     n = 0
     work, spare = [], []
+    linear = getattr(model, "is_linear", False)
     bound = BLOWUP_FACTOR * max(_max_norm(state), 1.0)
     while t < t_end - 1e-14 * max(1.0, t_end):
         if integrator.dt is not None:
@@ -246,9 +276,10 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
                     "zero wave speed: set a fixed dt to integrate this problem"
                 )
         dt = min(dt, t_end - t)
-        out = _free_buffer(work, spare, state, dt, integrator.scheme)
+        out = _free_buffer(work, spare, state, dt, integrator.scheme, linear)
         try:
-            state = step(state, t, dt, lambda s: rhs_fn(s, out), integrator.scheme, work=work)
+            state = step(state, t, dt, lambda s: rhs_fn(s, out), integrator.scheme, work=work,
+                         linear=linear)
         except BlowUpError as err:
             raise BlowUpError(f"{err} (step {n})", step_index=n) from None
         norm = _max_norm(state)

@@ -256,6 +256,39 @@ class TestErrorNorms:
         l1, l2, linf = error_norms(st, g, el, own)
         assert l1 <= 1e-14 and l2 <= 1e-14 and linf <= 1e-14
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_polynomial_error_has_its_exact_integrals(self, k):
+        # degree-k data equal at both ends is reconstructed exactly, so
+        # against q + x^(k+1) the error is -x^(k+1) on [0.5, 1.5]: its
+        # square, of degree 2k + 2, needs the norms' k + 2 Gauss points per
+        # cell, and every stored point must sit at its own x
+        lo, hi = 0.5, 1.5
+        g = Grid1D(7, lo, hi)
+        q = lambda x: 0.3 - (np.asarray(x) - lo) * (np.asarray(x) - hi) * (1 + x ** (k - 2))
+        st = project_initial(g, q, build_element(k))
+        l1, l2, linf = error_norms(st, g, build_element(k),
+                                   lambda x: q(x) + np.asarray(x) ** (k + 1))
+        assert l1 == pytest.approx((hi ** (k + 2) - lo ** (k + 2)) / (k + 2), rel=1e-12)
+        assert l2 == pytest.approx(np.sqrt((hi ** (2 * k + 3) - lo ** (2 * k + 3)) / (2 * k + 3)),
+                                   rel=1e-12)
+        assert linf == pytest.approx(hi ** (k + 1), rel=1e-12)
+
+    def test_2d_polynomial_error_has_its_exact_integrals(self):
+        # as in 1-d, on a shifted 5 x 3 grid of [0.5, 1.5] x [0.25, 1.75]:
+        # biquadratic data equal on opposite sides is exact, and the error
+        # x^3 y^3 squared has degree 6 per axis
+        (x0, x1), (y0, y1) = (0.5, 1.5), (0.25, 1.75)
+        g = Grid2D(5, 3, x0, x1, y0, y1)
+        q = lambda x, y: 0.2 + ((np.asarray(x) - x0) * (np.asarray(x) - x1)
+                                * (np.asarray(y) - y0) * (np.asarray(y) - y1))
+        p = lambda x, y: np.asarray(x) ** 3 * np.asarray(y) ** 3
+        st = project_initial(g, q)
+        l1, l2, linf = error_norms(st, g, build_element_2d(), lambda x, y: q(x, y) + p(x, y))
+        power = lambda a, b, m: (b ** m - a ** m) / m
+        assert l1 == pytest.approx(power(x0, x1, 4) * power(y0, y1, 4), rel=1e-12)
+        assert l2 == pytest.approx(np.sqrt(power(x0, x1, 7) * power(y0, y1, 7)), rel=1e-12)
+        assert linf == pytest.approx(p(x1, y1), rel=1e-12)
+
     def test_2d_constant_offset(self):
         g = Grid2D(4, 4)
         el = build_element_2d()

@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ def oracle_step(state, t, dt, rhs_fn, scheme):
     k3 = f(_checked(u + (0.5 * dt) * k2, "stage 2"))
     k4 = f(_checked(u + dt * k3, "stage 3"))
     return wrap(_checked(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "stage 4"))
+
+
+def oracle_horner(state, dt, rhs_fn, scheme):
+    """R(dt L) u by Horner, one fresh array per operation: v = u, then
+    v = u + (dt/j) L(v) for j = s, ..., 1."""
+    wrap = (lambda u: u) if isinstance(state, np.ndarray) else type(state)
+    u = _buffer(state)
+    s = {"ssprk3": 3, "rk4": 4}[scheme]
+    v = u
+    for j in range(s, 0, -1):
+        v = _checked(u + (dt / j) * _buffer(rhs_fn(wrap(v))), f"stage {s + 1 - j}")
+    return wrap(v)
 
 
 def _problem(case):
@@ -132,6 +145,46 @@ class TestInPlaceStages:
         u = np.array([1.0, np.nan])
         with pytest.raises(ValueError, match="initial state"):
             advance(u, None, None, lambda s, out: -s, 1.0, TimeIntegrator("ssprk3", dt=0.1))
+
+
+class TestLinearHorner:
+    """``linear=True``: the step is R(dt L) u, evaluated by Horner."""
+
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
+    def test_bit_identical_to_fresh_array_horner(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        new = step(u, 0.0, dt, rhs_fn, scheme, linear=True)
+        old = oracle_horner(u, dt, rhs_fn, scheme)
+        assert type(new) is type(old)
+        assert _buffer(new).tobytes() == _buffer(old).tobytes()
+
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
+    def test_within_round_off_of_the_general_stages(self, scheme, case):
+        u, dt, rhs_fn = _problem(case)
+        new = _buffer(step(u, 0.0, dt, rhs_fn, scheme, linear=True))
+        old = _buffer(oracle_step(u, 0.0, dt, rhs_fn, scheme))
+        assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("scheme, degree, lam, dt",
+                             [("ssprk3", 3, -1.7, 0.3), ("rk4", 4, 0.9, 0.2)])
+    def test_amplification_is_the_taylor_polynomial(self, scheme, degree, lam, dt):
+        z = lam * dt
+        expected = sum(z**m / math.factorial(m) for m in range(degree + 1))
+        out = step(np.array([1.0]), 0.0, dt, lambda s: lam * s, scheme, linear=True)
+        assert out[0] == pytest.approx(expected, abs=1e-14)
+
+    def test_nonfinite_stage_raises(self):
+        with pytest.raises(BlowUpError, match="stage 1"):
+            step(np.ones(3), 0.0, 0.1, lambda s: np.full_like(s, np.inf), "rk4", linear=True)
+
+    @pytest.mark.parametrize("view", [lambda s: s, lambda s: s[::-1]], ids=["same", "reversed"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
+    def test_k_in_the_stage_buffer(self, scheme, view):
+        u, dt, _ = _problem("array")
+        new = step(u, 0.0, dt, view, scheme, linear=True)
+        assert new.tobytes() == oracle_horner(u, dt, view, scheme).tobytes()
 
 
 def _owning(rhs_fn):
@@ -240,6 +293,38 @@ class TestWorkspace:
         else:
             assert all(out is handed[0] for out in handed)
 
+    @pytest.mark.parametrize("linear", [True, False], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("case", ["array", "scalar_1d", "system_1d", "state_2d"])
+    @pytest.mark.parametrize("scheme", ["ssprk3", "rk4"])
+    def test_advance_steps_by_the_models_linearity(self, scheme, case, linear):
+        # a linear model's steps are Horner's, k lands in the result buffer
+        # under either scheme and RK4 hands over no k buffer of its own
+        u, dt, rhs_fn = _problem(case)
+        fresh, states, t = u, [], 0.0
+        for _ in range(3):  # the steps of advance, the last one to 3 dt exactly
+            h = min(dt, 3 * dt - t)
+            fresh = (oracle_horner(fresh, h, rhs_fn, scheme) if linear
+                     else oracle_step(fresh, t, h, rhs_fn, scheme))
+            states.append(_buffer(fresh).tobytes())
+            t += h
+        handed, seen, results = [], [], []
+
+        def on_step(s, t, i):
+            seen.append(_buffer(s).tobytes())
+            results.append(_buffer(s))
+
+        final, _, n = advance(u, None, SimpleNamespace(is_linear=linear),
+                              _into_out(rhs_fn, handed), 3 * dt,
+                              TimeIntegrator(scheme, dt=dt), on_step=on_step)
+        stages = 3 if scheme == "ssprk3" else 4
+        assert n == 3 and seen == states and _buffer(final).tobytes() == states[-1]
+        assert len(handed) == 3 * stages
+        if linear or scheme == "ssprk3":  # every out is the result of its step
+            assert all(out is r for i, r in enumerate(results)
+                       for out in handed[i * stages:(i + 1) * stages])
+        else:
+            assert all(out is handed[0] for out in handed)
+
     def test_workspace_serves_either_scheme_and_rejects_another_shape(self):
         u, dt, rhs_fn = _problem("array")
         work = []
@@ -322,6 +407,38 @@ class TestWorkspace:
             tracemalloc.stop()
         assert freed == [True, True, True]
         assert peak < 4.5 * out.nbytes
+
+    def test_linear_rk4_time_loop_holds_no_k_buffer(self):
+        # a linear model steps RK4 by Horner with k in the result buffer,
+        # so the loop holds three state-sized buffers, one fewer than the
+        # nonlinear RK4 loop above with its k buffer
+        n = 2048
+        grid, element = Grid1D(n), build_element(4)
+        ic = SineIC(0.1, 1.0)
+        out = np.empty_like(project_initial(grid, ic, element).data)  # caches filled
+        refs, handed = [], []
+
+        def initial_state():
+            state = project_initial(grid, ic, element)
+            refs.append(weakref.ref(state.data))
+            tracemalloc.reset_peak()
+            return state
+
+        def rhs_fn(s, out):
+            handed.append(out)
+            return State1D(np.multiply(s.data, -1.0, out=out))
+
+        dt = 0.05 / n
+        tracemalloc.start()
+        try:
+            final, _, _ = advance(initial_state(), grid, advection1d(1.0), rhs_fn, 3 * dt,
+                                  TimeIntegrator("rk4", dt=dt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refs[0]() is None and final.data is handed[-1]
+        assert len({id(b) for b in handed}) == 2  # the two result buffers
+        assert peak < 3.5 * out.nbytes
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux minor page faults")
