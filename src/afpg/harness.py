@@ -29,6 +29,7 @@ from afpg.grid import (
     write_state_csv,
 )
 from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
+from afpg.linear_step import StepOperator1D
 from afpg.timestep import TimeIntegrator, advance, compute_dt
 
 __all__ = [
@@ -184,8 +185,12 @@ def run_simulation(cfg: RunConfig, output_dir=None, n=None) -> RunResult:
             if output_dir is not None:
                 write_state_csv(s, grid, os.path.join(output_dir, f"state_{nstep:06d}.csv"))
 
+    # a 1-d linear run steps by R(dt L) whole, its weights composed exactly
+    step_operator = None
+    if cfg.dimension == 1 and model.is_linear:
+        step_operator = StepOperator1D(grid, model, cfg.degree)
     state, t, steps = advance(initial_state(), grid, model, rhs_fn, cfg.time_t_end,
-                              integrator, on_step=on_step)
+                              integrator, on_step=on_step, step_operator=step_operator)
     mass_log.append((t, total_mass(state, grid)))
     norms = error_norms(state, grid, element, lambda *xs: reference(*xs, t=t))
 

@@ -31,6 +31,13 @@ values:
   takes instead the forms' exact one-sided pairings with q q', which
   carry the speed themselves, blended by (1 +- sgn q)/2 over -dx.
 
+Every linear row is also an exact offset block: ``_exact_blocks_1d``
+lays ``_exact_rows`` out as the K m x K m blocks of dx L at the cell
+offsets -1, 0 and +1, in ``Fraction``, and ``_linear_rows`` is
+``_exact_rows`` rounded, so one exact table drives both the blocks
+that ``linear_step.StepOperator1D`` composes into a whole step and the
+float rows of rhs_1d.
+
 The paper gives each interface test function a free weight alpha in
 [-1, 1] (alpha = +1 reads the left cell only); the runtime runs the
 member alpha = sgn(c) only, and ``afpg dump-element --alpha`` still
@@ -113,9 +120,9 @@ class Upwind2D(Upwind1D):
 
 
 @lru_cache(maxsize=None)
-def _linear_rows(k: int) -> np.ndarray:
-    """The 1-d linear rows as exact weights on a cell's K+1 dofs, each
-    rounded to float once: a (K+1, K+1) array in xi units.
+def _exact_rows(k: int) -> tuple:
+    """The 1-d linear rows as exact weights on a cell's K+1 dofs: K+1
+    rows of K+1 Fractions, in xi units.
 
     Column s holds the dof functionals of b_s', the derivative of basis
     function s: rows 0..K-2 its moments (the moment rows; row 0 is the
@@ -126,7 +133,63 @@ def _linear_rows(k: int) -> np.ndarray:
     """
     element = build_element(k)
     values = [element.dof_values(b.deriv()) for b in element.basis()]
-    return np.array([[v[r] for v in values] for r in (*range(1, k), k, 0)], dtype=float)
+    return tuple(tuple(v[r] for v in values) for r in (*range(1, k), k, 0))
+
+
+@lru_cache(maxsize=None)
+def _linear_rows(k: int) -> np.ndarray:
+    """``_exact_rows(k)`` with each weight rounded to float once: the
+    (K+1, K+1) array rhs_1d applies."""
+    return np.array(_exact_rows(k), dtype=float)
+
+
+def _unit_1d(model):
+    """``(matrices, speed)`` of a 1-d linear model: dx L is ``speed`` times
+    the operator built from ``matrices`` = (A, J+, J-), each a tuple of
+    float rows.  A system gives its own matrices and speed 1; a scalar
+    speed a gives the 1x1 matrices (sgn a, max(sgn a, 0), min(sgn a, 0))
+    and speed |a|, so a scalar's exact tables depend on K and sgn a only.
+    """
+    if model.m > 1:
+        return tuple(tuple(map(tuple, mat.tolist()))
+                     for mat in (model.matrix, model.jac_plus, model.jac_minus)), 1.0
+    sign = float(np.sign(model.a))
+    return tuple(((w,),) for w in (sign, max(sign, 0.0), min(sign, 0.0))), abs(float(model.a))
+
+
+def _gathered_source(k, s):
+    """(field, cell offset) of the stored value that is gathered dof s of
+    a cell (``grid._dof_gather_1d``'s order): the left endpoint is the
+    left neighbour's point value, the moments and the right endpoint the
+    cell's own rows."""
+    if s == 0:
+        return k - 1, -1
+    return (s - 1, 0) if s < k else (k - 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _exact_blocks_1d(k, matrices):
+    """dx L of the 1-d linear scheme of ``matrices`` (see ``_unit_1d``),
+    exactly: ``{offset: block}`` at the cell offsets -1, 0 and +1, each
+    block a (K m, K m) object array of Fractions.  Row r m + p is output
+    field r, component p of a cell; column g m + q is field g, component
+    q of the cell at that offset.
+    ``matrices`` = (A, J+, J-) enter at their exact binary values: the
+    moment rows of ``_exact_rows`` weigh -A, D+ weighs -J+ on the cell
+    itself and D- weighs -J- on its right neighbour, as in rhs_1d, whose
+    float rows are these rounded.
+    """
+    a, plus, minus = (np.array([[Fraction(w) for w in row] for row in mat], dtype=object)
+                      for mat in matrices)
+    m, rows = len(a), _exact_rows(k)
+    blocks = {o: np.zeros((k, m, k, m), dtype=object) for o in (-1, 0, 1)}
+    terms = [(r, a, rows[r], 0) for r in range(k - 1)]
+    terms += [(k - 1, plus, rows[k - 1], 0), (k - 1, minus, rows[k], 1)]
+    for r, matrix, row, shift in terms:
+        for s, w in enumerate(row):
+            g, o = _gathered_source(k, s)
+            blocks[o + shift][r, :, g, :] -= w * matrix
+    return {o: b.reshape(k * m, k * m) for o, b in blocks.items()}
 
 
 @lru_cache(maxsize=None)

@@ -22,19 +22,27 @@ general stages' in the last bits only.  For a nonlinear right-hand
 side the Horner form is only second order, so Burgers keeps the
 general stages.
 
+A 1-d linear run has R(dt L) in closed form instead: the harness hands
+``advance`` a ``linear_step.StepOperator1D`` as ``step_operator`` for
+1-d advection and linear systems, and each step is that operator's one
+call, with no right-hand side and no stage buffer, tested for
+finiteness as a stage is.  An opaque ``rhs_fn``, Burgers and every 2-d
+run step as above.
+
 Without a workspace ``step`` starts an empty one of its own, so each
 call allocates its stage buffer and result afresh and the result is a
 fresh buffer.  ``advance`` hands every step of a call the same
 workspace instead: the stage buffer and two result buffers, which
-serve either scheme.  The first step allocates the stage buffer and
-one result buffer; the second result buffer comes at step 2, the
-first step whose input is a result.  Each step writes into the result
-buffer that is not its input, so a time loop allocates no new state
-buffer after step 2 and the state of step n stays intact through step
-n + 1.  ``advance`` keeps no reference to
-its initial state past step 1, so a caller that keeps none either (the
-harness) frees that buffer before the second result buffer is
-allocated, and the loop holds one state-sized buffer fewer.  The
+serve either scheme.  The first step allocates one result buffer and,
+unless it steps by a step operator, the stage buffer; the second
+result buffer comes at step 2, the first step whose input is a
+result.  Each step writes into the result buffer that is not its
+input, so a time loop allocates no new state buffer after step 2 and
+the state of step n stays intact through step n + 1.  ``advance``
+keeps no reference to its initial state past step 1, so a caller that
+keeps none either (the harness) frees that buffer before the second
+result buffer is allocated, and the loop holds one state-sized buffer
+fewer.  The
 result of ``step`` is never the input or a stage state handed to
 ``rhs_fn``, and never an array ``rhs_fn`` returned, except the one
 buffer ``advance`` hands over.
@@ -118,24 +126,30 @@ def _stage(out, u, c, k, stage):
     _check(out, stage)
 
 
-def _buffers(work, u, dtype):
+def _buffers(work, u, dtype, stage=True):
     """The stage buffer and the result buffer that is not ``u``, from the
-    workspace ``work`` (a list: the stage buffer, then two result slots).
-    The first use fills the stage buffer and the first result slot; the
-    second result buffer is allocated when the first becomes ``u``."""
+    workspace ``work`` (a list: the stage slot, then two result slots).
+    The first use fills the first result slot, and the stage slot unless
+    ``stage`` is false (a step by a step operator needs none; its stage
+    buffer is then None); the second result buffer is allocated when the
+    first becomes ``u``."""
     if not work:
-        work += [np.empty_like(u, dtype=dtype), np.empty_like(u, dtype=dtype), None]
-    stage, first, second = work
+        work += [np.empty_like(u, dtype=dtype) if stage else None,
+                 np.empty_like(u, dtype=dtype), None]
+    elif stage and work[0] is None:
+        work[0] = np.empty_like(u, dtype=dtype)
+    stage_buf, first, second = work
     if first.shape != u.shape or first.dtype != dtype:
         raise ValueError("the workspace belongs to another shape or dtype")
     if first is not u:
-        return stage, first
+        return stage_buf, first
     if second is None:
         second = work[-1] = np.empty_like(u, dtype=dtype)
-    return stage, second
+    return stage_buf, second
 
 
-def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None, linear=False):
+def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None, linear=False,
+         step_operator=None):
     """One explicit step.  Works on states and on plain arrays.
 
     Calls ``rhs_fn(state)`` once per stage and returns the new state, of
@@ -143,8 +157,11 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None, linear=Fals
     list at first, kept by the caller between steps) the
     workspace's result buffer that is not the input; see the module
     docstring.  ``linear`` says that ``rhs_fn`` is a fixed linear map L,
-    and steps by Horner's form of the scheme's stability polynomial
-    (see the module docstring).
+    and steps by Horner's form of the scheme's stability polynomial.
+    ``step_operator`` (``op(u, dt, order, out)``, such as
+    ``linear_step.StepOperator1D``) computes that polynomial applied to
+    the state in one call instead, and ``rhs_fn`` is not called (see the
+    module docstring).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -154,6 +171,12 @@ def step(state, t, dt, rhs_fn, scheme: str = "ssprk3", *, work=None, linear=Fals
     wrap = (lambda buf: buf) if u is state else type(state)
     if work is None:
         work = []
+
+    if step_operator is not None:
+        r = _buffers(work, u, np.result_type(u, dt), stage=False)[1]
+        step_operator(u, dt, STAGES[scheme], r)
+        _check(r, "the step")
+        return wrap(r)
 
     def rhs(buf):
         return _array(rhs_fn(wrap(buf)))
@@ -234,7 +257,8 @@ def _free_buffer(work, spare, state, dt, scheme, linear):
     return spare[0]
 
 
-def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_step=None):
+def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_step=None,
+            step_operator=None):
     """Integrate to t_end; returns (state, t, number of steps taken).
 
     Calls ``rhs_fn(state, out)`` once per stage, where ``out`` is a
@@ -248,6 +272,8 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
 
     A model whose ``is_linear`` is true is stepped with ``linear=True``
     (see ``step``); any other model, or none, with the general stages.
+    With a ``step_operator`` every step is that operator's one call
+    instead (see ``step``), and ``rhs_fn`` is never called.
 
     ``on_step(state, t, n)`` is invoked after every accepted step.  The
     steps share one workspace (see the module docstring), so the state
@@ -276,10 +302,11 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
                     "zero wave speed: set a fixed dt to integrate this problem"
                 )
         dt = min(dt, t_end - t)
-        out = _free_buffer(work, spare, state, dt, integrator.scheme, linear)
+        if step_operator is None:
+            out = _free_buffer(work, spare, state, dt, integrator.scheme, linear)
         try:
             state = step(state, t, dt, lambda s: rhs_fn(s, out), integrator.scheme, work=work,
-                         linear=linear)
+                         linear=linear, step_operator=step_operator)
         except BlowUpError as err:
             raise BlowUpError(f"{err} (step {n})", step_index=n) from None
         norm = _max_norm(state)
@@ -294,3 +321,4 @@ def advance(state, grid, model, rhs_fn, t_end, integrator: TimeIntegrator, on_st
         if on_step is not None:
             on_step(state, t, n)
     return state, t, n
+

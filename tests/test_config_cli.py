@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import afpg
-from afpg import config, harness, timestep
+from afpg import config, harness, semidiscrete, timestep
 from afpg.config import ConfigError, RunConfig, parse_config, serialize_config
 from afpg.grid import State1D, State2D
 from afpg.harness import convergence_study, run_simulation
@@ -249,6 +249,43 @@ class TestHarness:
         assert result.steps == 4 and len(peaks) == 2
         assert peaks[1] < 3.5 * result.state.data.nbytes
 
+    def test_1d_linear_time_loop_holds_two_state_sized_buffers(self, monkeypatch):
+        # a 1-d linear run steps by its step operator: from the initial mass
+        # log to the final one it holds the initial state or a result, one
+        # result and the step's tile, and no stage buffer; the tile dies
+        # with its step, so the error norms run with the final state alone.
+        # The first run fills the caches of K and the model on another grid,
+        # so a tile kept for the traced run's grid would be traced
+        cfg = parse_config("k=4\ngrid.n=16384\nmodel.name=advection\nmodel.a=1.0\n"
+                           "ic.name=sine\ntime.scheme=rk4\ntime.cfl=0.1\n"
+                           "time.t_end=0.0001\n")
+        run_simulation(cfg, n=16000)
+        peaks, live = [], []
+        mass, norms = harness.total_mass, harness.error_norms
+
+        def recording_mass(state, grid):
+            # called at the end of initial_state and after advance
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return mass(state, grid)
+
+        def recording_norms(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return norms(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "total_mass", recording_mass)
+        monkeypatch.setattr(harness, "error_norms", recording_norms)
+        tracemalloc.start()
+        try:
+            result = run_simulation(cfg)
+        finally:
+            tracemalloc.stop()
+        state = result.state.data.nbytes
+        assert state >= 2 * semidiscrete.TILE_BYTES  # a stage buffer would show
+        assert result.steps > 2 and len(peaks) == 2 and len(live) == 1
+        assert peaks[1] < 2.5 * state + semidiscrete.TILE_BYTES
+        assert live[0] < state + semidiscrete.TILE_BYTES / 2
+
     def test_outputs_written_and_deterministic(self, tmp_path):
         cfg = parse_config(BASE_CFG + "output.snapshot_every=10\n")
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -343,13 +380,17 @@ class TestHarness:
         assert result.norms[0] < 1e-3
 
     @pytest.mark.parametrize("text, stages", [
-        (BASE_CFG + "time.scheme=rk4\ntime.t_end=0.1\n", 4),
+        (BASE_CFG + "time.scheme=rk4\ntime.t_end=0.1\n", 0),
+        ("model.name=burgers\ngrid.n=12\nic.name=sine\nic.mean=1\nic.amplitude=0.1\n"
+         "time.t_end=0.05\n", 3),
         ("dimension=2\ngrid.nx=6\ngrid.ny=5\nmodel.name=advection\nmodel.ax=0.8\n"
          "model.ay=-0.6\nic.name=sine\ntime.t_end=0.1\n", 3),
     ])
     def test_tracer_contract(self, monkeypatch, text, stages):
         # perfbench/tracer.py wraps these names and counts RHS work from the
-        # state passed first: the harness must call them by name, state first
+        # state passed first: the harness must call them by name, state
+        # first.  A 1-d linear run steps by its step operator and calls no
+        # right-hand side (stages 0); Burgers and 2-d runs call it per stage
         calls = {"rhs_1d": [], "rhs_2d": [], "step": []}
         for module, name in ((harness, "rhs_1d"), (harness, "rhs_2d"), (timestep, "step")):
             original = getattr(module, name)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -32,7 +33,10 @@ from afpg.semidiscrete import (
     _blend,
     _burgers_forms,
     _compile_taps_2d,
+    _exact_blocks_1d,
+    _exact_rows,
     _linear_rows,
+    _unit_1d,
     Upwind1D,
     Upwind2D,
     rhs_1d,
@@ -1004,3 +1008,93 @@ def test_cached_plan_pins_no_state():
     del st, out, fresh
     gc.collect()
     assert [r() is None for r in refs] == [True, True, True]
+
+
+@pytest.mark.parametrize("model", [advection1d(0.7), advection1d(-1.3),
+                                   linear_system1d([[1.0, 2.0], [0.5, -0.5]])],
+                         ids=["a=0.7", "a=-1.3", "system"])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_exact_blocks_are_the_rows_rhs_1d_rounds(k, model):
+    # one exact table drives both: _linear_rows is _exact_rows rounded, and
+    # the offset blocks, applied in floats, give rhs_1d to round-off
+    assert _linear_rows(k).tolist() == [[float(w) for w in row] for row in _exact_rows(k)]
+    matrices, speed = _unit_1d(model)
+    blocks = _exact_blocks_1d(k, matrices)
+    assert sorted(blocks) == [-1, 0, 1]
+    n, m = 7, model.m
+    grid = Grid1D(n)
+    st = random_state_1d(np.random.default_rng(k), n, k, m if m > 1 else 0)
+    cells = st.data.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
+    got = sum(np.roll(cells, -o, axis=0) @ b.astype(float).T for o, b in blocks.items())
+    got = (got * (speed / grid.dx)).reshape(n, k, m).transpose(1, 0, 2).reshape(st.data.shape)
+    ref = rhs_1d(st, grid, build_element(k), model, Upwind1D()).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _charpoly(matrix):
+    """det(x I - matrix) of a square object array of Fractions, exactly
+    (Faddeev-LeVerrier), as a Poly in x."""
+    size = len(matrix)
+    eye = np.identity(size, dtype=int).astype(object)
+    coeffs = [Fraction(0)] * size + [Fraction(1)]
+    power = np.zeros((size, size), dtype=object)
+    for j in range(1, size + 1):
+        power = matrix.dot(power) + coeffs[size - j + 1] * eye
+        coeffs[size - j] = -np.trace(matrix.dot(power)) / j
+    return Poly(coeffs)
+
+
+def _pade_exp(num, den):
+    """(P, Q) of the [num/den] Pade approximant P/Q of e^x."""
+    f = math.factorial
+    p = [Fraction(f(num + den - j) * f(num), f(num + den) * f(j) * f(num - j))
+         for j in range(num + 1)]
+    q = [Fraction((-1) ** j * f(num + den - j) * f(den), f(num + den) * f(j) * f(den - j))
+         for j in range(den + 1)]
+    return Poly(p), Poly(q)
+
+
+def _reflected(p):
+    """p(-x)."""
+    return Poly([c * (-1) ** j for j, c in enumerate(p.coeffs)])
+
+
+def _is_hurwitz(p):
+    """Routh's test: every root of p has a negative real part.  True iff
+    the first column of the Routh array has deg p + 1 positive entries."""
+    coeffs = [Fraction(c) for c in reversed(p.coeffs.tolist())]
+    rows = [coeffs[0::2], coeffs[1::2]]
+    while rows[-1] and rows[-1][0] != 0:
+        upper, lower = rows[-2], rows[-1] + [0]
+        rows.append([(lower[0] * upper[i + 1] - upper[0] * lower[i + 1]) / lower[0]
+                     for i in range(len(upper) - 1)])
+    firsts = [row[0] for row in rows if row]
+    return len(firsts) == len(coeffs) and all(f > 0 for f in firsts)
+
+
+def test_routh_test_tells_hurwitz_polynomials():
+    assert _is_hurwitz(Poly([1, 3, 3, 1]))  # (x + 1)^3
+    assert not _is_hurwitz(Poly([1, 0, 1]))  # x^2 + 1: roots on the axis
+    assert not _is_hurwitz(Poly([1, -1, 1]))
+    assert not _is_hurwitz(Poly([-6, 1, 1]))  # (x + 3)(x - 2)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_1d_spectrum_is_the_pade_approximant_of_exp(k):
+    # with a = dx = 1 and full upwinding, det(x - L(theta)) = p0(x) +
+    # e^{-i theta} p1(x): -p0/p1 is the [K/K-1] Pade approximant of e^x,
+    # |p0(i w)|^2 - |p1(i w)|^2 = w^{2K}, and p0 is Hurwitz, so no
+    # eigenvalue of the semi-discrete scheme has a positive real part
+    blocks = _exact_blocks_1d(k, _unit_1d(advection1d(1.0))[0])
+    assert not (blocks[1] != 0).any()  # nothing is read from the right
+    p0 = _charpoly(blocks[0])
+    p1 = _charpoly(blocks[0] + blocks[-1]) - p0
+    pade_p, pade_q = _pade_exp(k, k - 1)
+    lead = pade_p.coeffs[-1]
+    assert p0 == pade_p * (1 / lead) and p1 == pade_q * (-1 / lead)
+    assert p0 * _reflected(p0) - p1 * _reflected(p1) == Poly([0] * (2 * k) + [(-1) ** k])
+    assert _is_hurwitz(p0)
+    if k == 2:
+        assert p0 == Poly([6, 4, 1])
+    if k == 3:
+        assert p0 == Poly([60, 36, 9, 1])

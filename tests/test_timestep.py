@@ -8,6 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,11 +16,19 @@ import numpy as np
 import pytest
 
 import afpg
+from afpg import semidiscrete
 from afpg.element1d import build_element
 from afpg.element2d import build_element_2d
 from afpg.grid import Grid1D, Grid2D, State1D, State2D, project_initial, total_mass
+from afpg.linear_step import (
+    StepOperator1D,
+    _exact_step_1d,
+    _step_columns_1d,
+    _step_weights_1d,
+    _tile_plan_1d,
+)
 from afpg.models import Sine2DIC, SineIC, advection1d, advection2d, burgers1d, linear_system1d
-from afpg.semidiscrete import Upwind1D, Upwind2D, rhs_1d, rhs_2d
+from afpg.semidiscrete import Upwind1D, Upwind2D, _unit_1d, rhs_1d, rhs_2d
 from afpg.timestep import (
     BLOWUP_FACTOR,
     BlowUpError,
@@ -483,6 +492,160 @@ class TestWorkspace:
         faults = json.loads(proc.stdout)
         assert len(faults) == 21
         assert (faults[20] - faults[0]) / 20 < 50  # steps 2..21
+
+
+# the 1-d linear models a StepOperator1D serves: both scalar signs and a
+# two-sided system
+_MODELS_1D = {
+    "a=+1": lambda: advection1d(1.0),
+    "a=-1": lambda: advection1d(-1.0),
+    "0,1;1,0": lambda: linear_system1d([[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+def _shape_1d(k, n, model):
+    return (k, n) if model.m == 1 else (k, n, model.m)
+
+
+def _dense_step(grid, k, model, dt, order):
+    """R(dt L) as a dense matrix on the flattened state: column j of L is
+    rhs_1d of the j-th unit state, R its Taylor polynomial of degree
+    ``order``, summed in floats."""
+    element, shape = build_element(k), _shape_1d(k, grid.n, model)
+    size = math.prod(shape)
+    lhs = np.empty((size, size))
+    for j, unit in enumerate(np.eye(size)):
+        lhs[:, j] = rhs_1d(State1D(unit.reshape(shape)), grid, element, model,
+                           Upwind1D()).data.ravel()
+    total, term = np.eye(size), np.eye(size)
+    for j in range(1, order + 1):
+        term = term @ (dt * lhs) / j
+        total += term
+    return total
+
+
+class TestStepOperator1D:
+    """A 1-d linear step as one composed operator R(dt L)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("model", list(_MODELS_1D))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_one_step_matches_the_dense_taylor_polynomial(self, k, model, n):
+        # on 3 to 5 cells an RK4 step reaches past the whole grid, so every
+        # weight wraps around the periodic grid, some more than once
+        grid, model = Grid1D(n), _MODELS_1D[model]()
+        dt = 0.3 * grid.dx
+        u = np.random.default_rng(10 * k + n).standard_normal(_shape_1d(k, n, model))
+        for order in (3, 4):
+            new = StepOperator1D(grid, model, k)(u, dt, order, None)
+            ref = (_dense_step(grid, k, model, dt, order) @ u.ravel()).reshape(u.shape)
+            assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 5, 37, 1000])
+    @pytest.mark.parametrize("model", list(_MODELS_1D))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_bytes_do_not_depend_on_the_tile(self, monkeypatch, k, model, n):
+        # every GEMM sums at most GEMM_TERMS columns over at least two
+        # cells, so each output is summed in one order wherever its cell
+        # sits: the smallest tile (three cells), the default and the whole
+        # grid give the same bytes
+        grid, model = Grid1D(n), _MODELS_1D[model]()
+        op, m = StepOperator1D(grid, model, k), model.m
+        u = np.random.default_rng(n).standard_normal(_shape_1d(k, n, model))
+        for order in (3, 4):
+            columns = _step_columns_1d(k, op.matrices, order)
+            rows = _tile_plan_1d(n, m, k * m, columns, 0)[0][0]
+            budgets = [(rows * 8, min(n, 3)),
+                       (semidiscrete.TILE_BYTES,
+                        min(n, max(3, semidiscrete.TILE_BYTES // (rows * 8)))),
+                       (rows * 8 * n, n)]
+            results = []
+            for budget, cells in budgets:
+                monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget)
+                results.append(op(u, 0.2 * grid.dx, order, None).tobytes())
+                assert _tile_plan_1d(n, m, k * m, columns, budget)[0] == (rows, cells)
+            monkeypatch.undo()
+            assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("model", list(_MODELS_1D))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_composed_blocks_conserve_mass_exactly(self, k, model):
+        # moment 0 of each component is its cell average: summed over the
+        # offsets, its row of R(dt L) is e_0, in Fraction
+        matrices, _ = _unit_1d(_MODELS_1D[model]())
+        m = len(matrices[0])
+        for order, nu in ((3, Fraction(1, 5)), (4, Fraction(7, 3))):
+            blocks = _exact_step_1d(k, matrices, nu, order)
+            assert all(isinstance(w, Fraction) for b in blocks.values() for w in b.flat)
+            rows = sum(b[:m] for b in blocks.values())
+            assert (rows == np.eye(m, k * m, dtype=int)).all()
+
+    @pytest.mark.parametrize("model", list(_MODELS_1D))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_every_float_weight_is_its_exact_value_rounded(self, k, model):
+        # the weights of R - I, each float() of its exact value, on columns
+        # that hold every nonzero weight
+        grid = Grid1D(40)
+        op = StepOperator1D(grid, _MODELS_1D[model](), k)
+        dt = 0.07 * grid.dx
+        nu = Fraction(op.speed) * Fraction(dt) / Fraction(grid.dx)
+        for order in (3, 4):
+            weights = _step_weights_1d(k, op.matrices, op.speed, dt, grid.dx, order)
+            exact = _exact_step_1d(k, op.matrices, nu, order)
+            columns = _step_columns_1d(k, op.matrices, order)
+            for j, (field, o) in enumerate(columns):
+                for r in range(len(weights)):
+                    w = exact[o][r, field] if o in exact else Fraction(0)
+                    assert weights[r, j] == float(w - (o == 0 and r == field))
+            nonzero = {(field, o) for o, b in exact.items()
+                       for field in np.flatnonzero((b != 0).any(axis=0))}
+            assert nonzero <= set(columns)
+
+    def test_step_holds_two_results_and_no_stage_buffer(self):
+        grid, model, k = Grid1D(12), advection1d(0.8), 3
+        op, dt = StepOperator1D(grid, model, k), 0.3 * grid.dx
+        u = State1D(np.random.default_rng(5).standard_normal((k, 12)))
+        work = []
+        first = step(u, 0.0, dt, None, "rk4", work=work, step_operator=op)
+        assert type(first) is State1D and work[0] is None and first.data is work[1]
+        assert first.data.tobytes() == op(u.data, dt, 4, None).tobytes()
+        second = step(first, 0.0, dt, None, "rk4", work=work, step_operator=op)
+        assert work[0] is None and second.data is work[2]
+        assert step(second, 0.0, dt, None, "rk4", work=work, step_operator=op).data is work[1]
+
+    def test_nonfinite_step_raises(self):
+        # dt = 1e300 overflows R's weights: the step's result is not finite
+        grid, model = Grid1D(8), advection1d(1.0)
+        u = np.random.default_rng(6).standard_normal((2, 8))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError,
+                                                                         match="after the step"):
+            step(u, 0.0, 1e300, None, "ssprk3", step_operator=StepOperator1D(grid, model, 2))
+
+    @pytest.mark.parametrize("scheme, order", [("ssprk3", 3), ("rk4", 4)])
+    def test_advance_steps_by_the_operator_alone(self, scheme, order):
+        # no right-hand side is called; each step, the last one partial, is
+        # the operator applied to the state before it
+        grid, model = Grid1D(10), linear_system1d([[0.0, 1.0], [1.0, 0.0]])
+        op, dt = StepOperator1D(grid, model, 3), 0.2 * grid.dx
+        u = State1D(np.random.default_rng(7).standard_normal((3, 10, 2)))
+        expected, t = u.data, 0.0
+        while t < 2.5 * dt - 1e-14:
+            h = min(dt, 2.5 * dt - t)
+            expected, t = op(expected, h, order, None), t + h
+
+        def rhs_fn(s, out):
+            raise AssertionError("rhs_fn called")
+
+        final, _, n = advance(u, grid, model, rhs_fn, 2.5 * dt, TimeIntegrator(scheme, dt=dt),
+                              step_operator=op)
+        assert n == 3 and final.data.tobytes() == expected.tobytes()
+
+    def test_rejects_another_model_or_grid(self):
+        with pytest.raises(ValueError, match="linear model"):
+            StepOperator1D(Grid1D(8), burgers1d(), 2)
+        op = StepOperator1D(Grid1D(8), advection1d(1.0), 2)
+        with pytest.raises(ValueError, match="state size"):
+            op(np.zeros((2, 9)), 0.01, 3, None)
 
 
 class TestStep:

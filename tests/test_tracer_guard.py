@@ -3,9 +3,11 @@
 ``perfbench/tracer.py`` wraps module attributes of ``afpg.harness`` and
 ``afpg.timestep`` and counts right-hand-side work from the state passed
 first.  A renamed attribute or a call that bypasses it would leave the
-``--trace 1`` metrics blind with no error, so a tiny 1-d and 2-d run are
-traced here, and linear and Burgers runs under each scheme.  The tracer
-module is loaded from its file and not changed.
+``--trace 1`` metrics blind with no error, so tiny 1-d and 2-d runs are
+traced here, linear and Burgers runs under each scheme: a 1-d linear
+run steps by its step operator and makes no right-hand-side call, every
+other run makes one per stage.  The tracer module is loaded from its
+file and not changed.
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ from afpg import harness, timestep
 from afpg.config import parse_config
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_BURGERS = "model.name=burgers\ngrid.n=8\nic.mean=1\nic.amplitude=0.1\ntime.t_end=0.05\n"
 
 
 def _load_tracer():
@@ -31,8 +34,9 @@ def test_rhs_spans_count_dofs_per_call():
     names = [(harness, n) for n in tracer_mod.HARNESS_NAMES]
     names += [(timestep, n) for n in tracer_mod.TIMESTEP_NAMES]
     before = {(module, n): getattr(module, n) for module, n in names}
+    # a 1-d linear run calls no right-hand side: Burgers counts rhs_1d's work
     runs = {
-        "semidiscrete.rhs_1d": ("k=3\ngrid.n=8\ntime.t_end=0.05\n", 3 * 8),
+        "semidiscrete.rhs_1d": (_BURGERS, 2 * 8),
         "semidiscrete.rhs_2d": ("dimension=2\ngrid.nx=5\ngrid.ny=4\ntime.t_end=0.05\n",
                                 4 * 5 * 4),
     }
@@ -52,21 +56,21 @@ def test_rhs_spans_count_dofs_per_call():
     assert layers["timestep.step"]["calls"] == sum(steps.values())
 
 
-_BURGERS = "model.name=burgers\ngrid.n=8\nic.mean=1\nic.amplitude=0.1\ntime.t_end=0.05\n"
-
-
 @pytest.mark.parametrize("text, layer, dofs, stages", [
-    ("k=3\ngrid.n=8\ntime.t_end=0.05\n", "semidiscrete.rhs_1d", 3 * 8, 3),
-    ("k=3\ngrid.n=8\ntime.scheme=rk4\ntime.t_end=0.05\n", "semidiscrete.rhs_1d", 3 * 8, 4),
+    ("k=3\ngrid.n=8\ntime.t_end=0.05\n", "semidiscrete.rhs_1d", 3 * 8, 0),
+    ("k=3\ngrid.n=8\ntime.scheme=rk4\ntime.t_end=0.05\n", "semidiscrete.rhs_1d", 3 * 8, 0),
+    ("k=2\ngrid.n=8\nmodel.name=linear_system\nmodel.matrix=0,1;1,0\ntime.t_end=0.05\n",
+     "semidiscrete.rhs_1d", 2 * 8 * 2, 0),
     ("dimension=2\ngrid.nx=5\ngrid.ny=4\ntime.scheme=rk4\ntime.t_end=0.05\n",
      "semidiscrete.rhs_2d", 4 * 5 * 4, 4),
     (_BURGERS, "semidiscrete.rhs_1d", 2 * 8, 3),
     (_BURGERS + "time.scheme=rk4\n", "semidiscrete.rhs_1d", 2 * 8, 4),
-], ids=["linear-ssprk3", "linear-rk4", "linear-2d-rk4", "burgers-ssprk3", "burgers-rk4"])
+], ids=["linear-ssprk3", "linear-rk4", "system-ssprk3", "linear-2d-rk4", "burgers-ssprk3",
+        "burgers-rk4"])
 def test_step_and_rhs_calls_follow_the_steps(text, layer, dofs, stages):
-    # linear runs step by the Horner form of the stability polynomial and
-    # Burgers by the general stages: both call step once per step and the
-    # right-hand side once per stage, with the state first
+    # every run calls step once per step; a 1-d linear run steps by its
+    # step operator and calls no right-hand side (stages 0), Burgers and
+    # 2-d runs call theirs once per stage, with the state first
     tracer = _load_tracer().Tracer("guard")
     tracer.install(harness, timestep)
     try:
@@ -76,5 +80,8 @@ def test_step_and_rhs_calls_follow_the_steps(text, layer, dofs, stages):
     layers, _ = tracer.layers()
     assert steps > 0
     assert layers["timestep.step"]["calls"] == steps
+    if stages == 0:
+        assert layer not in layers
+        return
     assert layers[layer]["calls"] == stages * steps
     assert layers[layer]["work"] == dofs * layers[layer]["calls"]
