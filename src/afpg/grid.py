@@ -37,6 +37,7 @@ any number of rows per block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -261,21 +262,26 @@ def _dof_source_2d(r, s):
     return abs(r) + 2 * abs(s), (min(r, 0), min(s, 0))
 
 
-def _shifted_copies(nx, ny, i, t, columns):
-    """(destination, source) index pairs that fill a (#columns, t, ny)
-    buffer with grid rows i .. i+t-1 of each column (field, (ox, oy)) of
-    a (fields, nx, ny) stack, shifted periodically: entry (j, r, c) is
-    the field's row i + r + ox, column c + oy (mod nx, ny).  The copies
-    do the wrap, so nothing is padded.
+def _shifted_copies(shape, i, t, columns):
+    """(destination, source) index pairs that fill a (#columns, t,
+    *shape[1:]) buffer with grid rows i .. i+t-1 of each column (field,
+    offset) of a stack of fields on a periodic 1-d or 2-d grid of
+    ``shape``: entry (j, r[, c]) is the field's row i + r + offset[0][,
+    column c + offset[1]], modulo the shape.  ``field`` indexes the
+    stack's leading axes (an int or a tuple), and ``offset`` has one
+    entry per grid axis.  The copies do the wrap, so nothing is padded.
     """
     copies = []
-    for j, (f, (ox, oy)) in enumerate(columns):
-        r, c = (i + ox) % nx, oy % ny
-        h = min(t, nx - r)  # rows before the wrap
-        for dr, sr in ((slice(0, h), slice(r, r + h)), (slice(h, t), slice(0, t - h))):
-            for dc, sc in ((slice(0, ny - c), slice(c, ny)), (slice(ny - c, ny), slice(0, c))):
-                if dr.start < dr.stop and dc.start < dc.stop:
-                    copies.append(((j, dr, dc), (f, sr, sc)))
+    for j, (field, offset) in enumerate(columns):
+        splits = []
+        for start, length, size, o in zip((i, 0), (t, shape[-1]), shape, offset):
+            r = (start + o) % size
+            h = min(length, size - r)  # before the wrap
+            splits.append([(slice(a, b), slice(c, c + b - a))
+                           for a, b, c in ((0, h, r), (h, length, 0)) if a < b])
+        for parts in itertools.product(*splits):
+            dest, src = zip(*parts)
+            copies.append(((j, *dest), (*np.index_exp[field], *src)))
     return copies
 
 
@@ -288,7 +294,7 @@ def _dof_gather_2d(state: State2D, block: slice = slice(None)) -> np.ndarray:
     _, nx, ny = data.shape
     i, j, _ = block.indices(nx)
     dofs = np.empty((len(DOF_IDS), j - i, ny))
-    for dest, src in _shifted_copies(nx, ny, i, j - i, [_dof_source_2d(*d) for d in DOF_IDS]):
+    for dest, src in _shifted_copies((nx, ny), i, j - i, [_dof_source_2d(*d) for d in DOF_IDS]):
         dofs[dest] = data[src]
     return dofs
 

@@ -2,71 +2,52 @@
 
 Every row pairs a test function with the derivative of the flux of the
 reconstruction and runs from exact weights, tabulated once and rounded
-to float once.  The weights all follow one rule.  The test functions
-are biorthogonal to the basis, so a test function pairs with any
-polynomial of the cell space as its pairing table applied to that
-polynomial's dof functionals; a row is this table applied to the dof
-functionals of the differentiated flux of each basis function.
+to float once.  The test functions are biorthogonal to the basis, so a
+test function pairs with any polynomial of the cell space as its
+pairing table applied to that polynomial's dof functionals; a row is
+this table applied to the dof functionals of the differentiated flux of
+each basis function.
 
-In 1-d a moment weight lives on one cell and an interface test function
-has one piece on each of the two cells at its interface, so every row
-reads one cell's K+1 dofs (left endpoint, moments, right endpoint),
-gathered once per call by ``grid._dof_gather_1d``: the state's K rows
-under one row of the left neighbours' interface values.  ``_linear_rows``
-reads its rows off the dof functionals of each b_s': the K-1 moment
-rows (row 0 is the plain endpoint difference) and the one-sided
-interface derivatives D+ (the right-endpoint value, alpha = +1, on the
-cell left of an interface) and D- (the left-endpoint value, alpha = -1,
-on the cell right of it).  ``_blend`` joins the two into the interface
-values:
-
-- linear systems: -A on the moment rows, -J+ on D+ and -J- on D-;
-- scalar models, linear (q_t + a q_x = 0) and Burgers (f = q^2/2):
-  the moment rows times -a/dx, or for Burgers exact quadratic forms in
-  the cell's dofs (``_burgers_forms``, the moments of (b_s b_t)'/2)
-  over -dx.  The interface values are the 1x1 case of the system
-  split: max(c, 0)/-dx on D+ and min(c, 0)/-dx on D- ("split"), c the
-  wave speed (a, or the interface value for Burgers), so every weight
-  follows the sign of c.  For Burgers at K = 2 the "exact" update
-  takes instead the forms' exact one-sided pairings with q q', which
-  carry the speed themselves, blended by (1 +- sgn q)/2 over -dx.
-
-Every linear row is also an exact offset block: ``_exact_blocks_1d``
-lays ``_exact_rows`` out as the K m x K m blocks of dx L at the cell
-offsets -1, 0 and +1, in ``Fraction``, and ``_linear_rows`` is
-``_exact_rows`` rounded, so one exact table drives both the blocks
-that ``linear_step.StepOperator1D`` composes into a whole step and the
-float rows of rhs_1d.
-
-The paper gives each interface test function a free weight alpha in
-[-1, 1] (alpha = +1 reads the left cell only); the runtime runs the
-member alpha = sgn(c) only, and ``afpg dump-element --alpha`` still
-builds any other member.
+In 1-d every row reads one cell's K+1 dofs (left endpoint, moments,
+right endpoint).  ``_exact_rows`` holds, in ``Fraction``, the K-1
+moment rows and the one-sided interface derivatives D+ (alpha = +1, on
+the cell left of an interface) and D- (alpha = -1, on the cell right of
+it).  A linear model's rows are laid out as the exact K m x K m blocks
+of dx L at the cell offsets -1, 0, +1 (``_exact_blocks_1d``), which
+rhs_1d applies times speed/dx with each weight rounded once and
+``linear_step.StepOperator1D`` composes into a whole step.  Burgers
+(f = q^2/2) takes exact quadratic forms in the cell's dofs
+(``_burgers_forms``) over -dx on the moment rows, and D+/D- joined by
+``_blend`` at max(q, 0)/-dx and min(q, 0)/-dx ("split"); at K = 2 the
+"exact" update takes instead the forms' exact one-sided pairings with
+q q', blended by (1 +- sgn q)/2 over -dx.  The paper gives each
+interface test function a free weight alpha in [-1, 1]; the runtime
+runs alpha = sgn(c), c the wave speed, and ``afpg dump-element
+--alpha`` still builds any other member.
 
 In 2-d ``_compile_taps_2d`` applies four pairing tables (the cell
 indicator for the average, then the edge-x, edge-y and node tables of
 element2d) to the dof functionals of ax/dx d_xi b + ay/dy d_eta b for
-every basis function b of every support cell, by ``element2d.pair_row``,
-with each dof read where ``grid._dof_source_2d`` stores it.  The edge
-and node weights follow the sign of the velocity per axis, as in 1-d;
-``afpg dump-element-2d --alphas`` still builds any member of the
-family.  The scheme is then an offset-block operator, compiled once per
-grid spacing and velocity: the distinct (source field, 2-d offset)
-columns that carry weight (9 for a = (1, 1)) and one (4, #columns)
-float matrix W.  ``rhs_2d`` applies it by tiles of grid rows: it
-copies each column's shifted rows straight from the state, wrapping at
-the periodic edges in the copies themselves (``grid._shifted_copies``),
-into a float64 tile of at most ``TILE_BYTES`` (256 KiB: 22 rows and
-253 440 B at 160^2), and one GEMM of W with that tile writes those rows
-of the output.  The tile and its copy plan, every index and view of it
-bound once, are kept for the last grid seen, and both right-hand sides
-write into a caller's ``out`` buffer when given one, so a 2-d time loop
-on one grid allocates no state-sized buffer (``rhs_1d`` still gathers
-its cell dofs anew on every call).
+every basis function b of every support cell, with each dof read where
+``grid._dof_source_2d`` stores it.  The edge and node weights follow
+the sign of the velocity per axis; ``afpg dump-element-2d --alphas``
+still builds any member of the family.
+
+A linear scheme of either dimension is then an offset-block operator:
+the (source field, offset) columns that carry weight and one float
+matrix W.  One apply layer serves both dimensions: a tile copies every
+column's shifted cells from the state, wrapping at the periodic edges
+in the copies themselves (``grid._shifted_copies``), into a float64
+tile of at most ``TILE_BYTES``, and ``_chunked_matmul`` writes W times
+it in GEMMs of at most ``GEMM_TERMS`` columns, so the output bytes do
+not depend on the tile size.  The 2-d tile and its copy plan are bound
+once and kept for the last grid; the 1-d tile lives for one call.  Both
+right-hand sides write into a caller's ``out`` buffer when given one.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,7 +120,8 @@ def _exact_rows(k: int) -> tuple:
 @lru_cache(maxsize=None)
 def _linear_rows(k: int) -> np.ndarray:
     """``_exact_rows(k)`` with each weight rounded to float once: the
-    (K+1, K+1) array rhs_1d applies."""
+    (K+1, K+1) array whose last two rows, D+ and D-, Burgers' split
+    update applies."""
     return np.array(_exact_rows(k), dtype=float)
 
 
@@ -157,16 +139,6 @@ def _unit_1d(model):
     return tuple(((w,),) for w in (sign, max(sign, 0.0), min(sign, 0.0))), abs(float(model.a))
 
 
-def _gathered_source(k, s):
-    """(field, cell offset) of the stored value that is gathered dof s of
-    a cell (``grid._dof_gather_1d``'s order): the left endpoint is the
-    left neighbour's point value, the moments and the right endpoint the
-    cell's own rows."""
-    if s == 0:
-        return k - 1, -1
-    return (s - 1, 0) if s < k else (k - 1, 0)
-
-
 @lru_cache(maxsize=None)
 def _exact_blocks_1d(k, matrices):
     """dx L of the 1-d linear scheme of ``matrices`` (see ``_unit_1d``),
@@ -176,20 +148,59 @@ def _exact_blocks_1d(k, matrices):
     q of the cell at that offset.
     ``matrices`` = (A, J+, J-) enter at their exact binary values: the
     moment rows of ``_exact_rows`` weigh -A, D+ weighs -J+ on the cell
-    itself and D- weighs -J- on its right neighbour, as in rhs_1d, whose
-    float rows are these rounded.
+    itself and D- weighs -J- on its right neighbour.
     """
     a, plus, minus = (np.array([[Fraction(w) for w in row] for row in mat], dtype=object)
                       for mat in matrices)
     m, rows = len(a), _exact_rows(k)
+    # (field, cell offset) of each dof of a cell: the left endpoint is the
+    # left neighbour's point value, the moments and right endpoint its own
+    sources = [(k - 1, -1), *((s, 0) for s in range(k - 1)), (k - 1, 0)]
     blocks = {o: np.zeros((k, m, k, m), dtype=object) for o in (-1, 0, 1)}
     terms = [(r, a, rows[r], 0) for r in range(k - 1)]
     terms += [(k - 1, plus, rows[k - 1], 0), (k - 1, minus, rows[k], 1)]
     for r, matrix, row, shift in terms:
-        for s, w in enumerate(row):
-            g, o = _gathered_source(k, s)
+        for (g, o), w in zip(sources, row):
             blocks[o + shift][r, :, g, :] -= w * matrix
     return {o: b.reshape(k * m, k * m) for o, b in blocks.items()}
+
+
+def _block_columns(*block_maps):
+    """The sorted (field, offset) columns where some ``{offset: block}``
+    map has a nonzero weight."""
+    return tuple(sorted({(field, o) for blocks in block_maps for o, b in blocks.items()
+                         for field in np.flatnonzero((b != 0).any(axis=0)).tolist()}))
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded to float once; past the float range, the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _rounded_weights(blocks, columns):
+    """The float matrix W of the exact ``{offset: block}`` weights on
+    ``columns``, column (field, o) being column ``field`` of block o (zero
+    without one), each weight rounded once; read-only, as callers cache it."""
+    weights = np.zeros((len(next(iter(blocks.values()))), len(columns)))
+    for j, (field, o) in enumerate(columns):
+        if o in blocks:
+            weights[:, j] = [_rounded(w) for w in blocks[o][:, field]]
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=64)
+def _compile_taps_1d(k, matrices, speed, dx):
+    """Exact taps of rhs_1d for a linear model, as ``_compile_taps_2d``:
+    the weighted columns and W of speed/dx times ``_exact_blocks_1d``,
+    each weight rounded once (``matrices`` and ``speed`` of ``_unit_1d``)."""
+    blocks = _exact_blocks_1d(k, matrices)
+    scale = Fraction(speed) / Fraction(dx)
+    columns = _block_columns(blocks)
+    return columns, _rounded_weights({o: b * scale for o, b in blocks.items()}, columns)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +227,7 @@ def _cell_forms(dofs: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.einsum("fsn,sn->fn", forms @ dofs, dofs)
 
 
-def _blend(out, d_plus, d_minus, w_plus=1.0, w_minus=1.0):
+def _blend(out, d_plus, d_minus, w_plus, w_minus):
     """Fill the interface values ``out`` in place: interface i, right of
     cell i, gets w_plus D+ of cell i plus w_minus D- of cell i+1
     (periodic).  The weights are numbers or per-interface arrays;
@@ -239,20 +250,114 @@ def _output(data, out):
     return out
 
 
+# Byte budget of the float64 tile each apply fills before its GEMMs.
+# perfbench adv2d (160^2, 40 s runs, 1 BLAS thread, 2-CPU host), 10
+# alternating pairs of 256 KiB with the bound plan against 512 KiB with
+# per-call indexing: median peak RSS 36.61 -> 35.99 MB (10/10 pairs
+# lower), wall time 0.980 -> 0.954 s (6/10).  Against the kept tile in 6
+# rotated runs each, 128 KiB read peak RSS 0.10 MB lower but wall time
+# x1.056, and 256 KiB without the bound plan x1.066 (0/6 faster).
+TILE_BYTES = 256 * 1024
+
+# The most columns one GEMM sums.  With at most this many terms and at
+# least two cells, OpenBLAS's GEMM (0.3.31, Haswell kernels) sums each
+# output in an order that does not depend on where its cell sits in the
+# tile, so the output bytes do not depend on TILE_BYTES; with 16 or more
+# terms they do, and a one-cell product goes through GEMV, which sums in
+# yet another order.
+GEMM_TERMS = 15
+
+
+@lru_cache(maxsize=None)
+def _gemm_chunks(c):
+    """c columns as ceil(c / GEMM_TERMS) slices (one if c = 0), as ``np.array_split``."""
+    parts = np.array_split(np.arange(c), max(1, -(-c // GEMM_TERMS)))
+    edges = np.cumsum([0] + [len(part) for part in parts]).tolist()
+    return tuple(map(slice, edges[:-1], edges[1:]))
+
+
+def _chunked_matmul(weights, operand, chunks, out, sums):
+    """``out`` = W times the operand, one GEMM per column chunk.  With
+    several chunks the products are summed in float64: in the first
+    len(W) rows of ``sums``, each later product passing through the next
+    len(W), and the last sum is written to ``out``, so a narrower output
+    is rounded once."""
+    if len(chunks) == 1:
+        return np.matmul(weights, operand, out=out)
+    total, part = sums[:len(weights)], sums[len(weights):]
+    np.matmul(weights[:, chunks[0]], operand[chunks[0]], out=total)
+    for j, cols in enumerate(chunks[1:], 2):
+        np.matmul(weights[:, cols], operand[cols], out=part)
+        np.add(total, part, out=out if j == len(chunks) else total)
+
+
+@lru_cache(maxsize=8)
+def _tile_plan_1d(n, m, outputs, columns, budget):
+    """``((rows, cells), chunks, plan)``: the float64 tile's shape, the
+    column chunks (``_gemm_chunks``) and the copy plan of
+    ``_apply_blocks_1d`` on n cells.
+
+    The tile's rows are every column, then, with more than one chunk,
+    the 2 K m rows (``outputs`` = K m) that ``_chunked_matmul`` sums in,
+    or for a system with one chunk the K m rows its GEMM writes.  A tile
+    covers the most cells that fit ``budget`` bytes (at least three, at
+    most n); a last tile of one cell takes one from the tile before it,
+    so no GEMM has one column.  The plan holds one (copies, t, span)
+    entry per tile of t cells: the (tile index, index into the state's
+    (K, m, n) view) pairs of ``grid._shifted_copies`` and the cells it
+    fills.  It pins no buffer: the tile is allocated per call, so its
+    memory serves what runs between steps (a snapshot) and after them
+    (the error norms).
+    """
+    c, chunks = len(columns), _gemm_chunks(len(columns))
+    rows = c + (2 * outputs if len(chunks) > 1 else outputs if m > 1 else 0)
+    cells = min(n, max(3, budget // (max(1, rows) * np.dtype(float).itemsize)))
+    spans = [[i, min(cells, n - i)] for i in range(0, n, cells)]
+    if spans[-1][1] == 1 < n:
+        spans[-2][1] -= 1
+        spans[-1] = [spans[-1][0] - 1, 2]
+    sources = [(divmod(field, m), (o,)) for field, o in columns]
+    plan = tuple((tuple(_shifted_copies((n,), i, t, sources)), t, slice(i, i + t))
+                 for i, t in spans)
+    return (rows, cells), chunks, plan
+
+
+def _apply_blocks_1d(data, columns, weights, out=None):
+    """W applied to the offset columns of a (K, n[, m]) state, by tiles of
+    cells, into ``out`` or a fresh buffer.  Column (field, o) is stored
+    row field // m, component field % m, shifted by o cells; W's row
+    r m + p is output row r, component p (a scalar's is written directly)."""
+    k, n = data.shape[:2]
+    km = len(weights)
+    m = km // k
+    out = _output(data, out)
+    (rows, cells), chunks, plan = _tile_plan_1d(n, m, km, columns, TILE_BYTES)
+    tile, c = np.empty((rows, cells)), len(columns)
+    fields = data.reshape(k, n, m).transpose(0, 2, 1)
+    out_fields = out.reshape(k, n, m).transpose(0, 2, 1)
+    for copies, t, span in plan:
+        for dest, src in copies:
+            tile[dest] = fields[src]
+        sums = tile[c:, :t]
+        total = out[:, span] if m == 1 else sums[:km]
+        _chunked_matmul(weights, tile[:c, :t], chunks, total, sums)
+        if m > 1:
+            out_fields[:, :, span] = total.reshape(k, m, t)
+    return out
+
+
 def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwind1D,
            point_update: str = "split", *, assume_finite: bool = False,
            out: np.ndarray | None = None) -> State1D:
     """Spatial right-hand side of the 1-d semi-discrete scheme.
 
-    Every row is a table on the gathered cell dofs: ``_linear_rows``
-    for the linear rows and D+/D-, ``_burgers_forms`` for Burgers'
-    moment rows and exact one-sided pairings; ``_blend`` joins the two
-    cells of each interface.  ``point_update`` selects the one-sided
-    pairings: "split" takes D+/D- weighted by J+ and J- (max(c, 0) and
-    min(c, 0) for a scalar speed c), "exact" the exact pairing of the
-    test function with d/dx (q^2/2) (Burgers only, K = 2).  Every
-    interface weight follows the sign of the wave speed; ``upwind`` is
-    not read, and stays for callers that pass it by position.
+    A linear model (advection, linear systems) applies the taps of
+    ``_compile_taps_1d`` by ``_apply_blocks_1d``, the apply of
+    ``linear_step.StepOperator1D``.  Burgers applies ``_burgers_forms``
+    and ``_linear_rows``' D+/D- to the gathered cell dofs, as the
+    module docstring says; ``point_update`` selects its one-sided
+    pairings, "split" or "exact" (K = 2 only).  ``upwind`` is not read,
+    and stays for callers that pass it by position.
 
     A state with a non-finite value raises ValueError, unless
     ``assume_finite`` says the caller has already tested it (the
@@ -276,21 +381,15 @@ def rhs_1d(state: State1D, grid: Grid1D, element: Element1D, model, upwind: Upwi
         raise ValueError("the exact-integration point update needs Burgers at K = 2")
 
     dx = grid.dx
+    if model.is_linear:
+        matrices, speed = _unit_1d(model)
+        return State1D(_apply_blocks_1d(state.data, *_compile_taps_1d(k, matrices, speed, dx),
+                                        out))
+
     dofs = _dof_gather_1d(state)
     out = _output(state.data, out)
-    if model.m > 1:
-        rows = np.tensordot(_linear_rows(k), dofs, axes=1)
-        np.matmul(rows[:-2], model.matrix.T / -dx, out=out[:-1])
-        jac_plus, jac_minus = model.jac_plus.T / -dx, model.jac_minus.T / -dx
-        _blend(out[-1], rows[-2] @ jac_plus, rows[-1] @ jac_minus)
-        return State1D(out)
-
-    if model.is_linear:
-        speed = model.a
-        np.matmul(_linear_rows(k)[:-2] * (speed / -dx), dofs, out=out[:-1])
-    else:
-        speed = model.jac(state.points)
-        np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out[:-1])
+    speed = model.jac(state.points)
+    np.divide(_cell_forms(dofs, _burgers_forms(k)[: k - 1]), -dx, out=out[:-1])
     if point_update == "exact":
         # the exact pairings carry the speed: blend them by (1 +- sgn q)/2
         alpha = np.sign(speed)
@@ -351,62 +450,50 @@ def _compile_taps_2d(dx, dy, ax, ay, alpha3, beta):
     return columns, weights
 
 
-# Byte budget of the float64 tile rhs_2d fills before each GEMM; the rows
-# per tile follow from it and the tile's own itemsize (22 at ny = 160 with
-# 9 columns, so 8 tiles).  perfbench adv2d (160^2, 40 s runs, 1 BLAS
-# thread, 2-CPU host), 10 alternating pairs of 256 KiB with the bound plan
-# against 512 KiB with per-call indexing: median peak RSS 36.61 -> 35.99 MB
-# (10/10 pairs lower), wall time 0.980 -> 0.954 s (6/10).  Against the
-# kept tile in 6 rotated runs each, 128 KiB read peak RSS 0.10 MB lower but
-# wall time x1.056, and 256 KiB without the bound plan x1.066 (0/6 faster).
-TILE_BYTES = 256 * 1024
-
-
 @lru_cache(maxsize=1)
 def _scratch_2d(nx, ny, columns, budget):
-    """The float64 (#columns, rows, ny) tile of ``_apply_blocks_2d`` and its
+    """The float64 (height, rows, ny) tile of ``_apply_blocks_2d`` and its
     plan, bound once per key and kept for the last key only, so a time
-    loop on one grid reuses both.  ``rows`` is the most grid rows whose
-    tile fits ``budget`` bytes (at least one, at most nx): ``TILE_BYTES``
-    gives 22 rows and 253 440 B at 160^2.  The plan holds one
-    (copies, operand, span) entry per tile: its copies as
-    (destination view into the tile, source index into the state) pairs
-    from ``grid._shifted_copies``, the tile's first t rows as the flat
-    (#columns, t * ny) GEMM operand (a view), and the span, the slice of
-    the output's flat (4, nx * ny) columns those rows fill.  Every view is
-    of the tile, none of a state, so the cache pins no caller's buffer.
-    The tile is overwritten by every call and never returned, so one
-    shared by every caller in the process is safe.
+    loop on one grid reuses both.  The height is one row per column,
+    plus, with more than one GEMM chunk, 4 rows that sum the chunks'
+    products and 4 that each later chunk's product passes through.
+    ``rows`` is the most grid rows that fit ``budget`` bytes (at least
+    one, at most nx): 22 rows and 253 440 B at 160^2 with 9 columns.
+    The plan holds one (copies, operand, span, sums) entry per tile:
+    (view into the tile, index into the state) pairs from
+    ``grid._shifted_copies``, the columns' first t rows as the flat
+    (#columns, t * ny) GEMM operand, the slice of the output's flat
+    (4, nx * ny) columns they fill, and the summing rows, flat too.
+    Every view is of the tile, so the cache pins no caller's buffer; the
+    tile is overwritten by every call and never returned, so sharing it
+    is safe.
     """
     c = len(columns)
-    rows = min(nx, max(1, budget // (max(1, c) * ny * np.dtype(float).itemsize)))
-    tile = np.empty((c, rows, ny))
+    height = c + (8 if len(_gemm_chunks(c)) > 1 else 0)
+    rows = min(nx, max(1, budget // (max(1, height) * ny * np.dtype(float).itemsize)))
+    tile = np.empty((height, rows, ny))
     plan = []
     for i in range(0, nx, rows):
         t = min(rows, nx - i)
-        copies = tuple((tile[dest], src) for dest, src in _shifted_copies(nx, ny, i, t, columns))
-        # tile[:, :t] holds t * ny contiguous values per column, so this reshape is a view
-        plan.append((copies, tile[:, :t].reshape(c, t * ny), slice(i * ny, (i + t) * ny)))
+        copies = tuple((tile[dest], src) for dest, src in _shifted_copies((nx, ny), i, t, columns))
+        # tile[:, :t] holds t * ny contiguous values per row, so these reshapes are views
+        plan.append((copies, tile[:c, :t].reshape(c, t * ny), slice(i * ny, (i + t) * ny),
+                     tile[c:, :t].reshape(height - c, t * ny)))
     return tile, tuple(plan)
 
 
 def _apply_blocks_2d(data, columns, weights, out=None):
-    """W applied to the offset columns of a (4, nx, ny) stack, by row tiles.
-
-    Each tile copies the shifted rows of a few grid rows, one per
-    column, straight from ``data`` into the tile, and one matmul writes
-    W times the tile straight into the same rows of the output: ``out``,
-    or a fresh buffer.  ``_scratch_2d`` binds every index and view of
-    the tiles once per grid; ``_output`` makes the output C-contiguous,
-    so ``flat_out`` is a view of it.
-    """
+    """W applied to the offset columns of a (4, nx, ny) stack, by tiles of
+    grid rows (``_scratch_2d``), into ``out`` or a fresh buffer, which
+    ``_output`` makes C-contiguous, so ``flat_out`` is a view of it."""
     _, nx, ny = data.shape
     out = _output(data, out)
     flat_out = out.reshape(len(out), nx * ny)
-    for copies, operand, span in _scratch_2d(nx, ny, columns, TILE_BYTES)[1]:
+    chunks = _gemm_chunks(len(columns))
+    for copies, operand, span, sums in _scratch_2d(nx, ny, columns, TILE_BYTES)[1]:
         for dest, src in copies:
             dest[...] = data[src]
-        np.matmul(weights, operand, out=flat_out[:, span])
+        _chunked_matmul(weights, operand, chunks, flat_out[:, span], sums)
     return out
 
 
@@ -419,7 +506,7 @@ def rhs_2d(state: State2D, grid: Grid2D, element: Element2D, model, upwind: Upwi
     column of ``_compile_taps_2d``, compiled once per grid spacing and
     velocity, with the edge and node weights that follow the sign of
     the velocity per axis; ``upwind`` is not read, as in rhs_1d.
-    ``_apply_blocks_2d`` applies it as one GEMM per tile of grid rows.
+    ``_apply_blocks_2d`` applies it by tiles of grid rows.
     Returns a fresh state, or the state whose buffer is ``out``, as in
     rhs_1d, and leaves ``state`` untouched.  ``assume_finite`` skips
     the finiteness test of the state, as in rhs_1d.

@@ -92,12 +92,12 @@ def test_criterion_2_biorthogonality_suite():
 def test_criterion_3_stencil_identities():
     """Full-upwind and central interface rows, coefficientwise exact.
 
-    The rows are built from the ones rhs_1d applies: ``_linear_rows(2)``'s
-    D+ on the left cell's dofs (q_left, avg_i, q_mid) and D- on the right
-    cell's (q_mid, avg_i+1, q_right), blended by (1+alpha)/2 and
-    (1-alpha)/2 (rhs_1d runs alpha = sgn(a)).  Each must also equal its
-    oracle, the exact pairing of the solved test pieces with the basis
-    derivatives b_s'.
+    The rows are built from the table that rhs_1d's blocks are laid out
+    from: ``_linear_rows(2)``'s D+ on the left cell's dofs (q_left,
+    avg_i, q_mid) and D- on the right cell's (q_mid, avg_i+1, q_right),
+    blended by (1+alpha)/2 and (1-alpha)/2 (rhs_1d runs alpha = sgn(a)).
+    Each must also equal its oracle, the exact pairing of the solved test
+    pieces with the basis derivatives b_s'.
     """
     el = build_element(2)
     d_plus, d_minus = ([Fraction(w) for w in row] for row in _linear_rows(2)[-2:])

@@ -334,11 +334,12 @@ class TestAppliedTaps1D:
     def test_taps_are_exact_rows_rounded_once(self, k, a, alpha):
         # the taps rhs_1d applies, read off one unit dof at a time: the
         # moment rows, then the interface row at alpha, each weight times
-        # -a/dx in exact arithmetic (rhs_1d runs alpha = sgn(a); the
-        # family member at another alpha is its rows blended by
-        # family_points).  The table entry is rounded once; the scale and
-        # the D+/D- blend add at most a few half-ulp roundings, so each
-        # tap lies within 2 eps of its row's largest weight.
+        # -a/dx in exact arithmetic.  rhs_1d runs alpha = sgn(a), and
+        # each of its taps is that product rounded once.  The family
+        # member at another alpha is its float rows blended by
+        # family_points: the table entry is rounded once, and the scale
+        # and the D+/D- blend add at most a few half-ulp roundings, so
+        # each of its taps lies within 2 eps of its row's largest weight.
         g = Grid1D(7)
         el = build_element(k)
         rows = (*by_parts_rows(el), interface_row(el, alpha))
@@ -355,11 +356,14 @@ class TestAppliedTaps1D:
                 if alpha != np.sign(a):
                     r[-1] = family_points(st, g, a, alpha)
                 taps[:, j, c] = r[:, i]
-        for got, row in zip(taps, rows):
+        for r, (got, row) in enumerate(zip(taps, rows)):
             exact = {((i + o) % g.n, c): w * scale for (c, o), w in zip(window, row)}
             bound = 2 * np.finfo(float).eps * max(abs(float(w)) for w in exact.values())
             for (j, c), w in exact.items():
-                assert abs(Fraction(got[j, c]) - w) <= bound
+                if r < k - 1 or alpha == np.sign(a):
+                    assert got[j, c] == float(w)
+                else:
+                    assert abs(Fraction(got[j, c]) - w) <= bound
             # nothing outside the one-cell window
             outside = np.ones((g.n, k), dtype=bool)
             outside[tuple(zip(*exact))] = False
@@ -777,9 +781,15 @@ def rolled_reference(data, columns, weights):
     return out
 
 
+def tile_height(columns):
+    """Rows of rhs_2d's tile: one per column, and past GEMM_TERMS columns
+    the 8 rows that sum the GEMM chunks' products."""
+    return len(columns) + (8 if len(columns) > semidiscrete.GEMM_TERMS else 0)
+
+
 def tile_rows(columns, ny):
     """Grid rows per tile of rhs_2d at the module's TILE_BYTES."""
-    return semidiscrete.TILE_BYTES // (len(columns) * ny * 8)
+    return semidiscrete.TILE_BYTES // (tile_height(columns) * ny * 8)
 
 
 class TestBlockApply2D:
@@ -810,7 +820,8 @@ class TestBlockApply2D:
         probe = Grid2D(4, 4)
         columns, _ = taps_2d(probe, ax, ay, weights)
         if budget_rows is not None:
-            monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget_rows * len(columns) * 11 * 8)
+            monkeypatch.setattr(semidiscrete, "TILE_BYTES",
+                                budget_rows * tile_height(columns) * 11 * 8)
         nx, ny = grid_rows(tile_rows(columns, 160))
         assert divmod(nx, max(1, tile_rows(columns, ny))) == full_tiles_and_rest
         g = Grid2D(nx, ny)
@@ -906,17 +917,19 @@ class TestWrapEdges:
             assert len(columns) == 21
             for axis in (0, 1):
                 assert {o[axis] for _, o in columns} == {-1, 0, 1}
-        monkeypatch.setattr(semidiscrete, "TILE_BYTES", rows * len(columns) * ny * 8)
+        monkeypatch.setattr(semidiscrete, "TILE_BYTES", rows * tile_height(columns) * ny * 8)
         st = random_state_2d(np.random.default_rng(36), nx, ny)
         r = apply_2d(st, g, ax, ay, weights)
         hits = semidiscrete._scratch_2d.cache_info().hits
         tile, plan = semidiscrete._scratch_2d(nx, ny, columns, semidiscrete.TILE_BYTES)
         assert semidiscrete._scratch_2d.cache_info().hits == hits + 1  # the plan rhs_2d used
-        assert tile.shape == (len(columns), min(rows, nx), ny)
+        assert tile.shape == (tile_height(columns), min(rows, nx), ny)
         spans = [(i, min(rows, nx - i)) for i in range(0, nx, rows)]
-        assert [(span.start, span.stop) for _, _, span in plan] == [
+        assert [(span.start, span.stop) for _, _, span, _ in plan] == [
             (i * ny, (i + t) * ny) for i, t in spans]
-        assert [op.shape for _, op, _ in plan] == [(len(columns), t * ny) for _, t in spans]
+        assert [op.shape for _, op, _, _ in plan] == [(len(columns), t * ny) for _, t in spans]
+        assert [sums.shape for *_, sums in plan] == [
+            (tile_height(columns) - len(columns), t * ny) for _, t in spans]
         ref = rolled_reference(st.data, columns, w)
         assert np.max(np.abs(r - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -941,7 +954,8 @@ def test_cold_rhs_2d_holds_only_its_tile():
     assert tile.shape == (len(columns), tile_rows(columns, 160), 160)
     assert tile.nbytes <= semidiscrete.TILE_BYTES
     # every other array the plan keeps is a view of the tile: it owns no memory
-    views = [op for _, op, _ in plan] + [dest for copies, _, _ in plan for dest, _ in copies]
+    views = [v for _, op, _, sums in plan for v in (op, sums)]
+    views += [dest for copies, *_ in plan for dest, _ in copies]
     assert views and all(v.base is tile for v in views)
 
 
@@ -972,28 +986,45 @@ def test_float32_state_gets_the_float64_tile_budget():
     assert out.tobytes() == wide.data.astype(np.float32).tobytes()
 
 
+def test_float32_sum_of_chunks_is_rounded_once():
+    # W's 20 columns at a = (-0.7, -0.6) take two GEMM chunks: their
+    # products are summed in float64, so a float32 state's output is the
+    # float64 one rounded once
+    g, el = Grid2D(37, 91), build_element_2d()
+    model = advection2d(-0.7, -0.6)
+    st32 = State2D(random_state_2d(np.random.default_rng(41), 37, 91).data.astype(np.float32))
+    narrow = rhs_2d(st32, g, el, model, Upwind2D()).data
+    wide = rhs_2d(State2D(st32.data.astype(np.float64)), g, el, model, Upwind2D()).data
+    assert narrow.dtype == np.float32
+    assert narrow.tobytes() == wide.astype(np.float32).tobytes()
+
+
 @pytest.mark.parametrize(
-    "nx, ny, ax, ay",
-    [pytest.param(160, 160, 1.0, 1.0, id="160x160-a(1,1)"),
-     pytest.param(37, 91, 0.8, -0.6, id="37x91-a(0.8,-0.6)")],
+    "nx, ny, ax, ay, width",
+    [pytest.param(160, 160, 1.0, 1.0, 9, id="160x160-a(1,1)"),
+     pytest.param(37, 91, 0.8, -0.6, 15, id="37x91-a(0.8,-0.6)"),
+     pytest.param(37, 91, -0.7, -0.6, 20, id="37x91-a(-0.7,-0.6)")],
 )
-def test_rhs_2d_bytes_do_not_depend_on_the_tile(monkeypatch, nx, ny, ax, ay):
-    # each output value is one GEMM over the same columns in the same
-    # order, however many rows a tile holds
+def test_rhs_2d_bytes_do_not_depend_on_the_tile(monkeypatch, nx, ny, ax, ay, width):
+    # each output value is the same GEMMs over the same columns in the same
+    # order, however many rows a tile holds; W's 20 columns at a = (-0.7,
+    # -0.6) are summed in two chunks of at most GEMM_TERMS
     g = Grid2D(nx, ny)
     columns, _ = taps_2d(g, ax, ay, None)
+    assert len(columns) == width
     st = random_state_2d(np.random.default_rng(39), nx, ny)
-    # (budget, rows per tile): one row, the default, the whole grid
-    budgets = [(len(columns) * ny * 8, 1),
-               (semidiscrete.TILE_BYTES, min(nx, tile_rows(columns, ny))),
-               (len(columns) * nx * ny * 8, nx)]
-    results = []
+    height = tile_height(columns)
+    # (budget, rows per tile): a few rows, the default, the whole grid
+    budgets = [(rows * height * ny * 8, rows) for rows in (1, 2, 3, 7, 18)]
+    budgets += [(semidiscrete.TILE_BYTES, min(nx, tile_rows(columns, ny))),
+                (height * nx * ny * 8, nx)]
+    results = set()
     for budget, rows in budgets:
         monkeypatch.setattr(semidiscrete, "TILE_BYTES", budget)
-        results.append(apply_2d(st, g, ax, ay, None).tobytes())
+        results.add(apply_2d(st, g, ax, ay, None).tobytes())
         tile, _ = semidiscrete._scratch_2d(nx, ny, columns, budget)
         assert tile.shape[1] == rows
-    assert results[0] == results[1] == results[2]
+    assert len(results) == 1
 
 
 def test_cached_plan_pins_no_state():
@@ -1016,19 +1047,24 @@ def test_cached_plan_pins_no_state():
 @pytest.mark.parametrize("k", range(2, 7))
 def test_exact_blocks_are_the_rows_rhs_1d_rounds(k, model):
     # one exact table drives both: _linear_rows is _exact_rows rounded, and
-    # the offset blocks, applied in floats, give rhs_1d to round-off
+    # rhs_1d applies the offset blocks times speed/dx with each weight
+    # rounded once, so rhs_1d of each unit state reads off exact weights
     assert _linear_rows(k).tolist() == [[float(w) for w in row] for row in _exact_rows(k)]
     matrices, speed = _unit_1d(model)
     blocks = _exact_blocks_1d(k, matrices)
     assert sorted(blocks) == [-1, 0, 1]
     n, m = 7, model.m
-    grid = Grid1D(n)
-    st = random_state_1d(np.random.default_rng(k), n, k, m if m > 1 else 0)
-    cells = st.data.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
-    got = sum(np.roll(cells, -o, axis=0) @ b.astype(float).T for o, b in blocks.items())
-    got = (got * (speed / grid.dx)).reshape(n, k, m).transpose(1, 0, 2).reshape(st.data.shape)
-    ref = rhs_1d(st, grid, build_element(k), model, Upwind1D()).data
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    grid, element = Grid1D(n), build_element(k)
+    scale = Fraction(speed) / Fraction(grid.dx)
+    expected = np.zeros((k, n, m, k, n, m))
+    for o, b in blocks.items():
+        weights = np.array([[float(w * scale) for w in row] for row in b]).reshape(k, m, k, m)
+        for i in range(n):
+            expected[:, i, :, :, (i + o) % n] = weights
+    shape = (k, n) if m == 1 else (k, n, m)
+    got = np.stack([rhs_1d(State1D(unit.reshape(shape)), grid, element, model,
+                           Upwind1D()).data.reshape(k, n, m) for unit in np.eye(k * n * m)], -1)
+    assert (got.reshape(expected.shape) == expected).all()
 
 
 def _charpoly(matrix):
@@ -1052,6 +1088,15 @@ def _pade_exp(num, den):
     q = [Fraction((-1) ** j * f(num + den - j) * f(den), f(num + den) * f(j) * f(den - j))
          for j in range(den + 1)]
     return Poly(p), Poly(q)
+
+
+def _series_quotient(p, q, terms):
+    """The first ``terms`` coefficients of the power series of p/q, q(0) != 0."""
+    a, b = ([Fraction(c) for c in r.coeffs.tolist()] + [Fraction(0)] * terms for r in (p, q))
+    quotient = []
+    for j in range(terms):
+        quotient.append((a[j] - sum(b[i] * quotient[j - i] for i in range(1, j + 1))) / b[0])
+    return quotient
 
 
 def _reflected(p):
@@ -1092,6 +1137,13 @@ def test_1d_spectrum_is_the_pade_approximant_of_exp(k):
     pade_p, pade_q = _pade_exp(k, k - 1)
     lead = pade_p.coeffs[-1]
     assert p0 == pade_p * (1 / lead) and p1 == pade_q * (-1 / lead)
+    # its error constant: e^x + p0/p1 = (-1)^(K-1) x^{2K} / C_K + O(x^{2K+1}),
+    # C_K = (2K)! (2K-1)! / (K! (K-1)!)
+    f = math.factorial
+    error = [Fraction(1, f(j)) + c for j, c in enumerate(_series_quotient(p0, p1, 2 * k + 1))]
+    c_k = f(2 * k) * f(2 * k - 1) // (f(k) * f(k - 1))
+    assert c_k == {2: 72, 3: 7200, 4: 1411200, 5: 457228800, 6: 221298739200}[k]
+    assert error == [0] * (2 * k) + [Fraction((-1) ** (k - 1), c_k)]
     assert p0 * _reflected(p0) - p1 * _reflected(p1) == Poly([0] * (2 * k) + [(-1) ** k])
     assert _is_hurwitz(p0)
     if k == 2:

@@ -25,10 +25,9 @@ from afpg.linear_step import (
     _exact_step_1d,
     _step_columns_1d,
     _step_weights_1d,
-    _tile_plan_1d,
 )
 from afpg.models import Sine2DIC, SineIC, advection1d, advection2d, burgers1d, linear_system1d
-from afpg.semidiscrete import Upwind1D, Upwind2D, _unit_1d, rhs_1d, rhs_2d
+from afpg.semidiscrete import Upwind1D, Upwind2D, _tile_plan_1d, _unit_1d, rhs_1d, rhs_2d
 from afpg.timestep import (
     BLOWUP_FACTOR,
     BlowUpError,
